@@ -20,7 +20,6 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
-    canonicalize,
     conditional,
     format_rational,
     load_json,
@@ -67,11 +66,9 @@ from .dominance import (
     apply_garbling,
     coarsening_profiles,
     common_objective_condition,
-    det_dominates,
     garbling_exists,
     induced_profile,
     is_imi,
-    match_for,
     restrict_to_ckc,
     two_sided_imi_equal,
     unique_ckc_dominates,
@@ -93,11 +90,8 @@ from .games import (
     belief_expected_payoffs,
     belief_is_equilibrium,
     best_common_payoff,
-    build_belief_game,
-    build_combined_game,
     build_kld_game,
     build_permutation_game,
-    build_two_stage_game,
     decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,

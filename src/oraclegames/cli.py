@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .dominance import (
@@ -43,10 +42,6 @@ def _dump(data: object) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _oracle(structure, name: str):
-    return structure.oracle(name)
-
-
 def _cmd_ckc(args) -> int:
     structure = load_structure(args.structure)
     components = ckc_decompose(structure.players)
@@ -57,7 +52,7 @@ def _cmd_ckc(args) -> int:
 def _cmd_imi(args) -> int:
     structure = load_structure(args.structure)
     result = is_imi(
-        structure, _oracle(structure, args.first), _oracle(structure, args.second)
+        structure, structure.oracle(args.first), structure.oracle(args.second)
     )
     _dump(
         {
@@ -73,8 +68,8 @@ def _cmd_imi(args) -> int:
 
 def _cmd_dominates(args) -> int:
     structure = load_structure(args.structure)
-    first = _oracle(structure, args.first)
-    second = _oracle(structure, args.second)
+    first = structure.oracle(args.first)
+    second = structure.oracle(args.second)
     if args.mode == "deterministic":
         result = is_imi(structure, first, second)
         payload = {
@@ -96,7 +91,7 @@ def _cmd_dominates(args) -> int:
 def _cmd_common_objective(args) -> int:
     structure = load_structure(args.structure)
     holds = common_objective_condition(
-        structure, _oracle(structure, args.first), _oracle(structure, args.second)
+        structure, structure.oracle(args.first), structure.oracle(args.second)
     )
     _dump(
         {
@@ -143,16 +138,12 @@ def _fixture_names(args) -> list[str]:
     return list(args.fixtures)
 
 
-def _run_fixtures(names: Sequence[str], parallel: bool) -> list[dict]:
-    loaded = [load_fixture(name) for name in names]
-    if parallel and len(loaded) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(loaded))) as pool:
-            return list(pool.map(run_fixture, loaded))
-    return [run_fixture(data) for data in loaded]
+def _run_fixtures(names: Sequence[str]) -> list[dict]:
+    return [run_fixture(load_fixture(name)) for name in names]
 
 
 def _cmd_verify(args) -> int:
-    reports = _run_fixtures(_fixture_names(args), args.parallel)
+    reports = _run_fixtures(_fixture_names(args))
     failed = 0
     for report in reports:
         for line in report_lines(report):
@@ -166,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = _run_fixtures(_fixture_names(args), args.parallel)
+    reports = _run_fixtures(_fixture_names(args))
     if args.format == "json":
         _dump(reports if len(reports) != 1 else reports[0])
     else:
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("fixtures", nargs="*")
         p.add_argument("--all", action="store_true")
-        p.add_argument("--parallel", action="store_true")
         if name == "report":
             p.add_argument("--format", choices=("json", "text"), default="json")
         p.set_defaults(fn=fn)

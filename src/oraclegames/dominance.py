@@ -74,28 +74,6 @@ def is_imi(
     return ImiResult(True, None)
 
 
-def det_dominates(
-    structure: InformationStructure,
-    first: Partition,
-    second: Partition,
-    cap: int = DEFAULT_COARSENING_CAP,
-) -> ImiResult:
-    """Dominance over deterministic signaling functions; alias of is_imi."""
-    return is_imi(structure, first, second, cap)
-
-
-def match_for(
-    structure: InformationStructure,
-    first: Partition,
-    candidate: Partition,
-    cap: int = DEFAULT_COARSENING_CAP,
-) -> Optional[Partition]:
-    """The first coarsening of ``first`` inducing the same profile as the
-    given candidate coarsening, or None when the profile is unmatched."""
-    profile = induced_profile(structure, candidate)
-    return coarsening_profiles(structure, first, cap).get(profile)
-
-
 def require_unique_ckc(structure: InformationStructure) -> None:
     components = ckc_decompose(structure.players)
     if len(components.blocks) != 1:

@@ -14,13 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import ckc_decompose, join
 from .signaling import (
     DeterministicSignaling,
-    JointPosteriorProfile,
     Signaling,
     StochasticSignaling,
     as_stochastic,
@@ -42,6 +41,7 @@ DEFAULT_PERMUTATION_CAP = 10000
 
 ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
+Slot = tuple[int, tuple[str, ...]]
 
 
 def _check_action_label(label: object) -> str:
@@ -238,6 +238,24 @@ def _normalize_mixture(value: object, actions: Sequence[str]) -> dict[str, Fract
     return mix
 
 
+def _check_entries(
+    what: str, player: str, pairs: Sequence[Pair], table: Iterable[Pair]
+) -> None:
+    """Reject a strategy table whose keys are not exactly the player's
+    reachable pairs, naming the first missing (else unreachable) pair."""
+    wanted = set(pairs)
+    got = set(table)
+    if got != wanted:
+        missing = sorted(wanted - got)
+        extra = sorted(got - wanted)
+        block, signal = (missing or extra)[0]
+        kind = "missing" if missing else "unreachable"
+        raise DomainError(
+            f"{what} for player '{player}' has a {kind} entry at block "
+            f"{{{','.join(block)}}} with signal '{signal}'"
+        )
+
+
 def make_strategy(
     game: BayesianGame,
     tau: Signaling,
@@ -253,17 +271,7 @@ def make_strategy(
         )
     tables = []
     for i, mapping in enumerate(per_player):
-        wanted = set(pairs[i])
-        got = set(mapping)
-        if got != wanted:
-            missing = sorted(wanted - got)
-            extra = sorted(got - wanted)
-            block, signal = (missing or extra)[0]
-            kind = "missing" if missing else "unreachable"
-            raise DomainError(
-                f"strategy for player '{game.structure.player_names[i]}' has a "
-                f"{kind} entry at block {{{','.join(block)}}} with signal '{signal}'"
-            )
+        _check_entries("strategy", game.structure.player_names[i], pairs[i], mapping)
         tables.append(
             {
                 pair: _normalize_mixture(mapping[pair], game.actions[i])
@@ -305,17 +313,82 @@ def strategy_from_json(
     return make_strategy(game, tau, per_player)
 
 
-def _branch_mixtures(
+def _branches(
     structure: InformationStructure,
+    tau: Signaling,
+    states: Optional[Iterable[str]] = None,
+) -> Iterable[tuple[str, str, Fraction]]:
+    """(state, signal, prior x kernel mass) for every branch of positive mass,
+    over ``states`` (default: the whole space) in order."""
+    stoch = as_stochastic(tau)
+    if stoch.space != structure.space:
+        raise DomainError("signaling and structure use different state spaces")
+    for state in structure.space if states is None else states:
+        base = structure.prior.of(state)
+        for signal in stoch.signals:
+            w = base * stoch.prob(state, signal)
+            if w:
+                yield state, signal, w
+
+
+def _outcomes(
+    game: BayesianGame,
+    tau: Signaling,
     strategy: StrategyProfile,
-    state: str,
-    signal: str,
-) -> list[list[tuple[str, Fraction]]]:
-    out = []
-    for i, partition in enumerate(structure.players):
-        mix = strategy.mixture(i, partition.block_of(state), signal)
-        out.append([(a, p) for a, p in mix.items() if p > 0])
-    return out
+    states: Optional[Iterable[str]] = None,
+) -> Iterable[tuple[str, ActionProfile, Fraction]]:
+    """(state, action profile, mass) over every branch and every combination
+    of the actions the players' mixtures play there."""
+    structure = game.structure
+    for state, signal, w in _branches(structure, tau, states):
+        mixtures = []
+        for i, partition in enumerate(structure.players):
+            mix = strategy.mixture(i, partition.block_of(state), signal)
+            mixtures.append([(a, p) for a, p in mix.items() if p > 0])
+        for combo in itertools.product(*mixtures):
+            weight = w
+            for _, p in combo:
+                weight *= p
+            yield state, tuple(a for a, _ in combo), weight
+
+
+def _cells(
+    structure: InformationStructure, tau: Signaling
+) -> Iterable[tuple[str, list[tuple[str, Fraction, tuple[int, ...]]], list[Slot]]]:
+    """Each nonempty (signal, common-knowledge component) cell as (signal,
+    positioned branches, slots).
+
+    A branch (state, signal) touches only the strategy slots (player, block)
+    of its own cell, so a branch-additive objective over pure measurable
+    strategies is maximized cell by cell.  Slots are numbered player by
+    player in first-seen order; a positioned branch is (state, mass, slot
+    index of each player).
+    """
+    meet = ckc_decompose(structure.players)
+    cells: dict[tuple[str, tuple[str, ...]], list[tuple[str, Fraction]]] = {}
+    for state, signal, w in _branches(structure, tau):
+        cells.setdefault((signal, meet.block_of(state)), []).append((state, w))
+    for (signal, _), branches in cells.items():
+        slots: list[Slot] = []
+        index: dict[Slot, int] = {}
+        for i, partition in enumerate(structure.players):
+            for state, _ in branches:
+                key = (i, partition.block_of(state))
+                if key not in index:
+                    index[key] = len(slots)
+                    slots.append(key)
+        positioned = [
+            (
+                state,
+                w,
+                tuple(
+                    index[(i, partition.block_of(state))]
+                    for i, partition in enumerate(structure.players)
+                ),
+            )
+            for state, w in branches
+        ]
+        yield signal, positioned, slots
 
 
 def expected_payoffs(
@@ -327,13 +400,9 @@ def expected_payoffs(
     """Exact expected utility per player, optionally conditional on an event."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
-    stoch = as_stochastic(tau)
     structure = game.structure
-    if stoch.space != structure.space:
-        raise DomainError("signaling and structure use different state spaces")
-    if given_event is None:
-        states = list(structure.space)
-    else:
+    states = None
+    if given_event is not None:
         states = list(given_event)
         if not states:
             raise DomainError("cannot condition on an empty event")
@@ -341,20 +410,10 @@ def expected_payoffs(
             if state not in structure.space:
                 raise InputError(f"unknown state '{state}' in event")
     totals = [Fraction(0)] * structure.n
-    for state in states:
-        base = structure.prior.of(state)
-        for signal in stoch.signals:
-            w = base * stoch.prob(state, signal)
-            if w == 0:
-                continue
-            mixtures = _branch_mixtures(structure, strategy, state, signal)
-            for combo in itertools.product(*mixtures):
-                weight = w
-                for _, p in combo:
-                    weight *= p
-                values = game.payoff(state, tuple(a for a, _ in combo))
-                for i in range(structure.n):
-                    totals[i] += weight * values[i]
+    for state, profile, weight in _outcomes(game, tau, strategy, states):
+        values = game.payoff(state, profile)
+        for i in range(structure.n):
+            totals[i] += weight * values[i]
     if given_event is not None:
         mass = structure.prior.event_mass(states)
         totals = [t / mass for t in totals]
@@ -401,23 +460,11 @@ def ned_distribution(
 ) -> OutcomeDistribution:
     """Distribution over (state, action profile) induced by prior, signaling,
     and strategy."""
-    stoch = as_stochastic(tau)
-    structure = game.structure
     mass: dict[tuple[str, ActionProfile], Fraction] = {}
-    for state in structure.space:
-        base = structure.prior.of(state)
-        for signal in stoch.signals:
-            w = base * stoch.prob(state, signal)
-            if w == 0:
-                continue
-            mixtures = _branch_mixtures(structure, strategy, state, signal)
-            for combo in itertools.product(*mixtures):
-                weight = w
-                for _, p in combo:
-                    weight *= p
-                key = (state, tuple(a for a, _ in combo))
-                mass[key] = mass.get(key, Fraction(0)) + weight
-    return OutcomeDistribution(structure.space, mass)
+    for state, profile, weight in _outcomes(game, tau, strategy):
+        key = (state, profile)
+        mass[key] = mass.get(key, Fraction(0)) + weight
+    return OutcomeDistribution(game.structure.space, mass)
 
 
 @dataclass(frozen=True)
@@ -668,18 +715,6 @@ class BeliefGame:
             if self.declared[j].of(state) > 0:
                 value -= share * self.r_value(j, actions[j], state)
         return value
-
-
-def build_belief_game(
-    profile: Union[JointPosteriorProfile, Sequence[Distribution]]
-) -> BeliefGame:
-    if isinstance(profile, JointPosteriorProfile):
-        dists = profile.per_player
-    else:
-        dists = tuple(profile)
-    if not dists:
-        raise DomainError("a belief game needs at least two players")
-    return BeliefGame(dists[0].space, dists)
 
 
 def _check_belief_inputs(
@@ -990,23 +1025,12 @@ def kld_expected_scores(
     """Per-player expected log score under the signaling and strategy."""
     if not game.log_domain:
         raise DomainError("kld_expected_scores applies to log-domain games only")
-    stoch = as_stochastic(tau)
-    structure = game.structure
-    terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(structure.n)]
-    for state in structure.space:
-        base = structure.prior.of(state)
-        for signal in stoch.signals:
-            w = base * stoch.prob(state, signal)
-            if w == 0:
-                continue
-            mixtures = _branch_mixtures(structure, strategy, state, signal)
-            for combo in itertools.product(*mixtures):
-                weight = w
-                for _, p in combo:
-                    weight *= p
-                values = game.payoff(state, tuple(a for a, _ in combo))
-                for i in range(structure.n):
-                    terms[i].append((weight, values[i]))
+    n = game.structure.n
+    terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
+    for state, profile, weight in _outcomes(game, tau, strategy):
+        values = game.payoff(state, profile)
+        for i in range(n):
+            terms[i].append((weight, values[i]))
     return tuple(LogScore.from_terms(t) for t in terms)
 
 
@@ -1158,19 +1182,10 @@ class TwoStageGame:
             raise InputError(
                 f"expected strategies for {self.structure.n} players"
             )
-        for i in range(self.structure.n):
-            wanted = set(pairs[i])
-            got = set(strategy.per_player[i])
-            if wanted != got:
-                missing = sorted(wanted - got)
-                extra = sorted(got - wanted)
-                block, signal = (missing or extra)[0]
-                kind = "missing" if missing else "unreachable"
-                raise DomainError(
-                    f"two-stage strategy for player "
-                    f"'{self.structure.player_names[i]}' has a {kind} entry at "
-                    f"block {{{','.join(block)}}} with signal '{signal}'"
-                )
+        for i, name in enumerate(self.structure.player_names):
+            _check_entries(
+                "two-stage strategy", name, pairs[i], strategy.per_player[i]
+            )
             for declaration in strategy.per_player[i].values():
                 self._check_declaration(i, declaration)
 
@@ -1207,17 +1222,12 @@ class TwoStageGame:
         stoch = as_stochastic(tau)
         self.validate_strategy(stoch, strategy)
         totals = [Fraction(0)] * self.structure.n
-        for state in self.structure.space:
-            base = self.structure.prior.of(state)
-            for signal in stoch.signals:
-                w = base * stoch.prob(state, signal)
-                if w == 0:
-                    continue
-                values = self.branch_payoffs(
-                    state, self._strategy_declarations(strategy, state, signal)
-                )
-                for i in range(self.structure.n):
-                    totals[i] += w * values[i]
+        for state, signal, w in _branches(self.structure, stoch):
+            values = self.branch_payoffs(
+                state, self._strategy_declarations(strategy, state, signal)
+            )
+            for i in range(self.structure.n):
+                totals[i] += w * values[i]
         return tuple(totals)
 
     def aggregate(self, tau: Signaling, strategy: TwoStageStrategy) -> Fraction:
@@ -1283,64 +1293,31 @@ class TwoStageGame:
         common-knowledge component) cells, and declarations are free per
         cell, so each cell maximizes independently.
         """
-        stoch = as_stochastic(tau)
-        if stoch.space != self.structure.space:
-            raise DomainError("signaling and structure use different state spaces")
-        structure = self.structure
-        n = structure.n
-        meet = ckc_decompose(structure.players)
         declaration_menu = []
-        for i in range(n):
+        for i in range(self.structure.n):
             options: list[tuple] = [(None, None)]
             for declared_signal in self.tau2.signals:
                 for posterior in self.menus[i]:
                     options.append((declared_signal, posterior))
             declaration_menu.append(tuple(options))
         total = Fraction(0)
-        for signal in stoch.signals:
-            for component in meet.blocks:
-                branches = []
-                for state in component:
-                    w = structure.prior.of(state) * stoch.prob(state, signal)
-                    if w > 0:
-                        branches.append((state, w))
-                if not branches:
-                    continue
-                slots: list[tuple[int, tuple[str, ...]]] = []
-                index: dict[tuple[int, tuple[str, ...]], int] = {}
-                for i in range(n):
-                    for state, _ in branches:
-                        block = structure.players[i].block_of(state)
-                        if (i, block) not in index:
-                            index[(i, block)] = len(slots)
-                            slots.append((i, block))
-                positioned = [
-                    (
-                        state,
-                        w,
-                        tuple(
-                            index[(i, structure.players[i].block_of(state))]
-                            for i in range(n)
-                        ),
-                    )
-                    for state, w in branches
-                ]
-                best = None
-                for combo in itertools.product(
-                    *(declaration_menu[i] for i, _ in slots)
-                ):
-                    value = self._cell_value_with_best_responses(
-                        positioned, slots, combo
-                    )
-                    if best is None or value > best:
-                        best = value
-                total += best
+        for _, positioned, slots in _cells(self.structure, tau):
+            best = None
+            for combo in itertools.product(
+                *(declaration_menu[i] for i, _ in slots)
+            ):
+                value = self._cell_value_with_best_responses(
+                    positioned, slots, combo
+                )
+                if best is None or value > best:
+                    best = value
+            total += best
         return total
 
     def _cell_value_with_best_responses(
         self,
         positioned: Sequence[tuple[str, Fraction, tuple[int, ...]]],
-        slots: Sequence[tuple[int, tuple[str, ...]]],
+        slots: Sequence[Slot],
         combo: Sequence[tuple],
     ) -> Fraction:
         """Value of one (signal, component) cell for fixed declarations,
@@ -1390,64 +1367,6 @@ class TwoStageGame:
         return value
 
 
-def build_two_stage_game(
-    structure: InformationStructure, tau: Signaling, M: Optional[object] = None
-) -> TwoStageGame:
-    return TwoStageGame(structure, tau, M)
-
-
-def _max_over_components(
-    structure: InformationStructure,
-    stoch: StochasticSignaling,
-    options_for: Callable[[int], Sequence],
-    value_at: Callable[[str, str, tuple], Fraction],
-) -> Fraction:
-    """Maximize a branch-additive objective over pure measurable strategies.
-
-    Every branch (state, signal) touches only the strategy slots
-    (player-block, signal) inside the state's common-knowledge component, so
-    the maximum decomposes exactly across (signal, component) blocks.
-    """
-    meet = ckc_decompose(structure.players)
-    total = Fraction(0)
-    for signal in stoch.signals:
-        for component in meet.blocks:
-            branches = []
-            for state in component:
-                w = structure.prior.of(state) * stoch.prob(state, signal)
-                if w > 0:
-                    branches.append((state, w))
-            if not branches:
-                continue
-            slots: list[tuple[int, tuple[str, ...]]] = []
-            index: dict[tuple[int, tuple[str, ...]], int] = {}
-            for i in range(structure.n):
-                for state, _ in branches:
-                    block = structure.players[i].block_of(state)
-                    if (i, block) not in index:
-                        index[(i, block)] = len(slots)
-                        slots.append((i, block))
-            positioned = []
-            for state, w in branches:
-                positions = tuple(
-                    index[(i, structure.players[i].block_of(state))]
-                    for i in range(structure.n)
-                )
-                positioned.append((state, w, positions))
-            best = None
-            for combo in itertools.product(
-                *(options_for(i) for i, _ in slots)
-            ):
-                value = Fraction(0)
-                for state, w, positions in positioned:
-                    picks = tuple(combo[k] for k in positions)
-                    value += w * value_at(state, signal, picks)
-                if best is None or value > best:
-                    best = value
-            total += best
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Combined two-stage + log-score game.
 
@@ -1490,7 +1409,7 @@ class CombinedGame:
         M: Optional[object] = None,
     ):
         self.structure = structure
-        self.stage = build_two_stage_game(structure, tau, M)
+        self.stage = TwoStageGame(structure, tau, M)
         self.kld = build_kld_game(structure, tau)
         self.tau2 = self.stage.tau2
 
@@ -1515,12 +1434,6 @@ class CombinedGame:
         )
 
 
-def build_combined_game(
-    structure: InformationStructure, tau: Signaling, M: Optional[object] = None
-) -> CombinedGame:
-    return CombinedGame(structure, tau, M)
-
-
 # ---------------------------------------------------------------------------
 # Common-objective coordination value.
 
@@ -1539,12 +1452,15 @@ def best_common_payoff(game: BayesianGame, tau: Signaling) -> Fraction:
                 f"payoffs differ across players at state '{state}' under "
                 f"profile {profile!r}"
             )
-    stoch = as_stochastic(tau)
-    if stoch.space != game.structure.space:
-        raise DomainError("signaling and structure use different state spaces")
-    return _max_over_components(
-        game.structure,
-        stoch,
-        lambda i: game.actions[i],
-        lambda state, signal, picks: game.payoff(state, picks)[0],
-    )
+    total = Fraction(0)
+    for _, positioned, slots in _cells(game.structure, tau):
+        best = None
+        for combo in itertools.product(*(game.actions[i] for i, _ in slots)):
+            value = Fraction(0)
+            for state, w, positions in positioned:
+                profile = tuple(combo[k] for k in positions)
+                value += w * game.payoff(state, profile)[0]
+            if best is None or value > best:
+                best = value
+        total += best
+    return total

@@ -30,12 +30,11 @@ from .games import (
     belief_best_response,
     belief_expected_payoffs,
     belief_is_equilibrium,
+    BeliefGame,
     best_common_payoff,
-    build_belief_game,
-    build_combined_game,
     build_kld_game,
     build_permutation_game,
-    build_two_stage_game,
+    CombinedGame,
     decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,
@@ -54,6 +53,7 @@ from .games import (
     strategy_from_json,
     truthful_choices,
     truthful_kld_strategy,
+    TwoStageGame,
     TwoStageStrategy,
 )
 from .partitions import ckc_decompose, connect_path, join, refines
@@ -541,7 +541,7 @@ def _op_permutation_value(fix: Fixture, args: Mapping):
 
 
 def _belief_game(fix: Fixture, args: Mapping):
-    return build_belief_game(fix.profile(args["profile"]))
+    return BeliefGame(fix.structure.space, fix.profile(args["profile"]))
 
 
 def _belief_choices(game, beliefs, spec) -> tuple[str, ...]:
@@ -582,14 +582,14 @@ def _op_belief_aggregate(fix: Fixture, args: Mapping):
 
 @op("belief_build_error")
 def _op_belief_build_error(fix: Fixture, args: Mapping):
-    return build_belief_game(fix.profile(args["profile"])) is not None
+    return _belief_game(fix, args) is not None
 
 
 # -- two-stage declaration games ---------------------------------------------
 
 
 def _two_stage(fix: Fixture, args: Mapping):
-    return build_two_stage_game(
+    return TwoStageGame(
         fix.structure, fix.signaling(args["signaling"]), args.get("penalty")
     )
 
@@ -675,7 +675,7 @@ def _op_kld_aggregate_differs(fix: Fixture, args: Mapping):
 
 @op("combined_truthful_aggregate")
 def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
-    combined = build_combined_game(fix.structure, fix.signaling(args["signaling"]))
+    combined = CombinedGame(fix.structure, fix.signaling(args["signaling"]))
     values = combined.truthful_payoffs()
     total = values[0]
     for value in values[1:]:
@@ -685,7 +685,7 @@ def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
 
 @op("combined_linearity")
 def _op_combined_linearity(fix: Fixture, args: Mapping):
-    combined = build_combined_game(fix.structure, fix.signaling(args["signaling"]))
+    combined = CombinedGame(fix.structure, fix.signaling(args["signaling"]))
     stage_values = combined.stage.expected_payoffs(
         combined.tau2, combined.stage.truthful_strategy()
     )

@@ -400,12 +400,10 @@ def experiment_matrix(
     )
 
 
-def lift_garbled(
+def _garbling_rows(
     tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
-) -> StochasticSignaling:
-    """Compose tau with a garbling over its signals: the lifted kernel sends
-    (s, t) with probability m[s][t] * tau(s|state). For a fixed s, every (s, t)
-    signal induces the posterior that s induces under tau."""
+) -> dict[str, dict[str, Fraction]]:
+    """One distribution over garbled labels per signal of tau."""
     rows: dict[str, dict[str, Fraction]] = {}
     for s in tau.signals:
         if s not in m:
@@ -413,19 +411,26 @@ def lift_garbled(
         row = {t: parse_rational(v) for t, v in m[s].items()}
         if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
             raise DomainError(f"garbling row for signal '{s}' is not a distribution")
-        rows[s] = row
-    new_signals: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    for s in tau.signals:
-        for t in rows[s]:
+        for t in row:
             _check_signal_label(t)
-            new_signals.append(f"({s},{t})")
-            pairs.append((s, t))
+        rows[s] = row
+    return rows
+
+
+def lift_garbled(
+    tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
+) -> StochasticSignaling:
+    """Compose tau with a garbling over its signals: the lifted kernel sends
+    (s, t) with probability m[s][t] * tau(s|state). For a fixed s, every (s, t)
+    signal induces the posterior that s induces under tau."""
+    rows = _garbling_rows(tau, m)
+    pairs = [(s, t) for s in tau.signals for t in rows[s]]
     kernel = tuple(
         tuple(rows[s][t] * tau.prob(state, s) for s, t in pairs)
         for state in tau.space.states
     )
-    return StochasticSignaling(tau.oracle_partition, tuple(new_signals), kernel)
+    new_signals = tuple(f"({s},{t})" for s, t in pairs)
+    return StochasticSignaling(tau.oracle_partition, new_signals, kernel)
 
 
 def merge_garbled(
@@ -434,19 +439,8 @@ def merge_garbled(
     """The garbled signaling itself: only the garbled label t is emitted,
     with kernel t|state = sum over s of m[s][t] * tau(s|state). Unlike
     ``lift_garbled`` this genuinely coarsens the information."""
-    rows: dict[str, dict[str, Fraction]] = {}
-    targets: list[str] = []
-    for s in tau.signals:
-        if s not in m:
-            raise DomainError(f"garbling is missing a row for signal '{s}'")
-        row = {t: parse_rational(v) for t, v in m[s].items()}
-        if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
-            raise DomainError(f"garbling row for signal '{s}' is not a distribution")
-        rows[s] = row
-        for t in row:
-            _check_signal_label(t)
-            if t not in targets:
-                targets.append(t)
+    rows = _garbling_rows(tau, m)
+    targets = tuple(dict.fromkeys(t for s in tau.signals for t in rows[s]))
     kernel = tuple(
         tuple(
             sum((rows[s].get(t, Fraction(0)) * tau.prob(state, s) for s in tau.signals), Fraction(0))
@@ -454,7 +448,7 @@ def merge_garbled(
         )
         for state in tau.space.states
     )
-    return StochasticSignaling(tau.oracle_partition, tuple(targets), kernel)
+    return StochasticSignaling(tau.oracle_partition, targets, kernel)
 
 
 def separating_strategy(

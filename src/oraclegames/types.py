@@ -257,11 +257,6 @@ class Partition:
         return [list(b) for b in self.blocks]
 
 
-def canonicalize(partition: Partition) -> Partition:
-    """Return the canonical form (idempotent; the constructor already sorts)."""
-    return Partition(partition.space, partition.blocks)
-
-
 @dataclass(frozen=True)
 class InformationStructure:
     """A state space with a full-support prior, named player partitions

@@ -8,7 +8,7 @@ package is meaningful evidence rather than a tautology.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +194,40 @@ def feasible_nonneg_oracle(A, b):
                     x[j] = v
                 return x
     return None
+
+
+# ---------------------------------------------------------------------------
+# Game values
+
+
+def naive_best_common_payoff(states, prior, kernel, partitions, actions, payoff):
+    """Best expected common payoff over pure measurable strategy profiles.
+
+    ``kernel[w]`` maps signals to probabilities at state w, ``partitions[i]``
+    lists player i's blocks and ``payoff(w, profile)`` is the common payoff.
+    Every pure profile over all the (player, block, signal) slots that some
+    branch reaches is enumerated at once, with no split into cells; a slot
+    no branch reaches never touches the value.
+    """
+    n = len(partitions)
+
+    def slot(i, w, s):
+        return (i, next(tuple(b) for b in partitions[i] if w in b), s)
+
+    branches = [
+        (w, prior[w] * p, tuple(slot(i, w, s) for i in range(n)))
+        for w in states
+        for s, p in kernel[w].items()
+        if p > 0
+    ]
+    slots = sorted({k for _, _, keys in branches for k in keys})
+    best = None
+    for picks in product(*(actions[i] for i, _, _ in slots)):
+        choice = dict(zip(slots, picks))
+        value = sum(
+            mass * payoff(w, tuple(choice[k] for k in keys))
+            for w, mass, keys in branches
+        )
+        if best is None or value > best:
+            best = value
+    return best

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import oracles
 from oraclegames import (
+    BeliefGame,
     DeterministicSignaling,
     Distribution,
     InformationStructure,
@@ -21,6 +22,7 @@ from oraclegames import (
     StateSpace,
     StochasticMatrix,
     StochasticSignaling,
+    TwoStageGame,
     apply_garbling,
     as_stochastic,
     atlas_equal,
@@ -29,8 +31,6 @@ from oraclegames import (
     belief_expected_payoffs,
     belief_is_equilibrium,
     best_common_payoff,
-    build_belief_game,
-    build_two_stage_game,
     ckc_decompose,
     coarsenings,
     experiment_matrix,
@@ -308,7 +308,7 @@ def test_criterion_06(capsys):
         size = rng.randint(2, 4)
         space = StateSpace(tuple(f"s{i}" for i in range(size)))
         declared = _random_profile(rng, space, n)
-        game = build_belief_game(declared)
+        game = BeliefGame(space, declared)
         choices = truthful_choices(game)
         assert belief_expected_payoffs(game, declared, choices) == (Fraction(-1),) * n
         assert belief_is_equilibrium(game, declared, choices)
@@ -326,7 +326,7 @@ def test_criterion_06(capsys):
         if perturbed == declared[k]:
             continue
         beliefs[k] = perturbed
-        game = build_belief_game(declared)
+        game = BeliefGame(space, declared)
         choices = tuple(belief_best_response(game, i, beliefs[i]) for i in range(n))
         assert belief_aggregate(game, beliefs, choices) < -n
         perturbed_runs += 1
@@ -344,7 +344,7 @@ def test_criterion_07(capsys):
     tau2 = _signaling(data, structure, "tau2")
     mimic = _signaling(data, structure, "tau1mimic")
     n = structure.n
-    game = build_two_stage_game(structure, tau2)
+    game = TwoStageGame(structure, tau2)
     truthful = game.truthful_strategy()
     assert game.expected_payoffs(tau2, truthful) == (Fraction(-1),) * n
     assert game.aggregate(tau2, truthful) == Fraction(-n)

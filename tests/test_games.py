@@ -2,6 +2,7 @@
 decision problems, belief games, exact log scores, declaration games, and the
 common-objective coordination value."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ import oracles
 from oraclegames import (
     BayesianGame,
     BeliefGame,
+    CombinedGame,
+    DeterministicSignaling,
     DomainError,
     Distribution,
     InformationStructure,
@@ -22,16 +25,14 @@ from oraclegames import (
     ResourceLimitError,
     StateSpace,
     StochasticSignaling,
+    TwoStageGame,
     belief_aggregate,
     belief_best_response,
     belief_expected_payoffs,
     belief_is_equilibrium,
     best_common_payoff,
-    build_belief_game,
-    build_combined_game,
     build_kld_game,
     build_permutation_game,
-    build_two_stage_game,
     decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,
@@ -46,11 +47,14 @@ from oraclegames import (
     ned_distribution,
     posterior_atlas,
     reachable_pairs,
+    signaling_from_json,
     strategy_from_json,
+    structure_from_json,
     truthful_choices,
     truthful_kld_strategy,
 )
 from oraclegames.games import kld_action_label
+from oraclegames.harness import Fixture, load_fixture
 
 SPACE2 = StateSpace(("x", "y"))
 SPACE = StateSpace(("w1", "w2", "w3", "w4"))
@@ -212,6 +216,55 @@ def test_ned_distribution_masses():
     assert dist.of("x", ("t", "t")) == 0
 
 
+def _over_reversed_space(data, name):
+    """The fixture's named signaling, built over its states in reverse order."""
+    states = data["structure"]["states"][::-1]
+    structure = structure_from_json(dict(data["structure"], states=states))
+    return signaling_from_json(structure, data["signalings"][name])
+
+
+def test_evaluators_reject_a_signaling_over_another_state_space():
+    data = load_fixture("rock-concert")
+    game, _, strategy = Fixture(data).strategy("guided")
+    other = _over_reversed_space(data, "guided")
+    for evaluate in (expected_payoffs, ned_distribution):
+        with pytest.raises(DomainError, match="different state spaces"):
+            evaluate(game, other, strategy)
+    data = load_fixture("witness-kld-combined")
+    fix = Fixture(data)
+    tau = fix.signaling("tau2")
+    game = build_kld_game(fix.structure, tau)
+    strategy = truthful_kld_strategy(game, tau)
+    with pytest.raises(DomainError, match="different state spaces"):
+        kld_expected_scores(game, _over_reversed_space(data, "tau2"), strategy)
+
+
+def test_expected_payoffs_is_the_outcome_distribution_mean():
+    rng = random.Random(32)
+    labels = ("a0", "a1")
+    for structure, tau in _small_two_stage_cases(rng, 10):
+        payoffs = {
+            (state, profile): tuple(Fraction(rng.randint(-4, 6)) for _ in range(2))
+            for state in structure.space
+            for profile in itertools.product(labels, repeat=2)
+        }
+        game = BayesianGame(structure, (labels, labels), payoffs)
+        tables = []
+        for pairs in reachable_pairs(structure, tau):
+            table = {}
+            for pair in pairs:
+                p = Fraction(rng.randint(0, 4), 4)
+                table[pair] = {"a0": p, "a1": 1 - p}
+            tables.append(table)
+        strategy = make_strategy(game, tau, tables)
+        outcomes = ned_distribution(game, tau, strategy).mass
+        mean = tuple(
+            sum((m * payoffs[key][i] for key, m in outcomes.items()), Fraction(0))
+            for i in range(2)
+        )
+        assert expected_payoffs(game, tau, strategy) == mean
+
+
 def test_is_equilibrium_finds_the_profitable_deviation():
     structure, game = _matching_pennies()
     tau = _uninformative(structure)
@@ -355,7 +408,7 @@ def test_belief_truthful_play_pays_minus_one_each():
         size = rng.randint(2, 4)
         space = StateSpace(tuple(f"s{i}" for i in range(size)))
         declared = _random_profile(rng, space, n)
-        game = build_belief_game(declared)
+        game = BeliefGame(space, declared)
         choices = truthful_choices(game)
         values = belief_expected_payoffs(game, declared, choices)
         assert values == (Fraction(-1),) * n
@@ -377,7 +430,7 @@ def test_belief_perturbations_strictly_lose_value():
         if perturbed == declared[k]:
             continue
         beliefs[k] = perturbed
-        game = build_belief_game(declared)
+        game = BeliefGame(space, declared)
         choices = tuple(
             belief_best_response(game, i, beliefs[i]) for i in range(n)
         )
@@ -404,9 +457,9 @@ def test_belief_game_input_validation():
     with pytest.raises(DomainError):
         BeliefGame(space, lone)
     with pytest.raises(DomainError):
-        build_belief_game(())
+        BeliefGame(space, ())
     declared = _random_profile(random.Random(1), space, 2)
-    game = build_belief_game(declared)
+    game = BeliefGame(space, declared)
     outside = [a for a in space.states if a not in game.action_set(0)]
     if outside:
         with pytest.raises(DomainError):
@@ -587,7 +640,7 @@ def _small_two_stage_cases(rng, count):
 def test_two_stage_truthful_play_and_ceiling():
     rng = random.Random(5)
     for structure, tau in _small_two_stage_cases(rng, 12):
-        game = build_two_stage_game(structure, tau)
+        game = TwoStageGame(structure, tau)
         truthful = game.truthful_strategy()
         values = game.expected_payoffs(tau, truthful)
         assert values == (Fraction(-1),) * structure.n
@@ -599,7 +652,7 @@ def test_two_stage_truthful_play_and_ceiling():
 def test_two_stage_ceiling_never_beats_truthful_under_garbling():
     rng = random.Random(6)
     for structure, tau in _small_two_stage_cases(rng, 8):
-        game = build_two_stage_game(structure, tau)
+        game = TwoStageGame(structure, tau)
         nums = [rng.randint(0, 2) for _ in range(2)]
         if sum(nums) == 0:
             nums[0] = 1
@@ -621,10 +674,10 @@ def test_two_stage_ceiling_never_beats_truthful_under_garbling():
 def test_two_stage_penalty_bound_and_mismatches():
     rng = random.Random(9)
     structure, tau = _small_two_stage_cases(rng, 1)[0]
-    game = build_two_stage_game(structure, tau)
+    game = TwoStageGame(structure, tau)
     with pytest.raises(DomainError):
-        build_two_stage_game(structure, tau, M=game.M - 1)
-    bigger = build_two_stage_game(structure, tau, M=game.M + 5)
+        TwoStageGame(structure, tau, M=game.M - 1)
+    bigger = TwoStageGame(structure, tau, M=game.M + 5)
     assert bigger.M == game.M + 5
     # A lone opt-out poisons the branch for everyone.
     from oraclegames.games import BOTTOM
@@ -650,7 +703,7 @@ def test_two_stage_needs_two_players():
         SPACE, PRIOR, ("A",), (Partition.trivial(SPACE),)
     )
     with pytest.raises(DomainError):
-        build_two_stage_game(solo, _example_signaling())
+        TwoStageGame(solo, _example_signaling())
 
 
 def test_mixed_value_algebra():
@@ -665,7 +718,7 @@ def test_mixed_value_algebra():
 
 def test_combined_game_is_the_equal_weight_pair():
     tau = _example_signaling()
-    combined = build_combined_game(STRUCTURE, tau)
+    combined = CombinedGame(STRUCTURE, tau)
     stage_strategy = combined.stage.truthful_strategy()
     kld_strategy = truthful_kld_strategy(combined.kld, tau)
     values = combined.expected_payoffs(tau, stage_strategy, kld_strategy)
@@ -685,8 +738,6 @@ def _random_common_game(rng, structure, n_actions):
     labels = tuple(f"a{j}" for j in range(n_actions))
     actions = (labels, labels)
     payoffs = {}
-    import itertools
-
     for state in structure.space:
         for profile in itertools.product(labels, repeat=2):
             value = Fraction(rng.randint(-4, 6))
@@ -735,3 +786,53 @@ def test_best_common_payoff_monotone_under_merging_signals():
             tau, {"t1": {"g": "1"}, "t2": {"g": "1"}}
         )  # drop all information
         assert best_common_payoff(game, tau) >= best_common_payoff(game, merged)
+
+
+def _random_blocks(rng, states, max_blocks):
+    groups = {}
+    for state in states:
+        groups.setdefault(rng.randrange(max_blocks), []).append(state)
+    return [tuple(g) for g in groups.values()]
+
+
+def test_best_common_payoff_matches_unsplit_brute_force():
+    # Deterministic cases use partitions of any fineness; stochastic ones
+    # keep at most two blocks per player, so the brute force scans at most
+    # 2**8 profiles either way.
+    rng = random.Random(31)
+    for case in range(24):
+        states = tuple(f"w{j}" for j in range(rng.choice((3, 4))))
+        space = StateSpace(states)
+        nums = [rng.randint(1, 4) for _ in states]
+        prior = {w: Fraction(k, sum(nums)) for w, k in zip(states, nums)}
+        if case % 2:
+            partitions = [_random_blocks(rng, states, 2) for _ in range(2)]
+            kernel = {}
+            for w in states:
+                p = Fraction(rng.randint(0, 2), 2)
+                kernel[w] = {"s": p, "t": 1 - p}
+            tau = StochasticSignaling.from_rows(
+                Partition.singletons(space), ("s", "t"), kernel
+            )
+        else:
+            partitions = [_random_blocks(rng, states, len(states)) for _ in range(2)]
+            tau = DeterministicSignaling(
+                Partition.singletons(space), tuple(rng.choice("st") for _ in states)
+            )
+            kernel = {w: {tau.signal_at(w): Fraction(1)} for w in states}
+        structure = InformationStructure(
+            space,
+            Prior(space, tuple(prior[w] for w in states)),
+            ("A", "B"),
+            tuple(Partition(space, tuple(p)) for p in partitions),
+        )
+        game = _random_common_game(rng, structure, 2)
+        expected = oracles.naive_best_common_payoff(
+            states,
+            prior,
+            kernel,
+            partitions,
+            game.actions,
+            lambda w, profile: game.payoffs[(w, profile)][0],
+        )
+        assert best_common_payoff(game, tau) == expected

@@ -89,11 +89,6 @@ def test_cli_verify_all_and_exit_codes(capsys):
     assert "rock-concert" in out
 
 
-def test_cli_verify_parallel_matches_serial(capsys):
-    assert cli.main(["verify", "--all", "--parallel"]) == 0
-    capsys.readouterr()
-
-
 def test_cli_report_json_shape(capsys):
     assert cli.main(["report", "one-dm", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

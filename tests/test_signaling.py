@@ -209,6 +209,16 @@ def test_lift_garbled_kernel_and_errors():
         lift_garbled(TAU, {"s1": {"t1": "1/2"}, "s2": {"t1": "1"}})  # row sums
 
 
+@pytest.mark.parametrize("garble", [lift_garbled, merge_garbled])
+def test_garblers_reject_bad_rows(garble):
+    with pytest.raises(DomainError, match="missing a row"):
+        garble(TAU, {"s1": {"t1": "1"}})
+    with pytest.raises(DomainError, match="not a distribution"):
+        garble(TAU, {"s1": {"t1": "1/2"}, "s2": {"t1": "1"}})
+    with pytest.raises(DomainError, match="not a distribution"):
+        garble(TAU, {"s1": {"t1": "3/2", "t2": "-1/2"}, "s2": {"t1": "1"}})
+
+
 def test_merge_garbled_kernel_is_the_column_mixture():
     m = {"s1": {"t1": "1/2", "t2": "1/2"}, "s2": {"t1": "1/3", "t2": "2/3"}}
     merged = merge_garbled(TAU, m)

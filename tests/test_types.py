@@ -13,7 +13,6 @@ from oraclegames import (
     Partition,
     Prior,
     StateSpace,
-    canonicalize,
     conditional,
     format_rational,
     parse_rational,
@@ -102,7 +101,7 @@ def test_conditional_restricts_and_renormalizes():
 def test_partition_canonical_form():
     p = Partition(SPACE, (("d", "b"), ("c", "a")))
     assert p.blocks == (("a", "c"), ("b", "d"))
-    assert canonicalize(p) == p
+    assert Partition(p.space, p.blocks) == p
     assert p.block_of("d") == ("b", "d")
     assert p.block_index("c") == 0
     assert p == Partition(SPACE, (("a", "c"), ("d", "b")))
