@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._lp import feasible_nonneg
 from .errors import DomainError, InputError
-from .partitions import DEFAULT_COARSENING_CAP, ckc_decompose, coarsenings, join, refines
+from .partitions import DEFAULT_COARSENING_CAP, _merged_masks, ckc_decompose, join, refines
 from .signaling import StochasticMatrix
 from .types import (
     InformationStructure,
@@ -22,6 +23,8 @@ from .types import (
     StateSpace,
     format_rational,
 )
+
+_ProfileKey = tuple[frozenset[int], ...]  # per player, the masks of the joined blocks
 
 
 def induced_profile(
@@ -32,6 +35,30 @@ def induced_profile(
     return tuple(join(p, oracle) for p in structure.players)
 
 
+def _profile_keys(
+    structure: InformationStructure, oracle: Partition, cap: int
+) -> Iterator[tuple[tuple[int, ...], _ProfileKey]]:
+    """(merged masks, key) per coarsening of the oracle, in ``coarsenings``
+    order; the key is the induced profile as masks, one set per player. The
+    cap and the space are checked on the call, before anything is enumerated."""
+    merged_masks = _merged_masks(oracle.masks, cap)
+    if oracle.space != structure.space:
+        raise DomainError("partitions are defined over different state spaces")
+    players = [p.masks for p in structure.players]
+    return (
+        (merged, tuple(frozenset([x & c for x in xs for c in merged if x & c]) for xs in players))
+        for merged in merged_masks
+    )
+
+
+def _first_seen(keys: Iterable[tuple[tuple[int, ...], _ProfileKey]]) -> dict:
+    """Each profile key, in order of first appearance, with its first coarsening."""
+    out: dict[_ProfileKey, tuple[int, ...]] = {}
+    for merged, key in keys:
+        out.setdefault(key, merged)
+    return out
+
+
 def coarsening_profiles(
     structure: InformationStructure,
     oracle: Partition,
@@ -39,12 +66,11 @@ def coarsening_profiles(
 ) -> dict[tuple[Partition, ...], Partition]:
     """Map each induced profile reachable by coarsening the oracle to the
     first coarsening (in enumeration order) that produces it."""
-    out: dict[tuple[Partition, ...], Partition] = {}
-    for c in coarsenings(oracle, cap):
-        profile = induced_profile(structure, c)
-        if profile not in out:
-            out[profile] = c
-    return out
+    as_partition = partial(Partition.from_masks, oracle.space)
+    return {
+        tuple(map(as_partition, key)): as_partition(merged)
+        for key, merged in _first_seen(_profile_keys(structure, oracle, cap)).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -59,6 +85,14 @@ class ImiResult:
     witness: Optional[Partition] = None
 
 
+def _imi(space: StateSpace, reachable: Iterable[_ProfileKey], scan: Iterable) -> ImiResult:
+    """Fails at the first scanned (merged masks, key) whose key is not reachable."""
+    for merged, key in scan:
+        if key not in reachable:
+            return ImiResult(False, Partition.from_masks(space, merged))
+    return ImiResult(True, None)
+
+
 def is_imi(
     structure: InformationStructure,
     first: Partition,
@@ -66,12 +100,12 @@ def is_imi(
     cap: int = DEFAULT_COARSENING_CAP,
 ) -> ImiResult:
     """Check that every profile inducible by a coarsening of ``second`` is
-    also inducible by some coarsening of ``first``."""
-    reachable = set(coarsening_profiles(structure, first, cap))
-    for c in coarsenings(second, cap):
-        if induced_profile(structure, c) not in reachable:
-            return ImiResult(False, c)
-    return ImiResult(True, None)
+    also inducible by some coarsening of ``first``. Both block counts are
+    checked against ``cap`` before anything is enumerated; the scan of
+    ``second``'s coarsenings stops at the first profile ``first`` cannot induce."""
+    reachable = _profile_keys(structure, first, cap)
+    scan = _profile_keys(structure, second, cap)
+    return _imi(second.space, {key for _, key in reachable}, scan)
 
 
 def require_unique_ckc(structure: InformationStructure) -> None:
@@ -106,11 +140,15 @@ def two_sided_imi_equal(
 ) -> TwoSidedResult:
     """Run the deterministic-dominance check in both directions. Requires a
     unique common-knowledge component; on multi-component structures the two
-    directions must instead be analyzed per component."""
+    directions must instead be analyzed per component. After the same cap
+    check as ``is_imi``, each oracle's coarsenings are enumerated once, and
+    both directions and witnesses come from the two key-to-first-coarsening maps."""
     require_unique_ckc(structure)
+    keys = [_profile_keys(structure, oracle, cap) for oracle in (first, second)]
+    firsts, seconds = map(_first_seen, keys)
     return TwoSidedResult(
-        forward=is_imi(structure, first, second, cap),
-        backward=is_imi(structure, second, first, cap),
+        forward=_imi(second.space, firsts, zip(seconds.values(), seconds)),
+        backward=_imi(first.space, seconds, zip(firsts.values(), firsts)),
     )
 
 

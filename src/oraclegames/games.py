@@ -397,18 +397,20 @@ def expected_payoffs(
     strategy: StrategyProfile,
     given_event: Optional[Iterable[str]] = None,
 ) -> tuple[Fraction, ...]:
-    """Exact expected utility per player, optionally conditional on an event."""
+    """Exact expected utility per player, optionally conditional on an event
+    (a set of states: a state listed twice counts once)."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
     states = None
     if given_event is not None:
-        states = list(given_event)
-        if not states:
+        event = list(given_event)
+        if not event:
             raise DomainError("cannot condition on an empty event")
-        for state in states:
+        for state in event:
             if state not in structure.space:
                 raise InputError(f"unknown state '{state}' in event")
+        states = [s for s in structure.space if s in event]
     totals = [Fraction(0)] * structure.n
     for state, profile, weight in _outcomes(game, tau, strategy, states):
         values = game.payoff(state, profile)

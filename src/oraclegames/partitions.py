@@ -4,6 +4,7 @@ components, refinement, coarsening enumeration, and connectivity witnesses.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -23,14 +24,7 @@ def join(p: Partition, q: Partition) -> Partition:
     This is the information of an agent observing both partitions at once.
     """
     _require_same_space(p, q)
-    blocks = []
-    for a in p.blocks:
-        sa = set(a)
-        for b in q.blocks:
-            inter = tuple(s for s in b if s in sa)
-            if inter:
-                blocks.append(inter)
-    return Partition(p.space, tuple(blocks))
+    return Partition.from_masks(p.space, [a & b for a in p.masks for b in q.masks if a & b])
 
 
 def ckc_decompose(players: Sequence[Partition]) -> Partition:
@@ -42,82 +36,74 @@ def ckc_decompose(players: Sequence[Partition]) -> Partition:
     """
     if not players:
         raise DomainError("need at least one partition")
-    space = players[0].space
     for p in players[1:]:
         _require_same_space(players[0], p)
-    parent = list(range(len(space)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    components: list[int] = []
     for p in players:
-        for block in p.blocks:
-            first = space.index(block[0])
-            for s in block[1:]:
-                union(first, space.index(s))
-    groups: dict[int, list[str]] = {}
-    for i, s in enumerate(space.states):
-        groups.setdefault(find(i), []).append(s)
-    return Partition(space, tuple(tuple(g) for g in groups.values()))
+        for mask in p.masks:
+            merged = mask
+            for c in components:
+                if c & mask:
+                    merged |= c
+            components = [c for c in components if not c & mask]
+            components.append(merged)
+    return Partition.from_masks(players[0].space, components)
 
 
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of p lies inside some block of q."""
     _require_same_space(p, q)
-    for block in p.blocks:
-        host = set(q.block_of(block[0]))
-        if any(s not in host for s in block):
-            return False
-    return True
+    return all(any(not a & ~b for b in q.masks) for a in p.masks)
+
+
+def _merged_masks(masks: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+    """Every way of merging the given disjoint masks, as the tuple of merged
+    masks, in lexicographic restricted-growth-string order (everything merged
+    first, all masks apart last; groups by first member). Refuses more than
+    `cap` masks before anything is enumerated."""
+    k = len(masks)
+    if k > cap:
+        raise ResourceLimitError(
+            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks",
+            cap=cap,
+        )
+    groups: list[int] = []
+
+    def grow(i: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(groups)
+            return
+        mask = masks[i]
+        for g in range(len(groups)):
+            groups[g] |= mask
+            yield from grow(i + 1)
+            groups[g] ^= mask
+        groups.append(mask)
+        yield from grow(i + 1)
+        groups.pop()
+
+    return grow(0)
 
 
 def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
     """All set partitions of `items` as tuples of tuples, enumerated by
     restricted growth strings in lexicographic order (everything merged
     first, all singletons last). Deterministic by construction."""
-    k = len(items)
-    if k == 0:
-        yield ()
-        return
-    a = [0] * k
-    while True:
-        groups: dict[int, list] = {}
-        for i, g in enumerate(a):
-            groups.setdefault(g, []).append(items[i])
-        yield tuple(tuple(g) for g in groups.values())
-        i = k - 1
-        while i > 0 and a[i] > max(a[:i]):
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, k):
-            a[j] = 0
+    for merged in _merged_masks([1 << i for i in range(len(items))], len(items)):
+        yield tuple(
+            tuple(x for i, x in enumerate(items) if m >> i & 1) for m in merged
+        )
 
 
 def coarsenings(p: Partition, cap: int = DEFAULT_COARSENING_CAP) -> tuple[Partition, ...]:
-    """Every partition obtainable by merging blocks of p, in restricted-
-    growth-string order. There are Bell(#blocks) of them, so enumeration is
-    refused beyond `cap` blocks."""
-    k = len(p.blocks)
-    if k > cap:
-        raise ResourceLimitError(
-            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks",
-            cap=cap,
-        )
-    out = []
-    for grouping in set_partitions(p.blocks):
-        merged = tuple(tuple(s for blk in group for s in blk) for group in grouping)
-        out.append(Partition(p.space, merged))
-    return tuple(out)
+    """Every partition obtainable by merging blocks of p, in the order of
+    ``set_partitions(p.blocks)``. There are Bell(#blocks) of them, so more
+    than `cap` blocks are refused before anything is built. The dominance
+    checks walk the same order lazily, as masks."""
+    states_of = lru_cache(maxsize=None)(p.space.states_of)
+    return tuple(
+        Partition(p.space, tuple(map(states_of, merged))) for merged in _merged_masks(p.masks, cap)
+    )
 
 
 def connect_path(

@@ -460,38 +460,30 @@ def separating_strategy(
     posteriors.
 
     Deterministic construction: scan candidates 1/3, 1/5, 1/7, ... and keep
-    the first ones whose ratio set passes the exhaustive pairwise check. Each
-    accepted value rules out only finitely many later candidates, so the scan
-    always terminates.
+    the first ones whose ratio set passes the pairwise check; only the two
+    values a candidate adds, and the ratios they form, are checked against the
+    distinct ones kept so far. Each accepted value rules out only finitely
+    many later candidates, so the scan always terminates.
     """
     if prior is not None and prior.space != oracle_partition.space:
         raise DomainError("prior uses a different state space")
     m = len(oracle_partition.blocks)
-
-    def ratios_ok(ps: list[Fraction]) -> bool:
-        values = []
-        for p in ps:
-            values.extend((p, 1 - p))
-        if len(set(values)) != len(values):
-            return False
-        seen = set()
-        for i, x in enumerate(values):
-            for j, y in enumerate(values):
-                if i == j:
-                    continue
-                r = x / y
-                if r in seen:
-                    return False
-                seen.add(r)
-        return True
-
     chosen: list[Fraction] = []
+    values: set[Fraction] = set()
+    ratios: set[Fraction] = set()
     k = 1
     while len(chosen) < m:
         candidate = Fraction(1, 2 * k + 1)
         k += 1
-        if ratios_ok(chosen + [candidate]):
+        new = (candidate, 1 - candidate)
+        if not values.isdisjoint(new):
+            continue
+        fresh = [new[0] / new[1], new[1] / new[0]]
+        fresh += [r for x in new for y in values for r in (x / y, y / x)]
+        if len(set(fresh)) == len(fresh) and ratios.isdisjoint(fresh):
             chosen.append(candidate)
+            values.update(new)
+            ratios.update(fresh)
     space = oracle_partition.space
     kernel = []
     for state in space.states:

@@ -8,7 +8,7 @@ so that all downstream identities and strict inequalities stay exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -44,10 +44,11 @@ class StateSpace:
     """Ordered finite set of distinct state labels.
 
     The construction order is fixed and used for every canonical
-    serialization (vectors, block sorting, reports).
+    serialization (vectors, block sorting, reports); bit i of a mask is state i.
     """
 
     states: tuple[str, ...]
+    _position: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.states, tuple):
@@ -64,15 +65,20 @@ class StateSpace:
             if s in seen:
                 raise InputError(f"duplicate state label '{s}'")
             seen.add(s)
+        object.__setattr__(self, "_position", {s: i for i, s in enumerate(self.states)})
 
     def index(self, state: str) -> int:
         try:
-            return self.states.index(state)
-        except ValueError:
+            return self._position[state]
+        except (KeyError, TypeError):
             raise InputError(f"unknown state '{state}'") from None
 
     def sort_states(self, states: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(states, key=self.index))
+
+    def states_of(self, mask: int) -> tuple[str, ...]:
+        """The states whose bits are set in ``mask``, in state order."""
+        return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -81,7 +87,7 @@ class StateSpace:
         return iter(self.states)
 
     def __contains__(self, state: object) -> bool:
-        return state in self.states
+        return isinstance(state, str) and state in self._position
 
 
 def _vector_from(space: StateSpace, mass: object) -> tuple[Fraction, ...]:
@@ -97,6 +103,24 @@ def _vector_from(space: StateSpace, mass: object) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
+def _set_vector(obj: "Distribution | Prior", full_support: bool) -> None:
+    """Coerce ``obj.vector`` to Fractions and check its length, signs (all
+    positive under ``full_support``, else nonnegative) and sum of 1."""
+    vector = tuple(Fraction(v) for v in obj.vector)
+    object.__setattr__(obj, "vector", vector)
+    if len(vector) != len(obj.space):
+        name = "prior" if full_support else "distribution"
+        raise InputError(f"{name} length does not match the state space")
+    for s, v in zip(obj.space.states, vector):
+        if full_support and v <= 0:
+            raise InputError(f"prior must have full support; state '{s}' has mass {v}")
+        if not full_support and v < 0:
+            raise InputError(f"negative mass {v} at state '{s}'")
+    total = sum(vector)
+    if total != 1:
+        raise InputError(f"{'prior ' if full_support else ''}masses sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability distribution over a state space; masses sum to exactly 1."""
@@ -105,14 +129,7 @@ class Distribution:
     vector: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(Fraction(v) for v in self.vector))
-        if len(self.vector) != len(self.space):
-            raise InputError("distribution length does not match the state space")
-        for s, v in zip(self.space.states, self.vector):
-            if v < 0:
-                raise InputError(f"negative mass {v} at state '{s}'")
-        if sum(self.vector) != 1:
-            raise InputError(f"masses sum to {sum(self.vector)}, not 1")
+        _set_vector(self, full_support=False)
 
     @classmethod
     def from_mass(cls, space: StateSpace, mass: object) -> "Distribution":
@@ -145,14 +162,7 @@ class Prior:
     vector: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(Fraction(v) for v in self.vector))
-        if len(self.vector) != len(self.space):
-            raise InputError("prior length does not match the state space")
-        for s, v in zip(self.space.states, self.vector):
-            if v <= 0:
-                raise InputError(f"prior must have full support; state '{s}' has mass {v}")
-        if sum(self.vector) != 1:
-            raise InputError(f"prior masses sum to {sum(self.vector)}, not 1")
+        _set_vector(self, full_support=True)
 
     @classmethod
     def from_mass(cls, space: StateSpace, mass: object) -> "Prior":
@@ -191,35 +201,58 @@ def conditional(prior: Prior, event: Iterable[str]) -> Distribution:
     return Distribution(prior.space, vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Disjoint cover of the state space.
 
     Canonical form everywhere: states inside a block follow state order, and
     blocks are sorted by their least member's index. The constructor
     normalizes, so equality of partitions is equality of canonical forms.
+    It also caches each block as an int mask (bit i = state i) and the
+    block number of every state.
     """
 
     space: StateSpace
     blocks: tuple[tuple[str, ...], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _block_at: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        norm: list[tuple[str, ...]] = []
-        for block in self.blocks:
-            bl = self.space.sort_states(block)
-            if not bl:
+        space = self.space
+        given = []
+        owner = [-1] * len(space)  # input block of each state
+        for b, block in enumerate(self.blocks):
+            given.append(block)
+            try:
+                slots = sorted(map(space._position.__getitem__, block))
+            except (KeyError, TypeError):
+                slots = sorted(map(space.index, block))  # names the unknown state
+            if not slots:
                 raise InputError("partition contains an empty block")
-            for s in bl:
-                if s in seen:
-                    raise InputError(f"state '{s}' appears in more than one block")
-                seen.add(s)
-            norm.append(bl)
-        for s in self.space.states:
-            if s not in seen:
-                raise InputError(f"partition blocks do not cover state '{s}'")
-        norm.sort(key=lambda b: self.space.index(b[0]))
-        object.__setattr__(self, "blocks", tuple(norm))
+            for i in slots:
+                if owner[i] >= 0:
+                    raise InputError(f"state '{space.states[i]}' appears in more than one block")
+                owner[i] = b
+        if -1 in owner:
+            missing = space.states[owner.index(-1)]
+            raise InputError(f"partition blocks do not cover state '{missing}'")
+        rank = [-1] * len(given)  # canonical number of each input block
+        source, blocks, masks, block_at = [], [], [], []
+        for i, b in enumerate(owner):
+            c = rank[b]
+            if c < 0:
+                c = rank[b] = len(blocks)
+                source.append(given[b])
+                blocks.append([])
+                masks.append(0)
+            blocks[c].append(space.states[i])
+            masks[c] |= 1 << i
+            block_at.append(c)
+        # An input block already in canonical form is kept, not copied.
+        canonical = tuple(g if g == t else t for g, t in zip(source, map(tuple, blocks)))
+        object.__setattr__(self, "blocks", canonical)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "_block_at", tuple(block_at))
 
     @classmethod
     def trivial(cls, space: StateSpace) -> "Partition":
@@ -229,19 +262,15 @@ class Partition:
     def singletons(cls, space: StateSpace) -> "Partition":
         return cls(space, tuple((s,) for s in space.states))
 
+    @classmethod
+    def from_masks(cls, space: StateSpace, masks: Iterable[int]) -> "Partition":
+        return cls(space, tuple(space.states_of(m) for m in masks))
+
     def block_of(self, state: str) -> tuple[str, ...]:
-        self.space.index(state)
-        for block in self.blocks:
-            if state in block:
-                return block
-        raise AssertionError("partition invariant violated")  # pragma: no cover
+        return self.blocks[self._block_at[self.space.index(state)]]
 
     def block_index(self, state: str) -> int:
-        self.space.index(state)
-        for i, block in enumerate(self.blocks):
-            if state in block:
-                return i
-        raise AssertionError("partition invariant violated")  # pragma: no cover
+        return self._block_at[self.space.index(state)]
 
     def restrict(self, new_space: StateSpace) -> "Partition":
         """Intersect every block with a sub-space, dropping empties."""

@@ -104,6 +104,34 @@ def naive_coarsenings(p):
     return out
 
 
+def random_blocks(rng, states, most):
+    """A seeded partition of ``states`` into at most ``most`` blocks."""
+    groups = {}
+    for s in states:
+        groups.setdefault(rng.randrange(most), []).append(s)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def naive_is_imi(players, first, second):
+    """Deterministic dominance of oracle ``first`` over ``second``.
+
+    Every induced profile (each player's partition joined with a
+    coarsening) that some coarsening of ``second`` gives must also come from
+    some coarsening of ``first``. Returns (holds, witness blocks): the
+    witness is the first coarsening of ``second``, in ``naive_coarsenings``
+    order, whose profile ``first`` cannot give, or None when it holds.
+    """
+
+    def profile(coarsening):
+        return tuple(canon(naive_join(p, coarsening)) for p in players)
+
+    reachable = {profile(c) for c in naive_coarsenings(first)}
+    for c in naive_coarsenings(second):
+        if profile(c) not in reachable:
+            return False, c
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Bayesian posteriors
 

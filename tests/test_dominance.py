@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oraclegames import dominance
 from oraclegames import (
     DomainError,
     InformationStructure,
     Partition,
     Prior,
+    ResourceLimitError,
     StateSpace,
     StochasticMatrix,
     apply_garbling,
@@ -109,6 +111,77 @@ def test_two_sided_equivalence_matches_partition_equality():
             result.backward.holds,
             result.equivalent,
         )
+
+
+def _random_partition(rng, space, most):
+    return Partition(space, oracles.random_blocks(rng, space.states, most))
+
+
+def _agrees(result, naive):
+    holds, witness = naive
+    if result.holds != holds:
+        return False
+    if holds:
+        return result.witness is None
+    return oracles.canon(result.witness.blocks) == oracles.canon(witness)
+
+
+def test_imi_and_two_sided_agree_with_brute_force():
+    rng = random.Random(31)
+    checked = {"holds": 0, "fails": 0, "two_sided": 0}
+    for _ in range(24):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(6, 8))))
+        players = tuple(
+            _random_partition(rng, space, rng.randint(2, 4)) for _ in range(rng.randint(2, 3))
+        )
+        if rng.random() < 0.25:
+            players = (Partition.singletons(space),) + players[1:]
+        names = tuple(f"P{i}" for i in range(len(players)))
+        structure = InformationStructure(space, Prior.uniform(space), names, players)
+        blocks = [p.blocks for p in players]
+        second = _random_partition(rng, space, 5)
+        # A refinement of the second oracle dominates it; a random one may not.
+        first = rng.choice([join(second, _random_partition(rng, space, 3)),
+                            _random_partition(rng, space, 5)])
+        naive = {}
+        for a, b in ((first, second), (second, first), (Partition.trivial(space), second)):
+            naive[a, b] = oracles.naive_is_imi(blocks, a.blocks, b.blocks)
+            assert _agrees(is_imi(structure, a, b), naive[a, b]), (players, a, b)
+            checked["holds" if naive[a, b][0] else "fails"] += 1
+        if len(oracles.naive_meet(blocks, space.states)) == 1:
+            result = two_sided_imi_equal(structure, first, second)
+            assert _agrees(result.forward, naive[first, second])
+            assert _agrees(result.backward, naive[second, first])
+            checked["two_sided"] += 1
+        else:
+            with pytest.raises(DomainError):
+                two_sided_imi_equal(structure, first, second)
+    assert min(checked.values()) >= 5, checked
+
+
+def test_dominance_refuses_an_over_cap_oracle_up_front(monkeypatch):
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    structure = InformationStructure(
+        space, Prior.uniform(space), ("all",), (Partition.trivial(space),)
+    )
+
+    def with_blocks(k):
+        head = tuple((s,) for s in space.states[: k - 1])
+        return Partition(space, head + (space.states[k - 1 :],))
+
+    drawn = []
+    real = dominance._merged_masks
+
+    def counted(masks, cap):
+        return (drawn.append(merged) or merged for merged in real(masks, cap))
+
+    monkeypatch.setattr(dominance, "_merged_masks", counted)
+    for check in (is_imi, two_sided_imi_equal):
+        for first, second, named in ((10, 11, 11), (12, 11, 12), (11, 11, 11)):
+            message = f"partition has {named} blocks; coarsening enumeration is capped at 10"
+            with pytest.raises(ResourceLimitError, match=message):
+                check(structure, with_blocks(first), with_blocks(second))
+    assert drawn == []
 
 
 def test_unique_ckc_dominates_is_refinement():

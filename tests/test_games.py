@@ -199,6 +199,16 @@ def test_expected_payoffs_by_hand():
         expected_payoffs(game, tau, mixed, given_event=())
 
 
+def test_expected_payoffs_treats_the_event_as_a_set():
+    game, tau, strategy = Fixture(load_fixture("rock-concert")).strategy("guided")
+    once = expected_payoffs(game, tau, strategy, given_event=["n2", "s2"])
+    assert once == (Fraction(18), Fraction(9, 2))
+    for event in (["n2", "n2", "s2"], ["s2", "n2"], ("s2", "n2", "s2")):
+        assert expected_payoffs(game, tau, strategy, given_event=event) == once
+    with pytest.raises(InputError, match="unknown state 'nowhere' in event"):
+        expected_payoffs(game, tau, strategy, given_event=["n2", "nowhere"])
+
+
 def test_ned_distribution_masses():
     structure, game = _matching_pennies()
     tau = _uninformative(structure)

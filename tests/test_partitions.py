@@ -1,6 +1,8 @@
 """Lattice operations on partitions, cross-checked against the brute-force
 reference implementations in oracles.py."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,43 @@ def test_coarsenings_cap():
     with pytest.raises(ResourceLimitError):
         coarsenings(Partition.singletons(space))
     assert len(coarsenings(Partition.singletons(space), cap=11)) > 0
+
+
+def _random_partition(rng, space, most):
+    return Partition(space, oracles.random_blocks(rng, space.states, most))
+
+
+def test_mask_operations_agree_with_oracle_on_seeded_partitions():
+    rng = random.Random(2024)
+    for _ in range(60):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(6, 8))))
+        parts = [_random_partition(rng, space, rng.randint(1, 6)) for _ in range(3)]
+        p, q = parts[:2]
+        assert oracles.canon(join(p, q).blocks) == oracles.canon(
+            oracles.naive_join(p.blocks, q.blocks)
+        )
+        expected = oracles.naive_meet(tuple(r.blocks for r in parts), space.states)
+        meet = ckc_decompose(parts)
+        assert oracles.canon(meet.blocks) == oracles.canon(expected)
+        for a, b in ((p, q), (join(p, q), q), (q, meet), (meet, q)):
+            assert refines(a, b) == oracles.naive_refines(a.blocks, b.blocks)
+        for state in space.states:
+            assert state in p.block_of(state)
+            assert p.blocks[p.block_index(state)] == p.block_of(state)
+
+
+def test_coarsenings_follow_the_set_partitions_order():
+    rng = random.Random(5)
+    for _ in range(12):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(4, 8))))
+        p = _random_partition(rng, space, 6)
+        merged = [
+            Partition(space, tuple(tuple(s for b in group for s in b) for group in grouping))
+            for grouping in set_partitions(p.blocks)
+        ]
+        assert list(coarsenings(p)) == merged
+        naive = [oracles.canon(c) for c in oracles.naive_coarsenings(p.blocks)]
+        assert [oracles.canon(c.blocks) for c in coarsenings(p)] == naive
 
 
 def test_join_and_meet_lattice_laws():

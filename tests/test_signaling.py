@@ -307,6 +307,25 @@ def test_separating_strategy_ratio_fingerprints(blocks):
     assert len(set(ratios)) == len(ratios)
 
 
+def test_separating_strategy_matches_the_exhaustive_check():
+    def exhaustive(m):
+        chosen, k = [], 1
+        while len(chosen) < m:
+            candidate = Fraction(1, 2 * k + 1)
+            k += 1
+            values = [v for p in chosen + [candidate] for v in (p, 1 - p)]
+            ratios = [
+                x / y for i, x in enumerate(values) for j, y in enumerate(values) if i != j
+            ]
+            if len(set(values)) == len(values) and len(set(ratios)) == len(ratios):
+                chosen.append(candidate)
+        return chosen
+
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    tau = separating_strategy(Partition.singletons(space))
+    assert list(tau.column("s1")) == exhaustive(12)
+
+
 def test_proportional_decompose_identity_and_scaling():
     out = proportional_decompose(TAU, TAU)
     assert out == {"s1": ("s1", Fraction(1)), "s2": ("s2", Fraction(1))}
