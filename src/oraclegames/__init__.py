@@ -8,6 +8,8 @@ kernels and posterior atlases, informativeness orders between oracles
 the game constructions that witness those orders.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DomainError,
     InputError,
@@ -107,11 +109,13 @@ from .games import (
     ned_distribution,
     reachable_pairs,
     strategy_from_json,
-    true_posterior_at,
     truthful_choices,
     truthful_kld_strategy,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Leave out the submodules, which bind their names here too (``types``).
+__all__ = sorted(
+    n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))
+)

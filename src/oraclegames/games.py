@@ -14,17 +14,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import ckc_decompose, join
 from .signaling import (
     DeterministicSignaling,
     Signaling,
-    StochasticSignaling,
+    _branch_masses,
+    _branch_profiles,
     as_stochastic,
     posterior_atlas,
-    stoch_posterior,
 )
 from .types import (
     Distribution,
@@ -41,6 +42,7 @@ DEFAULT_PERMUTATION_CAP = 10000
 
 ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
+Branch = tuple[str, str]
 Slot = tuple[int, tuple[str, ...]]
 
 
@@ -172,19 +174,26 @@ def game_from_json(structure: InformationStructure, data: Mapping) -> BayesianGa
 def reachable_pairs(
     structure: InformationStructure, tau: Signaling
 ) -> tuple[tuple[Pair, ...], ...]:
-    """Per player, the (block, signal) pairs that occur with positive mass."""
+    """Per player, the (block, signal) pairs that occur with positive mass:
+    blocks in canonical order, then signal order."""
     stoch = as_stochastic(tau)
-    if stoch.space != structure.space:
-        raise DomainError("signaling and structure use different state spaces")
-    out = []
-    for partition in structure.players:
-        pairs = []
-        for block in partition.blocks:
-            for signal in stoch.signals:
-                if any(stoch.prob(state, signal) > 0 for state in block):
-                    pairs.append((block, signal))
-        out.append(tuple(pairs))
-    return tuple(out)
+    return _reachable(structure, stoch.signals, _branch_masses(structure, stoch))
+
+
+def _reachable(
+    structure: InformationStructure,
+    signals: Sequence[str],
+    masses: Mapping[Branch, Fraction],
+) -> tuple[tuple[Pair, ...], ...]:
+    return tuple(
+        tuple(
+            (block, signal)
+            for block in partition.blocks
+            for signal in signals
+            if any((state, signal) in masses for state in block)
+        )
+        for partition in structure.players
+    )
 
 
 @dataclass(eq=False)
@@ -313,34 +322,19 @@ def strategy_from_json(
     return make_strategy(game, tau, per_player)
 
 
-def _branches(
-    structure: InformationStructure,
-    tau: Signaling,
-    states: Optional[Iterable[str]] = None,
-) -> Iterable[tuple[str, str, Fraction]]:
-    """(state, signal, prior x kernel mass) for every branch of positive mass,
-    over ``states`` (default: the whole space) in order."""
-    stoch = as_stochastic(tau)
-    if stoch.space != structure.space:
-        raise DomainError("signaling and structure use different state spaces")
-    for state in structure.space if states is None else states:
-        base = structure.prior.of(state)
-        for signal in stoch.signals:
-            w = base * stoch.prob(state, signal)
-            if w:
-                yield state, signal, w
-
-
 def _outcomes(
     game: BayesianGame,
     tau: Signaling,
     strategy: StrategyProfile,
-    states: Optional[Iterable[str]] = None,
+    event: Optional[set[str]] = None,
 ) -> Iterable[tuple[str, ActionProfile, Fraction]]:
-    """(state, action profile, mass) over every branch and every combination
-    of the actions the players' mixtures play there."""
+    """(state, action profile, mass) over every branch (at a state of
+    ``event``, when given) and every combination of the actions the players'
+    mixtures play there."""
     structure = game.structure
-    for state, signal, w in _branches(structure, tau, states):
+    for (state, signal), w in _branch_masses(structure, tau).items():
+        if event is not None and state not in event:
+            continue
         mixtures = []
         for i, partition in enumerate(structure.players):
             mix = strategy.mixture(i, partition.block_of(state), signal)
@@ -366,7 +360,7 @@ def _cells(
     """
     meet = ckc_decompose(structure.players)
     cells: dict[tuple[str, tuple[str, ...]], list[tuple[str, Fraction]]] = {}
-    for state, signal, w in _branches(structure, tau):
+    for (state, signal), w in _branch_masses(structure, tau).items():
         cells.setdefault((signal, meet.block_of(state)), []).append((state, w))
     for (signal, _), branches in cells.items():
         slots: list[Slot] = []
@@ -402,22 +396,22 @@ def expected_payoffs(
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
-    states = None
+    event = None
     if given_event is not None:
-        event = list(given_event)
-        if not event:
+        listed = list(given_event)
+        if not listed:
             raise DomainError("cannot condition on an empty event")
-        for state in event:
+        for state in listed:
             if state not in structure.space:
                 raise InputError(f"unknown state '{state}' in event")
-        states = [s for s in structure.space if s in event]
+        event = set(listed)
     totals = [Fraction(0)] * structure.n
-    for state, profile, weight in _outcomes(game, tau, strategy, states):
+    for state, profile, weight in _outcomes(game, tau, strategy, event):
         values = game.payoff(state, profile)
         for i in range(structure.n):
             totals[i] += weight * values[i]
-    if given_event is not None:
-        mass = structure.prior.event_mass(states)
+    if event is not None:
+        mass = structure.prior.event_mass(event)
         totals = [t / mass for t in totals]
     return tuple(totals)
 
@@ -478,9 +472,34 @@ class EquilibriumResult:
     witness: Optional[tuple] = None
 
 
+def _first_deviation(
+    names: Sequence[str],
+    pairs: Sequence[Sequence[Pair]],
+    menus: Sequence[Sequence[object]],
+    mixture: Callable[[int, tuple[str, ...], str], Mapping[object, Fraction]],
+    value: Callable[[int, tuple[str, ...], str, object], Fraction],
+) -> EquilibriumResult:
+    """The deviation sweep behind both equilibrium checks: the first (player,
+    block, signal, option), in player, pair and menu order, whose ``value``
+    beats the player's own mixture at the pair.  Payoffs are additive across
+    a player's pairs (the events are disjoint), so the sweep is exhaustive."""
+    for i, name in enumerate(names):
+        for block, signal in pairs[i]:
+            mix = [(o, p) for o, p in mixture(i, block, signal).items() if p > 0]
+            values = {o: value(i, block, signal, o) for o, _ in mix}
+            current = sum((p * values[o] for o, p in mix), Fraction(0))
+            for option in menus[i]:
+                v = values.get(option)
+                if v is None:
+                    v = value(i, block, signal, option)
+                if v > current:
+                    return EquilibriumResult(False, (name, block, signal, option))
+    return EquilibriumResult(True)
+
+
 def _deviation_value(
     game: BayesianGame,
-    stoch: StochasticSignaling,
+    masses: Mapping[Branch, Fraction],
     strategy: StrategyProfile,
     player: int,
     block: tuple[str, ...],
@@ -490,8 +509,8 @@ def _deviation_value(
     structure = game.structure
     total = Fraction(0)
     for state in block:
-        w = structure.prior.of(state) * stoch.prob(state, signal)
-        if w == 0:
+        w = masses.get((state, signal))
+        if not w:
             continue
         others = []
         for j, partition in enumerate(structure.players):
@@ -514,30 +533,19 @@ def _deviation_value(
 def is_equilibrium(
     game: BayesianGame, tau: Signaling, strategy: StrategyProfile
 ) -> EquilibriumResult:
-    """Check for profitable unilateral deviations, pair by pair.
-
-    Payoffs are additive across a player's reachable pairs (the underlying
-    events are disjoint), so a per-pair sweep over pure actions is exhaustive.
-    """
+    """Check for profitable unilateral deviations to a pure action, pair by
+    pair; the witness is (player, block, signal, action)."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     stoch = as_stochastic(tau)
-    pairs = reachable_pairs(game.structure, stoch)
-    for i in range(game.structure.n):
-        for block, signal in pairs[i]:
-            mix = strategy.mixture(i, block, signal)
-            values = {
-                a: _deviation_value(game, stoch, strategy, i, block, signal, a)
-                for a in game.actions[i]
-            }
-            current = sum(
-                (p * values[a] for a, p in mix.items() if p > 0), Fraction(0)
-            )
-            for a in game.actions[i]:
-                if values[a] > current:
-                    witness = (game.structure.player_names[i], block, signal, a)
-                    return EquilibriumResult(False, witness)
-    return EquilibriumResult(True)
+    masses = _branch_masses(game.structure, stoch)
+    return _first_deviation(
+        game.structure.player_names,
+        _reachable(game.structure, stoch.signals, masses),
+        game.actions,
+        strategy.mixture,
+        partial(_deviation_value, game, masses, strategy),
+    )
 
 
 def enumerate_pure_equilibria(
@@ -957,14 +965,22 @@ def kld_action_label(dist: Distribution) -> str:
     return "(" + ",".join(format_rational(v) for v in dist.vector) + ")"
 
 
+def kld_menus(
+    structure: InformationStructure, tau: Signaling
+) -> tuple[tuple[Distribution, ...], ...]:
+    """Per player, the distinct posteriors the signaling induces, sorted by
+    vector: the player's declaration menu."""
+    atlas = posterior_atlas(structure, tau)
+    return tuple(atlas.player_menu(i) for i in range(structure.n))
+
+
 def build_kld_game(
     structure: InformationStructure, tau: Signaling
 ) -> BayesianGame:
     """Log-domain game where each player declares one posterior from their
     menu under the given signaling and is scored by the likelihood the
     declaration assigns to the realized state."""
-    atlas = posterior_atlas(structure, tau)
-    menus = tuple(atlas.player_menu(i) for i in range(structure.n))
+    menus = kld_menus(structure, tau)
     actions = tuple(tuple(kld_action_label(d) for d in menu) for menu in menus)
     payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
     for state in structure.space:
@@ -974,28 +990,12 @@ def build_kld_game(
     return BayesianGame(structure, actions, payoffs, log_domain=True)
 
 
-def kld_menus(
-    structure: InformationStructure, tau: Signaling
-) -> tuple[tuple[Distribution, ...], ...]:
-    atlas = posterior_atlas(structure, tau)
-    return tuple(atlas.player_menu(i) for i in range(structure.n))
-
-
-def true_posterior_at(
-    structure: InformationStructure,
-    player: int,
-    tau: Signaling,
-    block: tuple[str, ...],
-    signal: str,
+def _posterior_at(
+    branches: Mapping[Branch, tuple], player: int, block: tuple[str, ...], signal: str
 ) -> Distribution:
     """The player's posterior at a reachable (block, signal) pair."""
-    stoch = as_stochastic(tau)
-    for state in block:
-        if stoch.prob(state, signal) > 0:
-            return stoch_posterior(structure, player, stoch, state, signal)
-    raise DomainError(
-        f"signal '{signal}' is unreachable from block {{{','.join(block)}}}"
-    )
+    state = next(s for s in block if (s, signal) in branches)
+    return branches[(state, signal)][1].per_player[player]
 
 
 def truthful_kld_strategy(
@@ -1005,12 +1005,12 @@ def truthful_kld_strategy(
     true posterior is missing from the declaration menu."""
     structure = game.structure
     pairs = reachable_pairs(structure, tau)
+    branches = _branch_profiles(structure, tau)
     tables: list[dict[Pair, object]] = []
     for i in range(structure.n):
         table: dict[Pair, object] = {}
         for block, signal in pairs[i]:
-            posterior = true_posterior_at(structure, i, tau, block, signal)
-            label = kld_action_label(posterior)
+            label = kld_action_label(_posterior_at(branches, i, block, signal))
             if label not in game.actions[i]:
                 raise DomainError(
                     f"posterior {label} is not in player "
@@ -1092,22 +1092,11 @@ class TwoStageGame:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
         self.tau2 = as_stochastic(tau)
-        if self.tau2.space != structure.space:
-            raise DomainError("signaling and structure use different state spaces")
-        self.atlas = posterior_atlas(structure, self.tau2)
-        self.menus = tuple(self.atlas.player_menu(i) for i in range(structure.n))
-        self._branch_profiles: dict[tuple[str, str], tuple[Distribution, ...]] = {}
+        self.menus = kld_menus(structure, self.tau2)
+        self._branches = _branch_profiles(structure, self.tau2)
         feasible: dict[str, set[tuple[Distribution, ...]]] = {}
-        for state in structure.space:
-            for signal in self.tau2.signals:
-                if self.tau2.prob(state, signal) == 0:
-                    continue
-                profile = tuple(
-                    stoch_posterior(structure, i, self.tau2, state, signal)
-                    for i in range(structure.n)
-                )
-                self._branch_profiles[(state, signal)] = profile
-                feasible.setdefault(signal, set()).add(profile)
+        for (_, signal), (_, profile) in self._branches.items():
+            feasible.setdefault(signal, set()).add(profile.per_player)
         self.feasible = {s: frozenset(ps) for s, ps in feasible.items()}
         self._belief_games = {
             profile: BeliefGame(structure.space, profile)
@@ -1171,9 +1160,7 @@ class TwoStageGame:
         for i in range(self.structure.n):
             table: dict[Pair, Declaration] = {}
             for block, signal in pairs[i]:
-                posterior = true_posterior_at(
-                    self.structure, i, self.tau2, block, signal
-                )
+                posterior = _posterior_at(self._branches, i, block, signal)
                 table[(block, signal)] = (signal, posterior, posterior.support()[0])
             tables.append(table)
         return TwoStageStrategy(tuple(tables))
@@ -1224,7 +1211,7 @@ class TwoStageGame:
         stoch = as_stochastic(tau)
         self.validate_strategy(stoch, strategy)
         totals = [Fraction(0)] * self.structure.n
-        for state, signal, w in _branches(self.structure, stoch):
+        for (state, signal), w in _branch_masses(self.structure, stoch).items():
             values = self.branch_payoffs(
                 state, self._strategy_declarations(strategy, state, signal)
             )
@@ -1238,48 +1225,35 @@ class TwoStageGame:
     def is_equilibrium(
         self, tau: Signaling, strategy: TwoStageStrategy
     ) -> EquilibriumResult:
-        """Sweep every player's option menu at every reachable pair; payoffs
-        are additive across a player's pairs."""
+        """Sweep every player's option menu at every reachable pair; the
+        witness is (player, block, signal, declaration)."""
         stoch = as_stochastic(tau)
         self.validate_strategy(stoch, strategy)
-        pairs = reachable_pairs(self.structure, stoch)
-        for i in range(self.structure.n):
-            partition = self.structure.players[i]
-            for block, signal in pairs[i]:
-                current = self._pair_value(stoch, strategy, i, block, signal, None)
-                for option in self.option_menu(i):
-                    value = self._pair_value(
-                        stoch, strategy, i, block, signal, option
-                    )
-                    if value > current:
-                        witness = (
-                            self.structure.player_names[i],
-                            block,
-                            signal,
-                            option,
-                        )
-                        return EquilibriumResult(False, witness)
-        return EquilibriumResult(True)
+        masses = _branch_masses(self.structure, stoch)
+        return _first_deviation(
+            self.structure.player_names,
+            _reachable(self.structure, stoch.signals, masses),
+            [self.option_menu(i) for i in range(self.structure.n)],
+            lambda i, block, signal: {strategy.declaration(i, block, signal): 1},
+            partial(self._pair_value, masses, strategy),
+        )
 
     def _pair_value(
         self,
-        stoch: StochasticSignaling,
+        masses: Mapping[Branch, Fraction],
         strategy: TwoStageStrategy,
         player: int,
         block: tuple[str, ...],
         signal: str,
-        replacement: Optional[Declaration],
+        option: Declaration,
     ) -> Fraction:
         total = Fraction(0)
         for state in block:
-            w = self.structure.prior.of(state) * stoch.prob(state, signal)
-            if w == 0:
+            w = masses.get((state, signal))
+            if not w:
                 continue
-            declarations = list(
-                self._strategy_declarations(strategy, state, signal)
-            )
-            if replacement is not None:
-                declarations[player] = replacement
+            declarations = list(self._strategy_declarations(strategy, state, signal))
+            declarations[player] = option
             total += w * self.branch_payoffs(state, declarations)[player]
         return total
 
@@ -1295,13 +1269,10 @@ class TwoStageGame:
         common-knowledge component) cells, and declarations are free per
         cell, so each cell maximizes independently.
         """
-        declaration_menu = []
-        for i in range(self.structure.n):
-            options: list[tuple] = [(None, None)]
-            for declared_signal in self.tau2.signals:
-                for posterior in self.menus[i]:
-                    options.append((declared_signal, posterior))
-            declaration_menu.append(tuple(options))
+        declaration_menu = [
+            tuple(dict.fromkeys(option[:2] for option in self.option_menu(i)))
+            for i in range(self.structure.n)
+        ]
         total = Fraction(0)
         for _, positioned, slots in _cells(self.structure, tau):
             best = None

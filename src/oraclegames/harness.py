@@ -718,6 +718,15 @@ _ERROR_KINDS = {
 }
 
 
+class _MissingArgument(Exception):
+    """A claim lacks an argument its operation reads."""
+
+
+class _ClaimArgs(dict):
+    def __missing__(self, key: str):
+        raise _MissingArgument(key)
+
+
 def run_claim(fix: Fixture, claim: Mapping) -> dict:
     """Evaluate one claim; the result row is JSON-ready."""
     for key in ("id", "op", "provenance"):
@@ -730,29 +739,26 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
     expect_error = claim.get("expect_error")
     if expect_error is None and "expected" not in claim:
         raise InputError(f"claim '{claim['id']}' has neither 'expected' nor 'expect_error'")
+    expected = claim["expected"] if expect_error is None else {"error": expect_error}
     row = {
         "id": claim["id"],
         "op": op_name,
         "provenance": claim["provenance"],
+        "expected": expected,
     }
-    if expect_error is not None:
-        row["expected"] = {"error": expect_error}
-        try:
-            value = OPS[op_name](fix, args)
-        except tuple(_ERROR_KINDS) as exc:
-            row["actual"] = {"error": _ERROR_KINDS[type(exc)]}
-        else:
-            row["actual"] = _jsonify(value)
-        row["pass"] = row["actual"] == row["expected"]
-        return row
-    expected = claim["expected"]
-    row["expected"] = expected
-    actual = OPS[op_name](fix, args)
-    if claim.get("compare") == "mixed":
-        row["actual"] = _jsonify(actual)
-        row["pass"] = _mixed_equal(actual, expected)
+    try:
+        actual = OPS[op_name](fix, _ClaimArgs(args))
+    except _MissingArgument as exc:
+        raise InputError(f"claim '{claim['id']}' is missing argument '{exc}'") from None
+    except tuple(_ERROR_KINDS) as exc:
+        if expect_error is None:
+            raise
+        row["actual"] = {"error": _ERROR_KINDS[type(exc)]}
     else:
         row["actual"] = _jsonify(actual)
+    if expect_error is None and claim.get("compare") == "mixed":
+        row["pass"] = _mixed_equal(actual, expected)
+    else:
         row["pass"] = row["actual"] == expected
     return row
 

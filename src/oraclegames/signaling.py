@@ -257,27 +257,50 @@ def stoch_posterior(
     return Distribution(structure.space, vector)
 
 
-def posterior_atlas(structure: InformationStructure, tau: Signaling) -> PosteriorAtlas:
-    """Enumerate all (state, signal) pairs with positive kernel mass, form the
-    joint posterior profiles, merge exact duplicates, and accumulate weights
-    prior(state) * tau(signal|state)."""
+def _branch_masses(
+    structure: InformationStructure, tau: Signaling
+) -> dict[tuple[str, str], Fraction]:
+    """prior(state) * tau(signal|state) for every (state, signal) branch of
+    positive mass, in state order and then signal order: the one table that
+    every walk over branches reads."""
     st = as_stochastic(tau)
-    # The posterior of player i depends only on (player block, signal).
-    cache: dict[tuple[int, tuple[str, ...], str], Distribution] = {}
+    if st.space != structure.space:
+        raise DomainError("signaling and structure use different state spaces")
+    masses: dict[tuple[str, str], Fraction] = {}
+    rows = zip(structure.space.states, structure.prior.vector, st.kernel)
+    for state, base, row in rows:
+        for signal, p in zip(st.signals, row):
+            if p:
+                masses[(state, signal)] = base * p
+    return masses
+
+
+def _branch_profiles(
+    structure: InformationStructure, tau: Signaling
+) -> dict[tuple[str, str], tuple[Fraction, JointPosteriorProfile]]:
+    """Mass and joint posterior profile of every branch in the mass table; a
+    player's posterior depends only on (their block, signal)."""
+    st = as_stochastic(tau)
+    cache: dict[tuple[int, int, str], Distribution] = {}
+    out = {}
+    for (state, signal), w in _branch_masses(structure, st).items():
+        posts = []
+        for i, partition in enumerate(structure.players):
+            key = (i, partition.block_index(state), signal)
+            if key not in cache:
+                cache[key] = stoch_posterior(structure, i, st, state, signal)
+            posts.append(cache[key])
+        out[(state, signal)] = (w, JointPosteriorProfile(tuple(posts)))
+    return out
+
+
+def posterior_atlas(structure: InformationStructure, tau: Signaling) -> PosteriorAtlas:
+    """The joint posterior profiles of all branches with positive mass,
+    exact duplicates merged, each weighted by the total prior(state) *
+    tau(signal|state) of its branches."""
     entries: dict[JointPosteriorProfile, Fraction] = {}
-    for omega in structure.space.states:
-        for sig in st.signals:
-            p = st.prob(omega, sig)
-            if p == 0:
-                continue
-            posts = []
-            for i in range(structure.n):
-                key = (i, structure.players[i].block_of(omega), sig)
-                if key not in cache:
-                    cache[key] = stoch_posterior(structure, i, st, omega, sig)
-                posts.append(cache[key])
-            profile = JointPosteriorProfile(tuple(posts))
-            entries[profile] = entries.get(profile, Fraction(0)) + structure.prior.of(omega) * p
+    for w, profile in _branch_profiles(structure, tau).values():
+        entries[profile] = entries.get(profile, Fraction(0)) + w
     return PosteriorAtlas(entries)
 
 

@@ -73,9 +73,6 @@ class StateSpace:
         except (KeyError, TypeError):
             raise InputError(f"unknown state '{state}'") from None
 
-    def sort_states(self, states: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(states, key=self.index))
-
     def states_of(self, mask: int) -> tuple[str, ...]:
         """The states whose bits are set in ``mask``, in state order."""
         return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
@@ -181,9 +178,6 @@ class Prior:
 
     def min_mass(self) -> Fraction:
         return min(self.vector)
-
-    def as_distribution(self) -> Distribution:
-        return Distribution(self.space, self.vector)
 
 
 def conditional(prior: Prior, event: Iterable[str]) -> Distribution:

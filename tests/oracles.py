@@ -259,3 +259,63 @@ def naive_best_common_payoff(states, prior, kernel, partitions, actions, payoff)
         if best is None or value > best:
             best = value
     return best
+
+
+def naive_pairs(states, prior, kernel, partitions):
+    """Per player, the (block, signal) pairs of positive mass: blocks in the
+    listed order, then signals in the order of the kernel rows (every row
+    ``kernel[w]`` lists every signal)."""
+    signals = list(kernel[states[0]])
+    return [
+        [
+            (tuple(b), s)
+            for b in blocks
+            for s in signals
+            if sum(prior[w] * kernel[w][s] for w in b) > 0
+        ]
+        for blocks in partitions
+    ]
+
+
+def naive_is_equilibrium(states, prior, kernel, partitions, actions, payoff, strategy):
+    """(holds, witness) for a strategy profile, from total expected payoffs.
+
+    ``strategy[i]`` maps each of player i's reachable (block, signal) pairs
+    to {action: probability} and ``payoff(w, profile)`` gives one utility
+    per player.  A player's total expected payoff sums over every state,
+    signal and action profile of positive probability, with no split into
+    pairs.  It is computed for the strategy and again for every copy with
+    one (block, signal) entry of that player replaced by a pure action; the
+    witness (player index, block, signal, action) is the first copy that
+    pays the player more, in player, pair and action order.
+    """
+    n = len(partitions)
+
+    def block(i, w):
+        return next(tuple(b) for b in partitions[i] if w in b)
+
+    def total(i, tables):
+        value = Fraction(0)
+        for w in states:
+            for s, p in kernel[w].items():
+                if prior[w] * p == 0:
+                    continue
+                mixes = [tables[j][(block(j, w), s)].items() for j in range(n)]
+                for combo in product(*mixes):
+                    weight = prior[w] * p
+                    for _, q in combo:
+                        weight *= q
+                    value += weight * payoff(w, tuple(a for a, _ in combo))[i]
+        return value
+
+    pairs = naive_pairs(states, prior, kernel, partitions)
+    for i in range(n):
+        base = total(i, strategy)
+        for pair in pairs[i]:
+            for a in actions[i]:
+                tables = list(strategy)
+                tables[i] = dict(strategy[i])
+                tables[i][pair] = {a: Fraction(1)}
+                if total(i, tables) > base:
+                    return False, (i, pair[0], pair[1], a)
+    return True, None

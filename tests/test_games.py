@@ -846,3 +846,127 @@ def test_best_common_payoff_matches_unsplit_brute_force():
             lambda w, profile: game.payoffs[(w, profile)][0],
         )
         assert best_common_payoff(game, tau) == expected
+
+
+# ---------------------------------------------------------------------------
+# Equilibrium checks against the total-payoff brute force
+
+
+def _equilibrium_cases(rng, count):
+    """Seeded 2-player games on 4-5 states: each player has at most two
+    blocks, and the 3-signal kernel gives one signal zero mass on each
+    oracle block (every third case drops signal t3 altogether)."""
+    labels = ("a0", "a1")
+    cases = []
+    for case in range(count):
+        states = tuple(f"w{j}" for j in range(rng.choice((4, 5))))
+        space = StateSpace(states)
+        nums = [rng.randint(1, 4) for _ in states]
+        prior = Prior(space, tuple(Fraction(k, sum(nums)) for k in nums))
+        players = tuple(
+            Partition(space, tuple(_random_blocks(rng, states, 2))) for _ in range(2)
+        )
+        oracle = Partition(space, tuple(_random_blocks(rng, states, 3)))
+        rows = {}
+        for block in oracle.blocks:
+            weights = [rng.randint(1, 2) for _ in range(3)]
+            weights[2 if case % 3 == 0 else rng.randrange(3)] = 0
+            row = {f"t{k + 1}": Fraction(v, sum(weights)) for k, v in enumerate(weights)}
+            for state in block:
+                rows[state] = row
+        tau = StochasticSignaling.from_rows(oracle, ("t1", "t2", "t3"), rows)
+        structure = InformationStructure(space, prior, ("A", "B"), players)
+        payoffs = {
+            (state, profile): tuple(Fraction(rng.randint(-3, 5)) for _ in range(2))
+            for state in states
+            for profile in itertools.product(labels, repeat=2)
+        }
+        game = BayesianGame(structure, (labels, labels), payoffs)
+        oracle_args = (
+            states,
+            dict(zip(states, prior.vector)),
+            {w: dict(rows[w]) for w in states},
+            [list(p.blocks) for p in players],
+        )
+        cases.append((game, tau, oracle_args))
+    return cases
+
+
+def _naive_result(structure, verdict):
+    holds, witness = verdict
+    if holds:
+        return True, None
+    i, block, signal, option = witness
+    return False, (structure.player_names[i], block, signal, option)
+
+
+def test_equilibrium_checks_match_the_total_payoff_brute_force():
+    rng = random.Random(41)
+    halves = (Fraction(0), Fraction(1, 2), Fraction(1))
+    for game, tau, args in _equilibrium_cases(rng, 20):
+        structure = game.structure
+        pairs = oracles.naive_pairs(*args)
+        assert [list(p) for p in reachable_pairs(structure, tau)] == pairs
+
+        def check(strategy, tables):
+            naive = oracles.naive_is_equilibrium(
+                *args, game.actions, game.payoff, tables
+            )
+            result = is_equilibrium(game, tau, strategy)
+            assert (result.holds, result.witness) == _naive_result(structure, naive)
+
+        for _ in range(3):
+            tables = []
+            for player_pairs in pairs:
+                table = {}
+                for pair in player_pairs:
+                    p = rng.choice(halves)
+                    table[pair] = {"a0": p, "a1": 1 - p}
+                tables.append(table)
+            check(make_strategy(game, tau, tables), tables)
+
+        slots = [(i, pair) for i in range(2) for pair in pairs[i]]
+        if len(slots) > 8:
+            continue  # the brute force below scans 2**slots profiles
+        expected = []
+        for combo in itertools.product(*(game.actions[i] for i, _ in slots)):
+            tables = [{}, {}]
+            for (i, pair), action in zip(slots, combo):
+                tables[i][pair] = {action: Fraction(1)}
+            naive = oracles.naive_is_equilibrium(*args, game.actions, game.payoff, tables)
+            if naive[0]:
+                expected.append(tables)
+        found = enumerate_pure_equilibria(game, tau)
+        assert [list(s.per_player) for s in found] == expected
+        for strategy in found[:2]:
+            check(strategy, list(strategy.per_player))
+
+
+def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
+    from oraclegames import TwoStageStrategy
+
+    rng = random.Random(43)
+    for game, tau, args in _equilibrium_cases(rng, 20)[::2]:
+        stage = TwoStageGame(game.structure, tau)
+        menus = [stage.option_menu(i) for i in range(2)]
+        truthful = stage.truthful_strategy()
+        strategies = [truthful]
+        for _ in range(2):
+            tables = [dict(t) for t in truthful.per_player]
+            i = rng.randrange(2)
+            pair = rng.choice(list(tables[i]))
+            tables[i][pair] = rng.choice([o for o in menus[i] if o != tables[i][pair]])
+            strategies.append(TwoStageStrategy(tuple(tables)))
+        for strategy in strategies:
+            tables = [
+                {pair: {decl: Fraction(1)} for pair, decl in table.items()}
+                for table in strategy.per_player
+            ]
+            naive = oracles.naive_is_equilibrium(
+                *args, menus, stage.branch_payoffs, tables
+            )
+            result = stage.is_equilibrium(tau, strategy)
+            assert (result.holds, result.witness) == _naive_result(
+                game.structure, naive
+            )
+        assert stage.is_equilibrium(tau, truthful).holds

@@ -57,7 +57,7 @@ def test_failing_claim_is_reported_not_raised():
     assert any(line.startswith("PASS") for line in lines)
 
 
-def test_unknown_op_and_missing_fields_are_input_errors():
+def test_unknown_op_and_missing_fields_are_input_errors(tmp_path, capsys):
     data = harness.load_fixture("one-dm")
     bad = dict(data)
     bad["claims"] = [
@@ -68,6 +68,16 @@ def test_unknown_op_and_missing_fields_are_input_errors():
     bad["claims"] = [{"id": "x", "op": "ckc_count", "provenance": "trivial"}]
     with pytest.raises(InputError):
         harness.run_fixture(bad)
+    # A missing argument is the fixture's fault, also where an error is expected.
+    claim = {"id": "x", "op": "refines", "args": {"f1": "F1"}, "provenance": "trivial"}
+    for outcome in ({"expected": True}, {"expect_error": "input"}):
+        bad["claims"] = [dict(claim, **outcome)]
+        with pytest.raises(InputError, match="claim 'x' is missing argument 'f2'"):
+            harness.run_fixture(bad)
+    path = tmp_path / "missing-argument.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "claim 'x' is missing argument 'f2'" in capsys.readouterr().err
 
 
 def test_cli_verify_all_and_exit_codes(capsys):

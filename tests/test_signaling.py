@@ -19,6 +19,7 @@ from oraclegames import (
     StochasticSignaling,
     as_stochastic,
     atlas_equal,
+    build_kld_game,
     det_posterior,
     experiment_matrix,
     lift_garbled,
@@ -28,6 +29,7 @@ from oraclegames import (
     post_included,
     posterior_atlas,
     proportional_decompose,
+    reachable_pairs,
     separating_strategy,
     signaling_from_json,
     stoch_posterior,
@@ -174,6 +176,17 @@ def test_atlas_weights_and_martingale_property():
             for j, v in enumerate(profile.per_player[i].vector):
                 mixed[j] += w * v
         assert tuple(mixed) == PRIOR.vector  # posteriors average back to the prior
+
+
+def test_atlas_rejects_a_signaling_over_another_state_space():
+    three = StateSpace(("w1", "w2", "w3"))
+    trivial = Partition.trivial(three)
+    structure = InformationStructure(
+        three, Prior.uniform(three), ("P1", "P2"), (trivial, trivial)
+    )
+    for build in (posterior_atlas, build_kld_game, reachable_pairs):
+        with pytest.raises(DomainError, match="different state spaces"):
+            build(structure, TAU)
 
 
 def test_player_menu_is_sorted_and_deduplicated():

@@ -1,11 +1,13 @@
 """Core domain objects: rationals, spaces, distributions, partitions,
 structures, and their JSON forms."""
 
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oraclegames
 from oraclegames import (
     Distribution,
     InformationStructure,
@@ -54,7 +56,6 @@ def test_state_space_validation():
     assert SPACE.index("c") == 2
     with pytest.raises(InputError):
         SPACE.index("z")
-    assert SPACE.sort_states(["d", "a", "c"]) == ("a", "c", "d")
 
 
 def test_distribution_validation_and_accessors():
@@ -176,3 +177,9 @@ def test_distribution_accepts_any_exact_unit_vector(vector):
     d = Distribution(space, tuple(vector))
     assert sum(d.vector) == 1
     assert all(v >= 0 for v in d.vector)
+
+
+def test_public_names_are_no_modules():
+    assert "types" not in oraclegames.__all__
+    for name in oraclegames.__all__:
+        assert not isinstance(getattr(oraclegames, name), types.ModuleType), name
