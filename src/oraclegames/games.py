@@ -14,8 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import ckc_decompose, join
@@ -385,6 +385,57 @@ def _cells(
         yield signal, positioned, slots
 
 
+def _slot_search(
+    sizes: Sequence[int], admit: Callable[[int, list[int]], bool]
+) -> Iterator[tuple[int, ...]]:
+    """Option-index assignments to slots 0, 1, ..., depth first in
+    ``itertools.product`` order, going past slot d only while
+    ``admit(d, assigned)`` holds."""
+    assigned = [0] * len(sizes)
+
+    def visit(d: int) -> Iterator[tuple[int, ...]]:
+        if d == len(sizes):
+            yield tuple(assigned)
+            return
+        for option in range(sizes[d]):
+            assigned[d] = option
+            if admit(d, assigned):
+                yield from visit(d + 1)
+
+    return visit(0)
+
+
+def _cellwise_max(
+    structure: InformationStructure,
+    tau: Signaling,
+    sizes: Sequence[int],
+    branch_bound: Callable[[str, tuple[Optional[int], ...]], Fraction],
+    value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Fraction],
+) -> Fraction:
+    """Sum over the cells of the largest ``value(positioned, slots, leaf)``
+    over the cell's assignments of ``sizes[player]`` options per slot.  A
+    subtree is cut once the mass-weighted ``branch_bound(state, option index
+    per player, None while unassigned)`` of the cell's branches cannot beat
+    the best leaf so far."""
+    total = Fraction(0)
+    for _, positioned, slots in _cells(structure, tau):
+        best: Optional[Fraction] = None
+
+        def admit(d: int, assigned: list[int]) -> bool:
+            bound = Fraction(0)
+            for state, w, at in positioned:
+                fixed = tuple(assigned[k] if k <= d else None for k in at)
+                bound += w * branch_bound(state, fixed)
+            return best is None or bound > best
+
+        for leaf in _slot_search([sizes[i] for i, _ in slots], admit):
+            v = value(positioned, slots, leaf)
+            if best is None or v > best:
+                best = v
+        total += best
+    return total
+
+
 def expected_payoffs(
     game: BayesianGame,
     tau: Signaling,
@@ -551,29 +602,57 @@ def is_equilibrium(
 def enumerate_pure_equilibria(
     game: BayesianGame, tau: Signaling, cap: int = DEFAULT_EQUILIBRIUM_CAP
 ) -> list[StrategyProfile]:
-    """All pure-strategy equilibria, enumerated in deterministic order."""
+    """All pure-strategy equilibria, in ``itertools.product`` order over the
+    slots (player, then reachable pair); the cap counts that full product.
+    A slot is checked for a profitable deviation as soon as every slot its
+    deviation values read is assigned."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
-    pairs = reachable_pairs(game.structure, tau)
-    count = 1
-    for i in range(game.structure.n):
-        count *= len(game.actions[i]) ** len(pairs[i])
+    structure = game.structure
+    stoch = as_stochastic(tau)
+    masses = _branch_masses(structure, stoch)
+    pairs = _reachable(structure, stoch.signals, masses)
+    slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
+    sizes = [len(game.actions[i]) for i, _ in slots]
+    count = math.prod(sizes)
     if count > cap:
         raise ResourceLimitError(
             f"{count} pure strategy profiles exceed the cap of {cap}", cap=cap
         )
-    slots = [(i, pair) for i in range(game.structure.n) for pair in pairs[i]]
-    found = []
-    for combo in itertools.product(*(game.actions[i] for i, _ in slots)):
-        tables: list[dict[Pair, dict[str, Fraction]]] = [
-            {} for _ in range(game.structure.n)
+    index = {slot: k for k, slot in enumerate(slots)}
+    reads: list[set[int]] = [set() for _ in slots]  # every slot of a slot's branches
+    for state, signal in masses:
+        at = [
+            index[(j, (partition.block_of(state), signal))]
+            for j, partition in enumerate(structure.players)
         ]
-        for (i, pair), action in zip(slots, combo):
-            tables[i][pair] = {action: Fraction(1)}
-        strategy = StrategyProfile(tuple(tables))
-        if is_equilibrium(game, tau, strategy).holds:
-            found.append(strategy)
-    return found
+        for k in at:
+            reads[k].update(at)
+    due = [[k for k, read in enumerate(reads) if max(read) == d] for d in range(len(slots))]
+    tables: list[dict[Pair, dict[str, Fraction]]] = [{} for _ in range(structure.n)]
+    assigned_profile = StrategyProfile(tuple(tables))
+    verdicts: dict[tuple, bool] = {}
+
+    def admit(d: int, assigned: list[int]) -> bool:
+        i, pair = slots[d]
+        tables[i][pair] = {game.actions[i][assigned[d]]: Fraction(1)}
+        for k in due[d]:
+            key = (k, tuple(assigned[r] for r in reads[k]))
+            if key not in verdicts:
+                j, (block, signal) = slots[k]
+                values = [
+                    _deviation_value(game, masses, assigned_profile, j, block, signal, a)
+                    for a in game.actions[j]
+                ]
+                verdicts[key] = not any(v > values[assigned[k]] for v in values)
+            if not verdicts[key]:
+                return False
+        return True
+
+    return [
+        StrategyProfile(tuple(dict(table) for table in tables))
+        for _ in _slot_search(sizes, admit)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1059,10 @@ def build_kld_game(
     """Log-domain game where each player declares one posterior from their
     menu under the given signaling and is scored by the likelihood the
     declaration assigns to the realized state."""
-    menus = kld_menus(structure, tau)
+    return _kld_game(structure, kld_menus(structure, tau))
+
+
+def _kld_game(structure: InformationStructure, menus: Sequence) -> BayesianGame:
     actions = tuple(tuple(kld_action_label(d) for d in menu) for menu in menus)
     payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
     for state in structure.space:
@@ -1092,7 +1174,6 @@ class TwoStageGame:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
         self.tau2 = as_stochastic(tau)
-        self.menus = kld_menus(structure, self.tau2)
         self._branches = _branch_profiles(structure, self.tau2)
         feasible: dict[str, set[tuple[Distribution, ...]]] = {}
         for (_, signal), (_, profile) in self._branches.items():
@@ -1103,6 +1184,10 @@ class TwoStageGame:
             for profiles in self.feasible.values()
             for profile in profiles
         }
+        self.menus = tuple(
+            tuple(sorted({p[i] for p in self._belief_games}, key=lambda d: d.vector))
+            for i in range(structure.n)
+        )
         bound = self._payoff_bound()
         if M is None:
             self.M = bound
@@ -1182,18 +1267,24 @@ class TwoStageGame:
         self, state: str, declarations: Sequence[Declaration]
     ) -> tuple[Fraction, ...]:
         """Settle one realized state against the players' declarations."""
-        signals = {d[0] for d in declarations}
-        if len(signals) != 1 or None in signals:
-            return tuple(-self.M for _ in range(self.structure.n))
-        declared_signal = next(iter(signals))
-        profile = tuple(d[1] for d in declarations)
-        if profile not in self.feasible.get(declared_signal, frozenset()):
+        profile = self._settlement(declarations)
+        if profile is None:
             return tuple(-self.M for _ in range(self.structure.n))
         game = self._belief_games[profile]
         actions = tuple(d[2] for d in declarations)
         return tuple(
             game.utility(i, state, actions) for i in range(self.structure.n)
         )
+
+    def _settlement(self, declarations: Sequence) -> Optional[tuple[Distribution, ...]]:
+        """The posterior profile a branch settles on: one agreed signal (no
+        opt-out) under which the declared posteriors are a feasible profile;
+        None otherwise."""
+        signals = {d[0] for d in declarations}
+        if len(signals) != 1 or None in signals:
+            return None
+        profile = tuple(d[1] for d in declarations)
+        return profile if profile in self.feasible.get(signals.pop(), ()) else None
 
     def _strategy_declarations(
         self, strategy: TwoStageStrategy, state: str, signal: str
@@ -1267,25 +1358,48 @@ class TwoStageGame:
         that property admits a profitable unilateral action change, so no
         equilibrium exceeds this value.  The total is additive over (signal,
         common-knowledge component) cells, and declarations are free per
-        cell, so each cell maximizes independently.
+        cell, so each cell maximizes independently: a branch is worth at most
+        its best in-support actions over the settlements its declarations
+        still allow, or -M per player when none is left.
         """
-        declaration_menu = [
+        n = self.structure.n
+        menus = [
             tuple(dict.fromkeys(option[:2] for option in self.option_menu(i)))
-            for i in range(self.structure.n)
+            for i in range(n)
         ]
-        total = Fraction(0)
-        for _, positioned, slots in _cells(self.structure, tau):
-            best = None
-            for combo in itertools.product(
-                *(declaration_menu[i] for i, _ in slots)
-            ):
-                value = self._cell_value_with_best_responses(
-                    positioned, slots, combo
+
+        @cache
+        def best_sum(state: str, profile: tuple[Distribution, ...]) -> Fraction:
+            game = self._belief_games[profile]
+            return max(
+                sum(game.utility(i, state, acts) for i in range(n))
+                for acts in itertools.product(*(d.support() for d in profile))
+            )
+
+        @cache
+        def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
+            # Filling the unassigned slots from each feasible (signal, profile)
+            # reaches every settlement the assigned declarations still allow;
+            # a leaf left unsettled pays -M per player, below any settled
+            # value because M exceeds every belief-game utility.
+            settled = {
+                self._settlement(
+                    [(s, p[i]) if f is None else menus[i][f] for i, f in enumerate(fixed)]
                 )
-                if best is None or value > best:
-                    best = value
-            total += best
-        return total
+                for s, profiles in self.feasible.items()
+                for p in profiles
+            } - {None}
+            return max((best_sum(state, p) for p in settled), default=-self.M * n)
+
+        return _cellwise_max(
+            self.structure,
+            tau,
+            [len(menu) for menu in menus],
+            branch_bound,
+            lambda positioned, slots, leaf: self._cell_value_with_best_responses(
+                positioned, slots, [menus[i][o] for (i, _), o in zip(slots, leaf)]
+            ),
+        )
 
     def _cell_value_with_best_responses(
         self,
@@ -1295,16 +1409,10 @@ class TwoStageGame:
     ) -> Fraction:
         """Value of one (signal, component) cell for fixed declarations,
         with every slot's action set to the owner's selfish best response."""
-        feasibility = []
-        for state, w, positions in positioned:
-            decls = [combo[k] for k in positions]
-            signals = {d[0] for d in decls}
-            feasible = len(signals) == 1 and None not in signals
-            if feasible:
-                declared_signal = next(iter(signals))
-                profile = tuple(d[1] for d in decls)
-                feasible = profile in self.feasible.get(declared_signal, frozenset())
-            feasibility.append(feasible)
+        settled = [
+            self._settlement([combo[k] for k in positions])
+            for _, _, positions in positioned
+        ]
         actions: list[Optional[str]] = []
         for k, (player, _) in enumerate(slots):
             declared_signal, posterior = combo[k]
@@ -1312,8 +1420,8 @@ class TwoStageGame:
                 actions.append(None)
                 continue
             weight_at: dict[str, Fraction] = {}
-            for (state, w, positions), feasible in zip(positioned, feasibility):
-                if feasible and positions[player] == k:
+            for (state, w, positions), profile in zip(positioned, settled):
+                if profile is not None and positions[player] == k:
                     weight_at[state] = weight_at.get(state, Fraction(0)) + w
             best_action = None
             best_ratio = None
@@ -1323,11 +1431,10 @@ class TwoStageGame:
                     best_action, best_ratio = action, ratio
             actions.append(best_action)
         value = Fraction(0)
-        for (state, w, positions), feasible in zip(positioned, feasibility):
-            if not feasible:
+        for (state, w, positions), profile in zip(positioned, settled):
+            if profile is None:
                 value += w * (-self.M) * self.structure.n
                 continue
-            profile = tuple(combo[k][1] for k in positions)
             game = self._belief_games[profile]
             branch_actions = tuple(actions[k] for k in positions)
             value += w * sum(
@@ -1383,7 +1490,7 @@ class CombinedGame:
     ):
         self.structure = structure
         self.stage = TwoStageGame(structure, tau, M)
-        self.kld = build_kld_game(structure, tau)
+        self.kld = _kld_game(structure, self.stage.menus)
         self.tau2 = self.stage.tau2
 
     def expected_payoffs(
@@ -1425,15 +1532,23 @@ def best_common_payoff(game: BayesianGame, tau: Signaling) -> Fraction:
                 f"payoffs differ across players at state '{state}' under "
                 f"profile {profile!r}"
             )
-    total = Fraction(0)
-    for _, positioned, slots in _cells(game.structure, tau):
-        best = None
-        for combo in itertools.product(*(game.actions[i] for i, _ in slots)):
-            value = Fraction(0)
-            for state, w, positions in positioned:
-                profile = tuple(combo[k] for k in positions)
-                value += w * game.payoff(state, profile)[0]
-            if best is None or value > best:
-                best = value
-        total += best
-    return total
+
+    @cache
+    def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
+        options = [
+            game.actions[i] if f is None else (game.actions[i][f],)
+            for i, f in enumerate(fixed)
+        ]
+        return max(
+            game.payoff(state, profile)[0] for profile in itertools.product(*options)
+        )
+
+    return _cellwise_max(
+        game.structure,
+        tau,
+        [len(actions) for actions in game.actions],
+        branch_bound,
+        lambda positioned, slots, leaf: sum(
+            w * branch_bound(state, tuple(leaf[k] for k in at)) for state, w, at in positioned
+        ),
+    )

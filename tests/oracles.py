@@ -319,3 +319,104 @@ def naive_is_equilibrium(states, prior, kernel, partitions, actions, payoff, str
                 if total(i, tables) > base:
                     return False, (i, pair[0], pair[1], a)
     return True, None
+
+
+def pure_profile_scan(slots, actions, holds):
+    """Every pure profile over ``slots`` ((player, pair) pairs, in order)
+    that ``holds`` accepts, in ``itertools.product`` order of the slots'
+    actions, each as per-player {pair: {action: 1}} tables."""
+    found = []
+    for picks in product(*(actions[i] for i, _ in slots)):
+        tables = [{} for _ in actions]
+        for (i, pair), a in zip(slots, picks):
+            tables[i][pair] = {a: Fraction(1)}
+        if holds(tables):
+            found.append(tables)
+    return found
+
+
+def naive_max_aggregate(states, prior, game_kernel, eval_kernel, partitions, M):
+    """Ceiling of the two-stage declaration game under ``eval_kernel``.
+
+    The game is built from ``game_kernel``: a player's menu holds the
+    posteriors of their (block, signal) pairs of positive mass, and a
+    (signal, posterior profile) is feasible when some branch of that signal
+    induces it.  Every joint declaration (opt-out, or a signal and a menu
+    posterior) over all the (player, block, evaluation signal) slots that
+    some evaluation branch reaches is scanned at once, with no split into
+    cells.  A branch settles when its players all declare one signal and a
+    feasible profile; otherwise it costs M per player.  Each slot's action is
+    the first in-support state maximizing (settled mass of the slot's
+    branches at that state) / (declared probability), and a settled branch
+    pays the belief-game utilities at its state, summed over players.
+    """
+    n = len(partitions)
+    signals = list(game_kernel[states[0]])
+
+    def block(i, w):
+        return next(tuple(b) for b in partitions[i] if w in b)
+
+    feasible = set()
+    for w in states:
+        for s in signals:
+            if prior[w] * game_kernel[w][s] > 0:
+                profile = tuple(
+                    naive_posterior(prior, game_kernel, block(i, w), states, s)
+                    for i in range(n)
+                )
+                feasible.add((s, profile))
+    menus = [sorted({profile[i] for _, profile in feasible}) for i in range(n)]
+    branches = [
+        (w, prior[w] * p, tuple((i, block(i, w), t) for i in range(n)))
+        for w in states
+        for t, p in eval_kernel[w].items()
+        if p > 0
+    ]
+    slots = sorted({k for _, _, keys in branches for k in keys})
+    options = [
+        [None] + [(s, post) for s in signals for post in menus[i]] for i, _, _ in slots
+    ]
+    pos = {x: j for j, x in enumerate(states)}
+
+    def utility(i, w, posts, acts):
+        def r(j):
+            q = posts[j][pos[w]]
+            if q == 0:
+                return Fraction(-2)
+            return 1 / q if acts[j] == w else Fraction(0)
+
+        others = sum(r(j) for j in range(n) if j != i and posts[j][pos[w]] > 0)
+        return r(i) - Fraction(2, n - 1) * others
+
+    best = None
+    for picks in product(*options):
+        choice = dict(zip(slots, picks))
+        settled = []
+        for w, mass, keys in branches:
+            decls = [choice[k] for k in keys]
+            ok = None not in decls and len({d[0] for d in decls}) == 1
+            if ok and (decls[0][0], tuple(d[1] for d in decls)) in feasible:
+                settled.append(tuple(d[1] for d in decls))
+            else:
+                settled.append(None)
+        action = {}
+        for k, pick in choice.items():
+            if pick is None:
+                continue
+            post = pick[1]
+            hits = {}
+            for (w, mass, keys), posts in zip(branches, settled):
+                if posts is not None and k in keys:
+                    hits[w] = hits.get(w, Fraction(0)) + mass
+            support = [x for x in states if post[pos[x]] > 0]
+            action[k] = max(support, key=lambda x: (hits.get(x, 0) / post[pos[x]], -pos[x]))
+        value = Fraction(0)
+        for (w, mass, keys), posts in zip(branches, settled):
+            if posts is None:
+                value += mass * -M * n
+            else:
+                acts = [action[k] for k in keys]
+                value += mass * sum(utility(i, w, posts, acts) for i in range(n))
+        if best is None or value > best:
+            best = value
+    return best

@@ -928,14 +928,13 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
         slots = [(i, pair) for i in range(2) for pair in pairs[i]]
         if len(slots) > 8:
             continue  # the brute force below scans 2**slots profiles
-        expected = []
-        for combo in itertools.product(*(game.actions[i] for i, _ in slots)):
-            tables = [{}, {}]
-            for (i, pair), action in zip(slots, combo):
-                tables[i][pair] = {action: Fraction(1)}
-            naive = oracles.naive_is_equilibrium(*args, game.actions, game.payoff, tables)
-            if naive[0]:
-                expected.append(tables)
+        expected = oracles.pure_profile_scan(
+            slots,
+            game.actions,
+            lambda tables: oracles.naive_is_equilibrium(
+                *args, game.actions, game.payoff, tables
+            )[0],
+        )
         found = enumerate_pure_equilibria(game, tau)
         assert [list(s.per_player) for s in found] == expected
         for strategy in found[:2]:
@@ -970,3 +969,182 @@ def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
                 game.structure, naive
             )
         assert stage.is_equilibrium(tau, truthful).holds
+
+
+# ---------------------------------------------------------------------------
+# The pruned slot searches against full scans
+
+
+def _search_cases(rng, count):
+    """Seeded 2- and 3-player games with 9-12 reachable (block, signal)
+    slots and two actions each: at most two blocks per player, a 3-signal
+    kernel with zero-mass signals (t3 never fires in every other case), and
+    payoffs in 0..2, so that deviation values often tie."""
+    labels = ("a0", "a1")
+    cases = []
+    while len(cases) < count:
+        n = rng.choice((2, 3))
+        states = tuple(f"w{j}" for j in range(rng.choice((4, 5))))
+        space = StateSpace(states)
+        nums = [rng.randint(1, 4) for _ in states]
+        prior = Prior(space, tuple(Fraction(k, sum(nums)) for k in nums))
+        players = tuple(
+            Partition(space, tuple(_random_blocks(rng, states, 2))) for _ in range(n)
+        )
+        oracle = Partition(space, tuple(_random_blocks(rng, states, 3)))
+        rows = {}
+        for block in oracle.blocks:
+            weights = [rng.randint(0, 2) for _ in range(3)]
+            if len(cases) % 2:
+                weights[2] = 0
+            if sum(weights) == 0:
+                weights[0] = 1
+            row = {f"t{k + 1}": Fraction(v, sum(weights)) for k, v in enumerate(weights)}
+            for state in block:
+                rows[state] = row
+        tau = StochasticSignaling.from_rows(oracle, ("t1", "t2", "t3"), rows)
+        structure = InformationStructure(space, prior, ("A", "B", "C")[:n], players)
+        if not 9 <= sum(len(p) for p in reachable_pairs(structure, tau)) <= 12:
+            continue
+        payoffs = {
+            (state, profile): tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
+            for state in states
+            for profile in itertools.product(labels, repeat=n)
+        }
+        cases.append((BayesianGame(structure, (labels,) * n, payoffs), tau))
+    return cases
+
+
+def test_pure_equilibria_follow_the_filtered_product_scan():
+    rng = random.Random(53)
+    players = set()
+    for game, tau in _search_cases(rng, 6):
+        pairs = reachable_pairs(game.structure, tau)
+        slots = [(i, pair) for i in range(game.structure.n) for pair in pairs[i]]
+        expected = oracles.pure_profile_scan(
+            slots,
+            game.actions,
+            lambda tables: is_equilibrium(
+                game, tau, make_strategy(game, tau, tables)
+            ).holds,
+        )
+        found = enumerate_pure_equilibria(game, tau)
+        # Same profiles in the same order, each table keyed in pair order.
+        assert [[list(t.items()) for t in s.per_player] for s in found] == [
+            [list(t.items()) for t in tables] for tables in expected
+        ]
+        players.add(game.structure.n)
+    assert players == {2, 3}
+
+
+def test_enumerate_pure_equilibria_refuses_before_valuing_a_slot(monkeypatch):
+    from oraclegames import games
+
+    game, tau = _search_cases(random.Random(59), 1)[0]
+    count = 2 ** sum(len(p) for p in reachable_pairs(game.structure, tau))
+
+    def valued(*args):
+        raise AssertionError("a slot was valued")
+
+    monkeypatch.setattr(games, "_deviation_value", valued)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_pure_equilibria(game, tau, cap=count - 1)
+    assert f"{count} pure strategy profiles" in str(info.value)
+
+
+def test_best_common_payoff_matches_the_brute_force_for_three_players():
+    rng = random.Random(61)
+    cases = [(game, tau) for game, tau in _search_cases(rng, 4) if game.structure.n == 3]
+    assert len(cases) >= 2
+    for game, tau in cases:
+        structure = game.structure
+        common = BayesianGame(
+            structure,
+            game.actions,
+            {key: (values[0],) * 3 for key, values in game.payoffs.items()},
+        )
+        states = structure.space.states
+        expected = oracles.naive_best_common_payoff(
+            states,
+            dict(zip(states, structure.prior.vector)),
+            {w: dict(zip(tau.signals, tau.row(w))) for w in states},
+            [list(p.blocks) for p in structure.players],
+            common.actions,
+            lambda w, profile: common.payoffs[(w, profile)][0],
+        )
+        assert best_common_payoff(common, tau) == expected
+
+
+def _ceiling_signalings(rng, structure, tau):
+    """The game's own signaling, a garbling that merges its two signals on
+    half of t2's mass, and a foreign kernel on the singletons."""
+    merged = merge_garbled(tau, {"t1": {"g1": "1"}, "t2": {"g1": "1/2", "g2": "1/2"}})
+    foreign = {}
+    for state in structure.space.states:
+        k = rng.randint(0, 2)
+        foreign[state] = {"f1": Fraction(k, 2), "f2": Fraction(2 - k, 2)}
+    return tau, merged, StochasticSignaling.from_rows(
+        Partition.singletons(structure.space), ("f1", "f2"), foreign
+    )
+
+
+def test_two_stage_ceiling_matches_the_unsplit_brute_force():
+    # Only cases whose unsplit scan covers at most 1,500 joint declarations
+    # under every signaling are kept, so that the scan stays fast.
+    rng = random.Random(47)
+    kept = []
+    for structure, tau in _small_two_stage_cases(rng, 100):
+        game = TwoStageGame(structure, tau)
+        signalings = _ceiling_signalings(rng, structure, tau)
+        sizes = []
+        for evaluation in signalings:
+            size = 1
+            for menu, pairs in zip(game.menus, reachable_pairs(structure, evaluation)):
+                size *= (1 + len(tau.signals) * len(menu)) ** len(pairs)
+            sizes.append(size)
+        if max(sizes) <= 1500:
+            kept.append((structure, tau, game, signalings))
+    assert len(kept) >= 5
+    below = 0
+    for structure, tau, game, signalings in kept:
+        states = structure.space.states
+        rows = [{w: dict(zip(t.signals, t.row(w))) for w in states} for t in signalings]
+        for evaluation, kernel in zip(signalings, rows):
+            expected = oracles.naive_max_aggregate(
+                states,
+                dict(zip(states, structure.prior.vector)),
+                rows[0],
+                kernel,
+                [list(p.blocks) for p in structure.players],
+                game.M,
+            )
+            assert game.max_aggregate(evaluation) == expected
+            below += expected < -structure.n
+        assert game.max_aggregate(tau) == -structure.n
+    assert below > 0
+
+
+def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypatch):
+    from oraclegames import games
+
+    valued = []
+    leaf = TwoStageGame._cell_value_with_best_responses
+
+    def counting(self, positioned, slots, combo):
+        valued.append(combo)
+        return leaf(self, positioned, slots, combo)
+
+    monkeypatch.setattr(TwoStageGame, "_cell_value_with_best_responses", counting)
+    # Truthful declarations settle every branch, and any subtree that fixes
+    # an opt-out or a mismatch is worth at most -M, far below them.
+    rng = random.Random(5)
+    combos = 0
+    for structure, tau in _small_two_stage_cases(rng, 12):
+        game = TwoStageGame(structure, tau)
+        for _, _, slots in games._cells(structure, tau):
+            size = 1
+            for i, _ in slots:
+                size *= 1 + len(tau.signals) * len(game.menus[i])
+            combos += size
+        assert game.max_aggregate(tau) == -structure.n
+    assert combos > 9000 and len(valued) * 20 < combos
