@@ -86,7 +86,6 @@ from .games import (
     OutcomeDistribution,
     StrategyProfile,
     TwoStageGame,
-    TwoStageStrategy,
     belief_aggregate,
     belief_best_response,
     belief_expected_payoffs,

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import cache
+from typing import Optional, Union
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import ckc_decompose, join
@@ -25,7 +26,7 @@ from .signaling import (
     _branch_masses,
     _branch_profiles,
     as_stochastic,
-    posterior_atlas,
+    posterior_menu,
 )
 from .types import (
     Distribution,
@@ -34,6 +35,7 @@ from .types import (
     Prior,
     StateSpace,
     format_rational,
+    json_section,
     parse_rational,
 )
 
@@ -44,6 +46,7 @@ ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
 Branch = tuple[str, str]
 Slot = tuple[int, tuple[str, ...]]
+Game = Union["BayesianGame", "TwoStageGame"]
 
 
 def _check_action_label(label: object) -> str:
@@ -152,13 +155,13 @@ def game_from_json(structure: InformationStructure, data: Mapping) -> BayesianGa
         extra = sorted(set(action_map) - set(structure.player_names))
         raise InputError(f"game JSON lists actions for unknown player '{extra[0]}'")
     payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
-    for state, row in payoff_map.items():
+    for state, row in json_section(payoff_map, "object", "game 'payoffs'").items():
         if state not in structure.space:
             raise InputError(f"unknown state '{state}' in payoffs")
-        for key, values in row.items():
+        for key, values in json_section(row, "object", f"payoffs row '{state}'").items():
             profile = tuple(key.split("|"))
             parsed = []
-            for v in values:
+            for v in json_section(values, "list", f"payoff entry '{state}': '{key}'"):
                 if v == "-inf":
                     if not log_domain:
                         raise InputError(
@@ -228,13 +231,12 @@ class StrategyProfile:
         return out
 
 
-def _normalize_mixture(value: object, actions: Sequence[str]) -> dict[str, Fraction]:
-    if isinstance(value, str):
-        mix = {value: Fraction(1)}
-    elif isinstance(value, Mapping):
-        mix = {a: parse_rational(p) for a, p in value.items()}
-    else:
-        raise InputError(f"a strategy entry must be an action or a mixture, got {value!r}")
+def _normalize_mixture(value: object, actions: Sequence) -> dict:
+    if not isinstance(value, Mapping):
+        if value not in actions:
+            raise InputError(f"unknown action {value!r} in strategy")
+        return {value: Fraction(1)}
+    mix = {a: parse_rational(p) for a, p in value.items()}
     total = Fraction(0)
     for action, p in mix.items():
         if action not in actions:
@@ -247,9 +249,7 @@ def _normalize_mixture(value: object, actions: Sequence[str]) -> dict[str, Fract
     return mix
 
 
-def _check_entries(
-    what: str, player: str, pairs: Sequence[Pair], table: Iterable[Pair]
-) -> None:
+def _check_entries(player: str, pairs: Sequence[Pair], table: Iterable[Pair]) -> None:
     """Reject a strategy table whose keys are not exactly the player's
     reachable pairs, naming the first missing (else unreachable) pair."""
     wanted = set(pairs)
@@ -260,19 +260,19 @@ def _check_entries(
         block, signal = (missing or extra)[0]
         kind = "missing" if missing else "unreachable"
         raise DomainError(
-            f"{what} for player '{player}' has a {kind} entry at block "
+            f"strategy for player '{player}' has a {kind} entry at block "
             f"{{{','.join(block)}}} with signal '{signal}'"
         )
 
 
 def make_strategy(
-    game: BayesianGame,
+    game: Game,
     tau: Signaling,
     per_player: Sequence[Mapping[Pair, object]],
 ) -> StrategyProfile:
     """Validate and assemble a strategy: its domain must be exactly the
-    reachable pairs, and every mixture must be a distribution over the
-    player's actions."""
+    reachable pairs, and every entry must be one of the player's actions or
+    a distribution over them."""
     pairs = reachable_pairs(game.structure, tau)
     if len(per_player) != game.structure.n:
         raise InputError(
@@ -280,7 +280,7 @@ def make_strategy(
         )
     tables = []
     for i, mapping in enumerate(per_player):
-        _check_entries("strategy", game.structure.player_names[i], pairs[i], mapping)
+        _check_entries(game.structure.player_names[i], pairs[i], mapping)
         tables.append(
             {
                 pair: _normalize_mixture(mapping[pair], game.actions[i])
@@ -308,12 +308,14 @@ def strategy_from_json(
     game: BayesianGame, tau: Signaling, data: Mapping
 ) -> StrategyProfile:
     """Parse {"player": {"state,...|signal": action-or-mixture}} strategies."""
+    json_section(data, "object", "strategy 'players'")
     per_player: list[dict[Pair, object]] = []
     for i, name in enumerate(game.structure.player_names):
         if name not in data:
             raise InputError(f"strategy JSON has no entry for player '{name}'")
         table = {}
-        for key, value in data[name].items():
+        entries = json_section(data[name], "object", f"strategy of player '{name}'")
+        for key, value in entries.items():
             table[_parse_pair_key(key, game.structure.players[i])] = value
         per_player.append(table)
     if set(data) != set(game.structure.player_names):
@@ -323,7 +325,7 @@ def strategy_from_json(
 
 
 def _outcomes(
-    game: BayesianGame,
+    game: Game,
     tau: Signaling,
     strategy: StrategyProfile,
     event: Optional[set[str]] = None,
@@ -437,7 +439,7 @@ def _cellwise_max(
 
 
 def expected_payoffs(
-    game: BayesianGame,
+    game: Game,
     tau: Signaling,
     strategy: StrategyProfile,
     given_event: Optional[Iterable[str]] = None,
@@ -523,80 +525,72 @@ class EquilibriumResult:
     witness: Optional[tuple] = None
 
 
-def _first_deviation(
-    names: Sequence[str],
-    pairs: Sequence[Sequence[Pair]],
-    menus: Sequence[Sequence[object]],
-    mixture: Callable[[int, tuple[str, ...], str], Mapping[object, Fraction]],
-    value: Callable[[int, tuple[str, ...], str, object], Fraction],
-) -> EquilibriumResult:
-    """The deviation sweep behind both equilibrium checks: the first (player,
-    block, signal, option), in player, pair and menu order, whose ``value``
-    beats the player's own mixture at the pair.  Payoffs are additive across
-    a player's pairs (the events are disjoint), so the sweep is exhaustive."""
-    for i, name in enumerate(names):
-        for block, signal in pairs[i]:
-            mix = [(o, p) for o, p in mixture(i, block, signal).items() if p > 0]
-            values = {o: value(i, block, signal, o) for o, _ in mix}
-            current = sum((p * values[o] for o, p in mix), Fraction(0))
-            for option in menus[i]:
-                v = values.get(option)
-                if v is None:
-                    v = value(i, block, signal, option)
-                if v > current:
-                    return EquilibriumResult(False, (name, block, signal, option))
-    return EquilibriumResult(True)
-
-
 def _deviation_value(
-    game: BayesianGame,
+    game: Game,
     masses: Mapping[Branch, Fraction],
     strategy: StrategyProfile,
     player: int,
     block: tuple[str, ...],
     signal: str,
-    action: str,
-) -> Fraction:
-    structure = game.structure
-    total = Fraction(0)
+) -> Callable[[object], Fraction]:
+    """The player's payoff at the (block, signal) pair as a function of the
+    action they play there, the others playing ``strategy``; the others'
+    outcomes are built once and shared by every action valued."""
+    outcomes = []
     for state in block:
         w = masses.get((state, signal))
         if not w:
             continue
         others = []
-        for j, partition in enumerate(structure.players):
+        for j, partition in enumerate(game.structure.players):
             if j == player:
                 continue
             mix = strategy.mixture(j, partition.block_of(state), signal)
             others.append((j, [(a, p) for a, p in mix.items() if p > 0]))
         for combo in itertools.product(*(items for _, items in others)):
             weight = w
-            profile: list[Optional[str]] = [None] * structure.n
-            profile[player] = action
+            profile: list[object] = [None] * game.structure.n
             for (j, _), (a, p) in zip(others, combo):
                 weight *= p
                 profile[j] = a
-            values = game.payoff(state, tuple(profile))  # type: ignore[arg-type]
-            total += weight * values[player]
-    return total
+            outcomes.append((state, weight, profile))
+
+    def value(action: object) -> Fraction:
+        total = Fraction(0)
+        for state, weight, profile in outcomes:
+            profile[player] = action
+            total += weight * game.payoff(state, tuple(profile))[player]  # type: ignore[arg-type]
+        return total
+
+    return value
 
 
 def is_equilibrium(
-    game: BayesianGame, tau: Signaling, strategy: StrategyProfile
+    game: Game, tau: Signaling, strategy: StrategyProfile
 ) -> EquilibriumResult:
     """Check for profitable unilateral deviations to a pure action, pair by
-    pair; the witness is (player, block, signal, action)."""
+    pair, in player, pair and action order; the witness is the first (player,
+    block, signal, action) that beats the player's own mixture at the pair.
+    Payoffs are additive across a player's pairs (the events are disjoint),
+    so the sweep is exhaustive."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     stoch = as_stochastic(tau)
     masses = _branch_masses(game.structure, stoch)
-    return _first_deviation(
-        game.structure.player_names,
-        _reachable(game.structure, stoch.signals, masses),
-        game.actions,
-        strategy.mixture,
-        partial(_deviation_value, game, masses, strategy),
-    )
+    pairs = _reachable(game.structure, stoch.signals, masses)
+    for i, name in enumerate(game.structure.player_names):
+        for block, signal in pairs[i]:
+            value = _deviation_value(game, masses, strategy, i, block, signal)
+            mix = [(a, p) for a, p in strategy.mixture(i, block, signal).items() if p > 0]
+            values = {a: value(a) for a, _ in mix}
+            current = sum((p * values[a] for a, p in mix), Fraction(0))
+            for action in game.actions[i]:
+                v = values.get(action)
+                if v is None:
+                    v = value(action)
+                if v > current:
+                    return EquilibriumResult(False, (name, block, signal, action))
+    return EquilibriumResult(True)
 
 
 def enumerate_pure_equilibria(
@@ -640,10 +634,8 @@ def enumerate_pure_equilibria(
             key = (k, tuple(assigned[r] for r in reads[k]))
             if key not in verdicts:
                 j, (block, signal) = slots[k]
-                values = [
-                    _deviation_value(game, masses, assigned_profile, j, block, signal, a)
-                    for a in game.actions[j]
-                ]
+                value = _deviation_value(game, masses, assigned_profile, j, block, signal)
+                values = [value(a) for a in game.actions[j]]
                 verdicts[key] = not any(v > values[assigned[k]] for v in values)
             if not verdicts[key]:
                 return False
@@ -1049,8 +1041,14 @@ def kld_menus(
 ) -> tuple[tuple[Distribution, ...], ...]:
     """Per player, the distinct posteriors the signaling induces, sorted by
     vector: the player's declaration menu."""
-    atlas = posterior_atlas(structure, tau)
-    return tuple(atlas.player_menu(i) for i in range(structure.n))
+    return _posterior_menus(_branch_profiles(structure, tau), structure.n)
+
+
+def _posterior_menus(
+    branches: Mapping[Branch, tuple], n: int
+) -> tuple[tuple[Distribution, ...], ...]:
+    profiles = [profile for _, profile in branches.values()]
+    return tuple(posterior_menu(p.per_player[i] for p in profiles) for i in range(n))
 
 
 def build_kld_game(
@@ -1080,27 +1078,41 @@ def _posterior_at(
     return branches[(state, signal)][1].per_player[player]
 
 
+def _truthful_strategy(
+    game: Game,
+    tau: Signaling,
+    branches: Mapping[Branch, tuple],
+    declare: Callable[[int, Distribution, str], object],
+) -> StrategyProfile:
+    """At every reachable (block, signal) pair of player i, play
+    ``declare(i, true posterior, signal)``."""
+    pairs = _reachable(game.structure, as_stochastic(tau).signals, branches)
+    return make_strategy(
+        game,
+        tau,
+        [
+            {(b, s): declare(i, _posterior_at(branches, i, b, s), s) for b, s in pairs[i]}
+            for i in range(game.structure.n)
+        ],
+    )
+
+
 def truthful_kld_strategy(
     game: BayesianGame, tau: Signaling
 ) -> StrategyProfile:
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
-    structure = game.structure
-    pairs = reachable_pairs(structure, tau)
-    branches = _branch_profiles(structure, tau)
-    tables: list[dict[Pair, object]] = []
-    for i in range(structure.n):
-        table: dict[Pair, object] = {}
-        for block, signal in pairs[i]:
-            label = kld_action_label(_posterior_at(branches, i, block, signal))
-            if label not in game.actions[i]:
-                raise DomainError(
-                    f"posterior {label} is not in player "
-                    f"'{structure.player_names[i]}'s declaration menu"
-                )
-            table[(block, signal)] = label
-        tables.append(table)
-    return make_strategy(game, tau, tables)
+
+    def declare(i: int, posterior: Distribution, signal: str) -> str:
+        label = kld_action_label(posterior)
+        if label not in game.actions[i]:
+            raise DomainError(
+                f"posterior {label} is not in player "
+                f"'{game.structure.player_names[i]}'s declaration menu"
+            )
+        return label
+
+    return _truthful_strategy(game, tau, _branch_profiles(game.structure, tau), declare)
 
 
 def kld_expected_scores(
@@ -1136,23 +1148,6 @@ Declaration = tuple[Optional[str], Optional[Distribution], Optional[str]]
 BOTTOM: Declaration = (None, None, None)
 
 
-@dataclass(eq=False)
-class TwoStageStrategy:
-    """Per player: (block, observed signal) -> (declared signal, declared
-    posterior, action), or the opt-out declaration (None, None, None)."""
-
-    per_player: tuple[dict[Pair, Declaration], ...]
-
-    def declaration(self, player: int, block: tuple[str, ...], signal: str) -> Declaration:
-        try:
-            return self.per_player[player][(block, signal)]
-        except KeyError:
-            raise DomainError(
-                f"two-stage strategy for player {player} has no entry at block "
-                f"{{{','.join(block)}}} with signal '{signal}'"
-            ) from None
-
-
 class TwoStageGame:
     """Declaration game that certifies a signaling's posterior geometry.
 
@@ -1162,7 +1157,14 @@ class TwoStageGame:
     opt out, or name a jointly infeasible posterior profile cost everyone M;
     feasible declarations are settled by the matching belief game at the true
     state.  Truthful play earns each player exactly -1 in expectation.
+
+    A player's actions are their declarations: the opt-out first, then
+    (signal, posterior, action) in signal, menu and support order.  Its
+    strategies are ``make_strategy`` profiles, evaluated by
+    ``expected_payoffs`` and ``is_equilibrium`` like any game's.
     """
+
+    log_domain = False
 
     def __init__(
         self,
@@ -1184,10 +1186,16 @@ class TwoStageGame:
             for profiles in self.feasible.values()
             for profile in profiles
         }
-        self.menus = tuple(
-            tuple(sorted({p[i] for p in self._belief_games}, key=lambda d: d.vector))
-            for i in range(structure.n)
-        )
+        self.menus = _posterior_menus(self._branches, structure.n)
+        actions = []
+        for menu in self.menus:
+            supports = [(d, d.support()) for d in menu]
+            options = [BOTTOM]
+            for signal in self.tau2.signals:
+                for d, support in supports:
+                    options.extend((signal, d, a) for a in support)
+            actions.append(tuple(options))
+        self.actions = tuple(actions)
         bound = self._payoff_bound()
         if M is None:
             self.M = bound
@@ -1197,7 +1205,6 @@ class TwoStageGame:
                 raise DomainError(
                     f"penalty {self.M} is below the required bound {bound}"
                 )
-        self._menu_cache: dict[int, tuple[Declaration, ...]] = {}
 
     def _payoff_bound(self) -> Fraction:
         worst = Fraction(0)
@@ -1210,60 +1217,17 @@ class TwoStageGame:
         n = self.structure.n
         return 2 + n * len(self.structure.space) * (1 + worst)
 
-    def option_menu(self, player: int) -> tuple[Declaration, ...]:
-        """Opt-out first, then (signal, posterior, action) in deterministic
-        order."""
-        if player not in self._menu_cache:
-            options: list[Declaration] = [BOTTOM]
-            for signal in self.tau2.signals:
-                for posterior in self.menus[player]:
-                    for action in posterior.support():
-                        options.append((signal, posterior, action))
-            self._menu_cache[player] = tuple(options)
-        return self._menu_cache[player]
-
-    def _check_declaration(self, player: int, declaration: Declaration) -> None:
-        if declaration == BOTTOM:
-            return
-        signal, posterior, action = declaration
-        if signal not in self.tau2.signals:
-            raise DomainError(f"declared signal '{signal}' is not a signal of the game")
-        if posterior not in self.menus[player]:
-            raise DomainError(
-                f"declared posterior is not in player {player}'s menu"
-            )
-        if action not in posterior.support():
-            raise DomainError(
-                f"action '{action}' is outside the declared posterior's support"
-            )
-
-    def truthful_strategy(self) -> TwoStageStrategy:
+    def truthful_strategy(self) -> StrategyProfile:
         """Declare the observed signal, the true posterior, and its first
         in-support state, at every reachable pair."""
-        pairs = reachable_pairs(self.structure, self.tau2)
-        tables = []
-        for i in range(self.structure.n):
-            table: dict[Pair, Declaration] = {}
-            for block, signal in pairs[i]:
-                posterior = _posterior_at(self._branches, i, block, signal)
-                table[(block, signal)] = (signal, posterior, posterior.support()[0])
-            tables.append(table)
-        return TwoStageStrategy(tuple(tables))
+        return _truthful_strategy(
+            self,
+            self.tau2,
+            self._branches,
+            lambda i, posterior, signal: (signal, posterior, posterior.support()[0]),
+        )
 
-    def validate_strategy(self, tau: Signaling, strategy: TwoStageStrategy) -> None:
-        pairs = reachable_pairs(self.structure, tau)
-        if len(strategy.per_player) != self.structure.n:
-            raise InputError(
-                f"expected strategies for {self.structure.n} players"
-            )
-        for i, name in enumerate(self.structure.player_names):
-            _check_entries(
-                "two-stage strategy", name, pairs[i], strategy.per_player[i]
-            )
-            for declaration in strategy.per_player[i].values():
-                self._check_declaration(i, declaration)
-
-    def branch_payoffs(
+    def payoff(
         self, state: str, declarations: Sequence[Declaration]
     ) -> tuple[Fraction, ...]:
         """Settle one realized state against the players' declarations."""
@@ -1286,68 +1250,6 @@ class TwoStageGame:
         profile = tuple(d[1] for d in declarations)
         return profile if profile in self.feasible.get(signals.pop(), ()) else None
 
-    def _strategy_declarations(
-        self, strategy: TwoStageStrategy, state: str, signal: str
-    ) -> tuple[Declaration, ...]:
-        return tuple(
-            strategy.declaration(i, partition.block_of(state), signal)
-            for i, partition in enumerate(self.structure.players)
-        )
-
-    def expected_payoffs(
-        self, tau: Signaling, strategy: TwoStageStrategy
-    ) -> tuple[Fraction, ...]:
-        """Objective expectation of the settled payoffs over (state, signal)
-        branches of the evaluation signaling."""
-        stoch = as_stochastic(tau)
-        self.validate_strategy(stoch, strategy)
-        totals = [Fraction(0)] * self.structure.n
-        for (state, signal), w in _branch_masses(self.structure, stoch).items():
-            values = self.branch_payoffs(
-                state, self._strategy_declarations(strategy, state, signal)
-            )
-            for i in range(self.structure.n):
-                totals[i] += w * values[i]
-        return tuple(totals)
-
-    def aggregate(self, tau: Signaling, strategy: TwoStageStrategy) -> Fraction:
-        return sum(self.expected_payoffs(tau, strategy), Fraction(0))
-
-    def is_equilibrium(
-        self, tau: Signaling, strategy: TwoStageStrategy
-    ) -> EquilibriumResult:
-        """Sweep every player's option menu at every reachable pair; the
-        witness is (player, block, signal, declaration)."""
-        stoch = as_stochastic(tau)
-        self.validate_strategy(stoch, strategy)
-        masses = _branch_masses(self.structure, stoch)
-        return _first_deviation(
-            self.structure.player_names,
-            _reachable(self.structure, stoch.signals, masses),
-            [self.option_menu(i) for i in range(self.structure.n)],
-            lambda i, block, signal: {strategy.declaration(i, block, signal): 1},
-            partial(self._pair_value, masses, strategy),
-        )
-
-    def _pair_value(
-        self,
-        masses: Mapping[Branch, Fraction],
-        strategy: TwoStageStrategy,
-        player: int,
-        block: tuple[str, ...],
-        signal: str,
-        option: Declaration,
-    ) -> Fraction:
-        total = Fraction(0)
-        for state in block:
-            w = masses.get((state, signal))
-            if not w:
-                continue
-            declarations = list(self._strategy_declarations(strategy, state, signal))
-            declarations[player] = option
-            total += w * self.branch_payoffs(state, declarations)[player]
-        return total
-
     def max_aggregate(self, tau: Signaling) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing
         play under the evaluation signaling.
@@ -1364,7 +1266,7 @@ class TwoStageGame:
         """
         n = self.structure.n
         menus = [
-            tuple(dict.fromkeys(option[:2] for option in self.option_menu(i)))
+            tuple(dict.fromkeys(option[:2] for option in self.actions[i]))
             for i in range(n)
         ]
 
@@ -1496,10 +1398,10 @@ class CombinedGame:
     def expected_payoffs(
         self,
         tau: Signaling,
-        stage_strategy: TwoStageStrategy,
+        stage_strategy: StrategyProfile,
         kld_strategy: StrategyProfile,
     ) -> tuple[MixedValue, ...]:
-        stage_values = self.stage.expected_payoffs(tau, stage_strategy)
+        stage_values = expected_payoffs(self.stage, tau, stage_strategy)
         kld_values = kld_expected_scores(self.kld, tau, kld_strategy)
         return tuple(
             MixedValue(v / 2, score.half())

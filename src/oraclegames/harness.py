@@ -47,6 +47,7 @@ from .games import (
     log_score,
     log_score_argmax,
     LogScore,
+    make_strategy,
     MixedValue,
     ned_distribution,
     reachable_pairs,
@@ -54,7 +55,6 @@ from .games import (
     truthful_choices,
     truthful_kld_strategy,
     TwoStageGame,
-    TwoStageStrategy,
 )
 from .partitions import ckc_decompose, connect_path, join, refines
 from .signaling import (
@@ -76,6 +76,7 @@ from .types import (
     InformationStructure,
     Partition,
     format_rational,
+    json_section,
     parse_rational,
     partition_from_json,
     structure_from_json,
@@ -151,6 +152,9 @@ class Fixture:
         self._signalings: dict[str, object] = {}
         self._games: dict[str, object] = {}
 
+    def _section(self, name: str) -> Mapping:
+        return json_section(self.data.get(name, {}), "object", f"fixture '{name}'")
+
     # -- resolvers ---------------------------------------------------------
 
     def partition(self, spec: object) -> Partition:
@@ -182,7 +186,7 @@ class Fixture:
         {"uninformative": true}."""
         if isinstance(spec, str):
             if spec not in self._signalings:
-                table = self.data.get("signalings", {})
+                table = self._section("signalings")
                 if spec not in table:
                     raise InputError(f"fixture defines no signaling '{spec}'")
                 self._signalings[spec] = signaling_from_json(
@@ -209,7 +213,7 @@ class Fixture:
 
     def game(self, name: str):
         if name not in self._games:
-            table = self.data.get("games", {})
+            table = self._section("games")
             if name not in table:
                 raise InputError(f"fixture defines no game '{name}'")
             self._games[name] = game_from_json(self.structure, table[name])
@@ -217,10 +221,13 @@ class Fixture:
 
     def strategy(self, name: str):
         """Returns (game, signaling, strategy) for a named strategy entry."""
-        table = self.data.get("strategies", {})
+        table = self._section("strategies")
         if name not in table:
             raise InputError(f"fixture defines no strategy '{name}'")
-        entry = table[name]
+        entry = json_section(table[name], "object", f"strategy '{name}'")
+        for key in ("game", "signaling", "players"):
+            if key not in entry:
+                raise InputError(f"strategy '{name}' is missing its '{key}' field")
         game = self.game(entry["game"])
         tau = self.signaling(entry["signaling"])
         return game, tau, strategy_from_json(game, tau, entry["players"])
@@ -234,7 +241,7 @@ class Fixture:
         """A tuple of distributions: a named entry of the "profiles" section
         or an inline list of vectors."""
         if isinstance(spec, str):
-            table = self.data.get("profiles", {})
+            table = self._section("profiles")
             if spec not in table:
                 raise InputError(f"fixture defines no profile '{spec}'")
             spec = table[spec]
@@ -464,7 +471,8 @@ def _op_expected_payoffs(fix: Fixture, args: Mapping):
 @op("expected_payoffs_given_event")
 def _op_expected_payoffs_given_event(fix: Fixture, args: Mapping):
     game, tau, strategy = fix.strategy(args["strategy"])
-    return expected_payoffs(game, tau, strategy, given_event=args["event"])
+    event = json_section(args["event"], "list", "claim argument 'event'")
+    return expected_payoffs(game, tau, strategy, given_event=event)
 
 
 @op("is_equilibrium")
@@ -594,22 +602,24 @@ def _two_stage(fix: Fixture, args: Mapping):
     )
 
 
+def _two_stage_truthful_payoffs(game: TwoStageGame) -> tuple[Fraction, ...]:
+    return expected_payoffs(game, game.tau2, game.truthful_strategy())
+
+
 @op("two_stage_truthful_aggregate")
 def _op_two_stage_truthful_aggregate(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
-    return game.aggregate(game.tau2, game.truthful_strategy())
+    return sum(_two_stage_truthful_payoffs(_two_stage(fix, args)), Fraction(0))
 
 
 @op("two_stage_truthful_payoffs")
 def _op_two_stage_truthful_payoffs(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
-    return game.expected_payoffs(game.tau2, game.truthful_strategy())
+    return _two_stage_truthful_payoffs(_two_stage(fix, args))
 
 
 @op("two_stage_truthful_equilibrium")
 def _op_two_stage_truthful_equilibrium(fix: Fixture, args: Mapping):
     game = _two_stage(fix, args)
-    return game.is_equilibrium(game.tau2, game.truthful_strategy()).holds
+    return is_equilibrium(game, game.tau2, game.truthful_strategy()).holds
 
 
 @op("two_stage_penalty")
@@ -627,8 +637,7 @@ def _op_two_stage_mismatch_payoffs(fix: Fixture, args: Mapping):
         posterior = game.menus[i][0]
         option = (declare[i], posterior, posterior.support()[0])
         tables.append({pair: option for pair in pairs[i]})
-    strategy = TwoStageStrategy(tuple(tables))
-    return game.expected_payoffs(game.tau2, strategy)
+    return expected_payoffs(game, game.tau2, make_strategy(game, game.tau2, tables))
 
 
 @op("two_stage_max_aggregate_lt")
@@ -686,9 +695,7 @@ def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
 @op("combined_linearity")
 def _op_combined_linearity(fix: Fixture, args: Mapping):
     combined = CombinedGame(fix.structure, fix.signaling(args["signaling"]))
-    stage_values = combined.stage.expected_payoffs(
-        combined.tau2, combined.stage.truthful_strategy()
-    )
+    stage_values = _two_stage_truthful_payoffs(combined.stage)
     kld_values = kld_expected_scores(
         combined.kld,
         combined.tau2,
@@ -703,7 +710,7 @@ def _op_combined_linearity(fix: Fixture, args: Mapping):
 @op("combined_stage_drop")
 def _op_combined_stage_drop(fix: Fixture, args: Mapping):
     game = _two_stage(fix, args)
-    truthful = game.aggregate(game.tau2, game.truthful_strategy())
+    truthful = sum(_two_stage_truthful_payoffs(game), Fraction(0))
     return game.max_aggregate(fix.signaling(args["under"])) < truthful
 
 
@@ -729,13 +736,14 @@ class _ClaimArgs(dict):
 
 def run_claim(fix: Fixture, claim: Mapping) -> dict:
     """Evaluate one claim; the result row is JSON-ready."""
+    json_section(claim, "object", "a claim")
     for key in ("id", "op", "provenance"):
         if key not in claim:
             raise InputError(f"claim is missing its '{key}' field")
     op_name = claim["op"]
     if op_name not in OPS:
         raise InputError(f"unknown operation '{op_name}' in claim '{claim['id']}'")
-    args = claim.get("args", {})
+    args = json_section(claim.get("args", {}), "object", f"claim '{claim['id']}' args")
     expect_error = claim.get("expect_error")
     if expect_error is None and "expected" not in claim:
         raise InputError(f"claim '{claim['id']}' has neither 'expected' nor 'expect_error'")
@@ -781,7 +789,7 @@ def _mixed_equal(actual: MixedValue, expected: Mapping) -> bool:
 def run_fixture(data: Mapping) -> dict:
     """Evaluate all claims of a fixture; returns the JSON report object."""
     fix = Fixture(data)
-    claims = data.get("claims", [])
+    claims = json_section(data.get("claims", []), "list", "fixture 'claims'")
     return {
         "fixture": fix.name,
         "claims": [run_claim(fix, claim) for claim in claims],

@@ -218,14 +218,18 @@ class PosteriorAtlas:
 
     def player_menu(self, i: int) -> tuple[Distribution, ...]:
         """Distinct player-i posteriors across the atlas, sorted by vector."""
-        menu = {p.per_player[i] for p in self.entries}
-        return tuple(sorted(menu, key=lambda d: d.vector))
+        return posterior_menu(p.per_player[i] for p in self.entries)
 
     def as_json(self) -> list[dict]:
         return [
             {"posteriors": p.as_json(), "weight": format_rational(self.entries[p])}
             for p in self._order
         ]
+
+
+def posterior_menu(posteriors: Iterable[Distribution]) -> tuple[Distribution, ...]:
+    """The distinct posteriors, sorted by vector: a player's declaration menu."""
+    return tuple(sorted(set(posteriors), key=lambda d: d.vector))
 
 
 def det_posterior(

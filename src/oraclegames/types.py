@@ -8,9 +8,9 @@ so that all downstream identities and strict inequalities stay exact.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InputError
 
@@ -33,6 +33,17 @@ def parse_rational(value: object) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
+
+
+_JSON_KINDS = {"object": Mapping, "list": list}
+
+
+def json_section(value: object, kind: str, what: str):
+    """``value`` if it is a JSON ``kind`` ("object" or "list"); otherwise an
+    InputError naming the malformed section ``what``."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise InputError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -349,16 +360,16 @@ def structure_from_json(data: Mapping) -> InformationStructure:
     space = StateSpace(tuple(states))
     prior = Prior.from_mass(space, prior_raw)
     player_names, players = [], []
-    for entry in players_raw:
+    for entry in json_section(players_raw, "list", "structure 'players'"):
         try:
-            player_names.append(entry["name"])
+            player_names.append(json_section(entry, "object", "a player entry")["name"])
             players.append(partition_from_json(space, entry["partition"]))
         except KeyError as exc:
             raise InputError(f"player entry is missing key {exc}") from None
     oracle_names, oracles = [], []
-    for entry in data.get("oracles", []):
+    for entry in json_section(data.get("oracles", []), "list", "structure 'oracles'"):
         try:
-            oracle_names.append(entry["name"])
+            oracle_names.append(json_section(entry, "object", "an oracle entry")["name"])
             oracles.append(partition_from_json(space, entry["partition"]))
         except KeyError as exc:
             raise InputError(f"oracle entry is missing key {exc}") from None

@@ -346,9 +346,8 @@ def test_criterion_07(capsys):
     n = structure.n
     game = TwoStageGame(structure, tau2)
     truthful = game.truthful_strategy()
-    assert game.expected_payoffs(tau2, truthful) == (Fraction(-1),) * n
-    assert game.aggregate(tau2, truthful) == Fraction(-n)
-    assert game.is_equilibrium(tau2, truthful).holds
+    assert expected_payoffs(game, tau2, truthful) == (Fraction(-1),) * n
+    assert is_equilibrium(game, tau2, truthful).holds
     assert (
         post_included(
             posterior_atlas(structure, mimic), posterior_atlas(structure, tau2)

@@ -652,10 +652,9 @@ def test_two_stage_truthful_play_and_ceiling():
     for structure, tau in _small_two_stage_cases(rng, 12):
         game = TwoStageGame(structure, tau)
         truthful = game.truthful_strategy()
-        values = game.expected_payoffs(tau, truthful)
+        values = expected_payoffs(game, tau, truthful)
         assert values == (Fraction(-1),) * structure.n
-        assert game.aggregate(tau, truthful) == -structure.n
-        assert game.is_equilibrium(tau, truthful).holds
+        assert is_equilibrium(game, tau, truthful).holds
         assert game.max_aggregate(tau) == -structure.n
 
 
@@ -696,16 +695,57 @@ def test_two_stage_penalty_bound_and_mismatches():
     tables = [dict(t) for t in truthful.per_player]
     some_pair = next(iter(tables[0]))
     tables[0][some_pair] = BOTTOM
-    from oraclegames import TwoStageStrategy
-
-    broken = TwoStageStrategy((tables[0], tables[1]))
+    broken = make_strategy(game, tau, tables)
     block, signal = some_pair
     state = block[0]
     declarations = tuple(
-        broken.declaration(i, structure.players[i].block_of(state), signal)
+        next(iter(broken.mixture(i, structure.players[i].block_of(state), signal)))
         for i in range(structure.n)
     )
-    assert game.branch_payoffs(state, declarations) == (-game.M,) * structure.n
+    assert declarations[0] == BOTTOM
+    assert game.payoff(state, declarations) == (-game.M,) * structure.n
+
+
+def test_two_stage_declarations_are_checked_by_menu_membership():
+    from oraclegames.games import BOTTOM
+
+    tau = _example_signaling()
+    game = TwoStageGame(STRUCTURE, tau)
+    tables = [dict(t) for t in game.truthful_strategy().per_player]
+    pair = next(iter(tables[0]))
+    ((signal, posterior, action),) = tables[0][pair]
+    off_menu = Distribution(SPACE, (Fraction(1, 4),) * 4)
+    assert off_menu not in game.menus[0]
+    outside = next(s for s in SPACE if posterior.of(s) == 0)
+    for bad in (
+        ("s9", posterior, action),  # not a signal of the game
+        (signal, off_menu, "w1"),  # posterior off the player's menu
+        (signal, posterior, outside),  # action outside the posterior's support
+        [signal, posterior, action],  # a list is neither an action nor a mixture
+    ):
+        tables[0][pair] = bad
+        with pytest.raises(InputError, match="unknown action"):
+            make_strategy(game, tau, tables)
+    tables[0][pair] = BOTTOM
+    assert make_strategy(game, tau, tables).mixture(0, *pair) == {BOTTOM: 1}
+
+
+def test_two_stage_evaluators_reject_a_signaling_over_another_state_space():
+    concert = load_fixture("rock-concert")
+    bayesian, _, guided = Fixture(concert).strategy("guided")
+    data = load_fixture("witness-two-stage")
+    stage = TwoStageGame(Fixture(data).structure, Fixture(data).signaling("tau2"))
+    cases = (
+        (bayesian, _over_reversed_space(concert, "guided"), guided),
+        (stage, _over_reversed_space(data, "tau2"), stage.truthful_strategy()),
+    )
+    for evaluate in (expected_payoffs, is_equilibrium):
+        messages = set()
+        for game, other, strategy in cases:
+            with pytest.raises(DomainError) as raised:
+                evaluate(game, other, strategy)
+            messages.add(str(raised.value))
+        assert messages == {"signaling and structure use different state spaces"}
 
 
 def test_two_stage_needs_two_players():
@@ -732,7 +772,7 @@ def test_combined_game_is_the_equal_weight_pair():
     stage_strategy = combined.stage.truthful_strategy()
     kld_strategy = truthful_kld_strategy(combined.kld, tau)
     values = combined.expected_payoffs(tau, stage_strategy, kld_strategy)
-    stage_values = combined.stage.expected_payoffs(tau, stage_strategy)
+    stage_values = expected_payoffs(combined.stage, tau, stage_strategy)
     kld_values = kld_expected_scores(combined.kld, tau, kld_strategy)
     for value, sv, kv in zip(values, stage_values, kld_values):
         assert value.rational == sv / 2
@@ -942,33 +982,26 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
 
 
 def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
-    from oraclegames import TwoStageStrategy
-
     rng = random.Random(43)
     for game, tau, args in _equilibrium_cases(rng, 20)[::2]:
         stage = TwoStageGame(game.structure, tau)
-        menus = [stage.option_menu(i) for i in range(2)]
         truthful = stage.truthful_strategy()
         strategies = [truthful]
         for _ in range(2):
             tables = [dict(t) for t in truthful.per_player]
             i = rng.randrange(2)
             pair = rng.choice(list(tables[i]))
-            tables[i][pair] = rng.choice([o for o in menus[i] if o != tables[i][pair]])
-            strategies.append(TwoStageStrategy(tuple(tables)))
+            tables[i][pair] = rng.choice([o for o in stage.actions[i] if o not in tables[i][pair]])
+            strategies.append(make_strategy(stage, tau, tables))
         for strategy in strategies:
-            tables = [
-                {pair: {decl: Fraction(1)} for pair, decl in table.items()}
-                for table in strategy.per_player
-            ]
             naive = oracles.naive_is_equilibrium(
-                *args, menus, stage.branch_payoffs, tables
+                *args, stage.actions, stage.payoff, strategy.per_player
             )
-            result = stage.is_equilibrium(tau, strategy)
+            result = is_equilibrium(stage, tau, strategy)
             assert (result.holds, result.witness) == _naive_result(
                 game.structure, naive
             )
-        assert stage.is_equilibrium(tau, truthful).holds
+        assert is_equilibrium(stage, tau, truthful).holds
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from operator import delitem, setitem
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,8 @@ def test_cli_verify_all_and_exit_codes(capsys):
     assert cli.main(["verify", "--all"]) == 0
     out = capsys.readouterr().out
     assert "claims passed" in out
+    golden = Path(__file__).parent.parent / "perfbench" / "golden" / "verify-all.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
     assert cli.main(["verify", "rock-concert", "one-dm"]) == 0
     capsys.readouterr()
@@ -97,6 +101,48 @@ def test_cli_verify_all_and_exit_codes(capsys):
     assert cli.main(["fixtures"]) == 0
     out = capsys.readouterr().out
     assert "rock-concert" in out
+
+
+def _given_event_args(data):
+    claims = data["claims"]
+    return next(c for c in claims if c["op"] == "expected_payoffs_given_event")["args"]
+
+
+def _payoffs(data):
+    return data["games"]["concert"]["payoffs"]
+
+
+# (what the error message names, how rock-concert is broken)
+MALFORMED = [
+    ("payoffs row 'n1'", lambda d: setitem(_payoffs(d), "n1", [])),
+    ("payoff entry 'n1': 'D|D'", lambda d: setitem(_payoffs(d)["n1"], "D|D", "-3")),
+    (
+        "strategy of player 'Band1'",
+        lambda d: setitem(d["strategies"]["guided"]["players"], "Band1", []),
+    ),
+    (
+        "strategy 'guided' is missing its 'game'",
+        lambda d: delitem(d["strategies"]["guided"], "game"),
+    ),
+    ("args must be a JSON object", lambda d: setitem(d["claims"][0], "args", ["F1"])),
+    ("structure 'players'", lambda d: setitem(d["structure"], "players", "Band1")),
+    ("a player entry", lambda d: setitem(d["structure"]["players"], 0, "Band1")),
+    ("structure 'oracles'", lambda d: setitem(d["structure"], "oracles", "F1")),
+    ("fixture 'games'", lambda d: setitem(d, "games", ["concert"])),
+    ("fixture 'signalings'", lambda d: setitem(d, "signalings", ["guided"])),
+    ("fixture 'claims'", lambda d: setitem(d, "claims", {"id": "x"})),
+    ("claim argument 'event'", lambda d: setitem(_given_event_args(d), "event", 5)),
+]
+
+
+@pytest.mark.parametrize("section, edit", MALFORMED)
+def test_cli_verify_exits_2_naming_a_malformed_section(tmp_path, capsys, section, edit):
+    data = harness.load_fixture("rock-concert")
+    edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 2
+    assert section in capsys.readouterr().err
 
 
 def test_cli_report_json_shape(capsys):
