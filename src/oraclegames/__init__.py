@@ -40,13 +40,11 @@ from .partitions import (
     set_partitions,
 )
 from .signaling import (
-    DeterministicSignaling,
     ExperimentMatrix,
     JointPosteriorProfile,
     PosteriorAtlas,
     StochasticMatrix,
     StochasticSignaling,
-    as_stochastic,
     atlas_equal,
     det_posterior,
     experiment_matrix,

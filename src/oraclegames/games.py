@@ -21,11 +21,9 @@ from typing import Optional, Union
 from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import ckc_decompose, join
 from .signaling import (
-    DeterministicSignaling,
-    Signaling,
+    StochasticSignaling,
     _branch_masses,
     _branch_profiles,
-    as_stochastic,
     posterior_menu,
 )
 from .types import (
@@ -175,12 +173,11 @@ def game_from_json(structure: InformationStructure, data: Mapping) -> BayesianGa
 
 
 def reachable_pairs(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> tuple[tuple[Pair, ...], ...]:
     """Per player, the (block, signal) pairs that occur with positive mass:
     blocks in canonical order, then signal order."""
-    stoch = as_stochastic(tau)
-    return _reachable(structure, stoch.signals, _branch_masses(structure, stoch))
+    return _reachable(structure, tau.signals, _branch_masses(structure, tau))
 
 
 def _reachable(
@@ -267,7 +264,7 @@ def _check_entries(player: str, pairs: Sequence[Pair], table: Iterable[Pair]) ->
 
 def make_strategy(
     game: Game,
-    tau: Signaling,
+    tau: StochasticSignaling,
     per_player: Sequence[Mapping[Pair, object]],
 ) -> StrategyProfile:
     """Validate and assemble a strategy: its domain must be exactly the
@@ -305,7 +302,7 @@ def _parse_pair_key(key: str, partition: Partition) -> Pair:
 
 
 def strategy_from_json(
-    game: BayesianGame, tau: Signaling, data: Mapping
+    game: BayesianGame, tau: StochasticSignaling, data: Mapping
 ) -> StrategyProfile:
     """Parse {"player": {"state,...|signal": action-or-mixture}} strategies."""
     json_section(data, "object", "strategy 'players'")
@@ -326,7 +323,7 @@ def strategy_from_json(
 
 def _outcomes(
     game: Game,
-    tau: Signaling,
+    tau: StochasticSignaling,
     strategy: StrategyProfile,
     event: Optional[set[str]] = None,
 ) -> Iterable[tuple[str, ActionProfile, Fraction]]:
@@ -349,7 +346,7 @@ def _outcomes(
 
 
 def _cells(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> Iterable[tuple[str, list[tuple[str, Fraction, tuple[int, ...]]], list[Slot]]]:
     """Each nonempty (signal, common-knowledge component) cell as (signal,
     positioned branches, slots).
@@ -409,7 +406,7 @@ def _slot_search(
 
 def _cellwise_max(
     structure: InformationStructure,
-    tau: Signaling,
+    tau: StochasticSignaling,
     sizes: Sequence[int],
     branch_bound: Callable[[str, tuple[Optional[int], ...]], Fraction],
     value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Fraction],
@@ -440,7 +437,7 @@ def _cellwise_max(
 
 def expected_payoffs(
     game: Game,
-    tau: Signaling,
+    tau: StochasticSignaling,
     strategy: StrategyProfile,
     given_event: Optional[Iterable[str]] = None,
 ) -> tuple[Fraction, ...]:
@@ -505,7 +502,7 @@ class OutcomeDistribution:
 
 
 def ned_distribution(
-    game: BayesianGame, tau: Signaling, strategy: StrategyProfile
+    game: BayesianGame, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> OutcomeDistribution:
     """Distribution over (state, action profile) induced by prior, signaling,
     and strategy."""
@@ -566,7 +563,7 @@ def _deviation_value(
 
 
 def is_equilibrium(
-    game: Game, tau: Signaling, strategy: StrategyProfile
+    game: Game, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> EquilibriumResult:
     """Check for profitable unilateral deviations to a pure action, pair by
     pair, in player, pair and action order; the witness is the first (player,
@@ -575,9 +572,8 @@ def is_equilibrium(
     so the sweep is exhaustive."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
-    stoch = as_stochastic(tau)
-    masses = _branch_masses(game.structure, stoch)
-    pairs = _reachable(game.structure, stoch.signals, masses)
+    masses = _branch_masses(game.structure, tau)
+    pairs = _reachable(game.structure, tau.signals, masses)
     for i, name in enumerate(game.structure.player_names):
         for block, signal in pairs[i]:
             value = _deviation_value(game, masses, strategy, i, block, signal)
@@ -594,7 +590,7 @@ def is_equilibrium(
 
 
 def enumerate_pure_equilibria(
-    game: BayesianGame, tau: Signaling, cap: int = DEFAULT_EQUILIBRIUM_CAP
+    game: BayesianGame, tau: StochasticSignaling, cap: int = DEFAULT_EQUILIBRIUM_CAP
 ) -> list[StrategyProfile]:
     """All pure-strategy equilibria, in ``itertools.product`` order over the
     slots (player, then reachable pair); the cap counts that full product.
@@ -603,9 +599,8 @@ def enumerate_pure_equilibria(
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
-    stoch = as_stochastic(tau)
-    masses = _branch_masses(structure, stoch)
-    pairs = _reachable(structure, stoch.signals, masses)
+    masses = _branch_masses(structure, tau)
+    pairs = _reachable(structure, tau.signals, masses)
     slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
     sizes = [len(game.actions[i]) for i, _ in slots]
     count = math.prod(sizes)
@@ -673,16 +668,13 @@ class DecisionProblem:
 
 
 def information_partition(
-    structure: InformationStructure, player: int, source: Union[Partition, Signaling]
+    structure: InformationStructure,
+    player: int,
+    source: Union[Partition, StochasticSignaling],
 ) -> Partition:
     """The player's effective information: own partition joined with the
-    partition induced by a deterministic signaling (or a raw partition)."""
-    if isinstance(source, Partition):
-        induced = source
-    elif isinstance(source, DeterministicSignaling):
-        induced = source.induced_partition()
-    else:
-        raise DomainError("deterministic information is required here")
+    partition induced by a deterministic (0/1) signaling, or a raw partition."""
+    induced = source if isinstance(source, Partition) else source.induced_partition()
     return join(structure.players[player], induced)
 
 
@@ -708,7 +700,7 @@ def decision_value(problem: DecisionProblem, info: Partition) -> Fraction:
 def build_permutation_game(
     structure: InformationStructure,
     player: int,
-    source: Union[Partition, Signaling],
+    source: Union[Partition, StochasticSignaling],
     cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> DecisionProblem:
     """Decision problem whose actions rank the states inside one block of the
@@ -1037,7 +1029,7 @@ def kld_action_label(dist: Distribution) -> str:
 
 
 def kld_menus(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> tuple[tuple[Distribution, ...], ...]:
     """Per player, the distinct posteriors the signaling induces, sorted by
     vector: the player's declaration menu."""
@@ -1052,7 +1044,7 @@ def _posterior_menus(
 
 
 def build_kld_game(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> BayesianGame:
     """Log-domain game where each player declares one posterior from their
     menu under the given signaling and is scored by the likelihood the
@@ -1080,13 +1072,13 @@ def _posterior_at(
 
 def _truthful_strategy(
     game: Game,
-    tau: Signaling,
+    tau: StochasticSignaling,
     branches: Mapping[Branch, tuple],
     declare: Callable[[int, Distribution, str], object],
 ) -> StrategyProfile:
     """At every reachable (block, signal) pair of player i, play
     ``declare(i, true posterior, signal)``."""
-    pairs = _reachable(game.structure, as_stochastic(tau).signals, branches)
+    pairs = _reachable(game.structure, tau.signals, branches)
     return make_strategy(
         game,
         tau,
@@ -1098,7 +1090,7 @@ def _truthful_strategy(
 
 
 def truthful_kld_strategy(
-    game: BayesianGame, tau: Signaling
+    game: BayesianGame, tau: StochasticSignaling
 ) -> StrategyProfile:
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
@@ -1116,7 +1108,7 @@ def truthful_kld_strategy(
 
 
 def kld_expected_scores(
-    game: BayesianGame, tau: Signaling, strategy: StrategyProfile
+    game: BayesianGame, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> tuple[LogScore, ...]:
     """Per-player expected log score under the signaling and strategy."""
     if not game.log_domain:
@@ -1131,7 +1123,7 @@ def kld_expected_scores(
 
 
 def kld_aggregate(
-    game: BayesianGame, tau: Signaling, strategy: StrategyProfile
+    game: BayesianGame, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> LogScore:
     scores = kld_expected_scores(game, tau, strategy)
     total = LogScore.zero()
@@ -1169,14 +1161,14 @@ class TwoStageGame:
     def __init__(
         self,
         structure: InformationStructure,
-        tau: Signaling,
+        tau: StochasticSignaling,
         M: Optional[object] = None,
     ):
         if structure.n < 2:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
-        self.tau2 = as_stochastic(tau)
-        self._branches = _branch_profiles(structure, self.tau2)
+        self.tau = tau
+        self._branches = _branch_profiles(structure, tau)
         feasible: dict[str, set[tuple[Distribution, ...]]] = {}
         for (_, signal), (_, profile) in self._branches.items():
             feasible.setdefault(signal, set()).add(profile.per_player)
@@ -1191,7 +1183,7 @@ class TwoStageGame:
         for menu in self.menus:
             supports = [(d, d.support()) for d in menu]
             options = [BOTTOM]
-            for signal in self.tau2.signals:
+            for signal in tau.signals:
                 for d, support in supports:
                     options.extend((signal, d, a) for a in support)
             actions.append(tuple(options))
@@ -1222,7 +1214,7 @@ class TwoStageGame:
         in-support state, at every reachable pair."""
         return _truthful_strategy(
             self,
-            self.tau2,
+            self.tau,
             self._branches,
             lambda i, posterior, signal: (signal, posterior, posterior.support()[0]),
         )
@@ -1250,7 +1242,7 @@ class TwoStageGame:
         profile = tuple(d[1] for d in declarations)
         return profile if profile in self.feasible.get(signals.pop(), ()) else None
 
-    def max_aggregate(self, tau: Signaling) -> Fraction:
+    def max_aggregate(self, tau: StochasticSignaling) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing
         play under the evaluation signaling.
 
@@ -1387,17 +1379,17 @@ class CombinedGame:
     def __init__(
         self,
         structure: InformationStructure,
-        tau: Signaling,
+        tau: StochasticSignaling,
         M: Optional[object] = None,
     ):
         self.structure = structure
         self.stage = TwoStageGame(structure, tau, M)
         self.kld = _kld_game(structure, self.stage.menus)
-        self.tau2 = self.stage.tau2
+        self.tau = tau
 
     def expected_payoffs(
         self,
-        tau: Signaling,
+        tau: StochasticSignaling,
         stage_strategy: StrategyProfile,
         kld_strategy: StrategyProfile,
     ) -> tuple[MixedValue, ...]:
@@ -1410,9 +1402,9 @@ class CombinedGame:
 
     def truthful_payoffs(self) -> tuple[MixedValue, ...]:
         return self.expected_payoffs(
-            self.tau2,
+            self.tau,
             self.stage.truthful_strategy(),
-            truthful_kld_strategy(self.kld, self.tau2),
+            truthful_kld_strategy(self.kld, self.tau),
         )
 
 
@@ -1420,7 +1412,7 @@ class CombinedGame:
 # Common-objective coordination value.
 
 
-def best_common_payoff(game: BayesianGame, tau: Signaling) -> Fraction:
+def best_common_payoff(game: BayesianGame, tau: StochasticSignaling) -> Fraction:
     """Highest expected common payoff over pure measurable strategy profiles.
 
     Requires all players to share one payoff function; maximization

@@ -58,8 +58,7 @@ from .games import (
 )
 from .partitions import ckc_decompose, connect_path, join, refines
 from .signaling import (
-    DeterministicSignaling,
-    as_stochastic,
+    StochasticSignaling,
     det_posterior,
     experiment_matrix,
     merge_garbled,
@@ -200,12 +199,12 @@ class Fixture:
                 )
             if "reveal" in spec:
                 base = self.partition(spec["reveal"])
-                return DeterministicSignaling(
-                    base, tuple(f"r{i}" for i in range(len(base.blocks)))
+                return StochasticSignaling.from_assignment(
+                    base, [f"r{i}" for i in range(len(base.blocks))]
                 )
             if spec.get("uninformative"):
-                return DeterministicSignaling(
-                    Partition.trivial(self.structure.space), ("u0",)
+                return StochasticSignaling.from_assignment(
+                    Partition.trivial(self.structure.space), ["u0"]
                 )
             if "type" in spec:
                 return signaling_from_json(self.structure, spec)
@@ -370,11 +369,11 @@ def _op_connect_path(fix: Fixture, args: Mapping):
 
 @op("det_posterior")
 def _op_det_posterior(fix: Fixture, args: Mapping):
-    tau = fix.signaling(args["signaling"])
-    if not isinstance(tau, DeterministicSignaling):
-        raise DomainError("det_posterior needs a deterministic signaling")
     return det_posterior(
-        fix.structure, fix.player_index(args["player"]), tau, args["state"]
+        fix.structure,
+        fix.player_index(args["player"]),
+        fix.signaling(args["signaling"]),
+        args["state"],
     )
 
 
@@ -383,7 +382,7 @@ def _op_stoch_posterior(fix: Fixture, args: Mapping):
     return stoch_posterior(
         fix.structure,
         fix.player_index(args["player"]),
-        as_stochastic(fix.signaling(args["signaling"])),
+        fix.signaling(args["signaling"]),
         args["state"],
         args["signal"],
     )
@@ -453,8 +452,7 @@ def _op_separating_probs(fix: Fixture, args: Mapping):
 @op("proportional")
 def _op_proportional(fix: Fixture, args: Mapping):
     result = proportional_decompose(
-        as_stochastic(fix.signaling(args["t1"])),
-        as_stochastic(fix.signaling(args["t2"])),
+        fix.signaling(args["t1"]), fix.signaling(args["t2"])
     )
     return {
         t: "none" if found is None else [found[0], format_rational(found[1])]
@@ -502,8 +500,7 @@ def _op_best_common(fix: Fixture, args: Mapping):
 
 @op("best_common_garbled")
 def _op_best_common_garbled(fix: Fixture, args: Mapping):
-    tau = as_stochastic(fix.signaling(args["signaling"]))
-    merged = merge_garbled(tau, args["garble"])
+    merged = merge_garbled(fix.signaling(args["signaling"]), args["garble"])
     return best_common_payoff(fix.game(args["game"]), merged)
 
 
@@ -603,7 +600,7 @@ def _two_stage(fix: Fixture, args: Mapping):
 
 
 def _two_stage_truthful_payoffs(game: TwoStageGame) -> tuple[Fraction, ...]:
-    return expected_payoffs(game, game.tau2, game.truthful_strategy())
+    return expected_payoffs(game, game.tau, game.truthful_strategy())
 
 
 @op("two_stage_truthful_aggregate")
@@ -619,7 +616,7 @@ def _op_two_stage_truthful_payoffs(fix: Fixture, args: Mapping):
 @op("two_stage_truthful_equilibrium")
 def _op_two_stage_truthful_equilibrium(fix: Fixture, args: Mapping):
     game = _two_stage(fix, args)
-    return is_equilibrium(game, game.tau2, game.truthful_strategy()).holds
+    return is_equilibrium(game, game.tau, game.truthful_strategy()).holds
 
 
 @op("two_stage_penalty")
@@ -631,13 +628,13 @@ def _op_two_stage_penalty(fix: Fixture, args: Mapping):
 def _op_two_stage_mismatch_payoffs(fix: Fixture, args: Mapping):
     game = _two_stage(fix, args)
     declare = args["declare"]
-    pairs = reachable_pairs(game.structure, game.tau2)
+    pairs = reachable_pairs(game.structure, game.tau)
     tables = []
     for i in range(game.structure.n):
         posterior = game.menus[i][0]
         option = (declare[i], posterior, posterior.support()[0])
         tables.append({pair: option for pair in pairs[i]})
-    return expected_payoffs(game, game.tau2, make_strategy(game, game.tau2, tables))
+    return expected_payoffs(game, game.tau, make_strategy(game, game.tau, tables))
 
 
 @op("two_stage_max_aggregate_lt")
@@ -698,8 +695,8 @@ def _op_combined_linearity(fix: Fixture, args: Mapping):
     stage_values = _two_stage_truthful_payoffs(combined.stage)
     kld_values = kld_expected_scores(
         combined.kld,
-        combined.tau2,
-        truthful_kld_strategy(combined.kld, combined.tau2),
+        combined.tau,
+        truthful_kld_strategy(combined.kld, combined.tau),
     )
     expected = [
         MixedValue(v, s).half() for v, s in zip(stage_values, kld_values)

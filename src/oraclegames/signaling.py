@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
 from .partitions import join
@@ -20,6 +20,7 @@ from .types import (
     StateSpace,
     conditional,
     format_rational,
+    json_section,
     parse_rational,
     partition_from_json,
 )
@@ -109,64 +110,43 @@ class StochasticSignaling:
                 raise InputError(f"kernel is missing a row for state '{state}'")
         for state in rows:
             space.index(state)
-        kernel = tuple(
-            tuple(parse_rational(rows[state].get(sig, 0)) for sig in signals)
-            for state in space.states
-        )
-        return cls(oracle_partition, tuple(signals), kernel)
+        kernel = []
+        for state in space.states:
+            row = json_section(rows[state], "object", f"kernel row for state '{state}'")
+            for sig in row:
+                if sig not in signals:
+                    raise InputError(f"kernel row for state '{state}' names unknown signal {sig!r}")
+            kernel.append(tuple(parse_rational(row.get(sig, 0)) for sig in signals))
+        return cls(oracle_partition, tuple(signals), tuple(kernel))
 
-
-@dataclass(frozen=True)
-class DeterministicSignaling:
-    """One signal per oracle block; the signal preimages form a coarsening of
-    the oracle partition."""
-
-    oracle_partition: Partition
-    assignment: tuple[str, ...]  # signal per block, in canonical block order
-
-    def __post_init__(self):
-        assignment = tuple(_check_signal_label(s) for s in self.assignment)
-        if len(assignment) != len(self.oracle_partition.blocks):
+    @classmethod
+    def from_assignment(
+        cls, oracle_partition: Partition, assignment: Sequence[str]
+    ) -> "StochasticSignaling":
+        """The deterministic signaling sending one signal per oracle block, in
+        canonical block order: a 0/1 kernel, signals in first-seen order."""
+        assignment = tuple(_check_signal_label(s) for s in assignment)
+        if len(assignment) != len(oracle_partition.blocks):
             raise InputError("need exactly one signal per oracle block")
-        object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def space(self) -> StateSpace:
-        return self.oracle_partition.space
-
-    @property
-    def signals(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for s in self.assignment:
-            if s not in out:
-                out.append(s)
-        return tuple(out)
-
-    def signal_at(self, state: str) -> str:
-        return self.assignment[self.oracle_partition.block_index(state)]
+        signals = tuple(dict.fromkeys(assignment))
+        kernel = []
+        for state in oracle_partition.space.states:
+            sent = assignment[oracle_partition.block_index(state)]
+            kernel.append(tuple(Fraction(int(sig == sent)) for sig in signals))
+        return cls(oracle_partition, signals, tuple(kernel))
 
     def induced_partition(self) -> Partition:
-        groups: dict[str, list[str]] = {}
-        for block, sig in zip(self.oracle_partition.blocks, self.assignment):
-            groups.setdefault(sig, []).extend(block)
-        return Partition(self.space, tuple(tuple(g) for g in groups.values()))
-
-    def as_stochastic(self) -> StochasticSignaling:
-        signals = self.signals
-        kernel = tuple(
-            tuple(Fraction(1 if self.signal_at(state) == sig else 0) for sig in signals)
-            for state in self.space.states
+        """The signal preimages; only a deterministic (0/1) kernel has them."""
+        if any(v not in (0, 1) for row in self.kernel for v in row):
+            raise DomainError("deterministic information is required here")
+        states = self.space.states
+        return Partition(
+            self.space,
+            tuple(
+                tuple(w for w, row in zip(states, self.kernel) if row[j])
+                for j in range(len(self.signals))
+            ),
         )
-        return StochasticSignaling(self.oracle_partition, signals, kernel)
-
-
-Signaling = Union[StochasticSignaling, DeterministicSignaling]
-
-
-def as_stochastic(tau: Signaling) -> StochasticSignaling:
-    if isinstance(tau, DeterministicSignaling):
-        return tau.as_stochastic()
-    return tau
 
 
 @dataclass(frozen=True)
@@ -233,10 +213,10 @@ def posterior_menu(posteriors: Iterable[Distribution]) -> tuple[Distribution, ..
 
 
 def det_posterior(
-    structure: InformationStructure, i: int, tau: DeterministicSignaling, omega: str
+    structure: InformationStructure, i: int, tau: StochasticSignaling, omega: str
 ) -> Distribution:
-    """Posterior of player i at state omega after a deterministic public
-    signal: the prior conditioned on the joined information block."""
+    """Posterior of player i at state omega after a deterministic (0/1)
+    public signal: the prior conditioned on the joined information block."""
     info = join(structure.players[i], tau.induced_partition())
     return conditional(structure.prior, info.block_of(omega))
 
@@ -262,43 +242,43 @@ def stoch_posterior(
 
 
 def _branch_masses(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> dict[tuple[str, str], Fraction]:
     """prior(state) * tau(signal|state) for every (state, signal) branch of
     positive mass, in state order and then signal order: the one table that
     every walk over branches reads."""
-    st = as_stochastic(tau)
-    if st.space != structure.space:
+    if tau.space != structure.space:
         raise DomainError("signaling and structure use different state spaces")
     masses: dict[tuple[str, str], Fraction] = {}
-    rows = zip(structure.space.states, structure.prior.vector, st.kernel)
+    rows = zip(structure.space.states, structure.prior.vector, tau.kernel)
     for state, base, row in rows:
-        for signal, p in zip(st.signals, row):
+        for signal, p in zip(tau.signals, row):
             if p:
                 masses[(state, signal)] = base * p
     return masses
 
 
 def _branch_profiles(
-    structure: InformationStructure, tau: Signaling
+    structure: InformationStructure, tau: StochasticSignaling
 ) -> dict[tuple[str, str], tuple[Fraction, JointPosteriorProfile]]:
     """Mass and joint posterior profile of every branch in the mass table; a
     player's posterior depends only on (their block, signal)."""
-    st = as_stochastic(tau)
     cache: dict[tuple[int, int, str], Distribution] = {}
     out = {}
-    for (state, signal), w in _branch_masses(structure, st).items():
+    for (state, signal), w in _branch_masses(structure, tau).items():
         posts = []
         for i, partition in enumerate(structure.players):
             key = (i, partition.block_index(state), signal)
             if key not in cache:
-                cache[key] = stoch_posterior(structure, i, st, state, signal)
+                cache[key] = stoch_posterior(structure, i, tau, state, signal)
             posts.append(cache[key])
         out[(state, signal)] = (w, JointPosteriorProfile(tuple(posts)))
     return out
 
 
-def posterior_atlas(structure: InformationStructure, tau: Signaling) -> PosteriorAtlas:
+def posterior_atlas(
+    structure: InformationStructure, tau: StochasticSignaling
+) -> PosteriorAtlas:
     """The joint posterior profiles of all branches with positive mass,
     exact duplicates merged, each weighted by the total prior(state) *
     tau(signal|state) of its branches."""
@@ -396,30 +376,29 @@ class ExperimentMatrix(StochasticMatrix):
 
 
 def experiment_matrix(
-    tau: Signaling, partition: Partition, prior: Optional[Prior] = None
+    tau: StochasticSignaling, partition: Partition, prior: Optional[Prior] = None
 ) -> ExperimentMatrix:
     """Entry at (state, (signal, block)) = tau(signal|state) * [state in block].
 
     Column order is signal-major over canonical blocks; block labels are
     "b0", "b1", ... in canonical order.
     """
-    st = as_stochastic(tau)
-    if partition.space != st.space:
+    if partition.space != tau.space:
         raise DomainError("partition and signaling use different state spaces")
-    if prior is not None and prior.space != st.space:
+    if prior is not None and prior.space != tau.space:
         raise DomainError("prior uses a different state space")
     labels = [f"b{i}" for i in range(len(partition.blocks))]
-    columns = tuple((sig, lab) for sig in st.signals for lab in labels)
+    columns = tuple((sig, lab) for sig in tau.signals for lab in labels)
     rows = []
-    for state in st.space.states:
+    for state in tau.space.states:
         bidx = partition.block_index(state)
         row = tuple(
-            st.prob(state, sig) if lab == labels[bidx] else Fraction(0)
+            tau.prob(state, sig) if lab == labels[bidx] else Fraction(0)
             for sig, lab in columns
         )
         rows.append(row)
     return ExperimentMatrix(
-        space=st.space,
+        space=tau.space,
         column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
         entries=tuple(rows),
         columns=columns,
@@ -431,11 +410,13 @@ def _garbling_rows(
     tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
 ) -> dict[str, dict[str, Fraction]]:
     """One distribution over garbled labels per signal of tau."""
+    json_section(m, "object", "a garbling")
     rows: dict[str, dict[str, Fraction]] = {}
     for s in tau.signals:
         if s not in m:
             raise DomainError(f"garbling is missing a row for signal '{s}'")
-        row = {t: parse_rational(v) for t, v in m[s].items()}
+        given = json_section(m[s], "object", f"garbling row for signal '{s}'")
+        row = {t: parse_rational(v) for t, v in given.items()}
         if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
             raise DomainError(f"garbling row for signal '{s}' is not a distribution")
         for t in row:
@@ -558,21 +539,23 @@ def _resolve_oracle(
     raise InputError("signaling file needs an 'oracle' name or an inline 'partition'")
 
 
-def signaling_from_json(structure: InformationStructure, data: Mapping) -> Signaling:
+def signaling_from_json(
+    structure: InformationStructure, data: Mapping
+) -> StochasticSignaling:
     if not isinstance(data, Mapping):
         raise InputError("signaling file must contain a JSON object")
     oracle = _resolve_oracle(structure, data)
     kind = data.get("type")
     if kind == "stochastic":
         try:
-            signals = tuple(data["signals"])
-            kernel = data["kernel"]
+            signals = json_section(data["signals"], "list", "signaling 'signals'")
+            kernel = json_section(data["kernel"], "object", "signaling 'kernel'")
         except KeyError as exc:
             raise InputError(f"stochastic signaling is missing key {exc}") from None
-        return StochasticSignaling.from_rows(oracle, signals, kernel)
+        return StochasticSignaling.from_rows(oracle, tuple(signals), kernel)
     if kind == "deterministic":
         try:
-            assignment = data["assignment"]
+            assignment = json_section(data["assignment"], "object", "signaling 'assignment'")
         except KeyError as exc:
             raise InputError(f"deterministic signaling is missing key {exc}") from None
         out = []
@@ -581,7 +564,7 @@ def signaling_from_json(structure: InformationStructure, data: Mapping) -> Signa
             if key not in assignment:
                 raise InputError(f"assignment is missing '{key}'")
             out.append(assignment[key])
-        return DeterministicSignaling(oracle, tuple(out))
+        return StochasticSignaling.from_assignment(oracle, out)
     raise InputError("signaling 'type' must be 'stochastic' or 'deterministic'")
 
 
@@ -589,27 +572,31 @@ def matrix_from_json(data: Mapping) -> StochasticMatrix:
     if not isinstance(data, Mapping):
         raise InputError("matrix file must contain a JSON object")
     try:
-        space = StateSpace(tuple(data["states"]))
-        entries = data["entries"]
+        space = StateSpace(tuple(json_section(data["states"], "list", "matrix 'states'")))
+        entries = json_section(data["entries"], "object", "matrix 'entries'")
+        columns = tuple(json_section(data["columns"], "list", "matrix 'columns'"))
     except KeyError as exc:
         raise InputError(f"matrix file is missing key {exc}") from None
     rows = []
     for state in space.states:
         if state not in entries:
             raise InputError(f"matrix is missing a row for state '{state}'")
-        rows.append(tuple(parse_rational(v) for v in entries[state]))
-    if "blocks" in data:
-        columns = tuple((sig, lab) for sig, lab in data["columns"])
-        blocks = tuple(
-            (label, tuple(states)) for label, states in data["blocks"].items()
-        )
-        return ExperimentMatrix(
-            space=space,
-            column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
-            entries=tuple(rows),
-            columns=columns,
-            blocks=blocks,
-        )
-    return StochasticMatrix(
-        space=space, column_labels=tuple(data["columns"]), entries=tuple(rows)
+        row = json_section(entries[state], "list", f"matrix row for state '{state}'")
+        rows.append(tuple(parse_rational(v) for v in row))
+    if "blocks" not in data:
+        return StochasticMatrix(space=space, column_labels=columns, entries=tuple(rows))
+    for col in columns:
+        if not (isinstance(col, list) and len(col) == 2 and all(isinstance(x, str) for x in col)):
+            raise InputError(f"matrix column {col!r} is not a [signal, label] pair")
+    columns = tuple(map(tuple, columns))
+    blocks = json_section(data["blocks"], "object", "matrix 'blocks'")
+    return ExperimentMatrix(
+        space=space,
+        column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
+        entries=tuple(rows),
+        columns=columns,
+        blocks=tuple(
+            (label, tuple(json_section(states, "list", f"matrix block '{label}'")))
+            for label, states in blocks.items()
+        ),
     )

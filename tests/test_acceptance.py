@@ -14,7 +14,6 @@ from fractions import Fraction
 import oracles
 from oraclegames import (
     BeliefGame,
-    DeterministicSignaling,
     Distribution,
     InformationStructure,
     Partition,
@@ -24,7 +23,6 @@ from oraclegames import (
     StochasticSignaling,
     TwoStageGame,
     apply_garbling,
-    as_stochastic,
     atlas_equal,
     belief_aggregate,
     belief_best_response,
@@ -152,7 +150,7 @@ def test_criterion_02(capsys):
 
 def test_criterion_03(capsys):
     data, structure = _fixture("stochastic-imi-fail")
-    tau2 = as_stochastic(_signaling(data, structure, "tau2"))
+    tau2 = _signaling(data, structure, "tau2")
     first = stoch_posterior(structure, 0, tau2, "w1", "s2")
     second = stoch_posterior(structure, 1, tau2, "w1", "s2")
     assert first.vector == (Fraction(2, 5), Fraction(3, 5), Fraction(0), Fraction(0))
@@ -229,7 +227,7 @@ def test_criterion_05(capsys):
     separate_checked = 0
     for n in (2, 3, 4):
         space, prior, parts = _lattice(n)
-        sep = {f.blocks: as_stochastic(separating_strategy(f, prior)) for f in parts}
+        sep = {f.blocks: separating_strategy(f, prior) for f in parts}
         refines_memo = {}
         prop_memo = {}
         for p1, p2 in _unique_ckc_pairs(n):
@@ -522,8 +520,8 @@ def test_criterion_10(capsys):
     game = game_from_json(structure, data["games"]["coord"])
     for oracle_name in ("F1", "F2"):
         base = structure.oracle(oracle_name)
-        reveal = DeterministicSignaling(
-            base, tuple(f"r{i}" for i in range(len(base.blocks)))
+        reveal = StochasticSignaling.from_assignment(
+            base, [f"r{i}" for i in range(len(base.blocks))]
         )
         assert best_common_payoff(game, reveal) == Fraction(1)
     _passed(

@@ -13,7 +13,6 @@ from oraclegames import (
     BayesianGame,
     BeliefGame,
     CombinedGame,
-    DeterministicSignaling,
     DomainError,
     Distribution,
     InformationStructure,
@@ -367,8 +366,9 @@ def test_permutation_game_cap():
 
 
 def test_information_partition_rejects_stochastic_sources():
-    tau = _uninformative(STRUCTURE)
-    with pytest.raises(DomainError):
+    half = (Fraction(1, 2), Fraction(1, 2))
+    tau = StochasticSignaling(Partition.trivial(SPACE), ("s", "t"), (half,) * len(SPACE))
+    with pytest.raises(DomainError, match="deterministic information"):
         information_partition(STRUCTURE, 0, tau)
 
 
@@ -866,10 +866,9 @@ def test_best_common_payoff_matches_unsplit_brute_force():
             )
         else:
             partitions = [_random_blocks(rng, states, len(states)) for _ in range(2)]
-            tau = DeterministicSignaling(
-                Partition.singletons(space), tuple(rng.choice("st") for _ in states)
-            )
-            kernel = {w: {tau.signal_at(w): Fraction(1)} for w in states}
+            sent = [rng.choice("st") for _ in states]
+            tau = StochasticSignaling.from_assignment(Partition.singletons(space), sent)
+            kernel = {w: {s: Fraction(1)} for w, s in zip(states, sent)}
         structure = InformationStructure(
             space,
             Prior(space, tuple(prior[w] for w in states)),

@@ -248,6 +248,53 @@ def test_cli_garble_check_verb(tmp_path, capsys):
     assert out["exists"] is False
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda tau: setitem(tau["kernel"], "w1", ["s1", "1"]),
+        lambda tau: setitem(tau["kernel"]["w1"], "typo", "0"),
+        lambda tau: setitem(tau, "signals", "s1"),
+    ],
+    ids=["list-row", "unknown-signal", "signals-not-a-list"],
+)
+def test_cli_post_exits_2_on_a_malformed_signaling(tmp_path, capsys, edit):
+    fixture, spath = _write_structure(tmp_path, "witness-two-stage")
+    tau = fixture["signalings"]["tau2"]
+    edit(tau)
+    tpath = tmp_path / "tau.json"
+    tpath.write_text(json.dumps(tau))
+    assert cli.main(["post", str(spath), str(tpath)]) == 2
+    assert "error" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: delitem(m, "columns"),
+        lambda m: setitem(m, "columns", [["a", "b0", "x"], ["b", "b0", "x"]]),
+        lambda m: setitem(m, "entries", [["1/2", "1/2"], ["0", "1"]]),
+        lambda m: setitem(m, "blocks", [["w1", "w2"]]),
+    ],
+    ids=["no-columns", "columns-not-pairs", "entries-not-object", "blocks-not-object"],
+)
+def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit):
+    matrix = {
+        "states": ["w1", "w2"],
+        "columns": [["a", "b0"], ["b", "b0"]],
+        "entries": {"w1": ["1/2", "1/2"], "w2": ["0", "1"]},
+        "blocks": {"b0": ["w1", "w2"]},
+    }
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(matrix))
+    edit(matrix)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(matrix))
+    assert cli.main(["garble-check", str(good), str(good)]) == 0
+    capsys.readouterr()
+    assert cli.main(["garble-check", str(bad), str(good)]) == 2
+    capsys.readouterr()
+
+
 def test_cli_usage_errors(capsys, tmp_path):
     assert cli.main([]) == 2
     capsys.readouterr()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oraclegames import (
-    DeterministicSignaling,
     DomainError,
     InformationStructure,
     InputError,
@@ -17,11 +16,12 @@ from oraclegames import (
     Prior,
     StateSpace,
     StochasticSignaling,
-    as_stochastic,
     atlas_equal,
     build_kld_game,
+    build_permutation_game,
     det_posterior,
     experiment_matrix,
+    information_partition,
     lift_garbled,
     matrix_from_json,
     merge_garbled,
@@ -118,19 +118,44 @@ def test_from_rows_fills_missing_entries_with_zero():
 
 
 def test_deterministic_signaling_basics():
-    det = DeterministicSignaling(P1, ("hi", "lo"))
-    assert det.signal_at("w2") == "hi"
+    det = StochasticSignaling.from_assignment(P1, ("hi", "lo"))
+    assert det.prob("w2", "hi") == 1
     assert det.signals == ("hi", "lo")
     assert det.induced_partition() == P1
-    merged = DeterministicSignaling(P2, ("x", "y", "x"))
+    merged = StochasticSignaling.from_assignment(P2, ("x", "y", "x"))
     assert merged.signals == ("x", "y")
     assert merged.induced_partition() == Partition(
         SPACE, (("w1", "w4"), ("w2", "w3"))
     )
-    stoch = det.as_stochastic()
-    assert stoch.prob("w1", "hi") == 1 and stoch.prob("w1", "lo") == 0
-    with pytest.raises(InputError):
-        DeterministicSignaling(P1, ("only",) * 3)
+    assert det.prob("w1", "hi") == 1 and det.prob("w1", "lo") == 0
+    with pytest.raises(InputError, match="one signal per oracle block"):
+        StochasticSignaling.from_assignment(P1, ("only",) * 3)
+    with pytest.raises(InputError, match="nonempty strings"):
+        StochasticSignaling.from_assignment(P1, ("hi", ""))
+
+
+def test_deterministic_is_decided_by_the_kernel():
+    """A 0/1 kernel is deterministic however it was built; a kernel with an
+    interior entry has no induced partition."""
+    rows = StochasticSignaling.from_rows(
+        P1, ("hi", "lo"), {"w1": {"hi": 1}, "w2": {"hi": 1}, "w3": {"lo": 1}, "w4": {"lo": 1}}
+    )
+    det = StochasticSignaling.from_assignment(P1, ("hi", "lo"))
+    assert rows == det
+    assert rows.induced_partition() == det.induced_partition() == P1
+    for omega in SPACE:
+        assert det_posterior(STRUCTURE, 1, rows, omega) == det_posterior(STRUCTURE, 1, det, omega)
+    assert (
+        build_permutation_game(STRUCTURE, 1, rows).actions
+        == build_permutation_game(STRUCTURE, 1, det).actions
+    )
+    for call in (
+        lambda: TAU.induced_partition(),
+        lambda: det_posterior(STRUCTURE, 0, TAU, "w1"),
+        lambda: information_partition(STRUCTURE, 0, TAU),
+    ):
+        with pytest.raises(DomainError, match="deterministic information"):
+            call()
 
 
 def test_stoch_posterior_matches_oracle():
@@ -159,12 +184,11 @@ def test_stoch_posterior_rejects_impossible_signal():
 
 
 def test_det_posterior_agrees_with_stochastic_embedding():
-    det = DeterministicSignaling(P1, ("hi", "lo"))
-    emb = det.as_stochastic()
+    det = StochasticSignaling.from_assignment(P1, ("hi", "lo"))
     for omega in SPACE:
         direct = det_posterior(STRUCTURE, 1, det, omega)
-        embedded = stoch_posterior(STRUCTURE, 1, emb, omega, det.signal_at(omega))
-        assert direct == embedded
+        signal = "hi" if omega in ("w1", "w2") else "lo"
+        assert direct == stoch_posterior(STRUCTURE, 1, det, omega, signal)
 
 
 def test_atlas_weights_and_martingale_property():
@@ -230,6 +254,10 @@ def test_garblers_reject_bad_rows(garble):
         garble(TAU, {"s1": {"t1": "1/2"}, "s2": {"t1": "1"}})
     with pytest.raises(DomainError, match="not a distribution"):
         garble(TAU, {"s1": {"t1": "3/2", "t2": "-1/2"}, "s2": {"t1": "1"}})
+    with pytest.raises(InputError, match="a garbling must be a JSON object"):
+        garble(TAU, [["s1", "t1"]])
+    with pytest.raises(InputError, match="garbling row for signal 's2' must be a JSON object"):
+        garble(TAU, {"s1": {"t1": "1"}, "s2": ["t1", "1"]})
 
 
 def test_merge_garbled_kernel_is_the_column_mixture():
@@ -389,7 +417,7 @@ def test_signaling_from_json_variants():
             "kernel": {s: {"s1": "1/2", "s2": "1/2"} for s in SPACE.states},
         },
     )
-    assert isinstance(stoch, StochasticSignaling)
+    assert stoch.kernel[0] == (Fraction(1, 2), Fraction(1, 2))
     det = signaling_from_json(
         STRUCTURE,
         {
@@ -398,12 +426,52 @@ def test_signaling_from_json_variants():
             "assignment": {"block0": "hi", "block1": "lo"},
         },
     )
-    assert isinstance(det, DeterministicSignaling)
-    assert det.signal_at("w4") == "lo"
+    assert det == StochasticSignaling.from_assignment(P1, ("hi", "lo"))
+    assert det.induced_partition() == P1
     with pytest.raises(InputError):
         signaling_from_json(STRUCTURE, {"oracle": "F", "type": "nope"})
     with pytest.raises(InputError):
         signaling_from_json(STRUCTURE, {"type": "stochastic"})
+
+
+def _stochastic_json(**changes):
+    data = {
+        "oracle": "F",
+        "type": "stochastic",
+        "signals": ["s1", "s2"],
+        "kernel": {s: {"s1": "1/2", "s2": "1/2"} for s in SPACE.states},
+    }
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_stochastic_json(signals="s1"), "'signals' must be a JSON list"),
+        (_stochastic_json(kernel=[]), "'kernel' must be a JSON object"),
+        (
+            _stochastic_json(kernel={s: ["s1"] for s in SPACE.states}),
+            "kernel row for state 'w1' must be a JSON object",
+        ),
+        (
+            _stochastic_json(kernel={s: {"s1": 1, "typo": 0} for s in SPACE.states}),
+            "state 'w1' names unknown signal 'typo'",
+        ),
+        (
+            _stochastic_json(kernel={s: {"s1": "1/2", "typo": "1/2"} for s in SPACE.states}),
+            "state 'w1' names unknown signal 'typo'",
+        ),
+        (
+            {"partition": [["w1", "w2"], ["w3", "w4"]], "type": "deterministic",
+             "assignment": ["hi", "lo"]},
+            "'assignment' must be a JSON object",
+        ),
+    ],
+)
+def test_signaling_json_is_strict(data, message):
+    with pytest.raises(InputError, match=message):
+        signaling_from_json(STRUCTURE, data)
 
 
 def test_matrix_from_json_round_trip():
@@ -421,6 +489,29 @@ def test_matrix_from_json_round_trip():
     assert plain.row("y") == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(InputError):
         matrix_from_json({"states": ["x"], "columns": ["c"]})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"columns": None}, "missing key 'columns'"),
+        ({"columns": [["s1", "b0", "extra"]] * 4}, "is not a \\[signal, label\\] pair"),
+        ({"columns": ["s1@b0"] * 4}, "is not a \\[signal, label\\] pair"),
+        ({"entries": []}, "'entries' must be a JSON object"),
+        ({"blocks": [["w1", "w2"], ["w3", "w4"]]}, "'blocks' must be a JSON object"),
+        ({"blocks": {"b0": "w1w2", "b1": ["w3", "w4"]}}, "block 'b0' must be a JSON list"),
+        ({"states": "w1w2w3w4"}, "'states' must be a JSON list"),
+    ],
+)
+def test_matrix_from_json_rejects_malformed_sections(change, message):
+    data = experiment_matrix(TAU, P1).as_json()
+    for key, value in change.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with pytest.raises(InputError, match=message):
+        matrix_from_json(data)
 
 
 @st.composite
@@ -465,12 +556,11 @@ def test_atlas_invariants_on_random_signalings(case):
         for i, dist in enumerate(profile.per_player):
             assert sum(dist.vector) == 1
     # Posterior supports stay inside the player's block.
-    stoch = as_stochastic(tau)
     for omega in structure.space:
-        for sig in stoch.signals:
-            if stoch.prob(omega, sig) == 0:
+        for sig in tau.signals:
+            if tau.prob(omega, sig) == 0:
                 continue
             for i in range(structure.n):
-                post = stoch_posterior(structure, i, stoch, omega, sig)
+                post = stoch_posterior(structure, i, tau, omega, sig)
                 block = structure.players[i].block_of(omega)
                 assert set(post.support()) <= set(block)
