@@ -1,15 +1,24 @@
 """Phase-1 simplex over exact rationals: decide ``{ x >= 0 : A x = b }`` and
 produce a point when feasible.
 
-Bland's anti-cycling rule throughout; everything is a fractions.Fraction so
-the verdict is exact, not approximate. Sized for desk-scale systems (tens of
-variables), which is all the garbling checks ever need.
+The tableau is fraction-free: each row is the rational row ``[A_i | e_i |
+b_i]`` (negated when ``b_i < 0``) times a positive integer, the lcm of its
+denominators at first; a pivot sets ``row <- p * row - f * pivot_row`` and
+divides by the row's gcd. A positive factor changes no sign and no ratio
+``b_i / a_ij``, so Bland's rule picks the pivots the rational tableau would
+and the same vertex comes back, each basic variable read as ``rhs / diagonal``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def feasible_nonneg(
@@ -26,59 +35,61 @@ def feasible_nonneg(
     if n == 0:
         return [] if all(v == 0 for v in b) else None
 
-    zero, one = Fraction(0), Fraction(1)
     # Rows with nonnegative right-hand sides, one artificial variable each.
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [one if j == i else zero for j in range(m)]
-        tab.append(row + art + [rhs])
-    basis = [n + i for i in range(m)]
     width = n + m
+    tab: list[list[int]] = []
+    scales: list[int] = []
+    for i in range(m):
+        entries = (*A[i], b[i])
+        scale = lcm(*(v.denominator for v in entries))
+        row = [v.numerator * (scale // v.denominator) for v in entries]
+        if row[-1] < 0:
+            row = [-v for v in row]
+        tab.append(row[:n] + [scale if j == i else 0 for j in range(m)] + row[n:])
+        scales.append(scale)
+    basis = [n + i for i in range(m)]
 
-    # Reduced costs for minimizing the artificial total: structural columns
-    # start at -(column sum), artificial columns at 0.
-    cost = [zero] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            cost[j] -= tab[i][j]
-    for i in range(m):
-        cost[n + i] += one
+    # Reduced costs for minimizing the artificial total, times the lcm L of
+    # the row scales: structural columns start at -(L-weighted column sum),
+    # artificial columns at 0.
+    total = lcm(*scales)
+    cost = [0] * (width + 1)
+    for row, scale in zip(tab, scales):
+        k = total // scale
+        cost = [c - k * v for c, v in zip(cost, row)]
+    cost[n:width] = [0] * m
 
     while True:
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             break
-        best: Optional[tuple[tuple[Fraction, int], int]] = None
+        r = None
         for i in range(m):
             coef = tab[i][enter]
-            if coef > 0:
-                key = (tab[i][width] / coef, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:  # pragma: no cover - phase-1 objective is bounded
+            # Smallest rhs / coef, cross-multiplied (every coef here is
+            # positive), ties to the smallest basis index.
+            if coef > 0 and (
+                r is None
+                or (tab[i][width] * tab[r][enter], basis[i])
+                < (tab[r][width] * coef, basis[r])
+            ):
+                r = i
+        if r is None:  # pragma: no cover - phase-1 objective is bounded
             raise ArithmeticError("unbounded phase-1 pivot")
-        r = best[1]
-        pivot = tab[r][enter]
-        tab[r] = [v / pivot for v in tab[r]]
         prow = tab[r]
+        pivot = prow[enter]
         for i in range(m):
-            if i != r and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [v - f * w for v, w in zip(cost, prow)]
+            f = tab[i][enter]
+            if i != r and f != 0:
+                tab[i] = _reduced([pivot * v - f * w for v, w in zip(tab[i], prow)])
+        f = cost[enter]
+        cost = _reduced([pivot * v - f * w for v, w in zip(cost, prow)])
         basis[r] = enter
 
     if any(basis[i] >= n and tab[i][width] != 0 for i in range(m)):
         return None
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][width]
+            x[basis[i]] = Fraction(tab[i][width], tab[i][basis[i]])
     return x

@@ -211,7 +211,7 @@ class GarblingResult:
 
 def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> GarblingResult:
     """Exact feasibility of first @ G == second over row-stochastic G >= 0,
-    decided by a rational phase-1 simplex."""
+    decided by a fraction-free phase-1 simplex."""
     if first.space != second.space:
         raise DomainError("matrices are defined over different state spaces")
     nu = len(first.column_labels)

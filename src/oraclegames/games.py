@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -228,9 +228,9 @@ class StrategyProfile:
         return out
 
 
-def _normalize_mixture(value: object, actions: Sequence) -> dict:
+def _normalize_mixture(value: object, actions: frozenset) -> dict:
     if not isinstance(value, Mapping):
-        if value not in actions:
+        if not isinstance(value, Hashable) or value not in actions:
             raise InputError(f"unknown action {value!r} in strategy")
         return {value: Fraction(1)}
     mix = {a: parse_rational(p) for a, p in value.items()}
@@ -278,11 +278,9 @@ def make_strategy(
     tables = []
     for i, mapping in enumerate(per_player):
         _check_entries(game.structure.player_names[i], pairs[i], mapping)
+        actions = frozenset(game.actions[i])
         tables.append(
-            {
-                pair: _normalize_mixture(mapping[pair], game.actions[i])
-                for pair in pairs[i]
-            }
+            {pair: _normalize_mixture(mapping[pair], actions) for pair in pairs[i]}
         )
     return StrategyProfile(tuple(tables))
 

@@ -235,8 +235,9 @@ def stoch_posterior(
     block = structure.players[i].block_of(omega)
     weights = {w: structure.prior.of(w) * tau.prob(w, signal) for w in block}
     total = sum(weights.values())
+    zero = Fraction(0)
     vector = tuple(
-        weights.get(s, Fraction(0)) / total for s in structure.space.states
+        weights[s] / total if s in weights else zero for s in structure.space.states
     )
     return Distribution(structure.space, vector)
 
@@ -558,13 +559,14 @@ def signaling_from_json(
             assignment = json_section(data["assignment"], "object", "signaling 'assignment'")
         except KeyError as exc:
             raise InputError(f"deterministic signaling is missing key {exc}") from None
-        out = []
-        for i in range(len(oracle.blocks)):
-            key = f"block{i}"
+        keys = [f"block{i}" for i in range(len(oracle.blocks))]
+        for key in keys:
             if key not in assignment:
                 raise InputError(f"assignment is missing '{key}'")
-            out.append(assignment[key])
-        return StochasticSignaling.from_assignment(oracle, out)
+        stray = sorted(set(assignment) - set(keys))
+        if stray:
+            raise InputError(f"assignment has unknown key '{stray[0]}'")
+        return StochasticSignaling.from_assignment(oracle, [assignment[k] for k in keys])
     raise InputError("signaling 'type' must be 'stochastic' or 'deterministic'")
 
 

@@ -11,6 +11,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InputError
 
@@ -114,7 +115,7 @@ def _vector_from(space: StateSpace, mass: object) -> tuple[Fraction, ...]:
 def _set_vector(obj: "Distribution | Prior", full_support: bool) -> None:
     """Coerce ``obj.vector`` to Fractions and check its length, signs (all
     positive under ``full_support``, else nonnegative) and sum of 1."""
-    vector = tuple(Fraction(v) for v in obj.vector)
+    vector = tuple(v if type(v) is Fraction else Fraction(v) for v in obj.vector)
     object.__setattr__(obj, "vector", vector)
     if len(vector) != len(obj.space):
         name = "prior" if full_support else "distribution"
@@ -129,15 +130,33 @@ def _set_vector(obj: "Distribution | Prior", full_support: bool) -> None:
         raise InputError(f"{'prior ' if full_support else ''}masses sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability distribution over a state space; masses sum to exactly 1."""
+    """Probability distribution over a state space; masses sum to exactly 1.
+    Equality and hashing read an integer key computed once: ``(d, n_1 * d /
+    d_1, ...)``, ``d`` the lcm of the denominators ``d_i``."""
 
     space: StateSpace
     vector: tuple[Fraction, ...]
+    _key: tuple[int, ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         _set_vector(self, full_support=False)
+        d = lcm(*(v.denominator for v in self.vector))
+        key = (d, *(v.numerator * (d // v.denominator) for v in self.vector))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self._key == other._key
+            and self.space == other.space
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_mass(cls, space: StateSpace, mass: object) -> "Distribution":

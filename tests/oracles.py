@@ -224,6 +224,78 @@ def feasible_nonneg_oracle(A, b):
     return None
 
 
+def fraction_simplex(A, b):
+    """Phase-1 simplex on a Fraction tableau: Bland's rule, ratio ties broken
+    by basis index. The package's integer tableau must take the same pivots,
+    so it must return this same vertex (or None)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for row in A:
+        if len(row) != n:
+            raise ValueError("ragged constraint matrix")
+    if m == 0:
+        return []
+    if n == 0:
+        return [] if all(v == 0 for v in b) else None
+
+    zero, one = Fraction(0), Fraction(1)
+    # Rows with nonnegative right-hand sides, one artificial variable each.
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [one if j == i else zero for j in range(m)]
+        tab.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+    width = n + m
+
+    # Reduced costs for minimizing the artificial total: structural columns
+    # start at -(column sum), artificial columns at 0.
+    cost = [zero] * (width + 1)
+    for i in range(m):
+        for j in range(width + 1):
+            cost[j] -= tab[i][j]
+    for i in range(m):
+        cost[n + i] += one
+
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                key = (tab[i][width] / coef, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:  # pragma: no cover - phase-1 objective is bounded
+            raise ArithmeticError("unbounded phase-1 pivot")
+        r = best[1]
+        pivot = tab[r][enter]
+        tab[r] = [v / pivot for v in tab[r]]
+        prow = tab[r]
+        for i in range(m):
+            if i != r and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [v - f * w for v, w in zip(cost, prow)]
+        basis[r] = enter
+
+    if any(basis[i] >= n and tab[i][width] != 0 for i in range(m)):
+        return None
+    x = [zero] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][width]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Game values
 

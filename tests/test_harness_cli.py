@@ -267,6 +267,19 @@ def test_cli_post_exits_2_on_a_malformed_signaling(tmp_path, capsys, edit):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
+    _, spath = _write_structure(tmp_path, "one-dm")
+    tau = {
+        "type": "deterministic",
+        "oracle": "F2",
+        "assignment": {"block0": "a", "block1": "b", "blokc2": "c"},
+    }
+    tpath = tmp_path / "tau.json"
+    tpath.write_text(json.dumps(tau))
+    assert cli.main(["post", str(spath), str(tpath)]) == 2
+    assert "'blokc2'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -5,6 +5,18 @@ import random
 from fractions import Fraction
 
 import oracles
+from oraclegames import (
+    Partition,
+    StateSpace,
+    StochasticSignaling,
+    dominance,
+    experiment_matrix,
+    garbling_exists,
+    harness,
+    merge_garbled,
+    signaling_from_json,
+    structure_from_json,
+)
 from oraclegames._lp import feasible_nonneg
 
 
@@ -61,9 +73,13 @@ def test_inconsistent_duplicate_rows():
     assert feasible_nonneg(A, b) is None
 
 
-def test_agrees_with_basic_solution_oracle_on_random_systems():
+def _image(A, x0):
+    return [sum((c * v for c, v in zip(row, x0)), Fraction(0)) for row in A]
+
+
+def _random_systems():
+    """120 seeded systems, about half feasible by construction."""
     rng = random.Random(20240814)
-    feasible_seen = infeasible_seen = 0
     for _ in range(120):
         m = rng.randint(1, 4)
         n = rng.randint(1, 6)
@@ -74,11 +90,15 @@ def test_agrees_with_basic_solution_oracle_on_random_systems():
         if rng.random() < 0.5:
             # Force feasibility by picking the right-hand side as A @ x0.
             x0 = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
-            b = [
-                sum((c * v for c, v in zip(row, x0)), Fraction(0)) for row in A
-            ]
+            b = _image(A, x0)
         else:
             b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        yield A, b
+
+
+def test_agrees_with_basic_solution_oracle_on_random_systems():
+    feasible_seen = infeasible_seen = 0
+    for A, b in _random_systems():
         expected = oracles.feasible_nonneg_oracle(A, b)
         actual = feasible_nonneg(A, b)
         assert (actual is None) == (expected is None)
@@ -88,3 +108,118 @@ def test_agrees_with_basic_solution_oracle_on_random_systems():
             feasible_seen += 1
             _check_solution(A, b, actual)
     assert feasible_seen >= 30 and infeasible_seen >= 10
+
+
+# The integer tableau must pivot exactly as the rational one did: Bland's rule
+# and the basis-index tie-break then return the same vertex, not just the
+# same verdict, so every garbling witness stays as it was.
+
+
+def test_same_vertex_as_fraction_simplex_on_random_systems():
+    for A, b in _random_systems():
+        assert feasible_nonneg(A, b) == oracles.fraction_simplex(A, b)
+
+
+def test_same_vertex_as_fraction_simplex_on_degenerate_systems():
+    rng = random.Random(31415)
+    seen = dict.fromkeys(("duplicate", "zero_row", "zero_col", "negative", "zero_b"), 0)
+    feasible_seen = infeasible_seen = 0
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 7)
+        A = [
+            [Fraction(rng.choice((0, 0, 1, -1, 2, -3)), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.2:
+            b = [Fraction(0)] * m
+        elif rng.random() < 0.5:
+            b = _image(A, [Fraction(rng.randint(0, 2), rng.randint(1, 3)) for _ in range(n)])
+        else:
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(m), 2)
+            A[j], b[j] = list(A[i]), b[i]
+        if rng.random() < 0.3:
+            A[rng.randrange(m)] = [Fraction(0)] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = Fraction(0)
+        seen["duplicate"] += any(A[i] == A[j] for j in range(m) for i in range(j))
+        seen["zero_row"] += any(not any(row) for row in A)
+        seen["zero_col"] += any(not any(row[j] for row in A) for j in range(n))
+        seen["negative"] += any(v < 0 for v in b)
+        seen["zero_b"] += not any(b)
+        x = feasible_nonneg(A, b)
+        assert x == oracles.fraction_simplex(A, b)
+        if x is None:
+            infeasible_seen += 1
+        else:
+            feasible_seen += 1
+            _check_solution(A, b, x)
+    assert min(seen.values()) >= 40, seen
+    assert feasible_seen >= 100 and infeasible_seen >= 40
+
+
+def test_same_vertex_as_fraction_simplex_when_ratio_ties_are_common():
+    # Small nonnegative integer rows over a nonnegative image tie often in the
+    # ratio test, so a tie-break other than the smallest basis index shows.
+    rng = random.Random(7)
+    for _ in range(2000):
+        m = rng.randint(2, 5)
+        n = rng.randint(3, 9)
+        A = [[Fraction(rng.choice((0, 1, 1, 2, 3))) for _ in range(n)] for _ in range(m)]
+        b = _image(A, [Fraction(rng.choice((0, 0, 1, 2))) for _ in range(n)])
+        assert feasible_nonneg(A, b) == oracles.fraction_simplex(A, b)
+
+
+def _garbling_lps(monkeypatch, first, second):
+    """The two LPs that garbling_exists solves, forward then backward."""
+    lps = []
+
+    def record(A, b):
+        lps.append((A, b))
+        return feasible_nonneg(A, b)
+
+    monkeypatch.setattr(dominance, "feasible_nonneg", record)
+    garbling_exists(first, second)
+    garbling_exists(second, first)
+    return lps
+
+
+def test_same_vertex_on_one_dm_garblings(monkeypatch):
+    data = harness.load_fixture("one-dm")
+    structure = structure_from_json(data["structure"])
+    dm = structure.players[0]
+    full, tau2 = (
+        signaling_from_json(structure, data["signalings"][k]) for k in ("tau1full", "tau2")
+    )
+    lps = _garbling_lps(monkeypatch, experiment_matrix(full, dm), experiment_matrix(tau2, dm))
+    vertices = [feasible_nonneg(A, b) for A, b in lps]
+    assert vertices == [oracles.fraction_simplex(A, b) for A, b in lps]
+    assert [x is None for x in vertices] == [False, True]
+
+
+def test_same_vertex_on_a_benchmark_sized_garbling(monkeypatch):
+    # 11 states, a 3-block player, 3 signals on a 4-block oracle, merged to 2.
+    rng = random.Random(11)
+    space = StateSpace(tuple(f"w{i}" for i in range(11)))
+    player = Partition(space, (space.states[:4], space.states[4:7], space.states[7:]))
+    oracle = Partition(space, tuple(space.states[i::4] for i in range(4)))
+
+    def distribution(k):
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    rows = {tuple(block): distribution(3) for block in oracle.blocks}
+    kernel = tuple(tuple(rows[oracle.block_of(state)]) for state in space.states)
+    tau = StochasticSignaling(oracle, ("s0", "s1", "s2"), kernel)
+    garbling = {s: dict(zip(("t0", "t1"), distribution(2))) for s in tau.signals}
+    first = experiment_matrix(tau, player)
+    second = experiment_matrix(merge_garbled(tau, garbling), player)
+    lps = _garbling_lps(monkeypatch, first, second)
+    assert [(len(A), len(A[0])) for A, b in lps] == [(75, 54), (105, 54)]
+    vertices = [feasible_nonneg(A, b) for A, b in lps]
+    assert vertices == [oracles.fraction_simplex(A, b) for A, b in lps]
+    assert vertices[0] is not None

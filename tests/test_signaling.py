@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oraclegames import (
+    Distribution,
     DomainError,
     InformationStructure,
     InputError,
+    JointPosteriorProfile,
     Partition,
     Prior,
     StateSpace,
@@ -21,6 +23,7 @@ from oraclegames import (
     build_permutation_game,
     det_posterior,
     experiment_matrix,
+    harness,
     information_partition,
     lift_garbled,
     matrix_from_json,
@@ -33,7 +36,9 @@ from oraclegames import (
     separating_strategy,
     signaling_from_json,
     stoch_posterior,
+    structure_from_json,
 )
+from oraclegames.signaling import posterior_menu
 
 SPACE = StateSpace(("w1", "w2", "w3", "w4"))
 PRIOR = Prior.uniform(SPACE)
@@ -434,6 +439,22 @@ def test_signaling_from_json_variants():
         signaling_from_json(STRUCTURE, {"type": "stochastic"})
 
 
+def test_deterministic_assignment_refuses_stray_keys():
+    data = harness.load_fixture("one-dm")
+    structure = structure_from_json(data["structure"])
+    tau = {"type": "deterministic", "oracle": "F2", "assignment": {"block0": "a", "block1": "b"}}
+    assert signaling_from_json(structure, tau).signals == ("a", "b")
+    tau["assignment"]["blokc2"] = "c"
+    with pytest.raises(InputError, match="unknown key 'blokc2'"):
+        signaling_from_json(structure, tau)
+    tau["assignment"]["block2"] = "d"  # F2 has two blocks; sorted first
+    with pytest.raises(InputError, match="unknown key 'block2'"):
+        signaling_from_json(structure, tau)
+    del tau["assignment"]["block1"]  # a missing key is named first
+    with pytest.raises(InputError, match="missing 'block1'"):
+        signaling_from_json(structure, tau)
+
+
 def _stochastic_json(**changes):
     data = {
         "oracle": "F",
@@ -564,3 +585,36 @@ def test_atlas_invariants_on_random_signalings(case):
                 post = stoch_posterior(structure, i, tau, omega, sig)
                 block = structure.players[i].block_of(omega)
                 assert set(post.support()) <= set(block)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(random_signaling())
+def test_profile_membership_and_menu_order_follow_the_vectors(case):
+    # Profiles rebuilt from the naive posteriors, written as strings, are new
+    # objects with the same exact values: set membership and menu order may
+    # read only those values.
+    structure, tau = case
+    states = structure.space.states
+    prior = dict(zip(states, structure.prior.vector))
+    kernel = {w: dict(zip(tau.signals, tau.row(w))) for w in states}
+    expected = {
+        tuple(
+            oracles.naive_posterior(prior, kernel, p.block_of(w), states, s)
+            for p in structure.players
+        )
+        for w in states
+        for s in tau.signals
+        if kernel[w][s]
+    }
+    atlas = posterior_atlas(structure, tau)
+    keys = set(atlas.entries)
+    assert len(keys) == len(expected)
+    for vectors in expected:
+        profile = JointPosteriorProfile(
+            tuple(Distribution.from_mass(structure.space, list(map(str, v))) for v in vectors)
+        )
+        assert profile in atlas and profile in keys
+    for i in range(structure.n):
+        menu = posterior_menu(p.per_player[i] for p in atlas.profiles())
+        assert [d.vector for d in menu] == sorted({v[i] for v in expected})
+        assert menu == atlas.player_menu(i)

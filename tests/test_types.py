@@ -1,6 +1,7 @@
 """Core domain objects: rationals, spaces, distributions, partitions,
 structures, and their JSON forms."""
 
+import random
 import types
 from fractions import Fraction
 
@@ -77,6 +78,49 @@ def test_distribution_is_hashable_and_value_equal():
     d2 = Distribution.from_mass(SPACE, {"a": "1/2", "b": "1/2"})
     assert d1 == d2
     assert len({d1, d2}) == 1
+
+
+def test_distribution_equality_and_hash_read_the_exact_values():
+    half = [
+        Distribution.from_mass(SPACE, ["2/4", "2/4", 0, 0]),
+        Distribution(SPACE, (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))),
+        Distribution.from_mass(SPACE, {"a": "1/2", "b": "3/6"}),
+    ]
+    point = [
+        Distribution(SPACE, (1, 0, 0, 0)),
+        Distribution.from_mass(SPACE, ["2/2", "0/4", 0, "0"]),
+        Distribution.point(SPACE, "a"),
+    ]
+    for group in (half, point):
+        assert all(d == group[0] and hash(d) == hash(group[0]) for d in group)
+    assert half[0] != point[0]
+    other = StateSpace(("a", "b", "c", "e"))
+    assert Distribution(other, (1, 0, 0, 0)) != point[0]
+    prior = Prior.uniform(SPACE)
+    uniform = Distribution(SPACE, prior.vector)
+    assert uniform != prior and prior != uniform
+    assert len({uniform, prior}) == 2
+
+
+def test_distribution_equality_matches_vector_equality():
+    rng = random.Random(2718)
+    spaces = (SPACE, StateSpace(("a", "b", "c", "e")))
+    pool = []
+    for _ in range(200):
+        weights = [rng.choice((0, 1, 2, 3)) for _ in range(3)] + [1]
+        rng.shuffle(weights)
+        scale = rng.randint(1, 3)  # the same vector, written over other denominators
+        vector = tuple(f"{w * scale}/{sum(weights) * scale}" for w in weights)
+        pool.append(Distribution.from_mass(rng.choice(spaces), vector))
+    equal_pairs = 0
+    for a in pool:
+        for b in pool:
+            same = a.vector == b.vector and a.space == b.space
+            assert (a == b) is same
+            if same:
+                equal_pairs += 1
+                assert hash(a) == hash(b)
+    assert equal_pairs > len(pool)  # more than each with itself
 
 
 def test_point_distribution():
