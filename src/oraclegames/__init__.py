@@ -22,7 +22,6 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
-    conditional,
     format_rational,
     load_json,
     load_structure,
@@ -45,7 +44,6 @@ from .signaling import (
     PosteriorAtlas,
     StochasticMatrix,
     StochasticSignaling,
-    atlas_equal,
     det_posterior,
     experiment_matrix,
     lift_garbled,
@@ -77,7 +75,6 @@ from .games import (
     BayesianGame,
     BeliefGame,
     CombinedGame,
-    DecisionProblem,
     EquilibriumResult,
     LogScore,
     MixedValue,
@@ -91,7 +88,6 @@ from .games import (
     best_common_payoff,
     build_kld_game,
     build_permutation_game,
-    decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,
     game_from_json,

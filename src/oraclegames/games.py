@@ -1,9 +1,9 @@
 """Game evaluation over information structures, all in exact arithmetic.
 
 Covers finite Bayesian games played after a signaling round (strategies live
-on reachable (block, signal) pairs), single-agent decision problems, and the
-specialized constructions used to separate oracles: the block-permutation
-decision problem, the belief-report game, the two-stage declaration game, the
+on reachable (block, signal) pairs) and the specialized constructions used
+to separate oracles: the block-permutation decision problem (a one-player
+game), the belief-report game, the two-stage declaration game, the
 log-score game (scores compared exactly, without evaluating logarithms), and
 the combination of the last two.
 """
@@ -30,8 +30,8 @@ from .types import (
     Distribution,
     InformationStructure,
     Partition,
-    Prior,
     StateSpace,
+    check_label,
     format_rational,
     json_section,
     parse_rational,
@@ -45,14 +45,6 @@ Pair = tuple[tuple[str, ...], str]
 Branch = tuple[str, str]
 Slot = tuple[int, tuple[str, ...]]
 Game = Union["BayesianGame", "TwoStageGame"]
-
-
-def _check_action_label(label: object) -> str:
-    if not isinstance(label, str) or not label:
-        raise InputError(f"action labels must be nonempty strings, got {label!r}")
-    if "|" in label:
-        raise InputError(f"action label {label!r} may not contain '|'")
-    return label
 
 
 @dataclass(eq=False)
@@ -83,7 +75,7 @@ class BayesianGame:
                 raise InputError("every player needs at least one action")
             seen = set()
             for a in acts:
-                _check_action_label(a)
+                check_label("action", a)
                 if a in seen:
                     raise InputError(f"duplicate action label {a!r}")
                 seen.add(a)
@@ -641,28 +633,7 @@ def enumerate_pure_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# Single-agent decision problems and the block-permutation construction.
-
-
-@dataclass(eq=False)
-class DecisionProblem:
-    """A single-agent decision problem with state-dependent payoffs."""
-
-    space: StateSpace
-    prior: Prior
-    actions: tuple[str, ...]
-    payoffs: dict[tuple[str, str], Fraction]
-
-    def __post_init__(self):
-        self.actions = tuple(self.actions)
-        if not self.actions:
-            raise InputError("a decision problem needs at least one action")
-        expected = {(state, a) for state in self.space for a in self.actions}
-        if set(self.payoffs) != expected:
-            raise InputError("decision problem payoffs must be total")
-
-    def payoff(self, state: str, action: str) -> Fraction:
-        return self.payoffs[(state, action)]
+# The block-permutation decision problem: a one-player game.
 
 
 def information_partition(
@@ -676,31 +647,12 @@ def information_partition(
     return join(structure.players[player], induced)
 
 
-def decision_value(problem: DecisionProblem, info: Partition) -> Fraction:
-    """Best expected payoff when choosing one action per information block."""
-    if info.space != problem.space:
-        raise DomainError("information partition uses a different state space")
-    total = Fraction(0)
-    for block in info.blocks:
-        best = None
-        for action in problem.actions:
-            value = sum(
-                (problem.prior.of(state) * problem.payoffs[(state, action)]
-                 for state in block),
-                Fraction(0),
-            )
-            if best is None or value > best:
-                best = value
-        total += best
-    return total
-
-
 def build_permutation_game(
     structure: InformationStructure,
     player: int,
     source: Union[Partition, StochasticSignaling],
     cap: int = DEFAULT_PERMUTATION_CAP,
-) -> DecisionProblem:
+) -> BayesianGame:
     """Decision problem whose actions rank the states inside one block of the
     player's effective information partition.
 
@@ -708,6 +660,11 @@ def build_permutation_game(
     position, normalized by the conditional state probability; acting on the
     wrong block costs a penalty so large that it can never pay off.  Exact
     value comparisons of this problem separate effective partitions.
+
+    It is a one-player game: the player keeps their name and holds the
+    trivial partition, so the problem's value under an information
+    partition is ``best_common_payoff`` under the signaling that reveals
+    that partition's blocks.
     """
     base = information_partition(structure, player, source)
     size = 0
@@ -720,7 +677,7 @@ def build_permutation_game(
     prior = structure.prior
     penalty = Fraction(-(2 ** (10 * len(structure.space)))) / prior.min_mass()
     actions = []
-    payoffs: dict[tuple[str, str], Fraction] = {}
+    payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
     for j, block in enumerate(base.blocks):
         block_mass = prior.event_mass(block)
         for perm in itertools.permutations(block):
@@ -730,10 +687,17 @@ def build_permutation_game(
                 if state in block:
                     position = perm.index(state) + 1
                     cond = prior.of(state) / block_mass
-                    payoffs[(state, label)] = Fraction(position) / (cond * len(block))
+                    value = Fraction(position) / (cond * len(block))
                 else:
-                    payoffs[(state, label)] = penalty
-    return DecisionProblem(structure.space, prior, tuple(actions), payoffs)
+                    value = penalty
+                payoffs[(state, (label,))] = (value,)
+    agent = InformationStructure(
+        structure.space,
+        prior,
+        (structure.player_names[player],),
+        (Partition.trivial(structure.space),),
+    )
+    return BayesianGame(agent, (tuple(actions),), payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -855,27 +819,19 @@ def belief_best_response(game: BeliefGame, player: int, belief: Distribution) ->
 def belief_is_equilibrium(
     game: BeliefGame, beliefs: Sequence[Distribution], choices: Sequence[str]
 ) -> bool:
-    """No player can raise their own expected score by switching actions."""
+    """No player can raise their own expected score by switching actions.
+    Off the declared support every action pays the same penalty, so a
+    choice is a best response exactly when its belief-to-declared ratio
+    equals that of ``belief_best_response``."""
     _check_belief_inputs(game, beliefs, choices)
-    for i in range(game.n):
-        current = sum(
-            (
-                beliefs[i].of(state) * game.r_value(i, choices[i], state)
-                for state in game.space
-            ),
-            Fraction(0),
-        )
-        for action in game.action_set(i):
-            value = sum(
-                (
-                    beliefs[i].of(state) * game.r_value(i, action, state)
-                    for state in game.space
-                ),
-                Fraction(0),
-            )
-            if value > current:
-                return False
-    return True
+
+    def ratio(i: int, action: str) -> Fraction:
+        return beliefs[i].of(action) / game.declared[i].of(action)
+
+    return all(
+        ratio(i, choices[i]) == ratio(i, belief_best_response(game, i, beliefs[i]))
+        for i in range(game.n)
+    )
 
 
 def truthful_choices(game: BeliefGame) -> tuple[str, ...]:

@@ -35,7 +35,6 @@ from .games import (
     build_kld_game,
     build_permutation_game,
     CombinedGame,
-    decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,
     game_from_json,
@@ -76,6 +75,7 @@ from .types import (
     Partition,
     format_rational,
     json_section,
+    load_json,
     parse_rational,
     partition_from_json,
     structure_from_json,
@@ -97,13 +97,7 @@ def load_fixture(name_or_path: str) -> dict:
     """Load a fixture by packaged name, or from a filesystem path when the
     argument contains a path separator or a .json suffix."""
     if "/" in name_or_path or name_or_path.endswith(".json"):
-        try:
-            with open(name_or_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise InputError(f"cannot read fixture file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"fixture file is not valid JSON: {exc}") from None
+        data = load_json(name_or_path)
     else:
         names = available_fixtures()
         if name_or_path not in names:
@@ -134,6 +128,13 @@ def _jsonify(value: object) -> object:
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     return value
+
+
+def _reveal(partition: Partition) -> StochasticSignaling:
+    """The deterministic signaling that announces the block of ``partition``."""
+    return StochasticSignaling.from_assignment(
+        partition, [f"r{i}" for i in range(len(partition.blocks))]
+    )
 
 
 class Fixture:
@@ -198,10 +199,7 @@ class Fixture:
                     self.partition(spec["separating"]), self.structure.prior
                 )
             if "reveal" in spec:
-                base = self.partition(spec["reveal"])
-                return StochasticSignaling.from_assignment(
-                    base, [f"r{i}" for i in range(len(base.blocks))]
-                )
+                return _reveal(self.partition(spec["reveal"]))
             if spec.get("uninformative"):
                 return StochasticSignaling.from_assignment(
                     Partition.trivial(self.structure.space), ["u0"]
@@ -245,9 +243,6 @@ class Fixture:
                 raise InputError(f"fixture defines no profile '{spec}'")
             spec = table[spec]
         return tuple(self.distribution(v) for v in spec)
-
-    def player_index(self, name: str) -> int:
-        return self.structure.player_index(name)
 
     def matrix(self, spec: Mapping):
         tau = self.signaling(spec["signaling"])
@@ -371,7 +366,7 @@ def _op_connect_path(fix: Fixture, args: Mapping):
 def _op_det_posterior(fix: Fixture, args: Mapping):
     return det_posterior(
         fix.structure,
-        fix.player_index(args["player"]),
+        fix.structure.player_index(args["player"]),
         fix.signaling(args["signaling"]),
         args["state"],
     )
@@ -381,7 +376,7 @@ def _op_det_posterior(fix: Fixture, args: Mapping):
 def _op_stoch_posterior(fix: Fixture, args: Mapping):
     return stoch_posterior(
         fix.structure,
-        fix.player_index(args["player"]),
+        fix.structure.player_index(args["player"]),
         fix.signaling(args["signaling"]),
         args["state"],
         args["signal"],
@@ -423,18 +418,12 @@ def _op_post_included(fix: Fixture, args: Mapping):
 
 @op("experiment_row")
 def _op_experiment_row(fix: Fixture, args: Mapping):
-    matrix = experiment_matrix(
-        fix.signaling(args["signaling"]), fix.partition(args["partition"])
-    )
-    return matrix.row(args["state"])
+    return fix.matrix(args).row(args["state"])
 
 
 @op("experiment_columns")
 def _op_experiment_columns(fix: Fixture, args: Mapping):
-    matrix = experiment_matrix(
-        fix.signaling(args["signaling"]), fix.partition(args["partition"])
-    )
-    return [[signal, label] for signal, label in matrix.columns]
+    return [[signal, label] for signal, label in fix.matrix(args).columns]
 
 
 @op("garbling")
@@ -508,7 +497,7 @@ def _op_best_common_garbled(fix: Fixture, args: Mapping):
 
 
 def _permutation_problem(fix: Fixture, args: Mapping):
-    player = fix.player_index(args["player"])
+    player = fix.structure.player_index(args["player"])
     source = args["source"]
     if isinstance(source, Mapping) and "signaling" in source:
         resolved = fix.signaling(source["signaling"])
@@ -519,27 +508,27 @@ def _permutation_problem(fix: Fixture, args: Mapping):
 
 @op("permutation_action_count")
 def _op_permutation_action_count(fix: Fixture, args: Mapping):
-    _, problem = _permutation_problem(fix, args)
-    return len(problem.actions)
+    _, game = _permutation_problem(fix, args)
+    return len(game.actions[0])
 
 
 @op("permutation_penalty")
 def _op_permutation_penalty(fix: Fixture, args: Mapping):
-    _, problem = _permutation_problem(fix, args)
-    return min(problem.payoffs.values())
+    _, game = _permutation_problem(fix, args)
+    return min(value for value, in game.payoffs.values())
 
 
 @op("permutation_payoff_row")
 def _op_permutation_payoff_row(fix: Fixture, args: Mapping):
-    _, problem = _permutation_problem(fix, args)
-    return [problem.payoff(state, args["action"]) for state in fix.structure.space]
+    _, game = _permutation_problem(fix, args)
+    return [game.payoff(state, (args["action"],))[0] for state in fix.structure.space]
 
 
 @op("permutation_value")
 def _op_permutation_value(fix: Fixture, args: Mapping):
-    player, problem = _permutation_problem(fix, args)
+    player, game = _permutation_problem(fix, args)
     info = information_partition(fix.structure, player, fix.partition(args["info"]))
-    return decision_value(problem, info)
+    return best_common_payoff(game, _reveal(info))
 
 
 # -- belief-report games -----------------------------------------------------

@@ -11,27 +11,18 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
-from .partitions import join
 from .types import (
     Distribution,
     InformationStructure,
     Partition,
     Prior,
     StateSpace,
-    conditional,
+    check_label,
     format_rational,
     json_section,
     parse_rational,
     partition_from_json,
 )
-
-
-def _check_signal_label(label: str) -> str:
-    if not isinstance(label, str) or not label:
-        raise InputError(f"signal labels must be nonempty strings, got {label!r}")
-    if "|" in label:
-        raise InputError(f"signal label {label!r} may not contain '|'")
-    return label
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class StochasticSignaling:
 
     def __post_init__(self):
         space = self.oracle_partition.space
-        signals = tuple(_check_signal_label(s) for s in self.signals)
+        signals = tuple(check_label("signal", s) for s in self.signals)
         if len(set(signals)) != len(signals):
             raise InputError("duplicate signal label")
         kernel = tuple(tuple(Fraction(v) for v in row) for row in self.kernel)
@@ -125,7 +116,7 @@ class StochasticSignaling:
     ) -> "StochasticSignaling":
         """The deterministic signaling sending one signal per oracle block, in
         canonical block order: a 0/1 kernel, signals in first-seen order."""
-        assignment = tuple(_check_signal_label(s) for s in assignment)
+        assignment = tuple(check_label("signal", s) for s in assignment)
         if len(assignment) != len(oracle_partition.blocks):
             raise InputError("need exactly one signal per oracle block")
         signals = tuple(dict.fromkeys(assignment))
@@ -194,6 +185,7 @@ class PosteriorAtlas:
         return len(self.entries)
 
     def __eq__(self, other: object) -> bool:
+        """Full weighted-map equality (profiles and weights)."""
         return isinstance(other, PosteriorAtlas) and self.entries == other.entries
 
     def player_menu(self, i: int) -> tuple[Distribution, ...]:
@@ -216,9 +208,10 @@ def det_posterior(
     structure: InformationStructure, i: int, tau: StochasticSignaling, omega: str
 ) -> Distribution:
     """Posterior of player i at state omega after a deterministic (0/1)
-    public signal: the prior conditioned on the joined information block."""
-    info = join(structure.players[i], tau.induced_partition())
-    return conditional(structure.prior, info.block_of(omega))
+    public signal: the kernel posterior at the signal sent at omega."""
+    tau.induced_partition()  # refuses a kernel that is not 0/1
+    sent = tau.signals[tau.row(omega).index(1)]
+    return stoch_posterior(structure, i, tau, omega, sent)
 
 
 def stoch_posterior(
@@ -230,6 +223,7 @@ def stoch_posterior(
 ) -> Distribution:
     """Posterior of player i at (omega, signal): mass proportional to
     prior * kernel on the player's block, zero elsewhere."""
+    _check_same_space(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
     block = structure.players[i].block_of(omega)
@@ -242,14 +236,18 @@ def stoch_posterior(
     return Distribution(structure.space, vector)
 
 
+def _check_same_space(structure: InformationStructure, tau: StochasticSignaling) -> None:
+    if tau.space != structure.space:
+        raise DomainError("signaling and structure use different state spaces")
+
+
 def _branch_masses(
     structure: InformationStructure, tau: StochasticSignaling
 ) -> dict[tuple[str, str], Fraction]:
     """prior(state) * tau(signal|state) for every (state, signal) branch of
     positive mass, in state order and then signal order: the one table that
     every walk over branches reads."""
-    if tau.space != structure.space:
-        raise DomainError("signaling and structure use different state spaces")
+    _check_same_space(structure, tau)
     masses: dict[tuple[str, str], Fraction] = {}
     rows = zip(structure.space.states, structure.prior.vector, tau.kernel)
     for state, base, row in rows:
@@ -296,11 +294,6 @@ def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
 
 def post_equal(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
     return set(a.entries) == set(b.entries)
-
-
-def atlas_equal(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
-    """Full weighted-map equality (profiles and weights)."""
-    return a.entries == b.entries
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +414,7 @@ def _garbling_rows(
         if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
             raise DomainError(f"garbling row for signal '{s}' is not a distribution")
         for t in row:
-            _check_signal_label(t)
+            check_label("signal", t)
         rows[s] = row
     return rows
 

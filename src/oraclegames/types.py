@@ -13,11 +13,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
-# "|" separates a block from a signal in strategy keys and "," separates the
-# states of a block, so state labels may not use either character.
-_LABEL_RESERVED = ("|", ",")
+
+def check_label(kind: str, label: object, reserved: str = "|") -> str:
+    """``label`` if it is a nonempty string free of the ``reserved``
+    characters; otherwise an InputError naming the ``kind`` of label."""
+    if not isinstance(label, str) or not label:
+        raise InputError(f"{kind} labels must be nonempty strings, got {label!r}")
+    for ch in reserved:
+        if ch in label:
+            raise InputError(f"{kind} label {label!r} may not contain {ch!r}")
+    return label
 
 
 def parse_rational(value: object) -> Fraction:
@@ -69,11 +76,9 @@ class StateSpace:
             raise InputError("state space must contain at least one state")
         seen = set()
         for s in self.states:
-            if not isinstance(s, str) or not s:
-                raise InputError(f"state labels must be nonempty strings, got {s!r}")
-            for ch in _LABEL_RESERVED:
-                if ch in s:
-                    raise InputError(f"state label {s!r} may not contain {ch!r}")
+            # "|" separates a block from a signal in strategy keys and ","
+            # separates the states of a block.
+            check_label("state", s, "|,")
             if s in seen:
                 raise InputError(f"duplicate state label '{s}'")
             seen.add(s)
@@ -208,21 +213,6 @@ class Prior:
 
     def min_mass(self) -> Fraction:
         return min(self.vector)
-
-
-def conditional(prior: Prior, event: Iterable[str]) -> Distribution:
-    """Bayes-condition the prior on an event (a nonempty set of states)."""
-    states = set(event)
-    for s in states:
-        prior.space.index(s)
-    if not states:
-        raise DomainError("cannot condition on an empty event")
-    total = prior.event_mass(states)
-    vector = tuple(
-        prior.vector[i] / total if s in states else Fraction(0)
-        for i, s in enumerate(prior.space.states)
-    )
-    return Distribution(prior.space, vector)
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,12 +388,16 @@ def structure_from_json(data: Mapping) -> InformationStructure:
 
 
 def load_json(path: str) -> object:
+    """The JSON value in a UTF-8 file; a file that cannot be read or parsed
+    is an InputError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 

@@ -300,6 +300,21 @@ def fraction_simplex(A, b):
 # Game values
 
 
+def naive_decision_value(prior, actions, payoff, blocks):
+    """Best expected payoff of a single agent who picks one action per block
+    of ``blocks``: the sum over blocks of the largest sum of prior[w] *
+    payoff[(w, a)] over the block's states."""
+    total = Fraction(0)
+    for block in blocks:
+        best = None
+        for a in actions:
+            value = sum((prior[w] * payoff[(w, a)] for w in block), Fraction(0))
+            if best is None or value > best:
+                best = value
+        total += best
+    return total
+
+
 def naive_best_common_payoff(states, prior, kernel, partitions, actions, payoff):
     """Best expected common payoff over pure measurable strategy profiles.
 
@@ -391,6 +406,29 @@ def naive_is_equilibrium(states, prior, kernel, partitions, actions, payoff, str
                 if total(i, tables) > base:
                     return False, (i, pair[0], pair[1], a)
     return True, None
+
+
+def naive_belief_is_equilibrium(states, declared, beliefs, choices):
+    """Whether no player of the belief-report game gains by switching to
+    another state of their declared support.  Player i's own score at state
+    w for action a is -2 when declared[i][w] = 0, 1 / declared[i][w] when
+    a == w and 0 otherwise; an action is valued by its scores summed over
+    every state under beliefs[i]."""
+
+    def value(i, a):
+        total = Fraction(0)
+        for w in states:
+            d = declared[i][w]
+            score = Fraction(-2) if d == 0 else (1 / d if a == w else Fraction(0))
+            total += beliefs[i][w] * score
+        return total
+
+    return not any(
+        value(i, a) > value(i, choice)
+        for i, choice in enumerate(choices)
+        for a in states
+        if declared[i][a] > 0
+    )
 
 
 def pure_profile_scan(slots, actions, holds):

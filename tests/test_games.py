@@ -1,6 +1,6 @@
 """Game constructions and evaluators: Bayesian games, strategies, equilibria,
-decision problems, belief games, exact log scores, declaration games, and the
-common-objective coordination value."""
+decision problems as one-player games, belief games, exact log scores,
+declaration games, and the common-objective coordination value."""
 
 import itertools
 import random
@@ -32,7 +32,6 @@ from oraclegames import (
     best_common_payoff,
     build_kld_game,
     build_permutation_game,
-    decision_value,
     enumerate_pure_equilibria,
     expected_payoffs,
     game_from_json,
@@ -319,7 +318,24 @@ def test_enumerate_pure_equilibria_and_cap():
 
 
 # ---------------------------------------------------------------------------
-# Decision problems
+# Decision problems: one-player games valued under the revealing signaling
+
+
+def _value(problem, info):
+    """The problem's value when the player learns the block of ``info``."""
+    reveal = StochasticSignaling.from_assignment(
+        info, [f"r{i}" for i in range(len(info.blocks))]
+    )
+    return best_common_payoff(problem, reveal)
+
+
+def test_permutation_game_is_a_one_player_game():
+    problem = build_permutation_game(STRUCTURE, 1, Partition.trivial(SPACE))
+    assert problem.structure.player_names == ("B",)
+    assert problem.structure.players == (Partition.trivial(SPACE),)
+    assert problem.structure.prior == PRIOR
+    assert len(problem.actions) == 1
+    assert all(len(key[1]) == 1 and len(v) == 1 for key, v in problem.payoffs.items())
 
 
 def test_permutation_game_value_at_own_information():
@@ -330,7 +346,7 @@ def test_permutation_game_value_at_own_information():
         (PRIOR.event_mass(b) * Fraction(len(b) + 1, 2) for b in base.blocks),
         Fraction(0),
     )
-    assert decision_value(problem, base) == expected
+    assert _value(problem, base) == expected
 
 
 def test_permutation_game_value_monotone_in_information():
@@ -343,14 +359,45 @@ def test_permutation_game_value_monotone_in_information():
         fine, coarse = rng.choice(parts), rng.choice(parts)
         if not oracles.naive_refines(fine.blocks, coarse.blocks):
             continue
-        assert decision_value(problem, fine) >= decision_value(problem, coarse)
+        assert _value(problem, fine) >= _value(problem, coarse)
 
 
 def test_permutation_game_penalizes_block_straddle():
     problem = build_permutation_game(STRUCTURE, 0, Partition.trivial(SPACE))
     base = information_partition(STRUCTURE, 0, Partition.trivial(SPACE))
     straddle = Partition(SPACE, (("w1", "w3"), ("w2", "w4")))
-    assert decision_value(problem, straddle) < 0 < decision_value(problem, base)
+    assert _value(problem, straddle) < 0 < _value(problem, base)
+
+
+def test_permutation_game_value_matches_the_per_block_maximum():
+    """On random structures, sources and information partitions (straddling
+    ones included), the one-player game's best common payoff is the sum of
+    per-block maxima of the single-agent problem."""
+    rng = random.Random(51)
+    straddling = 0
+    for _ in range(40):
+        states = tuple(f"w{j}" for j in range(rng.choice((3, 4, 5))))
+        space = StateSpace(states)
+        nums = [rng.randint(1, 5) for _ in states]
+        prior = Prior(space, tuple(Fraction(k, sum(nums)) for k in nums))
+        players = tuple(
+            Partition(space, tuple(_random_blocks(rng, states, 3))) for _ in range(2)
+        )
+        structure = InformationStructure(space, prior, ("A", "B"), players)
+        player = rng.randrange(2)
+        source = Partition(space, tuple(_random_blocks(rng, states, 3)))
+        problem = build_permutation_game(structure, player, source)
+        base = information_partition(structure, player, source)
+        info = Partition(space, tuple(_random_blocks(rng, states, len(states))))
+        straddling += not oracles.naive_refines(info.blocks, base.blocks)
+        expected = oracles.naive_decision_value(
+            dict(zip(states, prior.vector)),
+            problem.actions[0],
+            {(w, a): v for (w, (a,)), (v,) in problem.payoffs.items()},
+            info.blocks,
+        )
+        assert _value(problem, info) == expected
+    assert straddling >= 10
 
 
 def test_permutation_game_cap():
@@ -459,6 +506,27 @@ def test_belief_best_response_maximizes_likelihood_ratio():
     # Ratios for player 0: x -> 2, y -> 2/3.
     assert belief_best_response(game, 0, belief) == "x"
     assert not belief_is_equilibrium(game, (belief, belief), ("y", "x"))
+
+
+def test_belief_equilibrium_matches_the_action_scan():
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        space = StateSpace(tuple(f"s{i}" for i in range(rng.randint(2, 4))))
+        declared = _random_profile(rng, space, n)
+        beliefs = _random_profile(rng, space, n)
+        game = BeliefGame(space, declared)
+        choices = tuple(rng.choice(game.action_set(i)) for i in range(n))
+        expected = oracles.naive_belief_is_equilibrium(
+            space.states,
+            [dict(zip(space.states, d.vector)) for d in declared],
+            [dict(zip(space.states, b.vector)) for b in beliefs],
+            choices,
+        )
+        assert belief_is_equilibrium(game, beliefs, choices) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_belief_game_input_validation():

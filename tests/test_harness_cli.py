@@ -319,6 +319,25 @@ def test_cli_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_exits_2_on_unreadable_input(tmp_path, capsys):
+    assert cli.main(["ckc", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert cli.main(["verify", str(latin1)]) == 2
+    assert str(latin1) in capsys.readouterr().err
+
+
+def test_cli_verify_exits_2_on_an_unknown_permutation_action(tmp_path, capsys):
+    data = harness.load_fixture("witness-permutation")
+    claim = next(c for c in data["claims"] if c["op"] == "permutation_payoff_row")
+    claim["args"]["action"] = "b9:w1"
+    path = tmp_path / "unknown-action.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "no payoff entry" in capsys.readouterr().err
+
+
 def test_cli_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "oraclegames.cli", "verify", "--all"],

@@ -18,7 +18,6 @@ from oraclegames import (
     Prior,
     StateSpace,
     StochasticSignaling,
-    atlas_equal,
     build_kld_game,
     build_permutation_game,
     det_posterior,
@@ -218,6 +217,21 @@ def test_atlas_rejects_a_signaling_over_another_state_space():
             build(structure, TAU)
 
 
+def test_posteriors_reject_a_signaling_over_another_state_space():
+    """The same labels in reversed order are another state space: rows are
+    not looked up by label across spaces."""
+    reversed_space = StateSpace(tuple(reversed(SPACE.states)))
+    foreign = StochasticSignaling.from_assignment(
+        Partition.trivial(reversed_space), ["u0"]
+    )
+    for call in (
+        lambda: stoch_posterior(STRUCTURE, 0, foreign, "w1", "u0"),
+        lambda: det_posterior(STRUCTURE, 0, foreign, "w1"),
+    ):
+        with pytest.raises(DomainError, match="different state spaces"):
+            call()
+
+
 def test_player_menu_is_sorted_and_deduplicated():
     atlas = posterior_atlas(STRUCTURE, TAU)
     for i in range(STRUCTURE.n):
@@ -232,9 +246,7 @@ def test_atlas_unchanged_by_lift_garbling():
         "s2": {"t1": "1/3", "t2": "2/3"},
     }
     lifted = lift_garbled(TAU, m)
-    assert atlas_equal(
-        posterior_atlas(STRUCTURE, TAU), posterior_atlas(STRUCTURE, lifted)
-    )
+    assert posterior_atlas(STRUCTURE, TAU) == posterior_atlas(STRUCTURE, lifted)
     assert post_equal(
         posterior_atlas(STRUCTURE, TAU), posterior_atlas(STRUCTURE, lifted)
     )

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import oraclegames
 from oraclegames import (
+    BayesianGame,
     Distribution,
     InformationStructure,
     InputError,
     Partition,
     Prior,
     StateSpace,
-    conditional,
+    StochasticSignaling,
+    det_posterior,
     format_rational,
     parse_rational,
     structure_from_json,
@@ -138,9 +140,48 @@ def test_prior_requires_full_support():
 
 
 def test_conditional_restricts_and_renormalizes():
+    """Under an uninformative signal a posterior is the prior conditioned on
+    the player's block."""
     prior = Prior.from_mass(SPACE, {"a": "1/2", "b": "1/4", "c": "1/8", "d": "1/8"})
-    cond = conditional(prior, ("b", "c"))
+    player = Partition(SPACE, (("a",), ("b", "c"), ("d",)))
+    structure = InformationStructure(SPACE, prior, ("P",), (player,))
+    uninformative = StochasticSignaling.from_assignment(Partition.trivial(SPACE), ["u0"])
+    cond = det_posterior(structure, 0, uninformative, "b")
     assert cond.vector == (0, Fraction(2, 3), Fraction(1, 3), 0)
+
+
+def _one_action_game(action):
+    space = StateSpace(("x",))
+    structure = InformationStructure(
+        space, Prior.uniform(space), ("A",), (Partition.trivial(space),)
+    )
+    return BayesianGame(structure, ((action,),), {("x", (action,)): (Fraction(0),)})
+
+
+def _one_signal_kernel(signal):
+    return StochasticSignaling.from_assignment(Partition.trivial(SPACE), [signal])
+
+
+@pytest.mark.parametrize(
+    "build, label, message",
+    [
+        (lambda s: StateSpace(("a", s)), "", "state labels must be nonempty strings, got ''"),
+        (lambda s: StateSpace(("a", s)), "b|c", "state label 'b|c' may not contain '|'"),
+        (lambda s: StateSpace(("a", s)), "b,c", "state label 'b,c' may not contain ','"),
+        (_one_action_game, "", "action labels must be nonempty strings, got ''"),
+        (_one_action_game, "l|r", "action label 'l|r' may not contain '|'"),
+        (_one_signal_kernel, "", "signal labels must be nonempty strings, got ''"),
+        (_one_signal_kernel, "s|t", "signal label 's|t' may not contain '|'"),
+    ],
+    ids=[
+        "state-empty", "state-bar", "state-comma",
+        "action-empty", "action-bar", "signal-empty", "signal-bar",
+    ],
+)
+def test_label_messages(build, label, message):
+    with pytest.raises(InputError) as caught:
+        build(label)
+    assert str(caught.value) == message
 
 
 def test_partition_canonical_form():
