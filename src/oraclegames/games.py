@@ -710,9 +710,16 @@ class BeliefGame:
 
     Player i may act only on the support of their declared posterior; hitting
     the realized state pays the inverse declared probability, landing outside
-    the declared support costs 2, and everyone is docked a share of the other
-    players' successes, which makes truthful declarations sum to exactly -1
-    per player.
+    the declared support costs 2, and everyone is docked a share 2/(n-1) of
+    the other players' successes, which makes truthful declarations sum to
+    exactly -1 per player.
+
+    Summed over players, the game at state s pays -2 for each declared
+    posterior that gives s no mass and -1/p for each player who acts on s,
+    p being that player's declared mass on s.  Player i's own expected
+    score under belief q_i is -2 q_i(off their declared support) plus their
+    hit ratio q_i(a_i)/p_i(a_i), less 2/(n-1) of every other player's hit
+    ratio (each scored under that player's own belief).
     """
 
     space: StateSpace
@@ -772,25 +779,14 @@ def belief_expected_payoffs(
     """Expected utilities where every scoring term is weighted by the acting
     player's own belief about the state."""
     _check_belief_inputs(game, beliefs, choices)
-    own = []
-    hits = []
-    for k in range(game.n):
-        e_own = Fraction(0)
-        e_hit = Fraction(0)
-        for state in game.space:
-            q = beliefs[k].of(state)
-            if q == 0:
-                continue
-            r = game.r_value(k, choices[k], state)
-            e_own += q * r
-            if game.declared[k].of(state) > 0:
-                e_hit += q * r
-        own.append(e_own)
-        hits.append(e_hit)
+    hits = [q.of(a) / p.of(a) for q, p, a in zip(beliefs, game.declared, choices)]
+    total = sum(hits, Fraction(0))
     share = Fraction(2, game.n - 1)
     return tuple(
-        own[i] - share * sum((hits[j] for j in range(game.n) if j != i), Fraction(0))
-        for i in range(game.n)
+        -2 * sum((m for m, d in zip(q.vector, p.vector) if d == 0), Fraction(0))
+        + hit
+        - share * (total - hit)
+        for q, p, hit in zip(beliefs, game.declared, hits)
     )
 
 
@@ -1217,19 +1213,13 @@ class TwoStageGame:
         ]
 
         @cache
-        def best_sum(state: str, profile: tuple[Distribution, ...]) -> Fraction:
-            game = self._belief_games[profile]
-            return max(
-                sum(game.utility(i, state, acts) for i in range(n))
-                for acts in itertools.product(*(d.support() for d in profile))
-            )
-
-        @cache
         def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
             # Filling the unassigned slots from each feasible (signal, profile)
             # reaches every settlement the assigned declarations still allow;
             # a leaf left unsettled pays -M per player, below any settled
-            # value because M exceeds every belief-game utility.
+            # value because M exceeds every belief-game utility.  A settled
+            # branch's best actions pay -2 per posterior missing the state
+            # and -1 per point mass on it (every other player acts elsewhere).
             settled = {
                 self._settlement(
                     [(s, p[i]) if f is None else menus[i][f] for i, f in enumerate(fixed)]
@@ -1237,7 +1227,11 @@ class TwoStageGame:
                 for s, profiles in self.feasible.items()
                 for p in profiles
             } - {None}
-            return max((best_sum(state, p) for p in settled), default=-self.M * n)
+            costs = (
+                sum(2 if d.of(state) == 0 else int(d.of(state) == 1) for d in p)
+                for p in settled
+            )
+            return -min(costs, default=self.M * n)
 
         return _cellwise_max(
             self.structure,
@@ -1256,42 +1250,26 @@ class TwoStageGame:
         combo: Sequence[tuple],
     ) -> Fraction:
         """Value of one (signal, component) cell for fixed declarations,
-        with every slot's action set to the owner's selfish best response."""
-        settled = [
-            self._settlement([combo[k] for k in positions])
-            for _, _, positions in positioned
-        ]
-        actions: list[Optional[str]] = []
-        for k, (player, _) in enumerate(slots):
-            declared_signal, posterior = combo[k]
-            if posterior is None:
-                actions.append(None)
-                continue
-            weight_at: dict[str, Fraction] = {}
-            for (state, w, positions), profile in zip(positioned, settled):
-                if profile is not None and positions[player] == k:
-                    weight_at[state] = weight_at.get(state, Fraction(0)) + w
-            best_action = None
-            best_ratio = None
-            for action in posterior.support():
-                ratio = weight_at.get(action, Fraction(0)) / posterior.of(action)
-                if best_action is None or ratio > best_ratio:
-                    best_action, best_ratio = action, ratio
-            actions.append(best_action)
+        with every slot's action set to the owner's selfish best response.
+
+        By the ``BeliefGame`` identity a settled branch of mass w pays -2w
+        per declared posterior missing its state, and each slot loses its
+        acted-on ratio, which its best response makes the largest (settled
+        mass at s)/p over the states s its posterior gives mass p."""
         value = Fraction(0)
-        for (state, w, positions), profile in zip(positioned, settled):
-            if profile is None:
-                value += w * (-self.M) * self.structure.n
+        hit: list[dict[str, Fraction]] = [{} for _ in slots]
+        for state, w, positions in positioned:
+            if self._settlement([combo[k] for k in positions]) is None:
+                value -= w * self.M * self.structure.n
                 continue
-            game = self._belief_games[profile]
-            branch_actions = tuple(actions[k] for k in positions)
-            value += w * sum(
-                (
-                    game.utility(i, state, branch_actions)
-                    for i in range(self.structure.n)
-                ),
-                Fraction(0),
-            )
+            for k in positions:
+                if combo[k][1].of(state) == 0:
+                    value -= 2 * w
+                else:
+                    hit[k][state] = hit[k].get(state, Fraction(0)) + w
+        for (_, posterior), mass in zip(combo, hit):
+            if mass:
+                value -= max(m / posterior.of(s) for s, m in mass.items())
         return value
 
 

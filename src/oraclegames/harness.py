@@ -27,6 +27,7 @@ from .dominance import (
 )
 from .errors import DomainError, InputError, ResourceLimitError
 from .games import (
+    belief_aggregate,
     belief_best_response,
     belief_expected_payoffs,
     belief_is_equilibrium,
@@ -73,6 +74,7 @@ from .types import (
     Distribution,
     InformationStructure,
     Partition,
+    check_label,
     format_rational,
     json_section,
     load_json,
@@ -127,6 +129,16 @@ def _jsonify(value: object) -> object:
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
+    return value
+
+
+def _entry(value: object, what: str, keys: Sequence[str]) -> Mapping:
+    """``value`` if it is a JSON object holding every one of ``keys``;
+    otherwise an InputError naming ``what``."""
+    json_section(value, "object", what)
+    for key in keys:
+        if key not in value:
+            raise InputError(f"{what} is missing its '{key}' field")
     return value
 
 
@@ -221,10 +233,7 @@ class Fixture:
         table = self._section("strategies")
         if name not in table:
             raise InputError(f"fixture defines no strategy '{name}'")
-        entry = json_section(table[name], "object", f"strategy '{name}'")
-        for key in ("game", "signaling", "players"):
-            if key not in entry:
-                raise InputError(f"strategy '{name}' is missing its '{key}' field")
+        entry = _entry(table[name], f"strategy '{name}'", ("game", "signaling", "players"))
         game = self.game(entry["game"])
         tau = self.signaling(entry["signaling"])
         return game, tau, strategy_from_json(game, tau, entry["players"])
@@ -428,7 +437,9 @@ def _op_experiment_columns(fix: Fixture, args: Mapping):
 
 @op("garbling")
 def _op_garbling(fix: Fixture, args: Mapping):
-    return garbling_exists(fix.matrix(args["m1"]), fix.matrix(args["m2"])).exists
+    keys = ("signaling", "partition")
+    m1, m2 = (fix.matrix(_entry(args[k], f"claim argument '{k}'", keys)) for k in ("m1", "m2"))
+    return garbling_exists(m1, m2).exists
 
 
 @op("separating_probs")
@@ -472,7 +483,9 @@ def _op_is_equilibrium(fix: Fixture, args: Mapping):
 def _op_ned_mass(fix: Fixture, args: Mapping):
     game, tau, strategy = fix.strategy(args["strategy"])
     dist = ned_distribution(game, tau, strategy)
-    return dist.of(args["state"], tuple(args["actions"]))
+    actions = json_section(args["actions"], "list", "claim argument 'actions'")
+    state = check_label("state", args["state"])
+    return dist.of(state, tuple(check_label("action", a) for a in actions))
 
 
 @op("enumerate_equilibria_count")
@@ -521,7 +534,8 @@ def _op_permutation_penalty(fix: Fixture, args: Mapping):
 @op("permutation_payoff_row")
 def _op_permutation_payoff_row(fix: Fixture, args: Mapping):
     _, game = _permutation_problem(fix, args)
-    return [game.payoff(state, (args["action"],))[0] for state in fix.structure.space]
+    action = check_label("action", args["action"])
+    return [game.payoff(state, (action,))[0] for state in fix.structure.space]
 
 
 @op("permutation_value")
@@ -571,7 +585,7 @@ def _op_belief_aggregate(fix: Fixture, args: Mapping):
     game = _belief_game(fix, args)
     beliefs = fix.profile(args["beliefs"])
     choices = _belief_choices(game, beliefs, args.get("choices", "best"))
-    return sum(belief_expected_payoffs(game, beliefs, choices), Fraction(0))
+    return belief_aggregate(game, beliefs, choices)
 
 
 @op("belief_build_error")
@@ -757,17 +771,20 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
     return row
 
 
-def _mixed_equal(actual: MixedValue, expected: Mapping) -> bool:
+def _mixed_equal(actual: MixedValue, expected: object) -> bool:
     """Representation-independent equality for (rational, log) pairs."""
-    if not isinstance(actual, MixedValue):
-        return False
-    log = expected["log"]
+    log = _entry(expected, "mixed 'expected'", ("rational", "log"))["log"]
     if log == "-inf":
         score = LogScore.minus_infinity()
     else:
-        score = LogScore(False, parse_rational(log["product"]), int(log["denom"]))
+        _entry(log, "mixed 'expected' log", ("product", "denom"))
+        denom = parse_rational(log["denom"])
+        if denom.denominator != 1:
+            raise InputError(f"mixed 'expected' log denom must be an integer, got {denom}")
+        score = LogScore(False, parse_rational(log["product"]), int(denom))
     return (
-        actual.rational == parse_rational(expected["rational"])
+        isinstance(actual, MixedValue)
+        and actual.rational == parse_rational(expected["rational"])
         and actual.log == score
     )
 

@@ -431,6 +431,37 @@ def naive_belief_is_equilibrium(states, declared, beliefs, choices):
     )
 
 
+def naive_belief_expected_payoffs(states, declared, beliefs, choices):
+    """Expected utilities of the belief-report game, every scoring term
+    weighted by the acting player's own belief.  Player k's own score at
+    state w is -2 when declared[k][w] = 0, 1 / declared[k][w] when
+    choices[k] == w and 0 otherwise; player i is paid their own expected
+    score less 2/(n-1) of each other player's expected score over the states
+    that player's declared posterior gives mass."""
+    n = len(declared)
+    own = []
+    hits = []
+    for k in range(n):
+        e_own = Fraction(0)
+        e_hit = Fraction(0)
+        for w in states:
+            q = beliefs[k][w]
+            if q == 0:
+                continue
+            d = declared[k][w]
+            r = Fraction(-2) if d == 0 else (1 / d if choices[k] == w else Fraction(0))
+            e_own += q * r
+            if d > 0:
+                e_hit += q * r
+        own.append(e_own)
+        hits.append(e_hit)
+    share = Fraction(2, n - 1)
+    return tuple(
+        own[i] - share * sum((hits[j] for j in range(n) if j != i), Fraction(0))
+        for i in range(n)
+    )
+
+
 def pure_profile_scan(slots, actions, holds):
     """Every pure profile over ``slots`` ((player, pair) pairs, in order)
     that ``holds`` accepts, in ``itertools.product`` order of the slots'

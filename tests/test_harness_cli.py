@@ -145,6 +145,87 @@ def test_cli_verify_exits_2_naming_a_malformed_section(tmp_path, capsys, section
     assert section in capsys.readouterr().err
 
 
+def _claim_of(data, op):
+    return next(c for c in data["claims"] if c["op"] == op)
+
+
+def _mixed_expected(data):
+    return _claim_of(data, "combined_truthful_aggregate")["expected"]
+
+
+# (fixture, what the error message names, how one of its claims is broken)
+MALFORMED_CLAIMS = [
+    (
+        "witness-permutation",
+        "action labels must be nonempty strings",
+        lambda d: setitem(_claim_of(d, "permutation_payoff_row")["args"], "action", ["x"]),
+    ),
+    (
+        "rock-concert",
+        "action labels must be nonempty strings",
+        lambda d: setitem(_claim_of(d, "ned_mass")["args"], "actions", [["M"], "D"]),
+    ),
+    (
+        "rock-concert",
+        "claim argument 'actions'",
+        lambda d: setitem(_claim_of(d, "ned_mass")["args"], "actions", {"M": "D"}),
+    ),
+    (
+        "one-dm",
+        "claim argument 'm1' must be a JSON object",
+        lambda d: setitem(_claim_of(d, "garbling")["args"], "m1", "tau2"),
+    ),
+    (
+        "one-dm",
+        "claim argument 'm2' is missing its 'partition' field",
+        lambda d: delitem(_claim_of(d, "garbling")["args"]["m2"], "partition"),
+    ),
+    (
+        "one-dm",
+        "claim argument 'm1' is missing its 'signaling' field",
+        lambda d: delitem(_claim_of(d, "garbling")["args"]["m1"], "signaling"),
+    ),
+    (
+        "witness-kld-combined",
+        "mixed 'expected' must be a JSON object",
+        lambda d: setitem(_claim_of(d, "combined_truthful_aggregate"), "expected", "-1"),
+    ),
+    (
+        "witness-kld-combined",
+        "mixed 'expected' is missing its 'log' field",
+        lambda d: delitem(_mixed_expected(d), "log"),
+    ),
+    (
+        "witness-kld-combined",
+        "mixed 'expected' is missing its 'rational' field",
+        lambda d: delitem(_mixed_expected(d), "rational"),
+    ),
+    (
+        "witness-kld-combined",
+        "mixed 'expected' log denom must be an integer",
+        lambda d: setitem(_mixed_expected(d)["log"], "denom", "1/2"),
+    ),
+    (
+        "witness-kld-combined",
+        "floats are not accepted",
+        lambda d: setitem(_mixed_expected(d)["log"], "denom", 1.5),
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture, section, edit", MALFORMED_CLAIMS)
+def test_cli_verify_exits_2_naming_a_malformed_claim(
+    tmp_path, capsys, fixture, section, edit
+):
+    data = harness.load_fixture(fixture)
+    edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert section in err and err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_cli_report_json_shape(capsys):
     assert cli.main(["report", "one-dm", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
