@@ -32,8 +32,10 @@ from .types import (
     Partition,
     StateSpace,
     check_label,
+    check_labels,
     format_rational,
-    json_section,
+    json_list,
+    json_object,
     parse_rational,
 )
 
@@ -128,30 +130,30 @@ class BayesianGame:
         return data
 
 
-def game_from_json(structure: InformationStructure, data: Mapping) -> BayesianGame:
-    """Build a game from its JSON form (see ``BayesianGame.as_json``)."""
+def game_from_json(
+    structure: InformationStructure, data: object, what: str = "game"
+) -> BayesianGame:
+    """Build a game from its JSON form (see ``BayesianGame.as_json``);
+    ``what`` names it in error messages."""
+    data = json_object(data, what, "actions", "payoffs")
     log_domain = bool(data.get("log_domain", False))
-    try:
-        action_map = data["actions"]
-        payoff_map = data["payoffs"]
-    except KeyError as exc:
-        raise InputError(f"game JSON is missing the {exc.args[0]!r} section") from None
-    actions = []
-    for name in structure.player_names:
-        if name not in action_map:
-            raise InputError(f"game JSON lists no actions for player '{name}'")
-        actions.append(tuple(action_map[name]))
-    if set(action_map) != set(structure.player_names):
-        extra = sorted(set(action_map) - set(structure.player_names))
-        raise InputError(f"game JSON lists actions for unknown player '{extra[0]}'")
+    names = structure.player_names
+    action_map = json_object(data["actions"], f"{what} 'actions'", *names)
+    extra = sorted(set(action_map) - set(names))
+    if extra:
+        raise InputError(f"{what} lists actions for unknown player '{extra[0]}'")
+    actions = tuple(
+        check_labels("action", action_map[name], f"{what} actions of player '{name}'")
+        for name in names
+    )
     payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
-    for state, row in json_section(payoff_map, "object", "game 'payoffs'").items():
+    for state, row in json_object(data["payoffs"], f"{what} 'payoffs'").items():
         if state not in structure.space:
             raise InputError(f"unknown state '{state}' in payoffs")
-        for key, values in json_section(row, "object", f"payoffs row '{state}'").items():
+        for key, values in json_object(row, f"{what} payoffs row '{state}'").items():
             profile = tuple(key.split("|"))
             parsed = []
-            for v in json_section(values, "list", f"payoff entry '{state}': '{key}'"):
+            for v in json_list(values, f"{what} payoff entry '{state}': '{key}'"):
                 if v == "-inf":
                     if not log_domain:
                         raise InputError(
@@ -161,7 +163,7 @@ def game_from_json(structure: InformationStructure, data: Mapping) -> BayesianGa
                 else:
                     parsed.append(parse_rational(v))
             payoffs[(state, profile)] = tuple(parsed)
-    return BayesianGame(structure, tuple(actions), payoffs, log_domain=log_domain)
+    return BayesianGame(structure, actions, payoffs, log_domain=log_domain)
 
 
 def reachable_pairs(
@@ -292,22 +294,20 @@ def _parse_pair_key(key: str, partition: Partition) -> Pair:
 
 
 def strategy_from_json(
-    game: BayesianGame, tau: StochasticSignaling, data: Mapping
+    game: BayesianGame, tau: StochasticSignaling, data: object
 ) -> StrategyProfile:
     """Parse {"player": {"state,...|signal": action-or-mixture}} strategies."""
-    json_section(data, "object", "strategy 'players'")
-    per_player: list[dict[Pair, object]] = []
-    for i, name in enumerate(game.structure.player_names):
-        if name not in data:
-            raise InputError(f"strategy JSON has no entry for player '{name}'")
-        table = {}
-        entries = json_section(data[name], "object", f"strategy of player '{name}'")
-        for key, value in entries.items():
-            table[_parse_pair_key(key, game.structure.players[i])] = value
-        per_player.append(table)
-    if set(data) != set(game.structure.player_names):
-        extra = sorted(set(data) - set(game.structure.player_names))
+    names = game.structure.player_names
+    json_object(data, "strategy 'players'", *names)
+    extra = sorted(set(data) - set(names))
+    if extra:
         raise InputError(f"strategy JSON names unknown player '{extra[0]}'")
+    per_player: list[dict[Pair, object]] = []
+    for name, partition in zip(names, game.structure.players):
+        entries = json_object(data[name], f"strategy of player '{name}'")
+        per_player.append(
+            {_parse_pair_key(key, partition): value for key, value in entries.items()}
+        )
     return make_strategy(game, tau, per_player)
 
 

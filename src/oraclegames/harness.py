@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping
 
 from .dominance import (
     coarsening_profiles,
@@ -75,8 +75,10 @@ from .types import (
     InformationStructure,
     Partition,
     check_label,
+    check_labels,
     format_rational,
-    json_section,
+    json_list,
+    json_object,
     load_json,
     parse_rational,
     partition_from_json,
@@ -98,23 +100,15 @@ def available_fixtures() -> list[str]:
 def load_fixture(name_or_path: str) -> dict:
     """Load a fixture by packaged name, or from a filesystem path when the
     argument contains a path separator or a .json suffix."""
-    if "/" in name_or_path or name_or_path.endswith(".json"):
-        data = load_json(name_or_path)
-    else:
+    path = name_or_path
+    if "/" not in name_or_path and not name_or_path.endswith(".json"):
         names = available_fixtures()
         if name_or_path not in names:
             raise InputError(
                 f"unknown fixture '{name_or_path}'; available: {', '.join(names)}"
             )
-        text = (
-            resources.files(FIXTURE_PACKAGE)
-            .joinpath(f"{name_or_path}.json")
-            .read_text(encoding="utf-8")
-        )
-        data = json.loads(text)
-    if not isinstance(data, dict):
-        raise InputError("a fixture must be a JSON object")
-    return data
+        path = str(resources.files(FIXTURE_PACKAGE).joinpath(f"{name_or_path}.json"))
+    return json_object(load_json(path), "fixture")
 
 
 def _jsonify(value: object) -> object:
@@ -132,16 +126,6 @@ def _jsonify(value: object) -> object:
     return value
 
 
-def _entry(value: object, what: str, keys: Sequence[str]) -> Mapping:
-    """``value`` if it is a JSON object holding every one of ``keys``;
-    otherwise an InputError naming ``what``."""
-    json_section(value, "object", what)
-    for key in keys:
-        if key not in value:
-            raise InputError(f"{what} is missing its '{key}' field")
-    return value
-
-
 def _reveal(partition: Partition) -> StochasticSignaling:
     """The deterministic signaling that announces the block of ``partition``."""
     return StochasticSignaling.from_assignment(
@@ -152,20 +136,17 @@ def _reveal(partition: Partition) -> StochasticSignaling:
 class Fixture:
     """A loaded fixture with caching resolvers for its named objects."""
 
-    def __init__(self, data: Mapping):
-        self.data = data
-        try:
-            self.name = data["name"]
-            self.structure: InformationStructure = structure_from_json(
-                data["structure"]
-            )
-        except KeyError as exc:
-            raise InputError(f"fixture is missing the {exc.args[0]!r} section") from None
-        self._signalings: dict[str, object] = {}
+    def __init__(self, data: object):
+        self.data = json_object(data, "fixture", "name", "structure")
+        self.name = check_label("fixture", data["name"], "")
+        self.structure: InformationStructure = structure_from_json(data["structure"])
+        self._signalings: dict[str, StochasticSignaling] = {}
         self._games: dict[str, object] = {}
+        self._two_stage: dict[tuple, object] = {}
 
-    def _section(self, name: str) -> Mapping:
-        return json_section(self.data.get(name, {}), "object", f"fixture '{name}'")
+    def _named(self, section: str, name: str) -> object:
+        """The entry ``name`` of an object-valued fixture section."""
+        return json_object(self.data.get(section, {}), f"fixture '{section}'", name)[name]
 
     # -- resolvers ---------------------------------------------------------
 
@@ -198,11 +179,8 @@ class Fixture:
         {"uninformative": true}."""
         if isinstance(spec, str):
             if spec not in self._signalings:
-                table = self._section("signalings")
-                if spec not in table:
-                    raise InputError(f"fixture defines no signaling '{spec}'")
                 self._signalings[spec] = signaling_from_json(
-                    self.structure, table[spec]
+                    self.structure, self._named("signalings", spec), f"signaling '{spec}'"
                 )
             return self._signalings[spec]
         if isinstance(spec, Mapping):
@@ -220,38 +198,47 @@ class Fixture:
                 return signaling_from_json(self.structure, spec)
         raise InputError(f"cannot interpret signaling spec {spec!r}")
 
-    def game(self, name: str):
+    def game(self, name: object):
+        name = check_label("game", name, "")
         if name not in self._games:
-            table = self._section("games")
-            if name not in table:
-                raise InputError(f"fixture defines no game '{name}'")
-            self._games[name] = game_from_json(self.structure, table[name])
+            self._games[name] = game_from_json(
+                self.structure, self._named("games", name), f"game '{name}'"
+            )
         return self._games[name]
 
-    def strategy(self, name: str):
+    def strategy(self, name: object):
         """Returns (game, signaling, strategy) for a named strategy entry."""
-        table = self._section("strategies")
-        if name not in table:
-            raise InputError(f"fixture defines no strategy '{name}'")
-        entry = _entry(table[name], f"strategy '{name}'", ("game", "signaling", "players"))
+        name = check_label("strategy", name, "")
+        entry = json_object(
+            self._named("strategies", name), f"strategy '{name}'", "game", "signaling", "players"
+        )
         game = self.game(entry["game"])
         tau = self.signaling(entry["signaling"])
         return game, tau, strategy_from_json(game, tau, entry["players"])
 
-    def distribution(self, vector: Sequence[object]) -> Distribution:
+    def two_stage(self, args: Mapping, kind: type = TwoStageGame):
+        """The ``kind`` game (``TwoStageGame`` or ``CombinedGame``) of a
+        claim's signaling and optional penalty, built once per fixture."""
+        tau = self.signaling(args["signaling"])
+        penalty = args.get("penalty")
+        key = (kind, tau, None if penalty is None else parse_rational(penalty))
+        if key not in self._two_stage:
+            self._two_stage[key] = kind(self.structure, tau, key[2])
+        return self._two_stage[key]
+
+    def distribution(self, vector: object, what: str = "a distribution") -> Distribution:
         return Distribution(
-            self.structure.space, tuple(parse_rational(v) for v in vector)
+            self.structure.space, tuple(parse_rational(v) for v in json_list(vector, what))
         )
 
     def profile(self, spec: object) -> tuple[Distribution, ...]:
         """A tuple of distributions: a named entry of the "profiles" section
         or an inline list of vectors."""
+        what = "an inline profile"
         if isinstance(spec, str):
-            table = self._section("profiles")
-            if spec not in table:
-                raise InputError(f"fixture defines no profile '{spec}'")
-            spec = table[spec]
-        return tuple(self.distribution(v) for v in spec)
+            what = f"profile '{spec}'"
+            spec = self._named("profiles", spec)
+        return tuple(self.distribution(v, f"a vector of {what}") for v in json_list(spec, what))
 
     def matrix(self, spec: Mapping):
         tau = self.signaling(spec["signaling"])
@@ -437,8 +424,10 @@ def _op_experiment_columns(fix: Fixture, args: Mapping):
 
 @op("garbling")
 def _op_garbling(fix: Fixture, args: Mapping):
-    keys = ("signaling", "partition")
-    m1, m2 = (fix.matrix(_entry(args[k], f"claim argument '{k}'", keys)) for k in ("m1", "m2"))
+    m1, m2 = (
+        fix.matrix(json_object(args[k], f"claim argument '{k}'", "signaling", "partition"))
+        for k in ("m1", "m2")
+    )
     return garbling_exists(m1, m2).exists
 
 
@@ -469,7 +458,7 @@ def _op_expected_payoffs(fix: Fixture, args: Mapping):
 @op("expected_payoffs_given_event")
 def _op_expected_payoffs_given_event(fix: Fixture, args: Mapping):
     game, tau, strategy = fix.strategy(args["strategy"])
-    event = json_section(args["event"], "list", "claim argument 'event'")
+    event = check_labels("state", args["event"], "claim argument 'event'")
     return expected_payoffs(game, tau, strategy, given_event=event)
 
 
@@ -483,9 +472,8 @@ def _op_is_equilibrium(fix: Fixture, args: Mapping):
 def _op_ned_mass(fix: Fixture, args: Mapping):
     game, tau, strategy = fix.strategy(args["strategy"])
     dist = ned_distribution(game, tau, strategy)
-    actions = json_section(args["actions"], "list", "claim argument 'actions'")
-    state = check_label("state", args["state"])
-    return dist.of(state, tuple(check_label("action", a) for a in actions))
+    actions = check_labels("action", args["actions"], "claim argument 'actions'")
+    return dist.of(check_label("state", args["state"]), actions)
 
 
 @op("enumerate_equilibria_count")
@@ -553,11 +541,13 @@ def _belief_game(fix: Fixture, args: Mapping):
 
 
 def _belief_choices(game, beliefs, spec) -> tuple[str, ...]:
+    if len(beliefs) != game.n:
+        raise InputError(f"expected {game.n} beliefs, got {len(beliefs)}")
     if spec == "best":
         return tuple(
             belief_best_response(game, i, beliefs[i]) for i in range(game.n)
         )
-    return tuple(spec)
+    return check_labels("action", spec, "claim argument 'choices'")
 
 
 @op("belief_truthful_payoffs")
@@ -596,53 +586,48 @@ def _op_belief_build_error(fix: Fixture, args: Mapping):
 # -- two-stage declaration games ---------------------------------------------
 
 
-def _two_stage(fix: Fixture, args: Mapping):
-    return TwoStageGame(
-        fix.structure, fix.signaling(args["signaling"]), args.get("penalty")
-    )
-
-
 def _two_stage_truthful_payoffs(game: TwoStageGame) -> tuple[Fraction, ...]:
     return expected_payoffs(game, game.tau, game.truthful_strategy())
 
 
 @op("two_stage_truthful_aggregate")
 def _op_two_stage_truthful_aggregate(fix: Fixture, args: Mapping):
-    return sum(_two_stage_truthful_payoffs(_two_stage(fix, args)), Fraction(0))
+    return sum(_two_stage_truthful_payoffs(fix.two_stage(args)), Fraction(0))
 
 
 @op("two_stage_truthful_payoffs")
 def _op_two_stage_truthful_payoffs(fix: Fixture, args: Mapping):
-    return _two_stage_truthful_payoffs(_two_stage(fix, args))
+    return _two_stage_truthful_payoffs(fix.two_stage(args))
 
 
 @op("two_stage_truthful_equilibrium")
 def _op_two_stage_truthful_equilibrium(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
+    game = fix.two_stage(args)
     return is_equilibrium(game, game.tau, game.truthful_strategy()).holds
 
 
 @op("two_stage_penalty")
 def _op_two_stage_penalty(fix: Fixture, args: Mapping):
-    return _two_stage(fix, args).M
+    return fix.two_stage(args).M
 
 
 @op("two_stage_mismatch_payoffs")
 def _op_two_stage_mismatch_payoffs(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
-    declare = args["declare"]
+    game = fix.two_stage(args)
+    declare = check_labels("signal", args["declare"], "claim argument 'declare'")
+    if len(declare) != game.structure.n:
+        raise InputError(f"expected {game.structure.n} declared signals, got {len(declare)}")
     pairs = reachable_pairs(game.structure, game.tau)
     tables = []
-    for i in range(game.structure.n):
-        posterior = game.menus[i][0]
-        option = (declare[i], posterior, posterior.support()[0])
-        tables.append({pair: option for pair in pairs[i]})
+    for signal, menu, player_pairs in zip(declare, game.menus, pairs):
+        option = (signal, menu[0], menu[0].support()[0])
+        tables.append({pair: option for pair in player_pairs})
     return expected_payoffs(game, game.tau, make_strategy(game, game.tau, tables))
 
 
 @op("two_stage_max_aggregate_lt")
 def _op_two_stage_max_aggregate_lt(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
+    game = fix.two_stage(args)
     other = fix.signaling(args["under"])
     return game.max_aggregate(other) < parse_rational(args["bound"])
 
@@ -684,7 +669,7 @@ def _op_kld_aggregate_differs(fix: Fixture, args: Mapping):
 
 @op("combined_truthful_aggregate")
 def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
-    combined = CombinedGame(fix.structure, fix.signaling(args["signaling"]))
+    combined = fix.two_stage(args, CombinedGame)
     values = combined.truthful_payoffs()
     total = values[0]
     for value in values[1:]:
@@ -694,7 +679,7 @@ def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
 
 @op("combined_linearity")
 def _op_combined_linearity(fix: Fixture, args: Mapping):
-    combined = CombinedGame(fix.structure, fix.signaling(args["signaling"]))
+    combined = fix.two_stage(args, CombinedGame)
     stage_values = _two_stage_truthful_payoffs(combined.stage)
     kld_values = kld_expected_scores(
         combined.kld,
@@ -709,7 +694,7 @@ def _op_combined_linearity(fix: Fixture, args: Mapping):
 
 @op("combined_stage_drop")
 def _op_combined_stage_drop(fix: Fixture, args: Mapping):
-    game = _two_stage(fix, args)
+    game = fix.two_stage(args)
     truthful = sum(_two_stage_truthful_payoffs(game), Fraction(0))
     return game.max_aggregate(fix.signaling(args["under"])) < truthful
 
@@ -736,20 +721,18 @@ class _ClaimArgs(dict):
 
 def run_claim(fix: Fixture, claim: Mapping) -> dict:
     """Evaluate one claim; the result row is JSON-ready."""
-    json_section(claim, "object", "a claim")
-    for key in ("id", "op", "provenance"):
-        if key not in claim:
-            raise InputError(f"claim is missing its '{key}' field")
-    op_name = claim["op"]
+    json_object(claim, "a claim", "id", "op", "provenance")
+    claim_id = check_label("claim", claim["id"], "")
+    op_name = check_label("operation", claim["op"], "")
     if op_name not in OPS:
-        raise InputError(f"unknown operation '{op_name}' in claim '{claim['id']}'")
-    args = json_section(claim.get("args", {}), "object", f"claim '{claim['id']}' args")
+        raise InputError(f"unknown operation '{op_name}' in claim '{claim_id}'")
+    args = json_object(claim.get("args", {}), f"claim '{claim_id}' args")
     expect_error = claim.get("expect_error")
     if expect_error is None and "expected" not in claim:
-        raise InputError(f"claim '{claim['id']}' has neither 'expected' nor 'expect_error'")
+        raise InputError(f"claim '{claim_id}' has neither 'expected' nor 'expect_error'")
     expected = claim["expected"] if expect_error is None else {"error": expect_error}
     row = {
-        "id": claim["id"],
+        "id": claim_id,
         "op": op_name,
         "provenance": claim["provenance"],
         "expected": expected,
@@ -757,7 +740,7 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
     try:
         actual = OPS[op_name](fix, _ClaimArgs(args))
     except _MissingArgument as exc:
-        raise InputError(f"claim '{claim['id']}' is missing argument '{exc}'") from None
+        raise InputError(f"claim '{claim_id}' is missing argument '{exc}'") from None
     except tuple(_ERROR_KINDS) as exc:
         if expect_error is None:
             raise
@@ -773,11 +756,11 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
 
 def _mixed_equal(actual: MixedValue, expected: object) -> bool:
     """Representation-independent equality for (rational, log) pairs."""
-    log = _entry(expected, "mixed 'expected'", ("rational", "log"))["log"]
+    log = json_object(expected, "mixed 'expected'", "rational", "log")["log"]
     if log == "-inf":
         score = LogScore.minus_infinity()
     else:
-        _entry(log, "mixed 'expected' log", ("product", "denom"))
+        json_object(log, "mixed 'expected' log", "product", "denom")
         denom = parse_rational(log["denom"])
         if denom.denominator != 1:
             raise InputError(f"mixed 'expected' log denom must be an integer, got {denom}")
@@ -792,7 +775,7 @@ def _mixed_equal(actual: MixedValue, expected: object) -> bool:
 def run_fixture(data: Mapping) -> dict:
     """Evaluate all claims of a fixture; returns the JSON report object."""
     fix = Fixture(data)
-    claims = json_section(data.get("claims", []), "list", "fixture 'claims'")
+    claims = json_list(data.get("claims", []), "fixture 'claims'")
     return {
         "fixture": fix.name,
         "claims": [run_claim(fix, claim) for claim in claims],

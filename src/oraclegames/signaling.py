@@ -6,9 +6,10 @@ column-proportionality decomposition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
 from .types import (
@@ -18,8 +19,10 @@ from .types import (
     Prior,
     StateSpace,
     check_label,
+    check_labels,
     format_rational,
-    json_section,
+    json_list,
+    json_object,
     parse_rational,
     partition_from_json,
 )
@@ -96,14 +99,12 @@ class StochasticSignaling:
         rows: Mapping[str, Mapping[str, object]],
     ) -> "StochasticSignaling":
         space = oracle_partition.space
-        for state in space.states:
-            if state not in rows:
-                raise InputError(f"kernel is missing a row for state '{state}'")
+        json_object(rows, "kernel", *space.states)
         for state in rows:
             space.index(state)
         kernel = []
         for state in space.states:
-            row = json_section(rows[state], "object", f"kernel row for state '{state}'")
+            row = json_object(rows[state], f"kernel row for state '{state}'")
             for sig in row:
                 if sig not in signals:
                     raise InputError(f"kernel row for state '{state}' names unknown signal {sig!r}")
@@ -404,12 +405,12 @@ def _garbling_rows(
     tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
 ) -> dict[str, dict[str, Fraction]]:
     """One distribution over garbled labels per signal of tau."""
-    json_section(m, "object", "a garbling")
+    json_object(m, "a garbling")
     rows: dict[str, dict[str, Fraction]] = {}
     for s in tau.signals:
         if s not in m:
             raise DomainError(f"garbling is missing a row for signal '{s}'")
-        given = json_section(m[s], "object", f"garbling row for signal '{s}'")
+        given = json_object(m[s], f"garbling row for signal '{s}'")
         row = {t: parse_rational(v) for t, v in given.items()}
         if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
             raise DomainError(f"garbling row for signal '{s}' is not a distribution")
@@ -453,43 +454,48 @@ def merge_garbled(
     return StochasticSignaling(tau.oracle_partition, targets, kernel)
 
 
+def _separating_scan() -> Iterator[Fraction]:
+    """Scan candidates 1/3, 1/5, 1/7, ... and yield the first ones whose
+    ratio set passes the pairwise check; only the two values a candidate
+    adds, and the ratios they form, are checked against the distinct ones
+    kept so far. Each accepted value rules out only finitely many later
+    candidates, so the scan never stalls."""
+    values: set[Fraction] = set()
+    ratios: set[Fraction] = set()
+    for k in itertools.count(1):
+        new = (Fraction(1, 2 * k + 1), Fraction(2 * k, 2 * k + 1))
+        if not values.isdisjoint(new):
+            continue
+        fresh = [new[0] / new[1], new[1] / new[0]]
+        fresh += [r for x in new for y in values for r in (x / y, y / x)]
+        if len(set(fresh)) == len(fresh) and ratios.isdisjoint(fresh):
+            values.update(new)
+            ratios.update(fresh)
+            yield new[0]
+
+
+# The scan is greedy, so the probabilities for m blocks are the first m it
+# yields: one scan, extended on demand, serves every call.
+_SEPARATING_SCAN = _separating_scan()
+_SEPARATING_PROBS: list[Fraction] = []
+
+
 def separating_strategy(
     oracle_partition: Partition, prior: Optional[Prior] = None
 ) -> StochasticSignaling:
     """Two-signal kernel with one interior probability p_j per oracle block
     such that all ratios of distinct members of {p_j, 1-p_j} are pairwise
     different, so every block leaves a distinct arithmetic fingerprint on the
-    posteriors.
-
-    Deterministic construction: scan candidates 1/3, 1/5, 1/7, ... and keep
-    the first ones whose ratio set passes the pairwise check; only the two
-    values a candidate adds, and the ratios they form, are checked against the
-    distinct ones kept so far. Each accepted value rules out only finitely
-    many later candidates, so the scan always terminates.
+    posteriors. Block j gets the j-th value of ``_separating_scan``; the
+    construction depends only on the number of blocks.
     """
     if prior is not None and prior.space != oracle_partition.space:
         raise DomainError("prior uses a different state space")
-    m = len(oracle_partition.blocks)
-    chosen: list[Fraction] = []
-    values: set[Fraction] = set()
-    ratios: set[Fraction] = set()
-    k = 1
-    while len(chosen) < m:
-        candidate = Fraction(1, 2 * k + 1)
-        k += 1
-        new = (candidate, 1 - candidate)
-        if not values.isdisjoint(new):
-            continue
-        fresh = [new[0] / new[1], new[1] / new[0]]
-        fresh += [r for x in new for y in values for r in (x / y, y / x)]
-        if len(set(fresh)) == len(fresh) and ratios.isdisjoint(fresh):
-            chosen.append(candidate)
-            values.update(new)
-            ratios.update(fresh)
-    space = oracle_partition.space
+    while len(_SEPARATING_PROBS) < len(oracle_partition.blocks):
+        _SEPARATING_PROBS.append(next(_SEPARATING_SCAN))
     kernel = []
-    for state in space.states:
-        p = chosen[oracle_partition.block_index(state)]
+    for state in oracle_partition.space.states:
+        p = _SEPARATING_PROBS[oracle_partition.block_index(state)]
         kernel.append((p, 1 - p))
     return StochasticSignaling(oracle_partition, ("s1", "s2"), tuple(kernel))
 
@@ -523,75 +529,61 @@ def proportional_decompose(
 # JSON forms
 
 
-def _resolve_oracle(
-    structure: InformationStructure, data: Mapping
-) -> Partition:
+def _resolve_oracle(structure: InformationStructure, data: Mapping, what: str) -> Partition:
     if "oracle" in data:
         return structure.oracle(data["oracle"])
     if "partition" in data:
-        return partition_from_json(structure.space, data["partition"])
-    raise InputError("signaling file needs an 'oracle' name or an inline 'partition'")
+        return partition_from_json(structure.space, data["partition"], f"{what} 'partition'")
+    raise InputError(f"{what} needs an 'oracle' name or an inline 'partition'")
 
 
 def signaling_from_json(
-    structure: InformationStructure, data: Mapping
+    structure: InformationStructure, data: object, what: str = "signaling"
 ) -> StochasticSignaling:
-    if not isinstance(data, Mapping):
-        raise InputError("signaling file must contain a JSON object")
-    oracle = _resolve_oracle(structure, data)
+    """A signaling from its JSON form; ``what`` names it in error messages."""
+    data = json_object(data, what)
+    oracle = _resolve_oracle(structure, data, what)
     kind = data.get("type")
     if kind == "stochastic":
-        try:
-            signals = json_section(data["signals"], "list", "signaling 'signals'")
-            kernel = json_section(data["kernel"], "object", "signaling 'kernel'")
-        except KeyError as exc:
-            raise InputError(f"stochastic signaling is missing key {exc}") from None
-        return StochasticSignaling.from_rows(oracle, tuple(signals), kernel)
+        json_object(data, what, "signals", "kernel")
+        signals = check_labels("signal", data["signals"], f"{what} 'signals'")
+        kernel = json_object(data["kernel"], f"{what} 'kernel'")
+        return StochasticSignaling.from_rows(oracle, signals, kernel)
     if kind == "deterministic":
-        try:
-            assignment = json_section(data["assignment"], "object", "signaling 'assignment'")
-        except KeyError as exc:
-            raise InputError(f"deterministic signaling is missing key {exc}") from None
         keys = [f"block{i}" for i in range(len(oracle.blocks))]
-        for key in keys:
-            if key not in assignment:
-                raise InputError(f"assignment is missing '{key}'")
+        json_object(data, what, "assignment")
+        assignment = json_object(data["assignment"], f"{what} 'assignment'", *keys)
         stray = sorted(set(assignment) - set(keys))
         if stray:
             raise InputError(f"assignment has unknown key '{stray[0]}'")
         return StochasticSignaling.from_assignment(oracle, [assignment[k] for k in keys])
-    raise InputError("signaling 'type' must be 'stochastic' or 'deterministic'")
+    raise InputError(f"{what} 'type' must be 'stochastic' or 'deterministic'")
 
 
-def matrix_from_json(data: Mapping) -> StochasticMatrix:
-    if not isinstance(data, Mapping):
-        raise InputError("matrix file must contain a JSON object")
-    try:
-        space = StateSpace(tuple(json_section(data["states"], "list", "matrix 'states'")))
-        entries = json_section(data["entries"], "object", "matrix 'entries'")
-        columns = tuple(json_section(data["columns"], "list", "matrix 'columns'"))
-    except KeyError as exc:
-        raise InputError(f"matrix file is missing key {exc}") from None
-    rows = []
-    for state in space.states:
-        if state not in entries:
-            raise InputError(f"matrix is missing a row for state '{state}'")
-        row = json_section(entries[state], "list", f"matrix row for state '{state}'")
-        rows.append(tuple(parse_rational(v) for v in row))
+def matrix_from_json(data: object) -> StochasticMatrix:
+    data = json_object(data, "matrix", "states", "entries", "columns")
+    space = StateSpace(tuple(json_list(data["states"], "matrix 'states'")))
+    entries = json_object(data["entries"], "matrix 'entries'", *space.states)
+    rows = tuple(
+        tuple(parse_rational(v) for v in json_list(entries[s], f"matrix row for state '{s}'"))
+        for s in space.states
+    )
     if "blocks" not in data:
-        return StochasticMatrix(space=space, column_labels=columns, entries=tuple(rows))
-    for col in columns:
+        columns = check_labels("column", data["columns"], "matrix 'columns'", "")
+        return StochasticMatrix(space=space, column_labels=columns, entries=rows)
+    pairs = []
+    for col in json_list(data["columns"], "matrix 'columns'"):
         if not (isinstance(col, list) and len(col) == 2 and all(isinstance(x, str) for x in col)):
             raise InputError(f"matrix column {col!r} is not a [signal, label] pair")
-    columns = tuple(map(tuple, columns))
-    blocks = json_section(data["blocks"], "object", "matrix 'blocks'")
+        pairs.append(tuple(col))
+    blocks = json_object(data["blocks"], "matrix 'blocks'")
     return ExperimentMatrix(
         space=space,
-        column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
-        entries=tuple(rows),
-        columns=columns,
+        column_labels=tuple(f"{sig}@{lab}" for sig, lab in pairs),
+        entries=rows,
+        columns=tuple(pairs),
         blocks=tuple(
-            (label, tuple(json_section(states, "list", f"matrix block '{label}'")))
+            (label, tuple(json_list(states, f"matrix block '{label}'")))
             for label, states in blocks.items()
         ),
     )

@@ -43,15 +43,27 @@ def parse_rational(value: object) -> Fraction:
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
-_JSON_KINDS = {"object": Mapping, "list": list}
-
-
-def json_section(value: object, kind: str, what: str):
-    """``value`` if it is a JSON ``kind`` ("object" or "list"); otherwise an
-    InputError naming the malformed section ``what``."""
-    if not isinstance(value, _JSON_KINDS[kind]):
-        raise InputError(f"{what} must be a JSON {kind}, got {value!r}")
+def json_object(value: object, what: str, *keys: str) -> Mapping:
+    """``value`` if it is a JSON object holding every one of ``keys``;
+    otherwise an InputError naming ``what`` (and the first missing key)."""
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise InputError(f"{what} is missing its '{key}' field")
     return value
+
+
+def json_list(value: object, what: str) -> Sequence:
+    """``value`` if it is a JSON list; otherwise an InputError naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def check_labels(kind: str, value: object, what: str, reserved: str = "|") -> tuple[str, ...]:
+    """The JSON list ``value`` (named ``what``) as a tuple of checked labels."""
+    return tuple(check_label(kind, label, reserved) for label in json_list(value, what))
 
 
 def format_rational(value: Fraction) -> str:
@@ -104,11 +116,13 @@ class StateSpace:
         return isinstance(state, str) and state in self._position
 
 
-def _vector_from(space: StateSpace, mass: object) -> tuple[Fraction, ...]:
+def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple[Fraction, ...]:
     if isinstance(mass, Mapping):
         for state in mass:
             space.index(state)
         return tuple(parse_rational(mass.get(s, 0)) for s in space.states)
+    if not isinstance(mass, (list, tuple)):
+        raise InputError(f"{what} must be a JSON object or list, got {mass!r}")
     values = [parse_rational(v) for v in mass]
     if len(values) != len(space):
         raise InputError(
@@ -351,40 +365,35 @@ class InformationStructure:
 # JSON forms
 
 
-def partition_from_json(space: StateSpace, blocks: object) -> Partition:
-    if not isinstance(blocks, Sequence) or isinstance(blocks, (str, bytes)):
-        raise InputError("partition must be a list of blocks (lists of states)")
-    return Partition(space, tuple(tuple(block) for block in blocks))
-
-
-def structure_from_json(data: Mapping) -> InformationStructure:
-    if not isinstance(data, Mapping):
-        raise InputError("structure file must contain a JSON object")
-    try:
-        states = data["states"]
-        prior_raw = data["prior"]
-        players_raw = data["players"]
-    except KeyError as exc:
-        raise InputError(f"structure file is missing required key {exc}") from None
-    space = StateSpace(tuple(states))
-    prior = Prior.from_mass(space, prior_raw)
-    player_names, players = [], []
-    for entry in json_section(players_raw, "list", "structure 'players'"):
-        try:
-            player_names.append(json_section(entry, "object", "a player entry")["name"])
-            players.append(partition_from_json(space, entry["partition"]))
-        except KeyError as exc:
-            raise InputError(f"player entry is missing key {exc}") from None
-    oracle_names, oracles = [], []
-    for entry in json_section(data.get("oracles", []), "list", "structure 'oracles'"):
-        try:
-            oracle_names.append(json_section(entry, "object", "an oracle entry")["name"])
-            oracles.append(partition_from_json(space, entry["partition"]))
-        except KeyError as exc:
-            raise InputError(f"oracle entry is missing key {exc}") from None
-    return InformationStructure(
-        space, prior, tuple(player_names), tuple(players), tuple(oracle_names), tuple(oracles)
+def partition_from_json(space: StateSpace, blocks: object, what: str = "partition") -> Partition:
+    """A partition written as a JSON list of blocks, each a list of states."""
+    return Partition(
+        space, tuple(tuple(json_list(b, f"a block of {what}")) for b in json_list(blocks, what))
     )
+
+
+def _named_partitions(
+    space: StateSpace, entries: object, kind: str, entry: str
+) -> tuple[tuple[str, ...], tuple[Partition, ...]]:
+    """The names and partitions of a structure's 'players' or 'oracles' list."""
+    names, partitions = [], []
+    for item in json_list(entries, f"structure '{kind}s'"):
+        item = json_object(item, entry, "name", "partition")
+        names.append(check_label(kind, item["name"], ""))
+        what = f"{kind} '{names[-1]}' partition"
+        partitions.append(partition_from_json(space, item["partition"], what))
+    return tuple(names), tuple(partitions)
+
+
+def structure_from_json(data: object) -> InformationStructure:
+    data = json_object(data, "structure", "states", "prior", "players")
+    space = StateSpace(tuple(json_list(data["states"], "structure 'states'")))
+    prior = Prior(space, _vector_from(space, data["prior"], "structure 'prior'"))
+    player_names, players = _named_partitions(space, data["players"], "player", "a player entry")
+    oracle_names, oracles = _named_partitions(
+        space, data.get("oracles", []), "oracle", "an oracle entry"
+    )
+    return InformationStructure(space, prior, player_names, players, oracle_names, oracles)
 
 
 def load_json(path: str) -> object:

@@ -146,6 +146,21 @@ def naive_posterior(prior, kernel, block, states, signal):
     )
 
 
+def separating_probabilities(m):
+    """The first ``m`` values of 1/3, 1/5, 1/7, ... that keep every value in
+    {p, 1 - p} distinct and every ratio of two distinct ones distinct,
+    rechecking the whole ratio set for each candidate."""
+    chosen, k = [], 1
+    while len(chosen) < m:
+        candidate = Fraction(1, 2 * k + 1)
+        k += 1
+        values = [v for p in chosen + [candidate] for v in (p, 1 - p)]
+        ratios = [x / y for i, x in enumerate(values) for j, y in enumerate(values) if i != j]
+        if len(set(values)) == len(values) and len(set(ratios)) == len(ratios):
+            chosen.append(candidate)
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra and vertex enumeration
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oraclegames import InputError, cli, harness
+from oraclegames import InputError, cli, games, harness
 
 
 def test_every_bundled_fixture_passes():
@@ -428,3 +428,21 @@ def test_cli_module_entry_point_smoke():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "claims passed" in proc.stdout
+
+
+def test_fixture_builds_each_two_stage_game_once(monkeypatch):
+    built = []
+    build = games.TwoStageGame.__init__
+
+    def counting_build(self, structure, tau, M=None):
+        built.append((tau, M))
+        build(self, structure, tau, M)
+
+    monkeypatch.setattr(games.TwoStageGame, "__init__", counting_build)
+    report = harness.run_fixture(harness.load_fixture("witness-two-stage"))
+    assert harness.report_passed(report) and len(report["claims"]) == 6
+    assert len(built) == 1
+    # The combined game builds its own stage; the stage-drop claim builds one more.
+    built.clear()
+    assert harness.report_passed(harness.run_fixture(harness.load_fixture("witness-kld-combined")))
+    assert len(built) == 2

@@ -1,10 +1,14 @@
-"""The README's Python quick tour runs as written and shows what it says."""
+"""The README's Python quick tour runs as written and shows what it says, and
+its JSON examples parse and run through the command line."""
 
 import ast
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
+
+from oraclegames import cli, signaling_from_json, structure_from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +52,22 @@ def test_readme_quick_tour_matches_its_comments():
         )
         checked += 1
     assert checked == 6
+
+
+def readme_json(title: str) -> object:
+    """The JSON example under the README's bold ``title`` in "JSON formats"."""
+    section = README.read_text(encoding="utf-8").split("## JSON formats", 1)[1]
+    after = section.split(f"**{title}**", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", after, re.S).group(1))
+
+
+def test_readme_json_examples_parse_and_run(tmp_path, capsys):
+    structure = structure_from_json(readme_json("Structure"))
+    tau = signaling_from_json(structure, readme_json("Signaling"))
+    assert tau.signals == ("s1", "s2", "s3")
+    spath, tpath = tmp_path / "structure.json", tmp_path / "tau.json"
+    spath.write_text(json.dumps(readme_json("Structure")))
+    tpath.write_text(json.dumps(readme_json("Signaling")))
+    assert cli.main(["ckc", str(spath)]) == 0
+    assert cli.main(["post", str(spath), str(tpath)]) == 0
+    assert capsys.readouterr().err == ""

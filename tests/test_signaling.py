@@ -384,6 +384,17 @@ def test_separating_strategy_matches_the_exhaustive_check():
     assert list(tau.column("s1")) == exhaustive(12)
 
 
+def test_separating_strategy_reuses_one_scan_for_every_block_count():
+    expected = oracles.separating_probabilities(32)
+    for m in (32, *range(1, 32), 5):  # smaller counts after the largest one
+        space = StateSpace(tuple(f"s{i}" for i in range(m)))
+        tau = separating_strategy(Partition.singletons(space))
+        assert list(tau.column("s1")) == expected[:m]
+    coarse = Partition(SPACE, (("w1", "w3"), ("w2",), ("w4",)))
+    tau = separating_strategy(coarse)
+    assert [tau.prob(block[0], "s1") for block in coarse.blocks] == expected[:3]
+
+
 def test_proportional_decompose_identity_and_scaling():
     out = proportional_decompose(TAU, TAU)
     assert out == {"s1": ("s1", Fraction(1)), "s2": ("s2", Fraction(1))}
@@ -463,7 +474,7 @@ def test_deterministic_assignment_refuses_stray_keys():
     with pytest.raises(InputError, match="unknown key 'block2'"):
         signaling_from_json(structure, tau)
     del tau["assignment"]["block1"]  # a missing key is named first
-    with pytest.raises(InputError, match="missing 'block1'"):
+    with pytest.raises(InputError, match="is missing its 'block1' field"):
         signaling_from_json(structure, tau)
 
 
@@ -527,7 +538,7 @@ def test_matrix_from_json_round_trip():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"columns": None}, "missing key 'columns'"),
+        ({"columns": None}, "is missing its 'columns' field"),
         ({"columns": [["s1", "b0", "extra"]] * 4}, "is not a \\[signal, label\\] pair"),
         ({"columns": ["s1@b0"] * 4}, "is not a \\[signal, label\\] pair"),
         ({"entries": []}, "'entries' must be a JSON object"),
