@@ -538,7 +538,11 @@ def test_matrix_from_json_round_trip():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"columns": None}, "is missing its 'columns' field"),
+        pytest.param(
+            {"columns": None},
+            "is missing its 'columns' field",
+            id="change0-missing key 'columns'",
+        ),
         ({"columns": [["s1", "b0", "extra"]] * 4}, "is not a \\[signal, label\\] pair"),
         ({"columns": ["s1@b0"] * 4}, "is not a \\[signal, label\\] pair"),
         ({"entries": []}, "'entries' must be a JSON object"),
