@@ -9,12 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial, reduce
+from operator import or_
+from typing import Callable, Optional, Sequence
 
 from ._lp import feasible_nonneg
 from .errors import DomainError, InputError
-from .partitions import DEFAULT_COARSENING_CAP, _merged_masks, ckc_decompose, join, refines
+from .partitions import (
+    DEFAULT_COARSENING_CAP,
+    _merged_masks,
+    _require_within_cap,
+    ckc_decompose,
+    join,
+    refines,
+)
 from .signaling import StochasticMatrix
 from .types import (
     InformationStructure,
@@ -23,8 +31,6 @@ from .types import (
     StateSpace,
     format_rational,
 )
-
-_ProfileKey = tuple[frozenset[int], ...]  # per player, the masks of the joined blocks
 
 
 def induced_profile(
@@ -35,30 +41,6 @@ def induced_profile(
     return tuple(join(p, oracle) for p in structure.players)
 
 
-def _profile_keys(
-    structure: InformationStructure, oracle: Partition, cap: int
-) -> Iterator[tuple[tuple[int, ...], _ProfileKey]]:
-    """(merged masks, key) per coarsening of the oracle, in ``coarsenings``
-    order; the key is the induced profile as masks, one set per player. The
-    cap and the space are checked on the call, before anything is enumerated."""
-    merged_masks = _merged_masks(oracle.masks, cap)
-    if oracle.space != structure.space:
-        raise DomainError("partitions are defined over different state spaces")
-    players = [p.masks for p in structure.players]
-    return (
-        (merged, tuple(frozenset([x & c for x in xs for c in merged if x & c]) for xs in players))
-        for merged in merged_masks
-    )
-
-
-def _first_seen(keys: Iterable[tuple[tuple[int, ...], _ProfileKey]]) -> dict:
-    """Each profile key, in order of first appearance, with its first coarsening."""
-    out: dict[_ProfileKey, tuple[int, ...]] = {}
-    for merged, key in keys:
-        out.setdefault(key, merged)
-    return out
-
-
 def coarsening_profiles(
     structure: InformationStructure,
     oracle: Partition,
@@ -66,31 +48,107 @@ def coarsening_profiles(
 ) -> dict[tuple[Partition, ...], Partition]:
     """Map each induced profile reachable by coarsening the oracle to the
     first coarsening (in enumeration order) that produces it."""
+    merged_masks = _merged_masks(oracle.masks, cap)
+    if oracle.space != structure.space:
+        raise DomainError("partitions are defined over different state spaces")
+    players = [p.masks for p in structure.players]
+    first_seen: dict[tuple[frozenset[int], ...], tuple[int, ...]] = {}
+    for merged in merged_masks:
+        key = tuple(frozenset([x & c for x in xs for c in merged if x & c]) for xs in players)
+        first_seen.setdefault(key, merged)
     as_partition = partial(Partition.from_masks, oracle.space)
-    return {
-        tuple(map(as_partition, key)): as_partition(merged)
-        for key, merged in _first_seen(_profile_keys(structure, oracle, cap)).items()
-    }
+    pairs = first_seen.items()
+    return {tuple(map(as_partition, key)): as_partition(merged) for key, merged in pairs}
 
 
 @dataclass(frozen=True)
 class ImiResult:
     """Outcome of the deterministic-dominance check.
 
-    When it fails, ``witness`` is the first coarsening of the second oracle
-    whose induced profile no coarsening of the first oracle can reproduce.
+    When it fails, ``witness`` is the first coarsening of the second oracle,
+    in ``coarsenings`` order, whose induced profile no coarsening of the
+    first oracle can reproduce.
     """
 
     holds: bool
     witness: Optional[Partition] = None
 
 
-def _imi(space: StateSpace, reachable: Iterable[_ProfileKey], scan: Iterable) -> ImiResult:
-    """Fails at the first scanned (merged masks, key) whose key is not reachable."""
-    for merged, key in scan:
-        if key not in reachable:
-            return ImiResult(False, Partition.from_masks(space, merged))
-    return ImiResult(True, None)
+def _merge(classes: list[int], linked: int) -> list[int]:
+    """The classes with every class that meets ``linked`` merged into one."""
+    merged, kept = 0, []
+    for c in classes:
+        if c & linked:
+            merged |= c
+        else:
+            kept.append(c)
+    kept.append(merged)
+    return kept
+
+
+def _closure_scan(
+    structure: InformationStructure, first: Partition, second: Partition
+) -> ImiResult:
+    """``is_imi``'s scan, keeping the closure under the blocks placed so far
+    as ``_merged_masks``' walk places them. Groups and classes only grow, so a
+    violation among the placed blocks holds at every coarsening below, the
+    first of which places every block not yet placed into group 0."""
+    masks = second.masks
+    blocks = [p for player in structure.players for p in player.masks]
+    touching = [[p for p in blocks if p & s] for s in masks]
+    # Every Q_i block holds its cells P_i-block & second-block, whatever C is.
+    classes = list(first.masks)
+    for s, ps in zip(masks, touching):
+        for p in ps:
+            classes = _merge(classes, p & s)
+    groups: list[int] = []
+
+    def violated(classes: list[int], s: int, placed: int) -> bool:
+        # Only the classes meeting the block just placed have changed.
+        for c in classes:
+            if c & s:
+                for g in groups:
+                    inner, outer = c & g, c & placed & ~g
+                    if inner and outer and any(p & inner and p & outer for p in blocks):
+                        return True
+        return False
+
+    def grow(i: int, classes: list[int], placed: int) -> Optional[tuple[int, ...]]:
+        if i == len(masks):
+            return None
+        s = masks[i]
+        placed |= s
+        for g in range(len(groups) + 1):
+            if g == len(groups):
+                groups.append(0)
+            grown = classes
+            for p in touching[i]:
+                if p & groups[g]:
+                    grown = _merge(grown, p & (groups[g] | s))
+            groups[g] |= s
+            if violated(grown, s, placed):
+                return (reduce(or_, masks[i + 1 :], groups[0]), *groups[1:])
+            witness = grow(i + 1, grown, placed)
+            if witness is not None:
+                return witness
+            groups[g] ^= s
+        groups.pop()
+        return None
+
+    witness = grow(0, classes, 0)
+    return ImiResult(witness is None, witness and Partition.from_masks(second.space, witness))
+
+
+def _imi_check(
+    structure: InformationStructure, first: Partition, second: Partition, cap: int
+) -> Callable[[], ImiResult]:
+    """``is_imi``, ready to run once every cap has been checked."""
+    if second.space != structure.space:
+        raise DomainError("partitions are defined over different state spaces")
+    if refines(first, second):
+        return partial(ImiResult, True, None)
+    _require_within_cap(len(second.masks), cap)
+    return partial(_closure_scan, structure, first, second)
 
 
 def is_imi(
@@ -100,12 +158,17 @@ def is_imi(
     cap: int = DEFAULT_COARSENING_CAP,
 ) -> ImiResult:
     """Check that every profile inducible by a coarsening of ``second`` is
-    also inducible by some coarsening of ``first``. Both block counts are
-    checked against ``cap`` before anything is enumerated; the scan of
-    ``second``'s coarsenings stops at the first profile ``first`` cannot induce."""
-    reachable = _profile_keys(structure, first, cap)
-    scan = _profile_keys(structure, second, cap)
-    return _imi(second.space, {key for _, key in reachable}, scan)
+    also inducible by some coarsening of ``first``.
+
+    This holds at once when ``first`` refines ``second``, whatever the block
+    counts. Otherwise only ``second``'s coarsenings C are scanned, in
+    ``coarsenings`` order, and only ``second`` is checked against ``cap``:
+    the one coarsening of ``first`` that could induce Q_i = P_i ^ C for every
+    player is the closure of ``first``'s blocks under every Q_i block, and it
+    does exactly when no class holds two states of one P_i block from two
+    Q_i blocks. The witness is the first C not matched, the same one that
+    enumerating both oracles' coarsenings finds."""
+    return _imi_check(structure, first, second, cap)()
 
 
 def require_unique_ckc(structure: InformationStructure) -> None:
@@ -140,16 +203,13 @@ def two_sided_imi_equal(
 ) -> TwoSidedResult:
     """Run the deterministic-dominance check in both directions. Requires a
     unique common-knowledge component; on multi-component structures the two
-    directions must instead be analyzed per component. After the same cap
-    check as ``is_imi``, each oracle's coarsenings are enumerated once, and
-    both directions and witnesses come from the two key-to-first-coarsening maps."""
+    directions must instead be analyzed per component. Each direction is
+    ``is_imi``'s, and every oracle a direction must scan is checked against
+    ``cap`` before either direction runs."""
     require_unique_ckc(structure)
-    keys = [_profile_keys(structure, oracle, cap) for oracle in (first, second)]
-    firsts, seconds = map(_first_seen, keys)
-    return TwoSidedResult(
-        forward=_imi(second.space, firsts, zip(seconds.values(), seconds)),
-        backward=_imi(first.space, seconds, zip(firsts.values(), firsts)),
-    )
+    forward = _imi_check(structure, first, second, cap)
+    backward = _imi_check(structure, second, first, cap)
+    return TwoSidedResult(forward=forward(), backward=backward())
 
 
 def unique_ckc_dominates(

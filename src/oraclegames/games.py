@@ -1306,18 +1306,14 @@ class MixedValue:
 class CombinedGame:
     """Equal-weight combination of the two-stage declaration game and the
     log-score game built from the same signaling; payoffs are kept as exact
-    (rational, log) pairs."""
+    (rational, log) pairs. It is built on an already built two-stage game,
+    whose structure, signaling and posterior menus it shares."""
 
-    def __init__(
-        self,
-        structure: InformationStructure,
-        tau: StochasticSignaling,
-        M: Optional[object] = None,
-    ):
-        self.structure = structure
-        self.stage = TwoStageGame(structure, tau, M)
-        self.kld = _kld_game(structure, self.stage.menus)
-        self.tau = tau
+    def __init__(self, stage: TwoStageGame):
+        self.structure = stage.structure
+        self.stage = stage
+        self.kld = _kld_game(stage.structure, stage.menus)
+        self.tau = stage.tau
 
     def expected_payoffs(
         self,

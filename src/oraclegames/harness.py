@@ -217,13 +217,18 @@ class Fixture:
         return game, tau, strategy_from_json(game, tau, entry["players"])
 
     def two_stage(self, args: Mapping, kind: type = TwoStageGame):
-        """The ``kind`` game (``TwoStageGame`` or ``CombinedGame``) of a
-        claim's signaling and optional penalty, built once per fixture."""
+        """The ``kind`` game of a claim's signaling and optional penalty: the
+        ``TwoStageGame``, or the ``CombinedGame`` built on that same stage.
+        Each is built once per fixture."""
         tau = self.signaling(args["signaling"])
         penalty = args.get("penalty")
         key = (kind, tau, None if penalty is None else parse_rational(penalty))
         if key not in self._two_stage:
-            self._two_stage[key] = kind(self.structure, tau, key[2])
+            self._two_stage[key] = (
+                TwoStageGame(self.structure, tau, key[2])
+                if kind is TwoStageGame
+                else kind(self.two_stage(args))
+            )
         return self._two_stage[key]
 
     def distribution(self, vector: object, what: str = "a distribution") -> Distribution:

@@ -56,17 +56,23 @@ def refines(p: Partition, q: Partition) -> bool:
     return all(any(not a & ~b for b in q.masks) for a in p.masks)
 
 
+def _require_within_cap(k: int, cap: int) -> None:
+    """Refuse to enumerate the coarsenings of a partition of more than `cap`
+    blocks."""
+    if k > cap:
+        raise ResourceLimitError(
+            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks",
+            cap=cap,
+        )
+
+
 def _merged_masks(masks: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
     """Every way of merging the given disjoint masks, as the tuple of merged
     masks, in lexicographic restricted-growth-string order (everything merged
     first, all masks apart last; groups by first member). Refuses more than
     `cap` masks before anything is enumerated."""
     k = len(masks)
-    if k > cap:
-        raise ResourceLimitError(
-            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks",
-            cap=cap,
-        )
+    _require_within_cap(k, cap)
     groups: list[int] = []
 
     def grow(i: int) -> Iterator[tuple[int, ...]]:

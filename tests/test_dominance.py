@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oraclegames import dominance
+from oraclegames import dominance, partitions
 from oraclegames import (
     DomainError,
     InformationStructure,
@@ -159,29 +159,175 @@ def test_imi_and_two_sided_agree_with_brute_force():
     assert min(checked.values()) >= 5, checked
 
 
-def test_dominance_refuses_an_over_cap_oracle_up_front(monkeypatch):
-    space = StateSpace(tuple(f"s{i}" for i in range(12)))
-    structure = InformationStructure(
-        space, Prior.uniform(space), ("all",), (Partition.trivial(space),)
+def test_imi_holds_without_refinement_as_brute_force_does():
+    # A holding verdict whose first oracle refines the second is decided
+    # without a scan; these first oracles merge two of the second's blocks.
+    rng = random.Random(47)
+    checked = {"holds": 0, "fails": 0}
+    for _ in range(150):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(4, 6))))
+        players = tuple(
+            _random_partition(rng, space, rng.randint(3, 5)) for _ in range(rng.randint(2, 3))
+        )
+        structure = InformationStructure(
+            space, Prior.uniform(space), tuple(f"P{i}" for i in range(len(players))), players
+        )
+        second = _random_partition(rng, space, 5)
+        if len(second.masks) < 2:
+            continue
+        a, b, *rest = rng.sample(second.masks, len(second.masks))
+        first = Partition.from_masks(space, [a | b, *rest])
+        if rng.random() < 0.5:
+            first = join(first, _random_partition(rng, space, 2))
+        if refines(first, second):
+            continue
+        naive = oracles.naive_is_imi([p.blocks for p in players], first.blocks, second.blocks)
+        assert _agrees(is_imi(structure, first, second), naive), (players, first, second)
+        checked["holds" if naive[0] else "fails"] += 1
+    assert min(checked.values()) >= 10, checked
+
+
+def _one_player(space, blocks):
+    return InformationStructure(space, Prior.uniform(space), ("P",), (Partition(space, blocks),))
+
+
+def _doomed_before_the_last_block(players, first, second, witness):
+    """Whether, for some d short of all blocks, every coarsening of
+    ``second`` (one state per block) that groups its first d blocks as
+    ``witness`` does fails: a scan may then stop with blocks left to place."""
+    def profile(c):
+        return tuple(oracles.canon(oracles.naive_join(p, c)) for p in players)
+
+    def labels(c):
+        return [next(i for i, b in enumerate(c) if s in b) for (s,) in second]
+
+    reachable = {profile(c) for c in oracles.naive_coarsenings(first)}
+    every = oracles.naive_coarsenings(second)
+    return any(
+        all(profile(c) not in reachable for c in every if labels(c)[:d] == labels(witness)[:d])
+        for d in range(1, len(second))
     )
 
-    def with_blocks(k):
-        head = tuple((s,) for s in space.states[: k - 1])
-        return Partition(space, head + (space.states[k - 1 :],))
 
+def test_imi_witness_of_a_failure_caught_before_the_last_block():
+    space = StateSpace(tuple(f"s{i}" for i in range(7)))
+    second = Partition(space, tuple((s,) for s in space.states))
+    cases = [
+        # The player tells s0 from s1 and nothing else apart, and the first
+        # oracle is trivial: every coarsening keeping s0 and s1 together
+        # matches, and placing s1 apart fails with five blocks unplaced.
+        ((("s0", "s1"),) + tuple((s,) for s in space.states[2:]), (space.states,),
+         (("s0", "s2", "s3", "s4", "s5", "s6"), ("s1",))),
+        # Placing s3 apart from s1, which the player cannot tell it from and
+        # the first oracle keeps with it, fails with three blocks unplaced.
+        ((("s0", "s2"), ("s1", "s3"), ("s4",), ("s5",), ("s6",)),
+         (("s0", "s1", "s2", "s3"), ("s4", "s5", "s6")),
+         (("s0", "s1", "s2", "s4", "s5", "s6"), ("s3",))),
+    ]
+    rng = random.Random(3)
+    for _ in range(60):
+        blocks = oracles.random_blocks(rng, space.states, 4)
+        cases.append((blocks, oracles.random_blocks(rng, space.states, 3), None))
+    caught = 0
+    for player, first, expected in cases:
+        structure = _one_player(space, player)
+        result = is_imi(structure, Partition(space, first), second)
+        naive = oracles.naive_is_imi([player], first, second.blocks)
+        assert _agrees(result, naive), (player, first)
+        if expected is not None:
+            assert result.witness.blocks == expected
+        if not result.holds:
+            caught += _doomed_before_the_last_block([player], first, second.blocks, naive[1])
+    assert caught >= 8, caught
+
+
+def test_imi_never_enumerates_the_first_oracle(monkeypatch):
     drawn = []
-    real = dominance._merged_masks
+    for module in (dominance, partitions):
+        def counted(masks, cap, real=module._merged_masks):
+            drawn.append(tuple(masks))
+            return real(masks, cap)
 
-    def counted(masks, cap):
-        return (drawn.append(merged) or merged for merged in real(masks, cap))
+        monkeypatch.setattr(module, "_merged_masks", counted)
+    rng = random.Random(5)
+    scans = 0
+    for _ in range(40):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(4, 7))))
+        players = (_random_partition(rng, space, 3), _random_partition(rng, space, 4))
+        structure = InformationStructure(space, Prior.uniform(space), ("A", "B"), players)
+        first, second = _random_partition(rng, space, 6), _random_partition(rng, space, 6)
+        is_imi(structure, first, second)
+        assert tuple(first.masks) not in drawn
+        scans += not refines(first, second)
+    assert scans >= 30
 
-    monkeypatch.setattr(dominance, "_merged_masks", counted)
-    for check in (is_imi, two_sided_imi_equal):
-        for first, second, named in ((10, 11, 11), (12, 11, 12), (11, 11, 11)):
+
+def _with_blocks(space, k):
+    head = tuple((s,) for s in space.states[: k - 1])
+    return Partition(space, head + (space.states[k - 1 :],))
+
+
+def test_dominance_refuses_an_over_cap_oracle_up_front(monkeypatch):
+    # Only an oracle whose coarsenings a direction must scan is capped, and
+    # every such oracle is checked before either direction scans anything.
+    space = StateSpace(tuple(f"s{i}" for i in range(12)))
+    structure = _one_player(space, (space.states,))
+    scanned = []
+    real = dominance._closure_scan
+    monkeypatch.setattr(
+        dominance, "_closure_scan", lambda *args: scanned.append(args) or real(*args)
+    )
+    # Eleven blocks against two that the first does not refine: forward
+    # scans the two-block oracle, backward the eleven-block one.
+    eleven, split = _with_blocks(space, 11), Partition(space, (space.states[:11], ("s11",)))
+    refused = {
+        is_imi: ((_with_blocks(space, 10), _with_blocks(space, 11), 11),),
+        two_sided_imi_equal: (
+            (_with_blocks(space, 10), _with_blocks(space, 11), 11),
+            (_with_blocks(space, 12), _with_blocks(space, 11), 12),
+            (eleven, split, 11),
+        ),
+    }
+    for check, cases in refused.items():
+        for first, second, named in cases:
             message = f"partition has {named} blocks; coarsening enumeration is capped at 10"
             with pytest.raises(ResourceLimitError, match=message):
-                check(structure, with_blocks(first), with_blocks(second))
-    assert drawn == []
+                check(structure, first, second)
+    assert scanned == []
+    # A verdict decided by refinement is never refused.
+    assert is_imi(structure, _with_blocks(space, 12), _with_blocks(space, 11)).holds
+    assert is_imi(structure, _with_blocks(space, 11), _with_blocks(space, 11)).holds
+    assert two_sided_imi_equal(structure, eleven, eleven).equivalent
+    assert scanned == []
+
+
+def test_imi_decides_a_non_refining_first_oracle_over_the_cap():
+    # The paper's coarse-oracle example, with nine more states that the
+    # player tells apart: each is its own block of the first oracle and all
+    # sit in one block of the second. Merging such states changes no join,
+    # so the verdicts are those of the four-state example.
+    base = (("w1", "w2"), ("w3", "w4"))
+    extra = tuple(f"x{i}" for i in range(9))
+    apart = tuple((x,) for x in extra)
+    space = StateSpace(tuple(w for block in base for w in block) + extra)
+    structure = _one_player(space, base + apart)
+    cases = (
+        ((("w1", "w2", "w3"), ("w4",)), (("w1", "w2"), ("w3",), ("w4",)), True),
+        (base, (("w1",), ("w2", "w3"), ("w4",)), False),
+    )
+    for small_first, small_second, holds in cases:
+        assert oracles.naive_is_imi([base], small_first, small_second)[0] == holds
+        first = Partition(space, small_first + apart)
+        second = Partition(space, small_second + (extra,))
+        assert len(first.blocks) > 10 and not refines(first, second)
+        result = is_imi(structure, first, second)
+        assert result.holds == holds
+        if not holds:
+            assert refines(second, result.witness)
+            assert induced_profile(structure, result.witness) not in {
+                induced_profile(structure, Partition(space, c + apart))
+                for c in oracles.naive_coarsenings(small_first)
+            }
 
 
 def test_unique_ckc_dominates_is_refinement():

@@ -859,7 +859,7 @@ def test_mixed_value_algebra():
 
 def test_combined_game_is_the_equal_weight_pair():
     tau = _example_signaling()
-    combined = CombinedGame(STRUCTURE, tau)
+    combined = CombinedGame(TwoStageGame(STRUCTURE, tau))
     stage_strategy = combined.stage.truthful_strategy()
     kld_strategy = truthful_kld_strategy(combined.kld, tau)
     values = combined.expected_payoffs(tau, stage_strategy, kld_strategy)

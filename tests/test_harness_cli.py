@@ -291,6 +291,39 @@ def test_cli_relation_verbs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verbs_in_one_process_match_separate_runs(tmp_path, capsys):
+    fixture, spath = _write_structure(tmp_path, "witness-two-stage")
+    tpath = tmp_path / "tau.json"
+    tpath.write_text(json.dumps(fixture["signalings"]["tau2"]))
+    s, t = str(spath), str(tpath)
+    runs = [
+        ["ckc", s],
+        ["imi", s, "F2", "F1"],
+        ["imi", s, "F1", "nope"],
+        ["dominates", "--mode", "unique-ckc", s, "F1", "F2"],
+        ["imi"],
+        ["post", s, t],
+        ["matrix", s, t, "--player", "P1"],
+        ["common-objective", s, "F1", "F2"],
+        ["fixtures"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = cli.main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "oraclegames.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for argv in runs
+    ]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in separate]
+    assert {code for code, _ in in_process} == {0, 2}
+
+
 def test_cli_post_and_matrix_verbs(tmp_path, capsys):
     fixture, spath = _write_structure(tmp_path, "witness-two-stage")
     tpath = tmp_path / "tau.json"
@@ -442,7 +475,7 @@ def test_fixture_builds_each_two_stage_game_once(monkeypatch):
     report = harness.run_fixture(harness.load_fixture("witness-two-stage"))
     assert harness.report_passed(report) and len(report["claims"]) == 6
     assert len(built) == 1
-    # The combined game builds its own stage; the stage-drop claim builds one more.
+    # The combined game is built on the stage the stage-drop claim uses.
     built.clear()
     assert harness.report_passed(harness.run_fixture(harness.load_fixture("witness-kld-combined")))
-    assert len(built) == 2
+    assert len(built) == 1
