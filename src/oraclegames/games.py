@@ -379,19 +379,21 @@ def _slot_search(
 ) -> Iterator[tuple[int, ...]]:
     """Option-index assignments to slots 0, 1, ..., depth first in
     ``itertools.product`` order, going past slot d only while
-    ``admit(d, assigned)`` holds."""
-    assigned = [0] * len(sizes)
-
-    def visit(d: int) -> Iterator[tuple[int, ...]]:
+    ``admit(d, assigned)`` holds; slots past d hold -1 meanwhile.  The walk
+    is a loop, so the number of slots is not bounded by the recursion limit."""
+    assigned = [-1] * len(sizes)
+    d = 0
+    while d >= 0:
         if d == len(sizes):
             yield tuple(assigned)
-            return
-        for option in range(sizes[d]):
-            assigned[d] = option
+            d -= 1
+        elif assigned[d] + 1 < sizes[d]:
+            assigned[d] += 1
             if admit(d, assigned):
-                yield from visit(d + 1)
-
-    return visit(0)
+                d += 1
+        else:
+            assigned[d] = -1
+            d -= 1
 
 
 def _cellwise_max(
@@ -583,53 +585,71 @@ def enumerate_pure_equilibria(
     game: BayesianGame, tau: StochasticSignaling, cap: int = DEFAULT_EQUILIBRIUM_CAP
 ) -> list[StrategyProfile]:
     """All pure-strategy equilibria, in ``itertools.product`` order over the
-    slots (player, then reachable pair); the cap counts that full product.
-    A slot is checked for a profitable deviation as soon as every slot its
-    deviation values read is assigned."""
+    slots (player, then reachable pair), each table keyed in pair order.
+
+    A deviation at a slot reads only its own (signal, common-knowledge
+    component) cell, so the equilibria are the product of the cells'
+    equilibria.  Each cell checks a slot for a profitable deviation as soon
+    as every slot its deviation values read is assigned.  Before any slot is
+    valued, a cell of more than ``cap`` pure profiles is refused; then a cell
+    without equilibria gives ``[]``; else more than ``cap`` equilibria are
+    refused."""
     if game.log_domain:
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
     masses = _branch_masses(structure, tau)
+    cells = list(_cells(structure, tau))
+    largest = max(math.prod(len(game.actions[i]) for i, _ in slots) for _, _, slots in cells)
+    if largest > cap:
+        raise ResourceLimitError(
+            f"{largest} pure strategy profiles in one cell exceed the cap of {cap}", cap=cap
+        )
     pairs = _reachable(structure, tau.signals, masses)
     slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
-    sizes = [len(game.actions[i]) for i, _ in slots]
-    count = math.prod(sizes)
-    if count > cap:
-        raise ResourceLimitError(
-            f"{count} pure strategy profiles exceed the cap of {cap}", cap=cap
-        )
-    index = {slot: k for k, slot in enumerate(slots)}
-    reads: list[set[int]] = [set() for _ in slots]  # every slot of a slot's branches
-    for state, signal in masses:
-        at = [
-            index[(j, (partition.block_of(state), signal))]
-            for j, partition in enumerate(structure.players)
-        ]
-        for k in at:
-            reads[k].update(at)
-    due = [[k for k, read in enumerate(reads) if max(read) == d] for d in range(len(slots))]
+    position = {slot: g for g, slot in enumerate(slots)}
     tables: list[dict[Pair, dict[str, Fraction]]] = [{} for _ in range(structure.n)]
     assigned_profile = StrategyProfile(tuple(tables))
-    verdicts: dict[tuple, bool] = {}
+    parts = []  # per cell, its equilibria as lists of (global slot, option index)
+    for signal, positioned, cell_slots in cells:
+        local = [(i, (block, signal)) for i, block in cell_slots]
+        reads: list[set[int]] = [set() for _ in local]  # every slot of a slot's branches
+        for _, _, at in positioned:
+            for k in at:
+                reads[k].update(at)
+        due: list[list[int]] = [[] for _ in local]  # the slots checked at each depth
+        for k, read in enumerate(reads):
+            due[max(read)].append(k)
+        verdicts: dict[tuple, bool] = {}
 
-    def admit(d: int, assigned: list[int]) -> bool:
-        i, pair = slots[d]
-        tables[i][pair] = {game.actions[i][assigned[d]]: Fraction(1)}
-        for k in due[d]:
-            key = (k, tuple(assigned[r] for r in reads[k]))
-            if key not in verdicts:
-                j, (block, signal) = slots[k]
-                value = _deviation_value(game, masses, assigned_profile, j, block, signal)
-                values = [value(a) for a in game.actions[j]]
-                verdicts[key] = not any(v > values[assigned[k]] for v in values)
-            if not verdicts[key]:
-                return False
-        return True
+        def admit(d: int, assigned: list[int]) -> bool:
+            i, pair = local[d]
+            tables[i][pair] = {game.actions[i][assigned[d]]: Fraction(1)}
+            for k in due[d]:
+                key = (k, tuple(assigned[r] for r in reads[k]))
+                if key not in verdicts:
+                    j, (block, signal) = local[k]
+                    value = _deviation_value(game, masses, assigned_profile, j, block, signal)
+                    values = [value(a) for a in game.actions[j]]
+                    verdicts[key] = not any(v > values[assigned[k]] for v in values)
+                if not verdicts[key]:
+                    return False
+            return True
 
-    return [
-        StrategyProfile(tuple(dict(table) for table in tables))
-        for _ in _slot_search(sizes, admit)
-    ]
+        leaves = _slot_search([len(game.actions[i]) for i, _ in local], admit)
+        parts.append([[(position[slot], o) for slot, o in zip(local, leaf)] for leaf in leaves])
+        if not parts[-1]:
+            return []
+    count = math.prod(map(len, parts))
+    if count > cap:
+        raise ResourceLimitError(f"{count} pure equilibria exceed the cap of {cap}", cap=cap)
+    out = []
+    # Lists of (global slot, option) in slot order sort as itertools.product visits them.
+    for profile in sorted(sorted(itertools.chain(*combo)) for combo in itertools.product(*parts)):
+        per_player: list[dict] = [{} for _ in range(structure.n)]
+        for (i, pair), (_, option) in zip(slots, profile):
+            per_player[i][pair] = {game.actions[i][option]: Fraction(1)}
+        out.append(StrategyProfile(tuple(per_player)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -395,18 +395,27 @@ def _op_atlas_weights(fix: Fixture, args: Mapping):
     return [format_rational(atlas.weight(p)) for p in atlas.profiles()]
 
 
+def _joint_profile(fix: Fixture, args: Mapping) -> JointPosteriorProfile:
+    """The claim's 'profile' argument, which must hold one posterior per player."""
+    profile = fix.profile(args["profile"])
+    if len(profile) != fix.structure.n:
+        raise InputError(
+            f"claim argument 'profile' must hold {fix.structure.n} posteriors, "
+            f"one per player, not {len(profile)}"
+        )
+    return JointPosteriorProfile(profile)
+
+
 @op("atlas_contains")
 def _op_atlas_contains(fix: Fixture, args: Mapping):
     atlas = posterior_atlas(fix.structure, fix.signaling(args["signaling"]))
-    profile = JointPosteriorProfile(fix.profile(args["profile"]))
-    return profile in atlas
+    return _joint_profile(fix, args) in atlas
 
 
 @op("atlas_weight_of")
 def _op_atlas_weight_of(fix: Fixture, args: Mapping):
     atlas = posterior_atlas(fix.structure, fix.signaling(args["signaling"]))
-    profile = JointPosteriorProfile(fix.profile(args["profile"]))
-    return atlas.weight(profile)
+    return atlas.weight(_joint_profile(fix, args))
 
 
 @op("post_included")
@@ -476,9 +485,15 @@ def _op_is_equilibrium(fix: Fixture, args: Mapping):
 @op("ned_mass")
 def _op_ned_mass(fix: Fixture, args: Mapping):
     game, tau, strategy = fix.strategy(args["strategy"])
-    dist = ned_distribution(game, tau, strategy)
+    state = check_label("state", args["state"])
+    if state not in game.structure.space:
+        raise InputError(f"unknown state '{state}' in claim argument 'state'")
     actions = check_labels("action", args["actions"], "claim argument 'actions'")
-    return dist.of(check_label("state", args["state"]), actions)
+    if (state, actions) not in game.payoffs:
+        raise InputError(
+            f"claim argument 'actions' {list(actions)} is not an action profile of the game"
+        )
+    return ned_distribution(game, tau, strategy).of(state, actions)
 
 
 @op("enumerate_equilibria_count")

@@ -3,7 +3,9 @@ decision problems as one-player games, belief games, exact log scores,
 declaration games, and the common-objective coordination value."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -1164,15 +1166,114 @@ def test_enumerate_pure_equilibria_refuses_before_valuing_a_slot(monkeypatch):
     from oraclegames import games
 
     game, tau = _search_cases(random.Random(59), 1)[0]
-    count = 2 ** sum(len(p) for p in reachable_pairs(game.structure, tau))
+    largest = max(2 ** len(slots) for _, _, slots in games._cells(game.structure, tau))
+    assert largest < 2 ** sum(len(p) for p in reachable_pairs(game.structure, tau))
 
     def valued(*args):
         raise AssertionError("a slot was valued")
 
     monkeypatch.setattr(games, "_deviation_value", valued)
     with pytest.raises(ResourceLimitError) as info:
+        enumerate_pure_equilibria(game, tau, cap=largest - 1)
+    assert f"{largest} pure strategy profiles" in str(info.value)
+
+
+def _components_game(k, seed):
+    """Two players who share one partition into k two-state blocks (k
+    common-knowledge components, so k cells of 9 pure profiles under the
+    uninformative signaling), three actions each, and payoffs in 0..3 drawn
+    from ``seed``."""
+    rng = random.Random(seed)
+    space = StateSpace(tuple(f"w{j}" for j in range(2 * k)))
+    pairs = Partition(space, tuple((f"w{2 * j}", f"w{2 * j + 1}") for j in range(k)))
+    structure = InformationStructure(space, Prior.uniform(space), ("A", "B"), (pairs, pairs))
+    actions = (("a", "b", "c"),) * 2
+    payoffs = {
+        (state, profile): (Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3)))
+        for state in space.states
+        for profile in itertools.product(*actions)
+    }
+    return BayesianGame(structure, actions, payoffs), _uninformative(structure)
+
+
+# At (10, 0) some cells have no pure equilibrium, so the answer is [].
+@pytest.mark.parametrize("k, seed", [(6, 0), (10, 1), (10, 0)])
+def test_pure_equilibria_are_the_product_of_the_cells_equilibria(k, seed):
+    game, tau = _components_game(k, seed)
+    assert 3 ** (2 * k) > 100000  # the full product is past the default cap
+    start = time.perf_counter()
+    found = enumerate_pure_equilibria(game, tau)
+    assert time.perf_counter() - start < 1
+    per_cell = []
+    for j in range(k):
+        # The component's game alone, on its own two states.
+        space = StateSpace((f"w{2 * j}", f"w{2 * j + 1}"))
+        alone = InformationStructure(
+            space, Prior.uniform(space), ("A", "B"), (Partition.trivial(space),) * 2
+        )
+        payoffs = {key: v for key, v in game.payoffs.items() if key[0] in space.states}
+        cell = BayesianGame(alone, game.actions, payoffs)
+        per_cell.append(len(enumerate_pure_equilibria(cell, _uninformative(alone))))
+    assert len(found) == math.prod(per_cell)
+    slots = [(i, pair) for i in range(2) for pair in reachable_pairs(game.structure, tau)[i]]
+    picks = [
+        tuple(game.actions[i].index(*s.per_player[i][pair]) for i, pair in slots) for s in found
+    ]
+    assert picks == sorted(set(picks))  # itertools.product order, no repeats
+    for strategy in found[:: max(1, len(found) // 8)]:
+        assert is_equilibrium(game, tau, strategy).holds
+
+
+def test_enumerate_pure_equilibria_refuses_too_many_equilibria():
+    game, tau = _components_game(6, 0)
+    count = len(enumerate_pure_equilibria(game, tau))
+    assert 9 < count
+    with pytest.raises(ResourceLimitError) as info:
         enumerate_pure_equilibria(game, tau, cap=count - 1)
-    assert f"{count} pure strategy profiles" in str(info.value)
+    assert f"{count} pure equilibria exceed the cap of {count - 1}" in str(info.value)
+    assert len(enumerate_pure_equilibria(game, tau, cap=count)) == count
+
+
+def test_slot_search_is_the_filtered_product_in_its_order():
+    from oraclegames.games import _slot_search
+
+    sizes = (2, 3, 1, 2, 3)
+
+    def keep(prefix):
+        return sum(prefix) % 4 != 3
+
+    expected = [
+        leaf
+        for leaf in itertools.product(*map(range, sizes))
+        if all(keep(leaf[: d + 1]) for d in range(len(sizes)))
+    ]
+    assert list(_slot_search(sizes, lambda d, assigned: keep(assigned[: d + 1]))) == expected
+    assert list(_slot_search((), lambda d, assigned: False)) == [()]
+    # The walk is a loop: far more slots than the recursion limit allows.
+    assert list(_slot_search((1,) * 5000, lambda d, assigned: True)) == [(0,) * 5000]
+
+
+def test_enumerate_pure_equilibria_walks_a_long_chain_of_blocks():
+    # A's blocks {w0,w1},{w2,w3},... and B's {w0},{w1,w2},... link all 1,200
+    # states into one component: one cell of about 1,200 one-action slots.
+    space = StateSpace(tuple(f"w{j}" for j in range(1200)))
+
+    def blocks(first):
+        return tuple(space.states[max(0, j) : j + 2] for j in range(first, 1200, 2))
+
+    structure = InformationStructure(
+        space,
+        Prior.uniform(space),
+        ("A", "B"),
+        (Partition(space, blocks(0)), Partition(space, blocks(-1))),
+    )
+    game = BayesianGame(
+        structure,
+        (("x",), ("y",)),
+        {(state, ("x", "y")): (Fraction(1), Fraction(1)) for state in space.states},
+    )
+    found = enumerate_pure_equilibria(game, _uninformative(structure))
+    assert len(found) == 1 and len(found[0].per_player[1]) == 601
 
 
 def test_best_common_payoff_matches_the_brute_force_for_three_players():

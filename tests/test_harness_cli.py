@@ -210,6 +210,38 @@ MALFORMED_CLAIMS = [
         "floats are not accepted",
         lambda d: setitem(_mixed_expected(d)["log"], "denom", 1.5),
     ),
+    # Claims about outcomes or profiles that cannot exist are refused, not
+    # answered with a mass of 0 or a membership of false.
+    (
+        "rock-concert",
+        "unknown state 'nowhere' in claim argument 'state'",
+        lambda d: setitem(_claim_of(d, "ned_mass")["args"], "state", "nowhere"),
+    ),
+    (
+        "rock-concert",
+        "claim argument 'actions' ['Q', 'Z'] is not an action profile of the game",
+        lambda d: setitem(_claim_of(d, "ned_mass")["args"], "actions", ["Q", "Z"]),
+    ),
+    (
+        "rock-concert",
+        "claim argument 'actions' ['M'] is not an action profile of the game",
+        lambda d: setitem(_claim_of(d, "ned_mass")["args"], "actions", ["M"]),
+    ),
+    (
+        "stochastic-imi-fail",
+        "claim argument 'profile' must hold 2 posteriors, one per player, not 1",
+        lambda d: d["profiles"]["w1-s2-profile"].pop(),
+    ),
+    (
+        "stochastic-imi-fail",
+        "claim argument 'profile' must hold 2 posteriors, one per player, not 3",
+        lambda d: d["profiles"]["w1-s2-profile"].append(["1", "0", "0", "0"]),
+    ),
+    (
+        "unique-ckc-3-player",
+        "claim argument 'profile' must hold 3 posteriors, one per player, not 2",
+        lambda d: d["profiles"]["w1-s1-profile"].pop(),
+    ),
 ]
 
 
