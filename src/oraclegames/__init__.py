@@ -77,6 +77,7 @@ from .games import (
     CombinedGame,
     EquilibriumResult,
     LogScore,
+    LogScoreGame,
     MixedValue,
     OutcomeDistribution,
     StrategyProfile,
@@ -95,7 +96,6 @@ from .games import (
     is_equilibrium,
     kld_aggregate,
     kld_expected_scores,
-    kld_menus,
     log_score,
     log_score_argmax,
     make_strategy,

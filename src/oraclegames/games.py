@@ -46,7 +46,7 @@ ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
 Branch = tuple[str, str]
 Slot = tuple[int, tuple[str, ...]]
-Game = Union["BayesianGame", "TwoStageGame"]
+Game = Union["BayesianGame", "TwoStageGame", "LogScoreGame"]
 
 
 @dataclass(eq=False)
@@ -54,16 +54,12 @@ class BayesianGame:
     """A finite n-player game with state-dependent payoffs.
 
     ``payoffs`` maps (state, action profile) to one utility per player and
-    must be total over states x action profiles.  When ``log_domain`` is set
-    the stored values are nonnegative likelihoods whose logarithm is the
-    payoff (zero standing for minus infinity); such games are evaluated with
-    ``kld_expected_scores`` rather than ``expected_payoffs``.
+    must be total over states x action profiles.
     """
 
     structure: InformationStructure
     actions: tuple[tuple[str, ...], ...]
     payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]]
-    log_domain: bool = False
 
     def __post_init__(self):
         n = self.structure.n
@@ -96,8 +92,6 @@ class BayesianGame:
         for key, values in self.payoffs.items():
             if len(values) != n:
                 raise InputError(f"payoff entry {key!r} must list {n} utilities")
-            if self.log_domain and any(v < 0 for v in values):
-                raise InputError("log-domain likelihoods must be nonnegative")
 
     def payoff(self, state: str, profile: ActionProfile) -> tuple[Fraction, ...]:
         try:
@@ -113,21 +107,15 @@ class BayesianGame:
             row: dict[str, list[str]] = {}
             for profile in itertools.product(*self.actions):
                 values = self.payoffs[(state, profile)]
-                row["|".join(profile)] = [
-                    "-inf" if self.log_domain and v == 0 else format_rational(v)
-                    for v in values
-                ]
+                row["|".join(profile)] = [format_rational(v) for v in values]
             payoffs[state] = row
-        data = {
+        return {
             "actions": {
                 name: list(acts)
                 for name, acts in zip(self.structure.player_names, self.actions)
             },
             "payoffs": payoffs,
         }
-        if self.log_domain:
-            data["log_domain"] = True
-        return data
 
 
 def game_from_json(
@@ -136,7 +124,8 @@ def game_from_json(
     """Build a game from its JSON form (see ``BayesianGame.as_json``);
     ``what`` names it in error messages."""
     data = json_object(data, what, "actions", "payoffs")
-    log_domain = bool(data.get("log_domain", False))
+    if "log_domain" in data:
+        raise InputError(f"{what} has a 'log_domain' field, but a log-score game has no JSON form")
     names = structure.player_names
     action_map = json_object(data["actions"], f"{what} 'actions'", *names)
     extra = sorted(set(action_map) - set(names))
@@ -151,19 +140,9 @@ def game_from_json(
         if state not in structure.space:
             raise InputError(f"unknown state '{state}' in payoffs")
         for key, values in json_object(row, f"{what} payoffs row '{state}'").items():
-            profile = tuple(key.split("|"))
-            parsed = []
-            for v in json_list(values, f"{what} payoff entry '{state}': '{key}'"):
-                if v == "-inf":
-                    if not log_domain:
-                        raise InputError(
-                            "'-inf' payoffs are admitted only in log-domain games"
-                        )
-                    parsed.append(Fraction(0))
-                else:
-                    parsed.append(parse_rational(v))
-            payoffs[(state, profile)] = tuple(parsed)
-    return BayesianGame(structure, actions, payoffs, log_domain=log_domain)
+            entry = json_list(values, f"{what} payoff entry '{state}': '{key}'")
+            payoffs[(state, tuple(key.split("|")))] = tuple(map(parse_rational, entry))
+    return BayesianGame(structure, actions, payoffs)
 
 
 def reachable_pairs(
@@ -435,7 +414,7 @@ def expected_payoffs(
 ) -> tuple[Fraction, ...]:
     """Exact expected utility per player, optionally conditional on an event
     (a set of states: a state listed twice counts once)."""
-    if game.log_domain:
+    if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
     event = None
@@ -562,7 +541,7 @@ def is_equilibrium(
     block, signal, action) that beats the player's own mixture at the pair.
     Payoffs are additive across a player's pairs (the events are disjoint),
     so the sweep is exhaustive."""
-    if game.log_domain:
+    if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     masses = _branch_masses(game.structure, tau)
     pairs = _reachable(game.structure, tau.signals, masses)
@@ -594,7 +573,7 @@ def enumerate_pure_equilibria(
     valued, a cell of more than ``cap`` pure profiles is refused; then a cell
     without equilibria gives ``[]``; else more than ``cap`` equilibria are
     refused."""
-    if game.log_domain:
+    if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
     masses = _branch_masses(structure, tau)
@@ -998,38 +977,42 @@ def kld_action_label(dist: Distribution) -> str:
     return "(" + ",".join(format_rational(v) for v in dist.vector) + ")"
 
 
-def kld_menus(
-    structure: InformationStructure, tau: StochasticSignaling
-) -> tuple[tuple[Distribution, ...], ...]:
-    """Per player, the distinct posteriors the signaling induces, sorted by
-    vector: the player's declaration menu."""
-    return _posterior_menus(_branch_profiles(structure, tau), structure.n)
-
-
 def _posterior_menus(
     branches: Mapping[Branch, tuple], n: int
 ) -> tuple[tuple[Distribution, ...], ...]:
+    """Per player, the distinct posteriors of the branches, sorted by
+    vector: the player's declaration menu."""
     profiles = [profile for _, profile in branches.values()]
     return tuple(posterior_menu(p.per_player[i] for p in profiles) for i in range(n))
 
 
-def build_kld_game(
-    structure: InformationStructure, tau: StochasticSignaling
-) -> BayesianGame:
-    """Log-domain game where each player declares one posterior from their
-    menu under the given signaling and is scored by the likelihood the
-    declaration assigns to the realized state."""
-    return _kld_game(structure, kld_menus(structure, tau))
+class LogScoreGame:
+    """Each player declares a posterior from their menu (actions are the
+    ``kld_action_label``s) and is paid the log of the mass it gives the
+    realized state.  ``payoff`` returns those masses, looked up when asked;
+    only ``kld_expected_scores`` evaluates the game."""
+
+    def __init__(self, structure: InformationStructure, menus: Sequence[Sequence[Distribution]]):
+        self.structure = structure
+        self.menus = tuple(tuple(menu) for menu in menus)
+        self.actions = tuple(tuple(kld_action_label(d) for d in menu) for menu in self.menus)
+        self._declared = [dict(zip(a, m)) for a, m in zip(self.actions, self.menus)]
+
+    def payoff(self, state: str, profile: ActionProfile) -> tuple[Fraction, ...]:
+        """The likelihood each player's declaration gives the state."""
+        if (
+            state in self.structure.space
+            and len(profile) == self.structure.n
+            and all(a in menu for a, menu in zip(profile, self._declared))
+        ):
+            return tuple(menu[a].of(state) for a, menu in zip(profile, self._declared))
+        raise DomainError(f"no payoff entry for state '{state}' and profile {profile!r}")
 
 
-def _kld_game(structure: InformationStructure, menus: Sequence) -> BayesianGame:
-    actions = tuple(tuple(kld_action_label(d) for d in menu) for menu in menus)
-    payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
-    for state in structure.space:
-        for combo in itertools.product(*menus):
-            profile = tuple(kld_action_label(d) for d in combo)
-            payoffs[(state, profile)] = tuple(d.of(state) for d in combo)
-    return BayesianGame(structure, actions, payoffs, log_domain=True)
+def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) -> LogScoreGame:
+    """The log-score game whose menus are the posteriors the signaling
+    induces."""
+    return LogScoreGame(structure, _posterior_menus(_branch_profiles(structure, tau), structure.n))
 
 
 def _posterior_at(
@@ -1060,7 +1043,7 @@ def _truthful_strategy(
 
 
 def truthful_kld_strategy(
-    game: BayesianGame, tau: StochasticSignaling
+    game: LogScoreGame, tau: StochasticSignaling
 ) -> StrategyProfile:
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
@@ -1078,11 +1061,11 @@ def truthful_kld_strategy(
 
 
 def kld_expected_scores(
-    game: BayesianGame, tau: StochasticSignaling, strategy: StrategyProfile
+    game: LogScoreGame, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> tuple[LogScore, ...]:
     """Per-player expected log score under the signaling and strategy."""
-    if not game.log_domain:
-        raise DomainError("kld_expected_scores applies to log-domain games only")
+    if not isinstance(game, LogScoreGame):
+        raise DomainError("kld_expected_scores applies to log-score games only")
     n = game.structure.n
     terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
     for state, profile, weight in _outcomes(game, tau, strategy):
@@ -1093,13 +1076,9 @@ def kld_expected_scores(
 
 
 def kld_aggregate(
-    game: BayesianGame, tau: StochasticSignaling, strategy: StrategyProfile
+    game: LogScoreGame, tau: StochasticSignaling, strategy: StrategyProfile
 ) -> LogScore:
-    scores = kld_expected_scores(game, tau, strategy)
-    total = LogScore.zero()
-    for score in scores:
-        total = total + score
-    return total
+    return sum(kld_expected_scores(game, tau, strategy), LogScore.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -1116,9 +1095,10 @@ class TwoStageGame:
     Players first observe their block and the realized signal, then publicly
     declare a signal, a posterior from their menu, and an action inside the
     declared posterior's support.  Declarations that disagree on the signal,
-    opt out, or name a jointly infeasible posterior profile cost everyone M;
-    feasible declarations are settled by the matching belief game at the true
-    state.  Truthful play earns each player exactly -1 in expectation.
+    opt out, or name a jointly infeasible posterior profile cost everyone M,
+    a bound computed above every belief-game utility; feasible declarations
+    are settled by the matching belief game at the true state.  Truthful
+    play earns each player exactly -1 in expectation.
 
     A player's actions are their declarations: the opt-out first, then
     (signal, posterior, action) in signal, menu and support order.  Its
@@ -1126,14 +1106,7 @@ class TwoStageGame:
     ``expected_payoffs`` and ``is_equilibrium`` like any game's.
     """
 
-    log_domain = False
-
-    def __init__(
-        self,
-        structure: InformationStructure,
-        tau: StochasticSignaling,
-        M: Optional[object] = None,
-    ):
+    def __init__(self, structure: InformationStructure, tau: StochasticSignaling):
         if structure.n < 2:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
@@ -1158,15 +1131,7 @@ class TwoStageGame:
                     options.extend((signal, d, a) for a in support)
             actions.append(tuple(options))
         self.actions = tuple(actions)
-        bound = self._payoff_bound()
-        if M is None:
-            self.M = bound
-        else:
-            self.M = parse_rational(M)
-            if self.M < bound:
-                raise DomainError(
-                    f"penalty {self.M} is below the required bound {bound}"
-                )
+        self.M = self._payoff_bound()
 
     def _payoff_bound(self) -> Fraction:
         worst = Fraction(0)
@@ -1332,7 +1297,7 @@ class CombinedGame:
     def __init__(self, stage: TwoStageGame):
         self.structure = stage.structure
         self.stage = stage
-        self.kld = _kld_game(stage.structure, stage.menus)
+        self.kld = LogScoreGame(stage.structure, stage.menus)
         self.tau = stage.tau
 
     def expected_payoffs(
@@ -1366,7 +1331,7 @@ def best_common_payoff(game: BayesianGame, tau: StochasticSignaling) -> Fraction
     Requires all players to share one payoff function; maximization
     decomposes exactly over (signal, common-knowledge component) blocks.
     """
-    if game.log_domain:
+    if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     for (state, profile), values in game.payoffs.items():
         if any(v != values[0] for v in values):

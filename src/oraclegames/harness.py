@@ -43,7 +43,6 @@ from .games import (
     is_equilibrium,
     kld_aggregate,
     kld_expected_scores,
-    kld_menus,
     log_score,
     log_score_argmax,
     LogScore,
@@ -217,15 +216,14 @@ class Fixture:
         return game, tau, strategy_from_json(game, tau, entry["players"])
 
     def two_stage(self, args: Mapping, kind: type = TwoStageGame):
-        """The ``kind`` game of a claim's signaling and optional penalty: the
-        ``TwoStageGame``, or the ``CombinedGame`` built on that same stage.
-        Each is built once per fixture."""
+        """The ``kind`` game of a claim's signaling: the ``TwoStageGame``, or
+        the ``CombinedGame`` built on that same stage.  Each is built once
+        per fixture."""
         tau = self.signaling(args["signaling"])
-        penalty = args.get("penalty")
-        key = (kind, tau, None if penalty is None else parse_rational(penalty))
+        key = (kind, tau)
         if key not in self._two_stage:
             self._two_stage[key] = (
-                TwoStageGame(self.structure, tau, key[2])
+                TwoStageGame(self.structure, tau)
                 if kind is TwoStageGame
                 else kind(self.two_stage(args))
             )
@@ -664,8 +662,7 @@ def _op_log_score_argmax(fix: Fixture, args: Mapping):
 
 @op("kld_strict_propriety")
 def _op_kld_strict_propriety(fix: Fixture, args: Mapping):
-    menus = kld_menus(fix.structure, fix.signaling(args["signaling"]))
-    for menu in menus:
+    for menu in build_kld_game(fix.structure, fix.signaling(args["signaling"])).menus:
         for q in menu:
             if log_score_argmax(q, menu) is not q:
                 return False
@@ -691,10 +688,7 @@ def _op_kld_aggregate_differs(fix: Fixture, args: Mapping):
 def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
     combined = fix.two_stage(args, CombinedGame)
     values = combined.truthful_payoffs()
-    total = values[0]
-    for value in values[1:]:
-        total = total + value
-    return total
+    return sum(values[1:], values[0])
 
 
 @op("combined_linearity")
@@ -750,6 +744,14 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
     expect_error = claim.get("expect_error")
     if expect_error is None and "expected" not in claim:
         raise InputError(f"claim '{claim_id}' has neither 'expected' nor 'expect_error'")
+    if expect_error not in (None, *_ERROR_KINDS.values()):
+        raise InputError(
+            f"claim '{claim_id}' expect_error must be 'input', 'domain' or 'resource', "
+            f"got {expect_error!r}"
+        )
+    compare = claim.get("compare")
+    if compare not in (None, "mixed"):
+        raise InputError(f"claim '{claim_id}' compare must be 'mixed', got {compare!r}")
     expected = claim["expected"] if expect_error is None else {"error": expect_error}
     row = {
         "id": claim_id,
@@ -767,7 +769,7 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
         row["actual"] = {"error": _ERROR_KINDS[type(exc)]}
     else:
         row["actual"] = _jsonify(actual)
-    if expect_error is None and claim.get("compare") == "mixed":
+    if expect_error is None and compare == "mixed":
         row["pass"] = _mixed_equal(actual, expected)
     else:
         row["pass"] = row["actual"] == expected

@@ -28,6 +28,7 @@ from oraclegames import (
     belief_expected_payoffs,
     belief_is_equilibrium,
     best_common_payoff,
+    build_kld_game,
     ckc_decompose,
     coarsenings,
     experiment_matrix,
@@ -38,7 +39,6 @@ from oraclegames import (
     is_equilibrium,
     is_imi,
     join,
-    kld_menus,
     lift_garbled,
     log_score,
     log_score_argmax,
@@ -368,7 +368,7 @@ def test_criterion_08(capsys):
         structure = structure_from_json(data["structure"])
         for sig_name in sorted(data.get("signalings", {})):
             tau = _signaling(data, structure, sig_name)
-            for menu in kld_menus(structure, tau):
+            for menu in build_kld_game(structure, tau).menus:
                 for q in menu:
                     assert log_score_argmax(q, menu) == q
                     own = log_score(q, q)

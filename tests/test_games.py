@@ -20,6 +20,7 @@ from oraclegames import (
     InformationStructure,
     InputError,
     LogScore,
+    LogScoreGame,
     MixedValue,
     Partition,
     Prior,
@@ -106,23 +107,6 @@ def test_game_json_round_trip():
     again = game_from_json(structure, game.as_json())
     assert again.payoffs == game.payoffs
     assert again.actions == game.actions
-
-
-def test_minus_infinity_only_in_log_domain():
-    structure, game = _matching_pennies()
-    data = game.as_json()
-    data["payoffs"]["x"]["h|h"] = ["-inf", "1"]
-    with pytest.raises(InputError):
-        game_from_json(structure, data)
-    data["log_domain"] = True
-    data["payoffs"] = {
-        state: {key: ["1", "1"] for key in row}
-        for state, row in data["payoffs"].items()
-    }
-    data["payoffs"]["x"]["h|h"] = ["-inf", "1"]
-    parsed = game_from_json(structure, data)
-    assert parsed.log_domain
-    assert parsed.payoff("x", ("h", "h")) == (Fraction(0), Fraction(1))
 
 
 def test_reachable_pairs_skip_zero_mass_signals():
@@ -657,7 +641,13 @@ def _example_signaling():
 def test_kld_game_is_log_domain_and_guards_evaluators():
     tau = _example_signaling()
     game = build_kld_game(STRUCTURE, tau)
-    assert game.log_domain
+    assert isinstance(game, LogScoreGame)
+    assert game.actions == tuple(tuple(map(kld_action_label, menu)) for menu in game.menus)
+    first = tuple(actions[0] for actions in game.actions)
+    assert game.payoff("w1", first) == tuple(menu[0].of("w1") for menu in game.menus)
+    for state, profile in (("w9", first), ("w1", first[:1]), ("w1", ("(1,0,0,0)",) * 2)):
+        with pytest.raises(DomainError, match="no payoff entry for state"):
+            game.payoff(state, profile)
     strategy = truthful_kld_strategy(game, tau)
     with pytest.raises(DomainError):
         expected_payoffs(game, tau, strategy)
@@ -665,25 +655,52 @@ def test_kld_game_is_log_domain_and_guards_evaluators():
         is_equilibrium(game, tau, strategy)
     with pytest.raises(DomainError):
         enumerate_pure_equilibria(game, tau)
+    with pytest.raises(DomainError):
+        best_common_payoff(game, tau)
+    structure, pennies = _matching_pennies()
+    with pytest.raises(DomainError, match="log-score games only"):
+        kld_expected_scores(pennies, _uninformative(structure), None)
+
+
+def _eight_listeners():
+    """Eight players who learn nothing themselves, hearing one of four
+    signals on the singleton oracle: four posteriors on every menu."""
+    structure = InformationStructure(
+        SPACE, PRIOR, tuple(f"P{i}" for i in range(8)), (Partition.trivial(SPACE),) * 8
+    )
+    tau = StochasticSignaling.from_rows(
+        Partition.singletons(SPACE),
+        ("s1", "s2", "s3", "s4"),
+        {
+            "w1": {"s1": "1/2", "s2": "1/4", "s3": "1/8", "s4": "1/8"},
+            "w2": {"s1": "1/8", "s2": "1/2", "s3": "1/4", "s4": "1/8"},
+            "w3": {"s1": "1/8", "s2": "1/8", "s3": "1/2", "s4": "1/4"},
+            "w4": {"s1": "1/4", "s2": "1/8", "s3": "1/8", "s4": "1/2"},
+        },
+    )
+    return structure, tau
 
 
 def test_truthful_kld_scores_match_direct_computation():
-    tau = _example_signaling()
-    game = build_kld_game(STRUCTURE, tau)
-    strategy = truthful_kld_strategy(game, tau)
-    scores = kld_expected_scores(game, tau, strategy)
     from oraclegames import stoch_posterior
 
-    for i in range(STRUCTURE.n):
-        terms = []
-        for state in SPACE:
-            for sig in tau.signals:
-                w = PRIOR.of(state) * tau.prob(state, sig)
-                if w == 0:
-                    continue
-                post = stoch_posterior(STRUCTURE, i, tau, state, sig)
-                terms.append((w, post.of(state)))
-        assert scores[i] == LogScore.from_terms(terms)
+    for structure, tau in ((STRUCTURE, _example_signaling()), _eight_listeners()):
+        # The game is never written out over the declaration profiles: eight
+        # players with four declarations each take milliseconds, not seconds.
+        start = time.perf_counter()
+        game = build_kld_game(structure, tau)
+        scores = kld_expected_scores(game, tau, truthful_kld_strategy(game, tau))
+        assert time.perf_counter() - start < 1
+        for i in range(structure.n):
+            terms = []
+            for state in structure.space:
+                for sig in tau.signals:
+                    w = structure.prior.of(state) * tau.prob(state, sig)
+                    if w == 0:
+                        continue
+                    post = stoch_posterior(structure, i, tau, state, sig)
+                    terms.append((w, post.of(state)))
+            assert scores[i] == LogScore.from_terms(terms)
 
 
 def test_truthful_kld_strategy_requires_menu_membership():
@@ -777,10 +794,17 @@ def test_two_stage_penalty_bound_and_mismatches():
     rng = random.Random(9)
     structure, tau = _small_two_stage_cases(rng, 1)[0]
     game = TwoStageGame(structure, tau)
-    with pytest.raises(DomainError):
-        TwoStageGame(structure, tau, M=game.M - 1)
-    bigger = TwoStageGame(structure, tau, M=game.M + 5)
-    assert bigger.M == game.M + 5
+    # The penalty is the computed bound, above every utility of every
+    # belief game a feasible declaration profile settles on.
+    worst = max(
+        abs(belief.utility(i, state, acts))
+        for profiles in game.feasible.values()
+        for belief in (BeliefGame(structure.space, p) for p in profiles)
+        for state in structure.space
+        for acts in itertools.product(*map(belief.action_set, range(belief.n)))
+        for i in range(belief.n)
+    )
+    assert game.M == 2 + structure.n * len(structure.space) * (1 + worst)
     # A lone opt-out poisons the branch for everyone.
     from oraclegames.games import BOTTOM
 

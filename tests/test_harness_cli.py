@@ -132,6 +132,13 @@ MALFORMED = [
     ("fixture 'signalings'", lambda d: setitem(d, "signalings", ["guided"])),
     ("fixture 'claims'", lambda d: setitem(d, "claims", {"id": "x"})),
     ("claim argument 'event'", lambda d: setitem(_given_event_args(d), "event", 5)),
+    # A log-score game has no JSON form; a game file that still says so is
+    # not read as rational payoffs.
+    (
+        "game 'concert' has a 'log_domain' field",
+        lambda d: setitem(d["games"]["concert"], "log_domain", True),
+    ),
+    ("not a rational: '-inf'", lambda d: setitem(_payoffs(d)["n1"], "D|D", ["-inf", "-3"])),
 ]
 
 
@@ -142,7 +149,8 @@ def test_cli_verify_exits_2_naming_a_malformed_section(tmp_path, capsys, section
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
     assert cli.main(["verify", str(path)]) == 2
-    assert section in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert section in err and err.count("\n") == 1 and err.startswith("error: ")
 
 
 def _claim_of(data, op):
@@ -241,6 +249,19 @@ MALFORMED_CLAIMS = [
         "unique-ckc-3-player",
         "claim argument 'profile' must hold 3 posteriors, one per player, not 2",
         lambda d: d["profiles"]["w1-s1-profile"].pop(),
+    ),
+    # A misspelt error kind is not a failed claim, nor a misspelt comparison
+    # an exact one.
+    (
+        "one-dm",
+        "claim 'experiment-row-w1' expect_error must be 'input', 'domain' or 'resource', "
+        "got 'inputt'",
+        lambda d: setitem(d["claims"][0], "expect_error", "inputt"),
+    ),
+    (
+        "one-dm",
+        "claim 'experiment-row-w1' compare must be 'mixed', got 'mixd'",
+        lambda d: setitem(d["claims"][0], "compare", "mixd"),
     ),
 ]
 
@@ -499,9 +520,9 @@ def test_fixture_builds_each_two_stage_game_once(monkeypatch):
     built = []
     build = games.TwoStageGame.__init__
 
-    def counting_build(self, structure, tau, M=None):
-        built.append((tau, M))
-        build(self, structure, tau, M)
+    def counting_build(self, structure, tau):
+        built.append(tau)
+        build(self, structure, tau)
 
     monkeypatch.setattr(games.TwoStageGame, "__init__", counting_build)
     report = harness.run_fixture(harness.load_fixture("witness-two-stage"))

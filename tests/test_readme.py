@@ -6,9 +6,16 @@ import io
 import json
 import re
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
-from oraclegames import cli, signaling_from_json, structure_from_json
+from oraclegames import (
+    best_common_payoff,
+    cli,
+    game_from_json,
+    signaling_from_json,
+    structure_from_json,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,6 +72,12 @@ def test_readme_json_examples_parse_and_run(tmp_path, capsys):
     structure = structure_from_json(readme_json("Structure"))
     tau = signaling_from_json(structure, readme_json("Signaling"))
     assert tau.signals == ("s1", "s2", "s3")
+    game = game_from_json(structure, readme_json("Game"))
+    assert game.actions == (("in", "out"), ("in", "out"))
+    assert game.payoff("w3", ("out", "out")) == (2, 2)
+    # Matching "in" on w1, w2 and "out" on w3, w4 is worth 2; the signaling
+    # lets the players get part of the way there from 3/2.
+    assert best_common_payoff(game, tau) == Fraction(29, 16)
     spath, tpath = tmp_path / "structure.json", tmp_path / "tau.json"
     spath.write_text(json.dumps(readme_json("Structure")))
     tpath.write_text(json.dumps(readme_json("Signaling")))

@@ -1,6 +1,7 @@
 """The runtime keeps the north star's two source rules: standard library
 only, and no floats anywhere in the arithmetic.  Every function the
-benchmark's span tracer wraps must exist under its recorded name."""
+benchmark's span tracer wraps must exist under its recorded name, and so
+must every name the benchmark imports from the library."""
 
 import ast
 import importlib
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "oraclegames").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "oraclegames").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -33,7 +35,7 @@ def test_source_is_stdlib_only_and_float_free(path):
 def _wrapped_paths():
     """The (module, attribute path) pairs the benchmark's span tracer wraps,
     read from its source without importing it."""
-    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = ROOT / "perfbench" / "spans.py"
     for node in ast.parse(spans.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED":
             return [(module, path) for _, module, path, _ in ast.literal_eval(node.value)]
@@ -47,3 +49,31 @@ def test_every_wrapped_function_resolves(module, path):
         assert hasattr(target, name), f"oraclegames.{module} has no {path}"
         target = getattr(target, name)
     assert callable(target)
+
+
+def _benchmark_imports():
+    """Every (script, module, name) the benchmark imports from the library,
+    read from its sources without importing them; ``name`` is None for a
+    plain ``import oraclegames...``."""
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                pairs = []
+            found.extend(
+                pytest.param(path.name, module, name, id=f"{path.name}:{module}:{name or ''}")
+                for module, name in pairs
+                if module.split(".")[0] == "oraclegames"
+            )
+    assert found, "perfbench imports nothing from oraclegames"
+    return found
+
+
+@pytest.mark.parametrize("script, module, name", _benchmark_imports())
+def test_every_name_the_benchmark_imports_exists(script, module, name):
+    target = importlib.import_module(module)
+    assert name is None or hasattr(target, name), f"perfbench/{script} imports {module}.{name}"
