@@ -50,7 +50,6 @@ from .signaling import (
     matrix_from_json,
     merge_garbled,
     posterior_atlas,
-    post_equal,
     post_included,
     proportional_decompose,
     separating_strategy,

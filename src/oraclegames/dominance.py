@@ -191,9 +191,6 @@ class TwoSidedResult:
     def equivalent(self) -> bool:
         return self.forward.holds and self.backward.holds
 
-    def as_tuple(self) -> tuple[bool, bool, bool]:
-        return (self.forward.holds, self.backward.holds, self.equivalent)
-
 
 def two_sided_imi_equal(
     structure: InformationStructure,

@@ -101,28 +101,13 @@ class BayesianGame:
                 f"no payoff entry for state '{state}' and profile {profile!r}"
             ) from None
 
-    def as_json(self) -> dict:
-        payoffs: dict[str, dict[str, list[str]]] = {}
-        for state in self.structure.space:
-            row: dict[str, list[str]] = {}
-            for profile in itertools.product(*self.actions):
-                values = self.payoffs[(state, profile)]
-                row["|".join(profile)] = [format_rational(v) for v in values]
-            payoffs[state] = row
-        return {
-            "actions": {
-                name: list(acts)
-                for name, acts in zip(self.structure.player_names, self.actions)
-            },
-            "payoffs": payoffs,
-        }
-
 
 def game_from_json(
     structure: InformationStructure, data: object, what: str = "game"
 ) -> BayesianGame:
-    """Build a game from its JSON form (see ``BayesianGame.as_json``);
-    ``what`` names it in error messages."""
+    """Build a game from its JSON form (each player's actions, and per state
+    a payoff row keyed by the action profile joined by ``|``); ``what``
+    names it in error messages."""
     data = json_object(data, what, "actions", "payoffs")
     if "log_domain" in data:
         raise InputError(f"{what} has a 'log_domain' field, but a log-score game has no JSON form")
@@ -1134,14 +1119,33 @@ class TwoStageGame:
         self.M = self._payoff_bound()
 
     def _payoff_bound(self) -> Fraction:
-        worst = Fraction(0)
-        for game in self._belief_games.values():
-            supports = [game.action_set(i) for i in range(game.n)]
-            for state in self.structure.space:
-                for actions in itertools.product(*supports):
-                    for i in range(game.n):
-                        worst = max(worst, abs(game.utility(i, state, actions)))
+        """2 + n |S| (1 + the largest |utility| of any settled belief game).
+
+        A utility is the player's own term less 2/(n-1) of the others' hits,
+        and each term is set by one player's action alone: -2 off the
+        declared support, else 1/p on the state and 0 elsewhere (impossible
+        for a point mass).  So its extremes are sums of per-term extremes,
+        and no action profile is enumerated."""
         n = self.structure.n
+        share = Fraction(2, n - 1)
+        worst = Fraction(0)
+        for profile in self._belief_games:
+            for state in self.structure.space:
+                # (lowest, highest) own term and hit per player; a player
+                # giving the state no mass has no hit to share.
+                own, hit = [], []
+                for d in profile:
+                    p = d.of(state)
+                    own.append((-2, -2) if p == 0 else (int(p == 1), 1 / p))
+                    hit.append((0, 0) if p == 0 else own[-1])
+                low = sum(lo for lo, _ in hit)
+                high = sum(hi for _, hi in hit)
+                for (lo, hi), (hit_lo, hit_hi) in zip(own, hit):
+                    worst = max(
+                        worst,
+                        abs(hi - share * (low - hit_lo)),
+                        abs(lo - share * (high - hit_hi)),
+                    )
         return 2 + n * len(self.structure.space) * (1 + worst)
 
     def truthful_strategy(self) -> StrategyProfile:

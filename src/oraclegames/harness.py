@@ -141,7 +141,7 @@ class Fixture:
         self.structure: InformationStructure = structure_from_json(data["structure"])
         self._signalings: dict[str, StochasticSignaling] = {}
         self._games: dict[str, object] = {}
-        self._two_stage: dict[tuple, object] = {}
+        self._two_stage: dict[StochasticSignaling, TwoStageGame] = {}
 
     def _named(self, section: str, name: str) -> object:
         """The entry ``name`` of an object-valued fixture section."""
@@ -151,7 +151,7 @@ class Fixture:
 
     def partition(self, spec: object) -> Partition:
         """A partition given by oracle name, player name, inline blocks, or
-        a {"oracle"|"player"|"trivial"|"singletons": ...} object."""
+        {"trivial": true}."""
         structure = self.structure
         if isinstance(spec, str):
             if spec in structure.oracle_names:
@@ -161,15 +161,8 @@ class Fixture:
             raise InputError(f"'{spec}' names neither an oracle nor a player")
         if isinstance(spec, list):
             return partition_from_json(structure.space, spec)
-        if isinstance(spec, Mapping):
-            if "oracle" in spec:
-                return structure.oracle(spec["oracle"])
-            if "player" in spec:
-                return structure.players[structure.player_index(spec["player"])]
-            if spec.get("trivial"):
-                return Partition.trivial(structure.space)
-            if spec.get("singletons"):
-                return Partition.singletons(structure.space)
+        if isinstance(spec, Mapping) and spec.get("trivial"):
+            return Partition.trivial(structure.space)
         raise InputError(f"cannot interpret partition spec {spec!r}")
 
     def signaling(self, spec: object):
@@ -215,19 +208,13 @@ class Fixture:
         tau = self.signaling(entry["signaling"])
         return game, tau, strategy_from_json(game, tau, entry["players"])
 
-    def two_stage(self, args: Mapping, kind: type = TwoStageGame):
-        """The ``kind`` game of a claim's signaling: the ``TwoStageGame``, or
-        the ``CombinedGame`` built on that same stage.  Each is built once
-        per fixture."""
+    def two_stage(self, args: Mapping) -> TwoStageGame:
+        """The ``TwoStageGame`` of a claim's signaling, built once per
+        signaling."""
         tau = self.signaling(args["signaling"])
-        key = (kind, tau)
-        if key not in self._two_stage:
-            self._two_stage[key] = (
-                TwoStageGame(self.structure, tau)
-                if kind is TwoStageGame
-                else kind(self.two_stage(args))
-            )
-        return self._two_stage[key]
+        if tau not in self._two_stage:
+            self._two_stage[tau] = TwoStageGame(self.structure, tau)
+        return self._two_stage[tau]
 
     def distribution(self, vector: object, what: str = "a distribution") -> Distribution:
         return Distribution(
@@ -686,14 +673,14 @@ def _op_kld_aggregate_differs(fix: Fixture, args: Mapping):
 
 @op("combined_truthful_aggregate")
 def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
-    combined = fix.two_stage(args, CombinedGame)
+    combined = CombinedGame(fix.two_stage(args))
     values = combined.truthful_payoffs()
     return sum(values[1:], values[0])
 
 
 @op("combined_linearity")
 def _op_combined_linearity(fix: Fixture, args: Mapping):
-    combined = fix.two_stage(args, CombinedGame)
+    combined = CombinedGame(fix.two_stage(args))
     stage_values = _two_stage_truthful_payoffs(combined.stage)
     kld_values = kld_expected_scores(
         combined.kld,
@@ -729,6 +716,20 @@ class _MissingArgument(Exception):
 
 
 class _ClaimArgs(dict):
+    """A claim's arguments, recording each key its operation reads."""
+
+    def __init__(self, args: Mapping):
+        super().__init__(args)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key: str, default: object = None):
+        self.read.add(key)
+        return super().get(key, default)
+
     def __missing__(self, key: str):
         raise _MissingArgument(key)
 
@@ -740,7 +741,7 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
     op_name = check_label("operation", claim["op"], "")
     if op_name not in OPS:
         raise InputError(f"unknown operation '{op_name}' in claim '{claim_id}'")
-    args = json_object(claim.get("args", {}), f"claim '{claim_id}' args")
+    args = _ClaimArgs(json_object(claim.get("args", {}), f"claim '{claim_id}' args"))
     expect_error = claim.get("expect_error")
     if expect_error is None and "expected" not in claim:
         raise InputError(f"claim '{claim_id}' has neither 'expected' nor 'expect_error'")
@@ -760,7 +761,7 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
         "expected": expected,
     }
     try:
-        actual = OPS[op_name](fix, _ClaimArgs(args))
+        actual = OPS[op_name](fix, args)
     except _MissingArgument as exc:
         raise InputError(f"claim '{claim_id}' is missing argument '{exc}'") from None
     except tuple(_ERROR_KINDS) as exc:
@@ -768,6 +769,14 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
             raise
         row["actual"] = {"error": _ERROR_KINDS[type(exc)]}
     else:
+        # An operation that raised stopped early, so only a completed one
+        # shows which arguments it never reads.
+        unread = sorted(set(args) - args.read)
+        if unread:
+            raise InputError(
+                f"claim '{claim_id}' has argument '{unread[0]}', "
+                f"which operation '{op_name}' does not read"
+            )
         row["actual"] = _jsonify(actual)
     if expect_error is None and compare == "mixed":
         row["pass"] = _mixed_equal(actual, expected)

@@ -84,10 +84,6 @@ class StochasticSignaling:
     def row(self, state: str) -> tuple[Fraction, ...]:
         return self.kernel[self.space.index(state)]
 
-    def column(self, signal: str) -> tuple[Fraction, ...]:
-        j = self.signal_index(signal)
-        return tuple(row[j] for row in self.kernel)
-
     def fully_supported(self) -> bool:
         return all(v > 0 for row in self.kernel for v in row)
 
@@ -189,10 +185,6 @@ class PosteriorAtlas:
         """Full weighted-map equality (profiles and weights)."""
         return isinstance(other, PosteriorAtlas) and self.entries == other.entries
 
-    def player_menu(self, i: int) -> tuple[Distribution, ...]:
-        """Distinct player-i posteriors across the atlas, sorted by vector."""
-        return posterior_menu(p.per_player[i] for p in self.entries)
-
     def as_json(self) -> list[dict]:
         return [
             {"posteriors": p.as_json(), "weight": format_rational(self.entries[p])}
@@ -291,10 +283,6 @@ def posterior_atlas(
 def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
     """Key-set inclusion: every profile reachable under a is reachable under b."""
     return set(a.entries) <= set(b.entries)
-
-
-def post_equal(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
-    return set(a.entries) == set(b.entries)
 
 
 # ---------------------------------------------------------------------------

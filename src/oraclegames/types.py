@@ -181,11 +181,6 @@ class Distribution:
     def from_mass(cls, space: StateSpace, mass: object) -> "Distribution":
         return cls(space, _vector_from(space, mass))
 
-    @classmethod
-    def point(cls, space: StateSpace, state: str) -> "Distribution":
-        i = space.index(state)
-        return cls(space, tuple(Fraction(1 if j == i else 0) for j in range(len(space))))
-
     def of(self, state: str) -> Fraction:
         return self.vector[self.space.index(state)]
 

@@ -104,9 +104,14 @@ def test_game_requires_total_payoffs():
 
 def test_game_json_round_trip():
     structure, game = _matching_pennies()
-    again = game_from_json(structure, game.as_json())
-    assert again.payoffs == game.payoffs
-    assert again.actions == game.actions
+    win, lose = ["1", "-1"], ["-1", "1"]
+    row = {"h|h": win, "h|t": lose, "t|h": lose, "t|t": win}
+    parsed = game_from_json(
+        structure,
+        {"actions": {"A": ["h", "t"], "B": ["h", "t"]}, "payoffs": {"x": row, "y": row}},
+    )
+    assert parsed.payoffs == game.payoffs
+    assert parsed.actions == game.actions
 
 
 def test_reachable_pairs_skip_zero_mass_signals():
@@ -790,12 +795,10 @@ def test_two_stage_ceiling_never_beats_truthful_under_garbling():
         assert game.max_aggregate(merged) <= -structure.n
 
 
-def test_two_stage_penalty_bound_and_mismatches():
-    rng = random.Random(9)
-    structure, tau = _small_two_stage_cases(rng, 1)[0]
-    game = TwoStageGame(structure, tau)
-    # The penalty is the computed bound, above every utility of every
-    # belief game a feasible declaration profile settles on.
+def _enumerated_payoff_bound(game):
+    """The two-stage penalty from every utility of every belief game a
+    feasible declaration profile settles on, each action profile valued."""
+    structure = game.structure
     worst = max(
         abs(belief.utility(i, state, acts))
         for profiles in game.feasible.values()
@@ -804,7 +807,40 @@ def test_two_stage_penalty_bound_and_mismatches():
         for acts in itertools.product(*map(belief.action_set, range(belief.n)))
         for i in range(belief.n)
     )
-    assert game.M == 2 + structure.n * len(structure.space) * (1 + worst)
+    return 2 + structure.n * len(structure.space) * (1 + worst)
+
+
+def test_two_stage_penalty_bound_and_mismatches():
+    # The penalty's closed form is the bound over every action profile.
+    rng = random.Random(11)
+    cases = _small_two_stage_cases(rng, 30) + _small_two_stage_cases(rng, 20, n=3)
+    # Six players, where a point-mass posterior's forced hit decides M.
+    space = StateSpace(("s0", "s1", "s2"))
+    blocks = (
+        [["s0"], ["s1", "s2"]],
+        [["s0", "s1"], ["s2"]],
+        [["s0", "s1", "s2"]],
+        [["s0", "s1"], ["s2"]],
+        [["s0", "s1", "s2"]],
+        [["s0", "s2"], ["s1"]],
+    )
+    structure = InformationStructure(
+        space,
+        Prior.from_mass(space, ["6/16", "9/16", "1/16"]),
+        tuple("ABCDEF"),
+        tuple(Partition(space, b) for b in blocks),
+    )
+    tau = StochasticSignaling.from_rows(
+        Partition(space, (("s0",), ("s1", "s2"))),
+        ("t1", "t2"),
+        {"s0": {"t1": "1/4", "t2": "3/4"}, "s1": {"t2": "1"}, "s2": {"t2": "1"}},
+    )
+    for case in cases + [(structure, tau)]:
+        game = TwoStageGame(*case)
+        assert game.M == _enumerated_payoff_bound(game)
+    rng = random.Random(9)
+    structure, tau = _small_two_stage_cases(rng, 1)[0]
+    game = TwoStageGame(structure, tau)
     # A lone opt-out poisons the branch for everyone.
     from oraclegames.games import BOTTOM
 
@@ -821,6 +857,25 @@ def test_two_stage_penalty_bound_and_mismatches():
     )
     assert declarations[0] == BOTTOM
     assert game.payoff(state, declarations) == (-game.M,) * structure.n
+
+
+def test_two_stage_game_of_eight_listeners_builds_at_once():
+    # Each belief game has 4^8 action profiles, too many to value one by one.
+    structure, tau = _eight_listeners()
+    for n in (2, 3):
+        cut = InformationStructure(
+            structure.space, structure.prior, structure.player_names[:n], structure.players[:n]
+        )
+        game = TwoStageGame(cut, tau)
+        assert game.M == _enumerated_payoff_bound(game)
+    start = time.perf_counter()
+    game = TwoStageGame(structure, tau)
+    assert time.perf_counter() - start < 1
+    assert game.M == 546
+    truthful = game.truthful_strategy()
+    assert expected_payoffs(game, tau, truthful) == (-1,) * 8
+    assert is_equilibrium(game, tau, truthful).holds
+    assert game.max_aggregate(tau) == -8
 
 
 def test_two_stage_declarations_are_checked_by_menu_membership():

@@ -263,6 +263,21 @@ MALFORMED_CLAIMS = [
         "claim 'experiment-row-w1' compare must be 'mixed', got 'mixd'",
         lambda d: setitem(d["claims"][0], "compare", "mixd"),
     ),
+    # An argument the operation never reads is a typo or a leftover, and a
+    # partition is named, listed, or {"trivial": true}.
+    (
+        "witness-two-stage",
+        "claim 'truthful-aggregate' has argument 'penalty', "
+        "which operation 'two_stage_truthful_aggregate' does not read",
+        lambda d: _claim_of(d, "two_stage_truthful_aggregate")["args"].update(
+            penalty="1/2", typo=1
+        ),
+    ),
+    (
+        "imi-vs-refinement",
+        "cannot interpret partition spec {'oracle': 'F1'}",
+        lambda d: setitem(_claim_of(d, "refines")["args"], "f1", {"oracle": "F1"}),
+    ),
 ]
 
 

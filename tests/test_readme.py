@@ -9,6 +9,7 @@ import tokenize
 from fractions import Fraction
 from pathlib import Path
 
+import oraclegames
 from oraclegames import (
     best_common_payoff,
     cli,
@@ -84,3 +85,30 @@ def test_readme_json_examples_parse_and_run(tmp_path, capsys):
     assert cli.main(["ckc", str(spath)]) == 0
     assert cli.main(["post", str(spath), str(tpath)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _resolves(name: str) -> bool:
+    """``name`` is a package attribute, a dotted path from the package, or a
+    method of an exported class."""
+    target = oraclegames
+    for part in name.split("."):
+        target = getattr(target, part, None)
+        if target is None:
+            break
+    else:
+        return True
+    return "." not in name and any(
+        isinstance(getattr(oraclegames, exported), type)
+        and hasattr(getattr(oraclegames, exported), name)
+        for exported in oraclegames.__all__
+    )
+
+
+def test_readme_inside_bullets_name_only_public_api():
+    section = README.read_text(encoding="utf-8").split("## What's inside", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    bullets = "\n\n".join(p for p in section.split("\n\n") if p.startswith("- "))
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", bullets)
+    assert len(names) > 30
+    unresolved = sorted({name for name in names if not _resolves(name)})
+    assert unresolved == []

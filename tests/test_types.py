@@ -91,7 +91,7 @@ def test_distribution_equality_and_hash_read_the_exact_values():
     point = [
         Distribution(SPACE, (1, 0, 0, 0)),
         Distribution.from_mass(SPACE, ["2/2", "0/4", 0, "0"]),
-        Distribution.point(SPACE, "a"),
+        Distribution(SPACE, (Fraction(1), Fraction(0), Fraction(0), Fraction(0))),
     ]
     for group in (half, point):
         assert all(d == group[0] and hash(d) == hash(group[0]) for d in group)
@@ -123,11 +123,6 @@ def test_distribution_equality_matches_vector_equality():
                 equal_pairs += 1
                 assert hash(a) == hash(b)
     assert equal_pairs > len(pool)  # more than each with itself
-
-
-def test_point_distribution():
-    d = Distribution.point(SPACE, "c")
-    assert d.vector == (0, 0, 1, 0)
 
 
 def test_prior_requires_full_support():
