@@ -6,10 +6,14 @@ Each claim names an operation from the registry below, its arguments, the
 expected value, and a provenance tag; expected values are compared exactly.
 A claim may instead carry ``expect_error`` ("input", "domain" or
 "resource") when the operation is required to be rejected.
+Each operation declares its arguments once, as its parameters after the
+fixture; ``run_claim`` refuses a missing or undeclared argument and resolves
+every argument by its kind before the operation runs.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from fractions import Fraction
 from importlib import resources
@@ -132,6 +136,21 @@ def _reveal(partition: Partition) -> StochasticSignaling:
     )
 
 
+def _flag(spec: object, key: str) -> bool:
+    """Whether ``spec`` is exactly the JSON object ``{key: true}``."""
+    return isinstance(spec, Mapping) and list(spec) == [key] and spec[key] is True
+
+
+def _fields(value: object, what: str, *keys: str, optional: tuple[str, ...] = ()) -> Mapping:
+    """``value`` if it is a JSON object holding every one of ``keys`` and no
+    other key but those in ``optional``; otherwise an InputError naming ``what``."""
+    json_object(value, what, *keys)
+    unknown = sorted(set(value) - set(keys) - set(optional))
+    if unknown:
+        raise InputError(f"{what} has an unexpected '{unknown[0]}' field")
+    return value
+
+
 class Fixture:
     """A loaded fixture with caching resolvers for its named objects."""
 
@@ -151,7 +170,7 @@ class Fixture:
 
     def partition(self, spec: object) -> Partition:
         """A partition given by oracle name, player name, inline blocks, or
-        {"trivial": true}."""
+        exactly {"trivial": true}."""
         structure = self.structure
         if isinstance(spec, str):
             if spec in structure.oracle_names:
@@ -161,13 +180,13 @@ class Fixture:
             raise InputError(f"'{spec}' names neither an oracle nor a player")
         if isinstance(spec, list):
             return partition_from_json(structure.space, spec)
-        if isinstance(spec, Mapping) and spec.get("trivial"):
+        if _flag(spec, "trivial"):
             return Partition.trivial(structure.space)
         raise InputError(f"cannot interpret partition spec {spec!r}")
 
     def signaling(self, spec: object):
-        """A signaling given by fixture name, inline JSON, or one of the
-        generated forms {"separating"|"reveal": partition-spec} and
+        """A signaling given by fixture name, inline JSON, or exactly one of
+        the generated forms {"separating"|"reveal": partition-spec} and
         {"uninformative": true}."""
         if isinstance(spec, str):
             if spec not in self._signalings:
@@ -175,19 +194,18 @@ class Fixture:
                     self.structure, self._named("signalings", spec), f"signaling '{spec}'"
                 )
             return self._signalings[spec]
-        if isinstance(spec, Mapping):
-            if "separating" in spec:
-                return separating_strategy(
-                    self.partition(spec["separating"]), self.structure.prior
-                )
-            if "reveal" in spec:
-                return _reveal(self.partition(spec["reveal"]))
-            if spec.get("uninformative"):
-                return StochasticSignaling.from_assignment(
-                    Partition.trivial(self.structure.space), ["u0"]
-                )
-            if "type" in spec:
-                return signaling_from_json(self.structure, spec)
+        if isinstance(spec, Mapping) and "type" in spec:
+            return signaling_from_json(self.structure, spec)
+        if _flag(spec, "uninformative"):
+            return StochasticSignaling.from_assignment(
+                Partition.trivial(self.structure.space), ["u0"]
+            )
+        if isinstance(spec, Mapping) and len(spec) == 1:
+            ((form, base),) = spec.items()
+            if form == "separating":
+                return separating_strategy(self.partition(base), self.structure.prior)
+            if form == "reveal":
+                return _reveal(self.partition(base))
         raise InputError(f"cannot interpret signaling spec {spec!r}")
 
     def game(self, name: object):
@@ -208,10 +226,8 @@ class Fixture:
         tau = self.signaling(entry["signaling"])
         return game, tau, strategy_from_json(game, tau, entry["players"])
 
-    def two_stage(self, args: Mapping) -> TwoStageGame:
-        """The ``TwoStageGame`` of a claim's signaling, built once per
-        signaling."""
-        tau = self.signaling(args["signaling"])
+    def two_stage(self, tau: StochasticSignaling) -> TwoStageGame:
+        """The ``TwoStageGame`` of ``tau``, built once per signaling."""
         if tau not in self._two_stage:
             self._two_stage[tau] = TwoStageGame(self.structure, tau)
         return self._two_stage[tau]
@@ -230,319 +246,298 @@ class Fixture:
             spec = self._named("profiles", spec)
         return tuple(self.distribution(v, f"a vector of {what}") for v in json_list(spec, what))
 
-    def matrix(self, spec: Mapping):
-        tau = self.signaling(spec["signaling"])
-        partition = self.partition(spec["partition"])
-        return experiment_matrix(tau, partition)
+
+# ---------------------------------------------------------------------------
+# Argument kinds
+
+
+def _joint_profile(fix: Fixture, spec: object, name: str) -> JointPosteriorProfile:
+    """A profile that holds one posterior per player."""
+    profile = fix.profile(spec)
+    if len(profile) != fix.structure.n:
+        raise InputError(
+            f"claim argument '{name}' must hold {fix.structure.n} posteriors, "
+            f"one per player, not {len(profile)}"
+        )
+    return JointPosteriorProfile(profile)
+
+
+def _matrix(fix: Fixture, spec: object, name: str):
+    """The experiment matrix of exactly {"signaling": S, "partition": P}."""
+    spec = _fields(spec, f"claim argument '{name}'", "signaling", "partition")
+    return experiment_matrix(fix.signaling(spec["signaling"]), fix.partition(spec["partition"]))
+
+
+def _source(fix: Fixture, spec: object, name: str):
+    """A partition, or the signaling of exactly {"signaling": S}."""
+    if isinstance(spec, Mapping) and "signaling" in spec:
+        return fix.signaling(_fields(spec, f"claim argument '{name}'", "signaling")["signaling"])
+    return fix.partition(spec)
+
+
+# Each kind resolves a claim argument's JSON value, given the fixture and the
+# argument's name. A "strategy" is the (game, signaling, strategy) triple of a
+# named strategy entry; "json" is the value as written.
+KINDS: dict[str, Callable[[Fixture, object, str], object]] = {
+    "json": lambda fix, value, name: value,
+    "rational": lambda fix, value, name: parse_rational(value),
+    "player": lambda fix, value, name: fix.structure.player_index(value),
+    "partition": lambda fix, value, name: fix.partition(value),
+    "signaling": lambda fix, value, name: fix.signaling(value),
+    "game": lambda fix, value, name: fix.game(value),
+    "strategy": lambda fix, value, name: fix.strategy(value),
+    "profile": lambda fix, value, name: fix.profile(value),
+    "joint_profile": _joint_profile,
+    "distribution": lambda fix, value, name: fix.distribution(value),
+    "matrix": _matrix,
+    "source": _source,
+}
 
 
 # ---------------------------------------------------------------------------
 # Operation registry
 
 
-OPS: dict[str, Callable[[Fixture, Mapping], object]] = {}
+# Each operation, and per claim argument its resolver and whether it is required.
+OPS: dict[str, tuple[Callable, dict[str, tuple[Callable, bool]]]] = {}
 
 
 def op(name: str):
+    """Register an operation. Each parameter after ``fix`` is one claim
+    argument: its annotation names a kind in ``KINDS`` (an unknown kind is a
+    KeyError at import), and a default makes it optional."""
+
     def register(fn):
-        OPS[name] = fn
+        _, *params = inspect.signature(fn, eval_str=True).parameters.values()
+        OPS[name] = fn, {p.name: (KINDS[p.annotation], p.default is p.empty) for p in params}
         return fn
 
     return register
 
 
 @op("ckc_blocks")
-def _op_ckc_blocks(fix: Fixture, args: Mapping):
+def _op_ckc_blocks(fix: Fixture):
     return ckc_decompose(fix.structure.players).as_json()
 
 
 @op("ckc_count")
-def _op_ckc_count(fix: Fixture, args: Mapping):
+def _op_ckc_count(fix: Fixture):
     return len(ckc_decompose(fix.structure.players).blocks)
 
 
 @op("refines")
-def _op_refines(fix: Fixture, args: Mapping):
-    return refines(fix.partition(args["f1"]), fix.partition(args["f2"]))
+def _op_refines(fix: Fixture, f1: "partition", f2: "partition"):
+    return refines(f1, f2)
 
 
 @op("imi")
-def _op_imi(fix: Fixture, args: Mapping):
-    return is_imi(
-        fix.structure, fix.partition(args["f1"]), fix.partition(args["f2"])
-    ).holds
+def _op_imi(fix: Fixture, f1: "partition", f2: "partition"):
+    return is_imi(fix.structure, f1, f2).holds
 
 
 @op("imi_witness")
-def _op_imi_witness(fix: Fixture, args: Mapping):
-    result = is_imi(
-        fix.structure, fix.partition(args["f1"]), fix.partition(args["f2"])
-    )
+def _op_imi_witness(fix: Fixture, f1: "partition", f2: "partition"):
+    result = is_imi(fix.structure, f1, f2)
     if result.holds:
         return "none"
     return result.witness.as_json()
 
 
 @op("coarsening_unmatched")
-def _op_coarsening_unmatched(fix: Fixture, args: Mapping):
-    profiles = set(coarsening_profiles(fix.structure, fix.partition(args["oracle"])))
-    candidate = induced_profile(fix.structure, fix.partition(args["partition"]))
-    return candidate not in profiles
+def _op_coarsening_unmatched(fix: Fixture, oracle: "partition", partition: "partition"):
+    profiles = set(coarsening_profiles(fix.structure, oracle))
+    return induced_profile(fix.structure, partition) not in profiles
 
 
 @op("two_sided")
-def _op_two_sided(fix: Fixture, args: Mapping):
-    first = fix.partition(args["f1"])
-    second = fix.partition(args["f2"])
-    result = two_sided_imi_equal(fix.structure, first, second)
+def _op_two_sided(fix: Fixture, f1: "partition", f2: "partition"):
+    result = two_sided_imi_equal(fix.structure, f1, f2)
     return {
         "forward": result.forward.holds,
         "backward": result.backward.holds,
         "equal": result.equivalent,
-        "consistent": result.equivalent == (first.blocks == second.blocks),
+        "consistent": result.equivalent == (f1.blocks == f2.blocks),
     }
 
 
 @op("unique_dominates")
-def _op_unique_dominates(fix: Fixture, args: Mapping):
-    return unique_ckc_dominates(
-        fix.structure, fix.partition(args["f1"]), fix.partition(args["f2"])
-    )
+def _op_unique_dominates(fix: Fixture, f1: "partition", f2: "partition"):
+    return unique_ckc_dominates(fix.structure, f1, f2)
 
 
 @op("unique_dominates_within")
-def _op_unique_dominates_within(fix: Fixture, args: Mapping):
-    restricted = restrict_to_ckc(fix.structure, args["state"])
-    first = fix.partition(args["f1"]).restrict(restricted.space)
-    second = fix.partition(args["f2"]).restrict(restricted.space)
-    return unique_ckc_dominates(restricted, first, second)
+def _op_unique_dominates_within(fix: Fixture, state: "json", f1: "partition", f2: "partition"):
+    restricted = restrict_to_ckc(fix.structure, state)
+    return unique_ckc_dominates(
+        restricted, f1.restrict(restricted.space), f2.restrict(restricted.space)
+    )
 
 
 @op("restrict_oracle")
-def _op_restrict_oracle(fix: Fixture, args: Mapping):
-    restricted = restrict_to_ckc(fix.structure, args["state"])
-    return fix.partition(args["oracle"]).restrict(restricted.space).as_json()
+def _op_restrict_oracle(fix: Fixture, state: "json", oracle: "partition"):
+    restricted = restrict_to_ckc(fix.structure, state)
+    return oracle.restrict(restricted.space).as_json()
 
 
 @op("refines_within")
-def _op_refines_within(fix: Fixture, args: Mapping):
-    restricted = restrict_to_ckc(fix.structure, args["state"])
-    return refines(
-        fix.partition(args["f1"]).restrict(restricted.space),
-        fix.partition(args["f2"]).restrict(restricted.space),
-    )
+def _op_refines_within(fix: Fixture, state: "json", f1: "partition", f2: "partition"):
+    restricted = restrict_to_ckc(fix.structure, state)
+    return refines(f1.restrict(restricted.space), f2.restrict(restricted.space))
 
 
 @op("common_objective")
-def _op_common_objective(fix: Fixture, args: Mapping):
-    return common_objective_condition(
-        fix.structure, fix.partition(args["f1"]), fix.partition(args["f2"])
-    )
+def _op_common_objective(fix: Fixture, f1: "partition", f2: "partition"):
+    return common_objective_condition(fix.structure, f1, f2)
 
 
 @op("connect_path")
-def _op_connect_path(fix: Fixture, args: Mapping):
-    path = connect_path(fix.structure.players, args["a"], args["b"])
+def _op_connect_path(fix: Fixture, a: "json", b: "json"):
+    path = connect_path(fix.structure.players, a, b)
     if path is None:
         return "none"
     return [[state, index] for state, index in path]
 
 
 @op("det_posterior")
-def _op_det_posterior(fix: Fixture, args: Mapping):
-    return det_posterior(
-        fix.structure,
-        fix.structure.player_index(args["player"]),
-        fix.signaling(args["signaling"]),
-        args["state"],
-    )
+def _op_det_posterior(fix: Fixture, player: "player", signaling: "signaling", state: "json"):
+    return det_posterior(fix.structure, player, signaling, state)
 
 
 @op("stoch_posterior")
-def _op_stoch_posterior(fix: Fixture, args: Mapping):
-    return stoch_posterior(
-        fix.structure,
-        fix.structure.player_index(args["player"]),
-        fix.signaling(args["signaling"]),
-        args["state"],
-        args["signal"],
-    )
+def _op_stoch_posterior(
+    fix: Fixture, player: "player", signaling: "signaling", state: "json", signal: "json"
+):
+    return stoch_posterior(fix.structure, player, signaling, state, signal)
 
 
 @op("atlas_size")
-def _op_atlas_size(fix: Fixture, args: Mapping):
-    return len(posterior_atlas(fix.structure, fix.signaling(args["signaling"])))
+def _op_atlas_size(fix: Fixture, signaling: "signaling"):
+    return len(posterior_atlas(fix.structure, signaling))
 
 
 @op("atlas_weights")
-def _op_atlas_weights(fix: Fixture, args: Mapping):
-    atlas = posterior_atlas(fix.structure, fix.signaling(args["signaling"]))
+def _op_atlas_weights(fix: Fixture, signaling: "signaling"):
+    atlas = posterior_atlas(fix.structure, signaling)
     return [format_rational(atlas.weight(p)) for p in atlas.profiles()]
 
 
-def _joint_profile(fix: Fixture, args: Mapping) -> JointPosteriorProfile:
-    """The claim's 'profile' argument, which must hold one posterior per player."""
-    profile = fix.profile(args["profile"])
-    if len(profile) != fix.structure.n:
-        raise InputError(
-            f"claim argument 'profile' must hold {fix.structure.n} posteriors, "
-            f"one per player, not {len(profile)}"
-        )
-    return JointPosteriorProfile(profile)
-
-
 @op("atlas_contains")
-def _op_atlas_contains(fix: Fixture, args: Mapping):
-    atlas = posterior_atlas(fix.structure, fix.signaling(args["signaling"]))
-    return _joint_profile(fix, args) in atlas
+def _op_atlas_contains(fix: Fixture, signaling: "signaling", profile: "joint_profile"):
+    return profile in posterior_atlas(fix.structure, signaling)
 
 
 @op("atlas_weight_of")
-def _op_atlas_weight_of(fix: Fixture, args: Mapping):
-    atlas = posterior_atlas(fix.structure, fix.signaling(args["signaling"]))
-    return atlas.weight(_joint_profile(fix, args))
+def _op_atlas_weight_of(fix: Fixture, signaling: "signaling", profile: "joint_profile"):
+    return posterior_atlas(fix.structure, signaling).weight(profile)
 
 
 @op("post_included")
-def _op_post_included(fix: Fixture, args: Mapping):
-    return post_included(
-        posterior_atlas(fix.structure, fix.signaling(args["a"])),
-        posterior_atlas(fix.structure, fix.signaling(args["b"])),
-    )
+def _op_post_included(fix: Fixture, a: "signaling", b: "signaling"):
+    return post_included(posterior_atlas(fix.structure, a), posterior_atlas(fix.structure, b))
 
 
 @op("experiment_row")
-def _op_experiment_row(fix: Fixture, args: Mapping):
-    return fix.matrix(args).row(args["state"])
+def _op_experiment_row(fix: Fixture, signaling: "signaling", partition: "partition", state: "json"):
+    return experiment_matrix(signaling, partition).row(state)
 
 
 @op("experiment_columns")
-def _op_experiment_columns(fix: Fixture, args: Mapping):
-    return [[signal, label] for signal, label in fix.matrix(args).columns]
+def _op_experiment_columns(fix: Fixture, signaling: "signaling", partition: "partition"):
+    return [[signal, label] for signal, label in experiment_matrix(signaling, partition).columns]
 
 
 @op("garbling")
-def _op_garbling(fix: Fixture, args: Mapping):
-    m1, m2 = (
-        fix.matrix(json_object(args[k], f"claim argument '{k}'", "signaling", "partition"))
-        for k in ("m1", "m2")
-    )
+def _op_garbling(fix: Fixture, m1: "matrix", m2: "matrix"):
     return garbling_exists(m1, m2).exists
 
 
 @op("separating_probs")
-def _op_separating_probs(fix: Fixture, args: Mapping):
-    base = fix.partition(args["oracle"])
-    tau = separating_strategy(base, fix.structure.prior)
-    return [tau.prob(block[0], tau.signals[0]) for block in base.blocks]
+def _op_separating_probs(fix: Fixture, oracle: "partition"):
+    tau = separating_strategy(oracle, fix.structure.prior)
+    return [tau.prob(block[0], tau.signals[0]) for block in oracle.blocks]
 
 
 @op("proportional")
-def _op_proportional(fix: Fixture, args: Mapping):
-    result = proportional_decompose(
-        fix.signaling(args["t1"]), fix.signaling(args["t2"])
-    )
+def _op_proportional(fix: Fixture, t1: "signaling", t2: "signaling"):
     return {
         t: "none" if found is None else [found[0], format_rational(found[1])]
-        for t, found in result.items()
+        for t, found in proportional_decompose(t1, t2).items()
     }
 
 
 @op("expected_payoffs")
-def _op_expected_payoffs(fix: Fixture, args: Mapping):
-    game, tau, strategy = fix.strategy(args["strategy"])
-    return expected_payoffs(game, tau, strategy)
+def _op_expected_payoffs(fix: Fixture, strategy: "strategy"):
+    return expected_payoffs(*strategy)
 
 
 @op("expected_payoffs_given_event")
-def _op_expected_payoffs_given_event(fix: Fixture, args: Mapping):
-    game, tau, strategy = fix.strategy(args["strategy"])
-    event = check_labels("state", args["event"], "claim argument 'event'")
-    return expected_payoffs(game, tau, strategy, given_event=event)
+def _op_expected_payoffs_given_event(fix: Fixture, strategy: "strategy", event: "json"):
+    event = check_labels("state", event, "claim argument 'event'")
+    return expected_payoffs(*strategy, given_event=event)
 
 
 @op("is_equilibrium")
-def _op_is_equilibrium(fix: Fixture, args: Mapping):
-    game, tau, strategy = fix.strategy(args["strategy"])
-    return is_equilibrium(game, tau, strategy).holds
+def _op_is_equilibrium(fix: Fixture, strategy: "strategy"):
+    return is_equilibrium(*strategy).holds
 
 
 @op("ned_mass")
-def _op_ned_mass(fix: Fixture, args: Mapping):
-    game, tau, strategy = fix.strategy(args["strategy"])
-    state = check_label("state", args["state"])
+def _op_ned_mass(fix: Fixture, strategy: "strategy", state: "json", actions: "json"):
+    game = strategy[0]
+    state = check_label("state", state)
     if state not in game.structure.space:
         raise InputError(f"unknown state '{state}' in claim argument 'state'")
-    actions = check_labels("action", args["actions"], "claim argument 'actions'")
+    actions = check_labels("action", actions, "claim argument 'actions'")
     if (state, actions) not in game.payoffs:
         raise InputError(
             f"claim argument 'actions' {list(actions)} is not an action profile of the game"
         )
-    return ned_distribution(game, tau, strategy).of(state, actions)
+    return ned_distribution(*strategy).of(state, actions)
 
 
 @op("enumerate_equilibria_count")
-def _op_enumerate_equilibria_count(fix: Fixture, args: Mapping):
-    game = fix.game(args["game"])
-    tau = fix.signaling(args["signaling"])
-    return len(enumerate_pure_equilibria(game, tau))
+def _op_enumerate_equilibria_count(fix: Fixture, game: "game", signaling: "signaling"):
+    return len(enumerate_pure_equilibria(game, signaling))
 
 
 @op("best_common")
-def _op_best_common(fix: Fixture, args: Mapping):
-    return best_common_payoff(fix.game(args["game"]), fix.signaling(args["signaling"]))
+def _op_best_common(fix: Fixture, game: "game", signaling: "signaling"):
+    return best_common_payoff(game, signaling)
 
 
 @op("best_common_garbled")
-def _op_best_common_garbled(fix: Fixture, args: Mapping):
-    merged = merge_garbled(fix.signaling(args["signaling"]), args["garble"])
-    return best_common_payoff(fix.game(args["game"]), merged)
+def _op_best_common_garbled(fix: Fixture, game: "game", signaling: "signaling", garble: "json"):
+    return best_common_payoff(game, merge_garbled(signaling, garble))
 
 
 # -- permutation decision problems -----------------------------------------
 
 
-def _permutation_problem(fix: Fixture, args: Mapping):
-    player = fix.structure.player_index(args["player"])
-    source = args["source"]
-    if isinstance(source, Mapping) and "signaling" in source:
-        resolved = fix.signaling(source["signaling"])
-    else:
-        resolved = fix.partition(source)
-    return player, build_permutation_game(fix.structure, player, resolved)
-
-
 @op("permutation_action_count")
-def _op_permutation_action_count(fix: Fixture, args: Mapping):
-    _, game = _permutation_problem(fix, args)
-    return len(game.actions[0])
+def _op_permutation_action_count(fix: Fixture, player: "player", source: "source"):
+    return len(build_permutation_game(fix.structure, player, source).actions[0])
 
 
 @op("permutation_penalty")
-def _op_permutation_penalty(fix: Fixture, args: Mapping):
-    _, game = _permutation_problem(fix, args)
+def _op_permutation_penalty(fix: Fixture, player: "player", source: "source"):
+    game = build_permutation_game(fix.structure, player, source)
     return min(value for value, in game.payoffs.values())
 
 
 @op("permutation_payoff_row")
-def _op_permutation_payoff_row(fix: Fixture, args: Mapping):
-    _, game = _permutation_problem(fix, args)
-    action = check_label("action", args["action"])
+def _op_permutation_payoff_row(fix: Fixture, player: "player", source: "source", action: "json"):
+    game = build_permutation_game(fix.structure, player, source)
+    action = check_label("action", action)
     return [game.payoff(state, (action,))[0] for state in fix.structure.space]
 
 
 @op("permutation_value")
-def _op_permutation_value(fix: Fixture, args: Mapping):
-    player, game = _permutation_problem(fix, args)
-    info = information_partition(fix.structure, player, fix.partition(args["info"]))
-    return best_common_payoff(game, _reveal(info))
+def _op_permutation_value(fix: Fixture, player: "player", source: "source", info: "partition"):
+    game = build_permutation_game(fix.structure, player, source)
+    return best_common_payoff(game, _reveal(information_partition(fix.structure, player, info)))
 
 
 # -- belief-report games -----------------------------------------------------
-
-
-def _belief_game(fix: Fixture, args: Mapping):
-    return BeliefGame(fix.structure.space, fix.profile(args["profile"]))
 
 
 def _belief_choices(game, beliefs, spec) -> tuple[str, ...]:
@@ -556,36 +551,36 @@ def _belief_choices(game, beliefs, spec) -> tuple[str, ...]:
 
 
 @op("belief_truthful_payoffs")
-def _op_belief_truthful_payoffs(fix: Fixture, args: Mapping):
-    game = _belief_game(fix, args)
+def _op_belief_truthful_payoffs(fix: Fixture, profile: "profile"):
+    game = BeliefGame(fix.structure.space, profile)
     return belief_expected_payoffs(game, game.declared, truthful_choices(game))
 
 
 @op("belief_truthful_equilibrium")
-def _op_belief_truthful_equilibrium(fix: Fixture, args: Mapping):
-    game = _belief_game(fix, args)
+def _op_belief_truthful_equilibrium(fix: Fixture, profile: "profile"):
+    game = BeliefGame(fix.structure.space, profile)
     return belief_is_equilibrium(game, game.declared, truthful_choices(game))
 
 
 @op("belief_payoffs")
-def _op_belief_payoffs(fix: Fixture, args: Mapping):
-    game = _belief_game(fix, args)
-    beliefs = fix.profile(args["beliefs"])
-    choices = _belief_choices(game, beliefs, args.get("choices", "best"))
-    return belief_expected_payoffs(game, beliefs, choices)
+def _op_belief_payoffs(
+    fix: Fixture, profile: "profile", beliefs: "profile", choices: "json" = "best"
+):
+    game = BeliefGame(fix.structure.space, profile)
+    return belief_expected_payoffs(game, beliefs, _belief_choices(game, beliefs, choices))
 
 
 @op("belief_aggregate")
-def _op_belief_aggregate(fix: Fixture, args: Mapping):
-    game = _belief_game(fix, args)
-    beliefs = fix.profile(args["beliefs"])
-    choices = _belief_choices(game, beliefs, args.get("choices", "best"))
-    return belief_aggregate(game, beliefs, choices)
+def _op_belief_aggregate(
+    fix: Fixture, profile: "profile", beliefs: "profile", choices: "json" = "best"
+):
+    game = BeliefGame(fix.structure.space, profile)
+    return belief_aggregate(game, beliefs, _belief_choices(game, beliefs, choices))
 
 
 @op("belief_build_error")
-def _op_belief_build_error(fix: Fixture, args: Mapping):
-    return _belief_game(fix, args) is not None
+def _op_belief_build_error(fix: Fixture, profile: "profile"):
+    return BeliefGame(fix.structure.space, profile) is not None
 
 
 # -- two-stage declaration games ---------------------------------------------
@@ -596,30 +591,30 @@ def _two_stage_truthful_payoffs(game: TwoStageGame) -> tuple[Fraction, ...]:
 
 
 @op("two_stage_truthful_aggregate")
-def _op_two_stage_truthful_aggregate(fix: Fixture, args: Mapping):
-    return sum(_two_stage_truthful_payoffs(fix.two_stage(args)), Fraction(0))
+def _op_two_stage_truthful_aggregate(fix: Fixture, signaling: "signaling"):
+    return sum(_two_stage_truthful_payoffs(fix.two_stage(signaling)), Fraction(0))
 
 
 @op("two_stage_truthful_payoffs")
-def _op_two_stage_truthful_payoffs(fix: Fixture, args: Mapping):
-    return _two_stage_truthful_payoffs(fix.two_stage(args))
+def _op_two_stage_truthful_payoffs(fix: Fixture, signaling: "signaling"):
+    return _two_stage_truthful_payoffs(fix.two_stage(signaling))
 
 
 @op("two_stage_truthful_equilibrium")
-def _op_two_stage_truthful_equilibrium(fix: Fixture, args: Mapping):
-    game = fix.two_stage(args)
+def _op_two_stage_truthful_equilibrium(fix: Fixture, signaling: "signaling"):
+    game = fix.two_stage(signaling)
     return is_equilibrium(game, game.tau, game.truthful_strategy()).holds
 
 
 @op("two_stage_penalty")
-def _op_two_stage_penalty(fix: Fixture, args: Mapping):
-    return fix.two_stage(args).M
+def _op_two_stage_penalty(fix: Fixture, signaling: "signaling"):
+    return fix.two_stage(signaling).M
 
 
 @op("two_stage_mismatch_payoffs")
-def _op_two_stage_mismatch_payoffs(fix: Fixture, args: Mapping):
-    game = fix.two_stage(args)
-    declare = check_labels("signal", args["declare"], "claim argument 'declare'")
+def _op_two_stage_mismatch_payoffs(fix: Fixture, signaling: "signaling", declare: "json"):
+    game = fix.two_stage(signaling)
+    declare = check_labels("signal", declare, "claim argument 'declare'")
     if len(declare) != game.structure.n:
         raise InputError(f"expected {game.structure.n} declared signals, got {len(declare)}")
     pairs = reachable_pairs(game.structure, game.tau)
@@ -631,25 +626,23 @@ def _op_two_stage_mismatch_payoffs(fix: Fixture, args: Mapping):
 
 
 @op("two_stage_max_aggregate_lt")
-def _op_two_stage_max_aggregate_lt(fix: Fixture, args: Mapping):
-    game = fix.two_stage(args)
-    other = fix.signaling(args["under"])
-    return game.max_aggregate(other) < parse_rational(args["bound"])
+def _op_two_stage_max_aggregate_lt(
+    fix: Fixture, signaling: "signaling", under: "signaling", bound: "rational"
+):
+    return fix.two_stage(signaling).max_aggregate(under) < bound
 
 
 # -- log-score games ----------------------------------------------------------
 
 
 @op("log_score_argmax")
-def _op_log_score_argmax(fix: Fixture, args: Mapping):
-    q = fix.distribution(args["q"])
-    candidates = fix.profile(args["candidates"])
+def _op_log_score_argmax(fix: Fixture, q: "distribution", candidates: "profile"):
     return log_score_argmax(q, candidates)
 
 
 @op("kld_strict_propriety")
-def _op_kld_strict_propriety(fix: Fixture, args: Mapping):
-    for menu in build_kld_game(fix.structure, fix.signaling(args["signaling"])).menus:
+def _op_kld_strict_propriety(fix: Fixture, signaling: "signaling"):
+    for menu in build_kld_game(fix.structure, signaling).menus:
         for q in menu:
             if log_score_argmax(q, menu) is not q:
                 return False
@@ -661,26 +654,23 @@ def _op_kld_strict_propriety(fix: Fixture, args: Mapping):
 
 
 @op("kld_aggregate_differs")
-def _op_kld_aggregate_differs(fix: Fixture, args: Mapping):
-    first = fix.signaling(args["t1"])
-    second = fix.signaling(args["t2"])
-    game1 = build_kld_game(fix.structure, first)
-    game2 = build_kld_game(fix.structure, second)
-    agg1 = kld_aggregate(game1, first, truthful_kld_strategy(game1, first))
-    agg2 = kld_aggregate(game2, second, truthful_kld_strategy(game2, second))
+def _op_kld_aggregate_differs(fix: Fixture, t1: "signaling", t2: "signaling"):
+    game1 = build_kld_game(fix.structure, t1)
+    game2 = build_kld_game(fix.structure, t2)
+    agg1 = kld_aggregate(game1, t1, truthful_kld_strategy(game1, t1))
+    agg2 = kld_aggregate(game2, t2, truthful_kld_strategy(game2, t2))
     return agg1 != agg2
 
 
 @op("combined_truthful_aggregate")
-def _op_combined_truthful_aggregate(fix: Fixture, args: Mapping):
-    combined = CombinedGame(fix.two_stage(args))
-    values = combined.truthful_payoffs()
+def _op_combined_truthful_aggregate(fix: Fixture, signaling: "signaling"):
+    values = CombinedGame(fix.two_stage(signaling)).truthful_payoffs()
     return sum(values[1:], values[0])
 
 
 @op("combined_linearity")
-def _op_combined_linearity(fix: Fixture, args: Mapping):
-    combined = CombinedGame(fix.two_stage(args))
+def _op_combined_linearity(fix: Fixture, signaling: "signaling"):
+    combined = CombinedGame(fix.two_stage(signaling))
     stage_values = _two_stage_truthful_payoffs(combined.stage)
     kld_values = kld_expected_scores(
         combined.kld,
@@ -694,10 +684,10 @@ def _op_combined_linearity(fix: Fixture, args: Mapping):
 
 
 @op("combined_stage_drop")
-def _op_combined_stage_drop(fix: Fixture, args: Mapping):
-    game = fix.two_stage(args)
+def _op_combined_stage_drop(fix: Fixture, signaling: "signaling", under: "signaling"):
+    game = fix.two_stage(signaling)
     truthful = sum(_two_stage_truthful_payoffs(game), Fraction(0))
-    return game.max_aggregate(fix.signaling(args["under"])) < truthful
+    return game.max_aggregate(under) < truthful
 
 
 # ---------------------------------------------------------------------------
@@ -711,48 +701,44 @@ _ERROR_KINDS = {
 }
 
 
-class _MissingArgument(Exception):
-    """A claim lacks an argument its operation reads."""
-
-
-class _ClaimArgs(dict):
-    """A claim's arguments, recording each key its operation reads."""
-
-    def __init__(self, args: Mapping):
-        super().__init__(args)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key: str):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key: str, default: object = None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __missing__(self, key: str):
-        raise _MissingArgument(key)
-
-
 def run_claim(fix: Fixture, claim: Mapping) -> dict:
     """Evaluate one claim; the result row is JSON-ready."""
     json_object(claim, "a claim", "id", "op", "provenance")
     claim_id = check_label("claim", claim["id"], "")
+    what = f"claim '{claim_id}'"
     op_name = check_label("operation", claim["op"], "")
     if op_name not in OPS:
-        raise InputError(f"unknown operation '{op_name}' in claim '{claim_id}'")
-    args = _ClaimArgs(json_object(claim.get("args", {}), f"claim '{claim_id}' args"))
+        raise InputError(f"unknown operation '{op_name}' in {what}")
     expect_error = claim.get("expect_error")
-    if expect_error is None and "expected" not in claim:
-        raise InputError(f"claim '{claim_id}' has neither 'expected' nor 'expect_error'")
-    if expect_error not in (None, *_ERROR_KINDS.values()):
+    if "expect_error" in claim and expect_error not in _ERROR_KINDS.values():
         raise InputError(
-            f"claim '{claim_id}' expect_error must be 'input', 'domain' or 'resource', "
+            f"{what} expect_error must be 'input', 'domain' or 'resource', "
             f"got {expect_error!r}"
         )
     compare = claim.get("compare")
-    if compare not in (None, "mixed"):
-        raise InputError(f"claim '{claim_id}' compare must be 'mixed', got {compare!r}")
+    if "compare" in claim and compare != "mixed":
+        raise InputError(f"{what} compare must be 'mixed', got {compare!r}")
+    # A claim expects exactly one outcome, and only a value is compared.
+    if "expect_error" in claim:
+        _fields(claim, what, "id", "op", "provenance", "expect_error", optional=("args",))
+    else:
+        _fields(claim, what, "id", "op", "provenance", "expected", optional=("args", "compare"))
+    if claim["provenance"] not in ("paper", "derived", "trivial"):
+        raise InputError(
+            f"{what} provenance must be 'paper', 'derived' or 'trivial', "
+            f"got {claim['provenance']!r}"
+        )
+    fn, params = OPS[op_name]
+    args = json_object(claim.get("args", {}), f"{what} args")
+    undeclared = sorted(set(args) - set(params))
+    if undeclared:
+        raise InputError(
+            f"{what} has argument '{undeclared[0]}', "
+            f"which operation '{op_name}' does not read"
+        )
+    for name, (_, required) in params.items():
+        if required and name not in args:
+            raise InputError(f"{what} is missing argument '{name}'")
     expected = claim["expected"] if expect_error is None else {"error": expect_error}
     row = {
         "id": claim_id,
@@ -761,24 +747,15 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
         "expected": expected,
     }
     try:
-        actual = OPS[op_name](fix, args)
-    except _MissingArgument as exc:
-        raise InputError(f"claim '{claim_id}' is missing argument '{exc}'") from None
+        resolved = {name: params[name][0](fix, value, name) for name, value in args.items()}
+        actual = fn(fix, **resolved)
     except tuple(_ERROR_KINDS) as exc:
         if expect_error is None:
             raise
         row["actual"] = {"error": _ERROR_KINDS[type(exc)]}
     else:
-        # An operation that raised stopped early, so only a completed one
-        # shows which arguments it never reads.
-        unread = sorted(set(args) - args.read)
-        if unread:
-            raise InputError(
-                f"claim '{claim_id}' has argument '{unread[0]}', "
-                f"which operation '{op_name}' does not read"
-            )
         row["actual"] = _jsonify(actual)
-    if expect_error is None and compare == "mixed":
+    if compare:
         row["pass"] = _mixed_equal(actual, expected)
     else:
         row["pass"] = row["actual"] == expected

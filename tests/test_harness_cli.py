@@ -263,8 +263,8 @@ MALFORMED_CLAIMS = [
         "claim 'experiment-row-w1' compare must be 'mixed', got 'mixd'",
         lambda d: setitem(d["claims"][0], "compare", "mixd"),
     ),
-    # An argument the operation never reads is a typo or a leftover, and a
-    # partition is named, listed, or {"trivial": true}.
+    # An argument the operation does not declare is a typo or a leftover,
+    # also on a claim that expects an error.
     (
         "witness-two-stage",
         "claim 'truthful-aggregate' has argument 'penalty', "
@@ -274,9 +274,61 @@ MALFORMED_CLAIMS = [
         ),
     ),
     (
+        "stochastic-imi-fail",
+        "claim 'dominance-needs-unique-component' has argument 'f3', "
+        "which operation 'unique_dominates' does not read",
+        lambda d: setitem(_claim_of(d, "unique_dominates")["args"], "f3", "F1"),
+    ),
+    # Each spec form is one exact key set, and a flag is exactly true: a
+    # partition is named, listed, or {"trivial": true}.
+    (
         "imi-vs-refinement",
         "cannot interpret partition spec {'oracle': 'F1'}",
         lambda d: setitem(_claim_of(d, "refines")["args"], "f1", {"oracle": "F1"}),
+    ),
+    (
+        "imi-vs-refinement",
+        "cannot interpret partition spec {'trivial': 'no'}",
+        lambda d: setitem(_claim_of(d, "refines")["args"], "f1", {"trivial": "no"}),
+    ),
+    (
+        "imi-vs-refinement",
+        "cannot interpret partition spec {'trivial': True, 'oracle': 'F1'}",
+        lambda d: setitem(
+            _claim_of(d, "refines")["args"], "f1", {"trivial": True, "oracle": "F1"}
+        ),
+    ),
+    (
+        "common-objective",
+        "cannot interpret signaling spec {'reveal': 'F1', 'uninformative': True}",
+        lambda d: setitem(
+            _claim_of(d, "best_common")["args"],
+            "signaling",
+            {"reveal": "F1", "uninformative": True},
+        ),
+    ),
+    (
+        "one-dm",
+        "claim argument 'm1' has an unexpected 'oracle' field",
+        lambda d: setitem(_claim_of(d, "garbling")["args"]["m1"], "oracle", "F1"),
+    ),
+    # A claim holds only its own fields, exactly one outcome, and a known
+    # provenance.
+    (
+        "one-dm",
+        "claim 'experiment-row-w1' has an unexpected 'expectd' field",
+        lambda d: setitem(d["claims"][0], "expectd", ["0"]),
+    ),
+    (
+        "one-dm",
+        "claim 'experiment-row-w1' has an unexpected 'expected' field",
+        lambda d: setitem(d["claims"][0], "expect_error", "input"),
+    ),
+    (
+        "one-dm",
+        "claim 'experiment-row-w1' provenance must be 'paper', 'derived' or 'trivial', "
+        "got 'paperr'",
+        lambda d: setitem(d["claims"][0], "provenance", "paperr"),
     ),
 ]
 
@@ -292,6 +344,16 @@ def test_cli_verify_exits_2_naming_a_malformed_claim(
     assert cli.main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert section in err and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_every_operation_and_argument_is_used_by_a_bundled_claim():
+    used = {}
+    for name in harness.available_fixtures():
+        for claim in harness.load_fixture(name)["claims"]:
+            used.setdefault(claim["op"], set()).update(claim.get("args", {}))
+    assert sorted(used) == sorted(harness.OPS)
+    for name, (_, params) in harness.OPS.items():
+        assert set(params) == used[name], name
 
 
 def test_cli_report_json_shape(capsys):

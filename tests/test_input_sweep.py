@@ -4,11 +4,14 @@ Every JSON node of every bundled fixture, and of the README's structure and
 signaling examples and an experiment matrix file, is replaced in turn by
 ``[]``, ``0``, ``null``, ``"x"`` or ``{}``, or deleted. Each mutated fixture
 must run or raise an ``OracleGamesError``; each mutated command-line file
-must exit 0 or 2.
+must exit 0 or 2. An unknown key added to a claim, to its arguments or to an
+object nested in an argument must be refused.
 """
 
 import copy
 import json
+
+import pytest
 
 from oraclegames import OracleGamesError, ResourceLimitError, cli, harness
 from oraclegames.signaling import experiment_matrix, signaling_from_json
@@ -105,6 +108,43 @@ def test_no_fixture_mutation_escapes(tmp_path, capsys):
     assert len(refused) > 1000
     # A fixed sample of the refused mutations, run end to end.
     for name, path, mutated in refused[:: len(refused) // 24]:
+        fixture = tmp_path / "mutated.json"
+        fixture.write_text(json.dumps(mutated))
+        assert cli.main(["verify", str(fixture)]) == 2, (name, path)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, path, err)
+
+
+def _claim_objects(data):
+    """The path of every claim object, its arguments object, and each object
+    nested in an argument. A garble map's keys are signals and an expected
+    value is data, so neither holds fields."""
+    for i, claim in enumerate(data["claims"]):
+        yield ("claims", i)
+        if "args" not in claim:
+            continue
+        yield ("claims", i, "args")
+        for path in _paths(claim["args"]):
+            node = claim["args"]
+            for key in path:
+                node = node[key]
+            if isinstance(node, dict) and path[0] != "garble":
+                yield ("claims", i, "args") + path
+
+
+def test_no_unknown_key_is_accepted(tmp_path, capsys):
+    refused = []
+    for name in harness.available_fixtures():
+        data = harness.load_fixture(name)
+        base = harness.Fixture(data)
+        for path in _claim_objects(data):
+            mutated = _mutated(data, path + ("unknown",), lambda: True)
+            with pytest.raises(OracleGamesError):
+                _evaluate(base, mutated, path)
+            refused.append((name, path, mutated))
+    depths = {len(path) for _, path, _ in refused}
+    assert {2, 3, 4} <= depths, depths  # claims, arguments and nested specs
+    for name, path, mutated in refused[:: len(refused) // 12]:
         fixture = tmp_path / "mutated.json"
         fixture.write_text(json.dumps(mutated))
         assert cli.main(["verify", str(fixture)]) == 2, (name, path)
