@@ -371,17 +371,27 @@ def _cellwise_max(
     over the cell's assignments of ``sizes[player]`` options per slot.  A
     subtree is cut once the mass-weighted ``branch_bound(state, option index
     per player, None while unassigned)`` of the cell's branches cannot beat
-    the best leaf so far."""
+    the best leaf so far.  Setting slot d moves only the bounds of the
+    branches that read it, so ``bound[d]``, the cell's bound with the slots
+    below d set, is kept per depth."""
     total = Fraction(0)
     for _, positioned, slots in _cells(structure, tau):
         best: Optional[Fraction] = None
+        readers: list[list] = [[] for _ in slots]
+        for branch in positioned:
+            for k in branch[2]:
+                readers[k].append(branch)
+        unset = (None,) * structure.n
+        bound = [sum(w * branch_bound(s, unset) for s, w, _ in positioned)] * (len(slots) + 1)
 
         def admit(d: int, assigned: list[int]) -> bool:
-            bound = Fraction(0)
-            for state, w, at in positioned:
-                fixed = tuple(assigned[k] if k <= d else None for k in at)
-                bound += w * branch_bound(state, fixed)
-            return best is None or bound > best
+            upper = bound[d]
+            for state, w, at in readers[d]:
+                after = tuple(assigned[k] if k <= d else None for k in at)
+                before = tuple(assigned[k] if k < d else None for k in at)
+                upper += w * (branch_bound(state, after) - branch_bound(state, before))
+            bound[d + 1] = upper
+            return best is None or upper > best
 
         for leaf in _slot_search([sizes[i] for i, _ in slots], admit):
             v = value(positioned, slots, leaf)
@@ -896,8 +906,10 @@ class LogScore:
             return -1
         if other.neg_inf:
             return 1
-        left = self.product ** other.denom
-        right = other.product ** self.denom
+        # a**e against b**d, both sides taken to the increasing power 1/gcd(d, e)
+        g = math.gcd(self.denom, other.denom)
+        left = self.product ** (other.denom // g)
+        right = other.product ** (self.denom // g)
         return (left > right) - (left < right)
 
     def __eq__(self, other: object) -> bool:

@@ -82,6 +82,7 @@ from .types import (
     format_rational,
     json_list,
     json_object,
+    json_record,
     load_json,
     parse_rational,
     partition_from_json,
@@ -139,16 +140,6 @@ def _reveal(partition: Partition) -> StochasticSignaling:
 def _flag(spec: object, key: str) -> bool:
     """Whether ``spec`` is exactly the JSON object ``{key: true}``."""
     return isinstance(spec, Mapping) and list(spec) == [key] and spec[key] is True
-
-
-def _fields(value: object, what: str, *keys: str, optional: tuple[str, ...] = ()) -> Mapping:
-    """``value`` if it is a JSON object holding every one of ``keys`` and no
-    other key but those in ``optional``; otherwise an InputError naming ``what``."""
-    json_object(value, what, *keys)
-    unknown = sorted(set(value) - set(keys) - set(optional))
-    if unknown:
-        raise InputError(f"{what} has an unexpected '{unknown[0]}' field")
-    return value
 
 
 class Fixture:
@@ -219,7 +210,7 @@ class Fixture:
     def strategy(self, name: object):
         """Returns (game, signaling, strategy) for a named strategy entry."""
         name = check_label("strategy", name, "")
-        entry = json_object(
+        entry = json_record(
             self._named("strategies", name), f"strategy '{name}'", "game", "signaling", "players"
         )
         game = self.game(entry["game"])
@@ -264,14 +255,15 @@ def _joint_profile(fix: Fixture, spec: object, name: str) -> JointPosteriorProfi
 
 def _matrix(fix: Fixture, spec: object, name: str):
     """The experiment matrix of exactly {"signaling": S, "partition": P}."""
-    spec = _fields(spec, f"claim argument '{name}'", "signaling", "partition")
+    spec = json_record(spec, f"claim argument '{name}'", "signaling", "partition")
     return experiment_matrix(fix.signaling(spec["signaling"]), fix.partition(spec["partition"]))
 
 
 def _source(fix: Fixture, spec: object, name: str):
     """A partition, or the signaling of exactly {"signaling": S}."""
     if isinstance(spec, Mapping) and "signaling" in spec:
-        return fix.signaling(_fields(spec, f"claim argument '{name}'", "signaling")["signaling"])
+        spec = json_record(spec, f"claim argument '{name}'", "signaling")
+        return fix.signaling(spec["signaling"])
     return fix.partition(spec)
 
 
@@ -720,9 +712,9 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
         raise InputError(f"{what} compare must be 'mixed', got {compare!r}")
     # A claim expects exactly one outcome, and only a value is compared.
     if "expect_error" in claim:
-        _fields(claim, what, "id", "op", "provenance", "expect_error", optional=("args",))
+        json_record(claim, what, "id", "op", "provenance", "expect_error", optional=("args",))
     else:
-        _fields(claim, what, "id", "op", "provenance", "expected", optional=("args", "compare"))
+        json_record(claim, what, "id", "op", "provenance", "expected", optional=("args", "compare"))
     if claim["provenance"] not in ("paper", "derived", "trivial"):
         raise InputError(
             f"{what} provenance must be 'paper', 'derived' or 'trivial', "

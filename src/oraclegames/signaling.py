@@ -23,6 +23,7 @@ from .types import (
     format_rational,
     json_list,
     json_object,
+    json_record,
     parse_rational,
     partition_from_json,
 )
@@ -216,22 +217,10 @@ def stoch_posterior(
 ) -> Distribution:
     """Posterior of player i at (omega, signal): mass proportional to
     prior * kernel on the player's block, zero elsewhere."""
-    _check_same_space(structure, tau)
+    profiles = _branch_profiles(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
-    block = structure.players[i].block_of(omega)
-    weights = {w: structure.prior.of(w) * tau.prob(w, signal) for w in block}
-    total = sum(weights.values())
-    zero = Fraction(0)
-    vector = tuple(
-        weights[s] / total if s in weights else zero for s in structure.space.states
-    )
-    return Distribution(structure.space, vector)
-
-
-def _check_same_space(structure: InformationStructure, tau: StochasticSignaling) -> None:
-    if tau.space != structure.space:
-        raise DomainError("signaling and structure use different state spaces")
+    return profiles[(omega, signal)][1].per_player[i]
 
 
 def _branch_masses(
@@ -240,7 +229,8 @@ def _branch_masses(
     """prior(state) * tau(signal|state) for every (state, signal) branch of
     positive mass, in state order and then signal order: the one table that
     every walk over branches reads."""
-    _check_same_space(structure, tau)
+    if tau.space != structure.space:
+        raise DomainError("signaling and structure use different state spaces")
     masses: dict[tuple[str, str], Fraction] = {}
     rows = zip(structure.space.states, structure.prior.vector, tau.kernel)
     for state, base, row in rows:
@@ -253,16 +243,23 @@ def _branch_masses(
 def _branch_profiles(
     structure: InformationStructure, tau: StochasticSignaling
 ) -> dict[tuple[str, str], tuple[Fraction, JointPosteriorProfile]]:
-    """Mass and joint posterior profile of every branch in the mass table; a
-    player's posterior depends only on (their block, signal)."""
+    """Mass and joint posterior profile of every branch in the mass table.  A
+    player's posterior depends only on (their block, signal): each block
+    state's mass over the block's total, zero elsewhere."""
+    masses = _branch_masses(structure, tau)
+    states = structure.space.states
+    zero = Fraction(0)
     cache: dict[tuple[int, int, str], Distribution] = {}
     out = {}
-    for (state, signal), w in _branch_masses(structure, tau).items():
+    for (state, signal), w in masses.items():
         posts = []
         for i, partition in enumerate(structure.players):
             key = (i, partition.block_index(state), signal)
             if key not in cache:
-                cache[key] = stoch_posterior(structure, i, tau, state, signal)
+                block = {s: masses.get((s, signal), zero) for s in partition.block_of(state)}
+                total = sum(block.values())
+                vector = tuple(block[s] / total if s in block else zero for s in states)
+                cache[key] = Distribution(structure.space, vector)
             posts.append(cache[key])
         out[(state, signal)] = (w, JointPosteriorProfile(tuple(posts)))
     return out
@@ -531,15 +528,16 @@ def signaling_from_json(
     """A signaling from its JSON form; ``what`` names it in error messages."""
     data = json_object(data, what)
     oracle = _resolve_oracle(structure, data, what)
+    source = "oracle" if "oracle" in data else "partition"
     kind = data.get("type")
     if kind == "stochastic":
-        json_object(data, what, "signals", "kernel")
+        json_record(data, what, "type", source, "signals", "kernel")
         signals = check_labels("signal", data["signals"], f"{what} 'signals'")
         kernel = json_object(data["kernel"], f"{what} 'kernel'")
         return StochasticSignaling.from_rows(oracle, signals, kernel)
     if kind == "deterministic":
         keys = [f"block{i}" for i in range(len(oracle.blocks))]
-        json_object(data, what, "assignment")
+        json_record(data, what, "type", source, "assignment")
         assignment = json_object(data["assignment"], f"{what} 'assignment'", *keys)
         stray = sorted(set(assignment) - set(keys))
         if stray:

@@ -1,8 +1,10 @@
-"""Exact-arithmetic domain objects: state spaces, priors, distributions,
+"""Exact-arithmetic domain objects: state spaces, distributions, priors,
 partitions, and multi-player information structures, plus their JSON forms.
 
 Every probability is a fractions.Fraction. Floats are rejected at parse time
-so that all downstream identities and strict inequalities stay exact.
+so that all downstream identities and strict inequalities stay exact. A prior
+is a distribution with full support; every distribution is checked on one
+integer key, its masses over their common denominator.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ def json_object(value: object, what: str, *keys: str) -> Mapping:
     for key in keys:
         if key not in value:
             raise InputError(f"{what} is missing its '{key}' field")
+    return value
+
+
+def json_record(value: object, what: str, *keys: str, optional: tuple[str, ...] = ()) -> Mapping:
+    """``value`` if it is a JSON object holding every one of ``keys`` and no
+    other key but those in ``optional``; otherwise an InputError naming ``what``."""
+    json_object(value, what, *keys)
+    unknown = sorted(set(value) - set(keys) - set(optional))
+    if unknown:
+        raise InputError(f"{what} has an unexpected '{unknown[0]}' field")
     return value
 
 
@@ -131,29 +143,13 @@ def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple
     return tuple(values)
 
 
-def _set_vector(obj: "Distribution | Prior", full_support: bool) -> None:
-    """Coerce ``obj.vector`` to Fractions and check its length, signs (all
-    positive under ``full_support``, else nonnegative) and sum of 1."""
-    vector = tuple(v if type(v) is Fraction else Fraction(v) for v in obj.vector)
-    object.__setattr__(obj, "vector", vector)
-    if len(vector) != len(obj.space):
-        name = "prior" if full_support else "distribution"
-        raise InputError(f"{name} length does not match the state space")
-    for s, v in zip(obj.space.states, vector):
-        if full_support and v <= 0:
-            raise InputError(f"prior must have full support; state '{s}' has mass {v}")
-        if not full_support and v < 0:
-            raise InputError(f"negative mass {v} at state '{s}'")
-    total = sum(vector)
-    if total != 1:
-        raise InputError(f"{'prior ' if full_support else ''}masses sum to {total}, not 1")
-
-
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability distribution over a state space; masses sum to exactly 1.
-    Equality and hashing read an integer key computed once: ``(d, n_1 * d /
-    d_1, ...)``, ``d`` the lcm of the denominators ``d_i``."""
+    The constructor computes an integer key once, ``(d, n_1 * d / d_1,
+    ...)`` with ``d`` the lcm of the denominators ``d_i``: the vector sums to
+    1 exactly when the other entries sum to ``d``, and equality and hashing
+    read the key. A ``Prior`` is a distribution with full support."""
 
     space: StateSpace
     vector: tuple[Fraction, ...]
@@ -161,11 +157,24 @@ class Distribution:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set_vector(self, full_support=False)
-        d = lcm(*(v.denominator for v in self.vector))
-        key = (d, *(v.numerator * (d // v.denominator) for v in self.vector))
+        vector = tuple(v if type(v) is Fraction else Fraction(v) for v in self.vector)
+        object.__setattr__(self, "vector", vector)
+        if len(vector) != len(self.space):
+            name = type(self).__name__.lower()
+            raise InputError(f"{name} length does not match the state space")
+        d = lcm(*(v.denominator for v in vector))
+        key = (d, *(v.numerator * (d // v.denominator) for v in vector))
+        self._check_masses(sum(key[1:]) == d)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    def _check_masses(self, sums_to_one: bool) -> None:
+        """Refuse a negative mass, then masses that do not sum to 1."""
+        for s, v in zip(self.space.states, self.vector):
+            if v < 0:
+                raise InputError(f"negative mass {v} at state '{s}'")
+        if not sums_to_one:
+            raise InputError(f"masses sum to {sum(self.vector)}, not 1")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,31 +200,25 @@ class Distribution:
         return [format_rational(v) for v in self.vector]
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(Distribution):
     """Full-support prior: every state carries strictly positive mass.
 
     Full support is required, not optional: the witness-game constructions
     divide by per-state and per-block masses.
     """
 
-    space: StateSpace
-    vector: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        _set_vector(self, full_support=True)
-
-    @classmethod
-    def from_mass(cls, space: StateSpace, mass: object) -> "Prior":
-        return cls(space, _vector_from(space, mass))
+    def _check_masses(self, sums_to_one: bool) -> None:
+        """The full-support rule: refuse a mass that is not positive, then a sum other than 1."""
+        for s, v in zip(self.space.states, self.vector):
+            if v <= 0:
+                raise InputError(f"prior must have full support; state '{s}' has mass {v}")
+        if not sums_to_one:
+            raise InputError(f"prior masses sum to {sum(self.vector)}, not 1")
 
     @classmethod
     def uniform(cls, space: StateSpace) -> "Prior":
         n = len(space)
         return cls(space, tuple(Fraction(1, n) for _ in range(n)))
-
-    def of(self, state: str) -> Fraction:
-        return self.vector[self.space.index(state)]
 
     def event_mass(self, event: Iterable[str]) -> Fraction:
         return sum((self.of(s) for s in set(event)), Fraction(0))

@@ -600,6 +600,19 @@ def test_log_score_addition_and_half():
     assert neg < a and not neg > a and neg == LogScore.minus_infinity()
 
 
+def test_log_score_compares_sums_over_coprime_denominators_quickly():
+    # (1/d) log(2/3) + ((d-1)/d) log(1/5); the sum has denom 97 * 89.
+    def score(d):
+        terms = [(Fraction(1, d), Fraction(2, 3)), (Fraction(d - 1, d), Fraction(1, 5))]
+        return LogScore.from_terms(terms)
+
+    total = score(97) + score(89)
+    start = time.perf_counter()
+    assert total < total.half()  # a negative score doubled is smaller
+    assert score(97) + score(89) == score(89) + score(97)
+    assert time.perf_counter() - start < 1
+
+
 def test_log_score_validation():
     with pytest.raises(InputError):
         LogScore(False, Fraction(1), 0)
@@ -1353,6 +1366,9 @@ def test_enumerate_pure_equilibria_walks_a_long_chain_of_blocks():
     )
     found = enumerate_pure_equilibria(game, _uninformative(structure))
     assert len(found) == 1 and len(found[0].per_player[1]) == 601
+    start = time.perf_counter()
+    assert best_common_payoff(game, _uninformative(structure)) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_best_common_payoff_matches_the_brute_force_for_three_players():

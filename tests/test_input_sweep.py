@@ -4,8 +4,9 @@ Every JSON node of every bundled fixture, and of the README's structure and
 signaling examples and an experiment matrix file, is replaced in turn by
 ``[]``, ``0``, ``null``, ``"x"`` or ``{}``, or deleted. Each mutated fixture
 must run or raise an ``OracleGamesError``; each mutated command-line file
-must exit 0 or 2. An unknown key added to a claim, to its arguments or to an
-object nested in an argument must be refused.
+must exit 0 or 2. An unknown key added to a claim, to its arguments, to an
+object nested in an argument or to a named signaling or strategy entry that a
+claim names must be refused.
 """
 
 import copy
@@ -132,12 +133,20 @@ def _claim_objects(data):
                 yield ("claims", i, "args") + path
 
 
+def _named_entries(data):
+    """The path of every named signaling and strategy entry a claim names."""
+    for section in ("signalings", "strategies"):
+        for name in data.get(section, {}):
+            if any(_claims_naming(data, name)):
+                yield (section, name)
+
+
 def test_no_unknown_key_is_accepted(tmp_path, capsys):
     refused = []
     for name in harness.available_fixtures():
         data = harness.load_fixture(name)
         base = harness.Fixture(data)
-        for path in _claim_objects(data):
+        for path in [*_claim_objects(data), *_named_entries(data)]:
             mutated = _mutated(data, path + ("unknown",), lambda: True)
             with pytest.raises(OracleGamesError):
                 _evaluate(base, mutated, path)

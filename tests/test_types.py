@@ -67,11 +67,14 @@ def test_distribution_validation_and_accessors():
     assert d.of("b") == 0
     assert d.support() == ("a", "c")
     assert d.as_strings() == ["1/2", "0", "1/2", "0"]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="masses sum to 1/2, not 1"):
         Distribution.from_mass(SPACE, {"a": "1/2"})
-    with pytest.raises(InputError):
+    near = Fraction(1, 2) - Fraction(1, 10**40)
+    with pytest.raises(InputError, match="not 1"):
+        Distribution(SPACE, (near, Fraction(1, 2), Fraction(0), Fraction(0)))
+    with pytest.raises(InputError, match="negative mass -1/2 at state 'b'"):
         Distribution.from_mass(SPACE, {"a": "3/2", "b": "-1/2"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="distribution length does not match"):
         Distribution(SPACE, (Fraction(1),))
 
 
@@ -126,9 +129,17 @@ def test_distribution_equality_matches_vector_equality():
 
 
 def test_prior_requires_full_support():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="prior must have full support; state 'b' has mass 0"):
         Prior.from_mass(SPACE, {"a": 1})
+    with pytest.raises(InputError, match="prior must have full support; state 'd' has mass -2"):
+        Prior.from_mass(SPACE, [1, 1, 1, -2])
+    with pytest.raises(InputError, match="prior masses sum to 2, not 1"):
+        Prior.from_mass(SPACE, ["1/2", "1/2", "1/2", "1/2"])
+    with pytest.raises(InputError, match="prior length does not match"):
+        Prior(SPACE, (Fraction(1),))
+    assert type(Prior.from_mass(SPACE, ["1/4"] * 4)) is Prior
     prior = Prior.uniform(SPACE)
+    assert isinstance(prior, Distribution)
     assert prior.of("b") == Fraction(1, 4)
     assert prior.event_mass(("a", "b", "a")) == Fraction(1, 2)
     assert prior.min_mass() == Fraction(1, 4)
