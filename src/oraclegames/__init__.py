@@ -40,7 +40,6 @@ from .partitions import (
 )
 from .signaling import (
     ExperimentMatrix,
-    JointPosteriorProfile,
     PosteriorAtlas,
     StochasticMatrix,
     StochasticSignaling,

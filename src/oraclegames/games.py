@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .signaling import (
     StochasticSignaling,
     _branch_masses,
     _branch_profiles,
+    _posterior,
     posterior_menu,
 )
 from .types import (
@@ -36,6 +38,7 @@ from .types import (
     format_rational,
     json_list,
     json_object,
+    json_record,
     parse_rational,
 )
 
@@ -108,9 +111,9 @@ def game_from_json(
     """Build a game from its JSON form (each player's actions, and per state
     a payoff row keyed by the action profile joined by ``|``); ``what``
     names it in error messages."""
-    data = json_object(data, what, "actions", "payoffs")
-    if "log_domain" in data:
+    if isinstance(data, Mapping) and "log_domain" in data:
         raise InputError(f"{what} has a 'log_domain' field, but a log-score game has no JSON form")
+    data = json_record(data, what, "actions", "payoffs")
     names = structure.player_names
     action_map = json_object(data["actions"], f"{what} 'actions'", *names)
     extra = sorted(set(action_map) - set(names))
@@ -912,30 +915,25 @@ class LogScore:
         right = other.product ** (self.denom // g)
         return (left > right) - (left < right)
 
-    def __eq__(self, other: object) -> bool:
+    def _holds(self, other: object, test: Callable[[int, int], bool]) -> bool:
         if not isinstance(other, LogScore):
             return NotImplemented
-        return self._compare(other) == 0
+        return test(self._compare(other), 0)
+
+    def __eq__(self, other: object) -> bool:
+        return self._holds(other, operator.eq)
 
     def __lt__(self, other: "LogScore") -> bool:
-        if not isinstance(other, LogScore):
-            return NotImplemented
-        return self._compare(other) < 0
+        return self._holds(other, operator.lt)
 
     def __le__(self, other: "LogScore") -> bool:
-        if not isinstance(other, LogScore):
-            return NotImplemented
-        return self._compare(other) <= 0
+        return self._holds(other, operator.le)
 
     def __gt__(self, other: "LogScore") -> bool:
-        if not isinstance(other, LogScore):
-            return NotImplemented
-        return self._compare(other) > 0
+        return self._holds(other, operator.gt)
 
     def __ge__(self, other: "LogScore") -> bool:
-        if not isinstance(other, LogScore):
-            return NotImplemented
-        return self._compare(other) >= 0
+        return self._holds(other, operator.ge)
 
     def as_json(self) -> object:
         if self.neg_inf:
@@ -979,8 +977,7 @@ def _posterior_menus(
 ) -> tuple[tuple[Distribution, ...], ...]:
     """Per player, the distinct posteriors of the branches, sorted by
     vector: the player's declaration menu."""
-    profiles = [profile for _, profile in branches.values()]
-    return tuple(posterior_menu(p.per_player[i] for p in profiles) for i in range(n))
+    return tuple(posterior_menu(p[i] for _, p in branches.values()) for i in range(n))
 
 
 class LogScoreGame:
@@ -1012,29 +1009,22 @@ def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) ->
     return LogScoreGame(structure, _posterior_menus(_branch_profiles(structure, tau), structure.n))
 
 
-def _posterior_at(
-    branches: Mapping[Branch, tuple], player: int, block: tuple[str, ...], signal: str
-) -> Distribution:
-    """The player's posterior at a reachable (block, signal) pair."""
-    state = next(s for s in block if (s, signal) in branches)
-    return branches[(state, signal)][1].per_player[player]
-
-
 def _truthful_strategy(
     game: Game,
     tau: StochasticSignaling,
-    branches: Mapping[Branch, tuple],
     declare: Callable[[int, Distribution, str], object],
 ) -> StrategyProfile:
     """At every reachable (block, signal) pair of player i, play
     ``declare(i, true posterior, signal)``."""
-    pairs = _reachable(game.structure, tau.signals, branches)
+    structure = game.structure
+    masses = _branch_masses(structure, tau)
+    pairs = _reachable(structure, tau.signals, masses)
     return make_strategy(
         game,
         tau,
         [
-            {(b, s): declare(i, _posterior_at(branches, i, b, s), s) for b, s in pairs[i]}
-            for i in range(game.structure.n)
+            {(b, s): declare(i, _posterior(structure, masses, b, s), s) for b, s in pairs[i]}
+            for i in range(structure.n)
         ],
     )
 
@@ -1054,7 +1044,7 @@ def truthful_kld_strategy(
             )
         return label
 
-    return _truthful_strategy(game, tau, _branch_profiles(game.structure, tau), declare)
+    return _truthful_strategy(game, tau, declare)
 
 
 def kld_expected_scores(
@@ -1108,17 +1098,17 @@ class TwoStageGame:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
         self.tau = tau
-        self._branches = _branch_profiles(structure, tau)
+        branches = _branch_profiles(structure, tau)
         feasible: dict[str, set[tuple[Distribution, ...]]] = {}
-        for (_, signal), (_, profile) in self._branches.items():
-            feasible.setdefault(signal, set()).add(profile.per_player)
+        for (_, signal), (_, profile) in branches.items():
+            feasible.setdefault(signal, set()).add(profile)
         self.feasible = {s: frozenset(ps) for s, ps in feasible.items()}
         self._belief_games = {
             profile: BeliefGame(structure.space, profile)
             for profiles in self.feasible.values()
             for profile in profiles
         }
-        self.menus = _posterior_menus(self._branches, structure.n)
+        self.menus = _posterior_menus(branches, structure.n)
         actions = []
         for menu in self.menus:
             supports = [(d, d.support()) for d in menu]
@@ -1166,7 +1156,6 @@ class TwoStageGame:
         return _truthful_strategy(
             self,
             self.tau,
-            self._branches,
             lambda i, posterior, signal: (signal, posterior, posterior.support()[0]),
         )
 

@@ -71,7 +71,6 @@ from .signaling import (
     separating_strategy,
     signaling_from_json,
     stoch_posterior,
-    JointPosteriorProfile,
 )
 from .types import (
     Distribution,
@@ -146,7 +145,8 @@ class Fixture:
     """A loaded fixture with caching resolvers for its named objects."""
 
     def __init__(self, data: object):
-        self.data = json_object(data, "fixture", "name", "structure")
+        sections = ("signalings", "games", "strategies", "profiles", "claims")
+        self.data = json_record(data, "fixture", "name", "structure", optional=sections)
         self.name = check_label("fixture", data["name"], "")
         self.structure: InformationStructure = structure_from_json(data["structure"])
         self._signalings: dict[str, StochasticSignaling] = {}
@@ -242,7 +242,7 @@ class Fixture:
 # Argument kinds
 
 
-def _joint_profile(fix: Fixture, spec: object, name: str) -> JointPosteriorProfile:
+def _joint_profile(fix: Fixture, spec: object, name: str) -> tuple[Distribution, ...]:
     """A profile that holds one posterior per player."""
     profile = fix.profile(spec)
     if len(profile) != fix.structure.n:
@@ -250,7 +250,7 @@ def _joint_profile(fix: Fixture, spec: object, name: str) -> JointPosteriorProfi
             f"claim argument '{name}' must hold {fix.structure.n} posteriors, "
             f"one per player, not {len(profile)}"
         )
-    return JointPosteriorProfile(profile)
+    return profile
 
 
 def _matrix(fix: Fixture, spec: object, name: str):

@@ -138,26 +138,14 @@ class StochasticSignaling:
         )
 
 
-@dataclass(frozen=True)
-class JointPosteriorProfile:
-    """One exact posterior per player, in player order."""
-
-    per_player: tuple[Distribution, ...]
-
-    def sort_key(self):
-        return tuple(d.vector for d in self.per_player)
-
-    def as_json(self) -> list[list[str]]:
-        return [d.as_strings() for d in self.per_player]
-
-
 class PosteriorAtlas:
     """The distribution over joint posterior profiles induced by a signaling
-    function: profile -> positive weight, weights summing to 1. The key set
-    is the reachable-profile set of the signaling."""
+    function: profile -> positive weight, weights summing to 1. A profile is
+    a tuple of one posterior per player, in player order. The key set is the
+    reachable-profile set of the signaling."""
 
-    def __init__(self, entries: Mapping[JointPosteriorProfile, Fraction]):
-        self.entries: dict[JointPosteriorProfile, Fraction] = dict(entries)
+    def __init__(self, entries: Mapping[tuple[Distribution, ...], Fraction]):
+        self.entries: dict[tuple[Distribution, ...], Fraction] = dict(entries)
         if not self.entries:
             raise InputError("an atlas cannot be empty")
         for profile, w in self.entries.items():
@@ -165,18 +153,18 @@ class PosteriorAtlas:
                 raise InputError(f"atlas weight {w} is not positive")
         if sum(self.entries.values()) != 1:
             raise InputError("atlas weights do not sum to 1")
-        self._order = tuple(sorted(self.entries, key=JointPosteriorProfile.sort_key))
+        self._order = tuple(sorted(self.entries, key=lambda p: tuple(d.vector for d in p)))
 
-    def profiles(self) -> tuple[JointPosteriorProfile, ...]:
+    def profiles(self) -> tuple[tuple[Distribution, ...], ...]:
         return self._order
 
-    def weight(self, profile: JointPosteriorProfile) -> Fraction:
+    def weight(self, profile: tuple[Distribution, ...]) -> Fraction:
         try:
             return self.entries[profile]
         except KeyError:
             raise DomainError("profile is not in the atlas") from None
 
-    def __contains__(self, profile: JointPosteriorProfile) -> bool:
+    def __contains__(self, profile: tuple[Distribution, ...]) -> bool:
         return profile in self.entries
 
     def __len__(self) -> int:
@@ -188,7 +176,7 @@ class PosteriorAtlas:
 
     def as_json(self) -> list[dict]:
         return [
-            {"posteriors": p.as_json(), "weight": format_rational(self.entries[p])}
+            {"posteriors": [d.as_strings() for d in p], "weight": format_rational(self.entries[p])}
             for p in self._order
         ]
 
@@ -217,10 +205,10 @@ def stoch_posterior(
 ) -> Distribution:
     """Posterior of player i at (omega, signal): mass proportional to
     prior * kernel on the player's block, zero elsewhere."""
-    profiles = _branch_profiles(structure, tau)
+    masses = _branch_masses(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
-    return profiles[(omega, signal)][1].per_player[i]
+    return _posterior(structure, masses, structure.players[i].block_of(omega), signal)
 
 
 def _branch_masses(
@@ -240,15 +228,31 @@ def _branch_masses(
     return masses
 
 
+# Every zero entry off a block is this one object: the atlas sort compares
+# posterior vectors, and equal entries that are one object skip Fraction.__eq__.
+_ZERO = Fraction(0)
+
+
+def _posterior(
+    structure: InformationStructure, masses: Mapping, block: Sequence[str], signal: str
+) -> Distribution:
+    """The posterior on ``block`` after ``signal``: each block state's mass
+    in the table over the block's total, zero elsewhere."""
+    weights = {s: masses.get((s, signal), _ZERO) for s in block}
+    total = sum(weights.values())
+    return Distribution(
+        structure.space,
+        tuple(weights[s] / total if s in weights else _ZERO for s in structure.space.states),
+    )
+
+
 def _branch_profiles(
     structure: InformationStructure, tau: StochasticSignaling
-) -> dict[tuple[str, str], tuple[Fraction, JointPosteriorProfile]]:
+) -> dict[tuple[str, str], tuple[Fraction, tuple[Distribution, ...]]]:
     """Mass and joint posterior profile of every branch in the mass table.  A
-    player's posterior depends only on (their block, signal): each block
-    state's mass over the block's total, zero elsewhere."""
+    player's posterior depends only on (their block, signal), so each is
+    computed once."""
     masses = _branch_masses(structure, tau)
-    states = structure.space.states
-    zero = Fraction(0)
     cache: dict[tuple[int, int, str], Distribution] = {}
     out = {}
     for (state, signal), w in masses.items():
@@ -256,12 +260,9 @@ def _branch_profiles(
         for i, partition in enumerate(structure.players):
             key = (i, partition.block_index(state), signal)
             if key not in cache:
-                block = {s: masses.get((s, signal), zero) for s in partition.block_of(state)}
-                total = sum(block.values())
-                vector = tuple(block[s] / total if s in block else zero for s in states)
-                cache[key] = Distribution(structure.space, vector)
+                cache[key] = _posterior(structure, masses, partition.block_of(state), signal)
             posts.append(cache[key])
-        out[(state, signal)] = (w, JointPosteriorProfile(tuple(posts)))
+        out[(state, signal)] = (w, tuple(posts))
     return out
 
 
@@ -271,7 +272,7 @@ def posterior_atlas(
     """The joint posterior profiles of all branches with positive mass,
     exact duplicates merged, each weighted by the total prior(state) *
     tau(signal|state) of its branches."""
-    entries: dict[JointPosteriorProfile, Fraction] = {}
+    entries: dict[tuple[Distribution, ...], Fraction] = {}
     for w, profile in _branch_profiles(structure, tau).values():
         entries[profile] = entries.get(profile, Fraction(0)) + w
     return PosteriorAtlas(entries)
@@ -547,7 +548,7 @@ def signaling_from_json(
 
 
 def matrix_from_json(data: object) -> StochasticMatrix:
-    data = json_object(data, "matrix", "states", "entries", "columns")
+    data = json_record(data, "matrix", "states", "entries", "columns", optional=("blocks",))
     space = StateSpace(tuple(json_list(data["states"], "matrix 'states'")))
     entries = json_object(data["entries"], "matrix 'entries'", *space.states)
     rows = tuple(

@@ -376,7 +376,7 @@ def _named_partitions(
     """The names and partitions of a structure's 'players' or 'oracles' list."""
     names, partitions = [], []
     for item in json_list(entries, f"structure '{kind}s'"):
-        item = json_object(item, entry, "name", "partition")
+        item = json_record(item, entry, "name", "partition")
         names.append(check_label(kind, item["name"], ""))
         what = f"{kind} '{names[-1]}' partition"
         partitions.append(partition_from_json(space, item["partition"], what))
@@ -384,7 +384,7 @@ def _named_partitions(
 
 
 def structure_from_json(data: object) -> InformationStructure:
-    data = json_object(data, "structure", "states", "prior", "players")
+    data = json_record(data, "structure", "states", "prior", "players", optional=("oracles",))
     space = StateSpace(tuple(json_list(data["states"], "structure 'states'")))
     prior = Prior(space, _vector_from(space, data["prior"], "structure 'prior'"))
     player_names, players = _named_partitions(space, data["players"], "player", "a player entry")

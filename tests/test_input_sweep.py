@@ -4,9 +4,10 @@ Every JSON node of every bundled fixture, and of the README's structure and
 signaling examples and an experiment matrix file, is replaced in turn by
 ``[]``, ``0``, ``null``, ``"x"`` or ``{}``, or deleted. Each mutated fixture
 must run or raise an ``OracleGamesError``; each mutated command-line file
-must exit 0 or 2. An unknown key added to a claim, to its arguments, to an
-object nested in an argument or to a named signaling or strategy entry that a
-claim names must be refused.
+must exit 0 or 2. An unknown key added to a fixture, its structure, a player
+or oracle entry, a claim, its arguments, an object nested in an argument, or
+a named signaling, game or strategy entry that a claim names must be refused,
+and so must one added to an experiment matrix or a plain matrix file.
 """
 
 import copy
@@ -14,8 +15,8 @@ import json
 
 import pytest
 
-from oraclegames import OracleGamesError, ResourceLimitError, cli, harness
-from oraclegames.signaling import experiment_matrix, signaling_from_json
+from oraclegames import InputError, OracleGamesError, ResourceLimitError, cli, harness
+from oraclegames.signaling import experiment_matrix, matrix_from_json, signaling_from_json
 from oraclegames.types import structure_from_json
 
 from test_readme import readme_json
@@ -133,9 +134,19 @@ def _claim_objects(data):
                 yield ("claims", i, "args") + path
 
 
+def _reader_objects(data):
+    """The path of the fixture itself, its structure and each player and
+    oracle entry."""
+    yield ()
+    yield ("structure",)
+    for kind in ("players", "oracles"):
+        for i in range(len(data["structure"].get(kind, []))):
+            yield ("structure", kind, i)
+
+
 def _named_entries(data):
-    """The path of every named signaling and strategy entry a claim names."""
-    for section in ("signalings", "strategies"):
+    """The path of every named signaling, game and strategy entry a claim names."""
+    for section in ("signalings", "games", "strategies"):
         for name in data.get(section, {}):
             if any(_claims_naming(data, name)):
                 yield (section, name)
@@ -146,13 +157,22 @@ def test_no_unknown_key_is_accepted(tmp_path, capsys):
     for name in harness.available_fixtures():
         data = harness.load_fixture(name)
         base = harness.Fixture(data)
-        for path in [*_claim_objects(data), *_named_entries(data)]:
+        for path in [*_reader_objects(data), *_claim_objects(data), *_named_entries(data)]:
             mutated = _mutated(data, path + ("unknown",), lambda: True)
             with pytest.raises(OracleGamesError):
-                _evaluate(base, mutated, path)
+                _evaluate(base, mutated, path + ("unknown",))
             refused.append((name, path, mutated))
     depths = {len(path) for _, path, _ in refused}
-    assert {2, 3, 4} <= depths, depths  # claims, arguments and nested specs
+    assert {0, 1, 2, 3, 4} <= depths, depths  # fixtures, structures, claims, arguments, specs
+    sections = {path[0] for _, path, _ in refused if len(path) == 2}
+    assert {"claims", "signalings", "games", "strategies"} <= sections, sections
+    experiment = _matrix_json()
+    plain = {key: experiment[key] for key in ("states", "entries")}
+    plain["columns"] = ["@".join(column) for column in experiment["columns"]]
+    for matrix in (experiment, plain):
+        matrix_from_json(matrix)
+        with pytest.raises(InputError, match="unexpected 'unknown' field"):
+            matrix_from_json(dict(matrix, unknown=True))
     for name, path, mutated in refused[:: len(refused) // 12]:
         fixture = tmp_path / "mutated.json"
         fixture.write_text(json.dumps(mutated))

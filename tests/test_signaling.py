@@ -13,7 +13,6 @@ from oraclegames import (
     DomainError,
     InformationStructure,
     InputError,
-    JointPosteriorProfile,
     Partition,
     Prior,
     StateSpace,
@@ -36,6 +35,7 @@ from oraclegames import (
     stoch_posterior,
     structure_from_json,
 )
+from oraclegames import signaling
 from oraclegames.signaling import posterior_menu
 
 SPACE = StateSpace(("w1", "w2", "w3", "w4"))
@@ -186,6 +186,25 @@ def test_stoch_posterior_rejects_impossible_signal():
         stoch_posterior(STRUCTURE, 0, tau, "w1", "s2")
 
 
+def test_posterior_claims_build_no_profile_table(monkeypatch):
+    """One posterior reads its own block of the mass table; the profile of
+    every branch is never built for it."""
+
+    def refuse(*args):
+        raise AssertionError("a lone posterior built the profile table")
+
+    monkeypatch.setattr(signaling, "_branch_profiles", refuse)
+    ran = 0
+    for name in ("stochastic-imi-fail", "unique-ckc-3-player"):
+        data = harness.load_fixture(name)
+        fix = harness.Fixture(data)
+        for claim in data["claims"]:
+            if claim["op"] == "stoch_posterior":
+                assert harness.run_claim(fix, claim)["pass"], claim["id"]
+                ran += 1
+    assert ran == 4
+
+
 def test_det_posterior_agrees_with_stochastic_embedding():
     det = StochasticSignaling.from_assignment(P1, ("hi", "lo"))
     for omega in SPACE:
@@ -200,7 +219,7 @@ def test_atlas_weights_and_martingale_property():
     for i in range(STRUCTURE.n):
         mixed = [Fraction(0)] * len(SPACE)
         for profile, w in atlas.entries.items():
-            for j, v in enumerate(profile.per_player[i].vector):
+            for j, v in enumerate(profile[i].vector):
                 mixed[j] += w * v
         assert tuple(mixed) == PRIOR.vector  # posteriors average back to the prior
 
@@ -234,7 +253,7 @@ def test_posteriors_reject_a_signaling_over_another_state_space():
 def test_player_menu_is_sorted_and_deduplicated():
     atlas = posterior_atlas(STRUCTURE, TAU)
     for i in range(STRUCTURE.n):
-        menu = posterior_menu(p.per_player[i] for p in atlas.profiles())
+        menu = posterior_menu(p[i] for p in atlas.profiles())
         assert len(set(menu)) == len(menu)
         assert list(menu) == sorted(menu, key=lambda d: d.vector)
 
@@ -598,7 +617,7 @@ def test_atlas_invariants_on_random_signalings(case):
     atlas = posterior_atlas(structure, tau)
     assert sum(atlas.entries.values()) == 1
     for profile in atlas.profiles():
-        for i, dist in enumerate(profile.per_player):
+        for i, dist in enumerate(profile):
             assert sum(dist.vector) == 1
     # Posterior supports stay inside the player's block.
     for omega in structure.space:
@@ -634,10 +653,10 @@ def test_profile_membership_and_menu_order_follow_the_vectors(case):
     keys = set(atlas.entries)
     assert len(keys) == len(expected)
     for vectors in expected:
-        profile = JointPosteriorProfile(
-            tuple(Distribution.from_mass(structure.space, list(map(str, v))) for v in vectors)
+        profile = tuple(
+            Distribution.from_mass(structure.space, list(map(str, v))) for v in vectors
         )
         assert profile in atlas and profile in keys
     for i in range(structure.n):
-        menu = posterior_menu(p.per_player[i] for p in atlas.profiles())
+        menu = posterior_menu(p[i] for p in atlas.profiles())
         assert [d.vector for d in menu] == sorted({v[i] for v in expected})

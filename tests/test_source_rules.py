@@ -1,10 +1,13 @@
 """The runtime keeps the north star's two source rules: standard library
 only, and no floats anywhere in the arithmetic.  Every function the
 benchmark's span tracer wraps must exist under its recorded name, and so
-must every name the benchmark imports from the library."""
+must every name the benchmark imports from the library.  No top-level
+definition is an orphan: each undecorated function and class is named
+somewhere besides its own definition."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -77,3 +80,25 @@ def _benchmark_imports():
 def test_every_name_the_benchmark_imports_exists(script, module, name):
     target = importlib.import_module(module)
     assert name is None or hasattr(target, name), f"perfbench/{script} imports {module}.{name}"
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each undecorated top-level function and class of the library outside
+    ``__init__.py`` is named in the library, the tests, the benchmark or
+    the README somewhere besides its own definition."""
+    paths = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    paths += [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
+    corpus = {path: path.read_text(encoding="utf-8") for path in paths}
+    orphans = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(corpus[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.decorator_list:
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = "\n".join(corpus[path].splitlines()[node.lineno - 1 : node.end_lineno])
+            uses = sum(len(word.findall(text)) for text in corpus.values())
+            if uses == len(word.findall(own)):
+                orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not orphans, orphans
