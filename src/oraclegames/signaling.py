@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -153,7 +154,12 @@ class PosteriorAtlas:
                 raise InputError(f"atlas weight {w} is not positive")
         if sum(self.entries.values()) != 1:
             raise InputError("atlas weights do not sum to 1")
-        self._order = tuple(sorted(self.entries, key=lambda p: tuple(d.vector for d in p)))
+        # Equal vectors are equal posteriors, so ranking each player's
+        # posteriors by vector once and sorting by ranks sorts by vectors.
+        ranks = [{d: r for r, d in enumerate(posterior_menu(c))} for c in zip(*self.entries)]
+        self._order = tuple(
+            sorted(self.entries, key=lambda p: tuple(map(dict.__getitem__, ranks, p)))
+        )
 
     def profiles(self) -> tuple[tuple[Distribution, ...], ...]:
         return self._order
@@ -205,6 +211,8 @@ def stoch_posterior(
 ) -> Distribution:
     """Posterior of player i at (omega, signal): mass proportional to
     prior * kernel on the player's block, zero elsewhere."""
+    if i not in range(structure.n):
+        raise InputError(f"player index {i!r} is out of range for {structure.n} players")
     masses = _branch_masses(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
@@ -228,21 +236,16 @@ def _branch_masses(
     return masses
 
 
-# Every zero entry off a block is this one object: the atlas sort compares
-# posterior vectors, and equal entries that are one object skip Fraction.__eq__.
-_ZERO = Fraction(0)
-
-
 def _posterior(
     structure: InformationStructure, masses: Mapping, block: Sequence[str], signal: str
 ) -> Distribution:
     """The posterior on ``block`` after ``signal``: each block state's mass
-    in the table over the block's total, zero elsewhere."""
-    weights = {s: masses.get((s, signal), _ZERO) for s in block}
-    total = sum(weights.values())
-    return Distribution(
-        structure.space,
-        tuple(weights[s] / total if s in weights else _ZERO for s in structure.space.states),
+    in the table over the block's total, zero elsewhere. The masses are
+    scaled to integers over their lcm denominator."""
+    weights = [masses.get((s, signal), 0) for s in block]
+    d = lcm(*(w.denominator for w in weights))
+    return Distribution._on_block(
+        structure.space, block, [w.numerator * (d // w.denominator) for w in weights]
     )
 
 
@@ -371,13 +374,11 @@ def experiment_matrix(
     labels = [f"b{i}" for i in range(len(partition.blocks))]
     columns = tuple((sig, lab) for sig in tau.signals for lab in labels)
     rows = []
-    for state in tau.space.states:
+    for state, kernel_row in zip(tau.space.states, tau.kernel):
         bidx = partition.block_index(state)
-        row = tuple(
-            tau.prob(state, sig) if lab == labels[bidx] else Fraction(0)
-            for sig, lab in columns
+        rows.append(
+            tuple(p if b == bidx else Fraction(0) for p in kernel_row for b in range(len(labels)))
         )
-        rows.append(row)
     return ExperimentMatrix(
         space=tau.space,
         column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
@@ -413,12 +414,9 @@ def lift_garbled(
     (s, t) with probability m[s][t] * tau(s|state). For a fixed s, every (s, t)
     signal induces the posterior that s induces under tau."""
     rows = _garbling_rows(tau, m)
-    pairs = [(s, t) for s in tau.signals for t in rows[s]]
-    kernel = tuple(
-        tuple(rows[s][t] * tau.prob(state, s) for s, t in pairs)
-        for state in tau.space.states
-    )
-    new_signals = tuple(f"({s},{t})" for s, t in pairs)
+    pairs = [(j, s, t) for j, s in enumerate(tau.signals) for t in rows[s]]
+    kernel = tuple(tuple(rows[s][t] * row[j] for j, s, t in pairs) for row in tau.kernel)
+    new_signals = tuple(f"({s},{t})" for _, s, t in pairs)
     return StochasticSignaling(tau.oracle_partition, new_signals, kernel)
 
 
@@ -432,10 +430,10 @@ def merge_garbled(
     targets = tuple(dict.fromkeys(t for s in tau.signals for t in rows[s]))
     kernel = tuple(
         tuple(
-            sum((rows[s].get(t, Fraction(0)) * tau.prob(state, s) for s in tau.signals), Fraction(0))
+            sum((rows[s].get(t, Fraction(0)) * p for s, p in zip(tau.signals, row)), Fraction(0))
             for t in targets
         )
-        for state in tau.space.states
+        for row in tau.kernel
     )
     return StochasticSignaling(tau.oracle_partition, targets, kernel)
 
@@ -497,12 +495,10 @@ def proportional_decompose(
     if not tau2.fully_supported():
         raise DomainError("the reference signaling must be fully supported")
     out: dict[str, Optional[tuple[str, Fraction]]] = {}
-    states = tau1.space.states
-    for t in tau1.signals:
-        col1 = [tau1.prob(w, t) for w in states]
+    columns2 = tuple(zip(tau2.signals, zip(*tau2.kernel)))
+    for t, col1 in zip(tau1.signals, zip(*tau1.kernel)):
         found = None
-        for s in tau2.signals:
-            col2 = [tau2.prob(w, s) for w in states]
+        for s, col2 in columns2:
             c = col1[0] / col2[0]
             if c > 0 and all(a == c * b for a, b in zip(col1, col2)):
                 found = (s, c)

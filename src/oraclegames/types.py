@@ -4,7 +4,8 @@ partitions, and multi-player information structures, plus their JSON forms.
 Every probability is a fractions.Fraction. Floats are rejected at parse time
 so that all downstream identities and strict inequalities stay exact. A prior
 is a distribution with full support; every distribution is checked on one
-integer key, its masses over their common denominator.
+integer key, its masses over their common denominator. The library's own
+posteriors build that key directly from integer masses, unchecked.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -143,13 +144,17 @@ def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple
     return tuple(values)
 
 
+_ZERO = Fraction(0)  # every zero _on_block writes off the block; tuples compare it by identity
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability distribution over a state space; masses sum to exactly 1.
     The constructor computes an integer key once, ``(d, n_1 * d / d_1,
     ...)`` with ``d`` the lcm of the denominators ``d_i``: the vector sums to
     1 exactly when the other entries sum to ``d``, and equality and hashing
-    read the key. A ``Prior`` is a distribution with full support."""
+    read the key. ``_on_block`` builds the same key from integer masses
+    without the checks. A ``Prior`` is a distribution with full support."""
 
     space: StateSpace
     vector: tuple[Fraction, ...]
@@ -175,6 +180,20 @@ class Distribution:
                 raise InputError(f"negative mass {v} at state '{s}'")
         if not sums_to_one:
             raise InputError(f"masses sum to {sum(self.vector)}, not 1")
+
+    @classmethod
+    def _on_block(cls, space: StateSpace, block: Sequence[str], masses: list[int]) -> Distribution:
+        """Integer ``masses`` m >= 0 on ``block`` over their total T > 0, 0 elsewhere, unchecked.
+        The key is ``(T/g, m/g, ...)`` with g = gcd(m, ...) = gcd(T, m, ...): T/g is the
+        lcm of the reduced denominators of m/T."""
+        total, g = sum(masses), gcd(*masses)
+        vector, key = [_ZERO] * len(space), [total // g] + [0] * len(space)
+        for state, m in zip(block, masses):
+            i = space._position[state]
+            vector[i], key[i + 1] = Fraction(m, total), m // g
+        self, key = object.__new__(cls), tuple(key)
+        vars(self).update(space=space, vector=tuple(vector), _key=key, _hash=hash(key))
+        return self
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -186,6 +186,39 @@ def test_stoch_posterior_rejects_impossible_signal():
         stoch_posterior(STRUCTURE, 0, tau, "w1", "s2")
 
 
+@pytest.mark.parametrize("i", [-1, 2])
+def test_posterior_refuses_a_player_index_out_of_range(i):
+    fix = harness.Fixture(harness.load_fixture("stochastic-imi-fail"))
+    det = StochasticSignaling.from_assignment(fix.structure.oracle("F1"), ("a", "b"))
+    with pytest.raises(InputError, match=f"player index {i} is out of range"):
+        stoch_posterior(fix.structure, i, fix.signaling("tau2"), "w1", "s2")
+    with pytest.raises(InputError, match=f"player index {i} is out of range"):
+        det_posterior(fix.structure, i, det, "w1")
+
+
+def test_posterior_pass_skips_the_public_distribution_checks(monkeypatch):
+    """Every posterior of an atlas is built from exact integer masses; none
+    goes through the public constructor's checks, and the atlas is the same."""
+    space = StateSpace(tuple(f"w{k}" for k in range(24)))
+    blocks = lambda size: tuple(space.states[k : k + size] for k in range(0, 24, size))
+    structure = InformationStructure(
+        space,
+        Prior(space, tuple(Fraction(k % 5 + 1, 70) for k in range(24))),
+        ("A", "B"),
+        (Partition(space, blocks(3)), Partition(space, blocks(4))),
+    )
+    tau = separating_strategy(Partition(space, blocks(2)))
+    expected = posterior_atlas(structure, tau)
+
+    def refuse(self, sums_to_one):
+        raise AssertionError("a posterior went through the public checks")
+
+    monkeypatch.setattr(Distribution, "_check_masses", refuse)
+    atlas = posterior_atlas(structure, tau)
+    assert len(atlas) == 24
+    assert atlas == expected and atlas.as_json() == expected.as_json()
+
+
 def test_posterior_claims_build_no_profile_table(monkeypatch):
     """One posterior reads its own block of the mass table; the profile of
     every branch is never built for it."""
@@ -616,6 +649,9 @@ def test_atlas_invariants_on_random_signalings(case):
     structure, tau = case
     atlas = posterior_atlas(structure, tau)
     assert sum(atlas.entries.values()) == 1
+    assert atlas.profiles() == tuple(
+        sorted(atlas.entries, key=lambda p: tuple(d.vector for d in p))
+    )
     for profile in atlas.profiles():
         for i, dist in enumerate(profile):
             assert sum(dist.vector) == 1

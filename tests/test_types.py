@@ -1,6 +1,7 @@
 """Core domain objects: rationals, spaces, distributions, partitions,
 structures, and their JSON forms."""
 
+import math
 import random
 import types
 from fractions import Fraction
@@ -126,6 +127,30 @@ def test_distribution_equality_matches_vector_equality():
                 equal_pairs += 1
                 assert hash(a) == hash(b)
     assert equal_pairs > len(pool)  # more than each with itself
+
+
+def test_block_constructor_matches_the_public_constructor():
+    """The posterior constructor's key, vector, hash and equality are those
+    of the public constructor on the same exact vector."""
+    rng = random.Random(1618)
+    space = StateSpace(tuple(f"s{i}" for i in range(6)))
+    zero_mass = common_factor = 0
+    for _ in range(2000):
+        block = rng.sample(space.states, rng.randint(1, 6))
+        factor = rng.choice((1, 2, 3, 12))
+        masses = [factor * rng.randint(0, 4) for _ in block]
+        if not any(masses):
+            masses[0] = factor
+        zero_mass += 0 in masses
+        common_factor += math.gcd(*masses) > 1
+        fast = Distribution._on_block(space, block, masses)
+        at = dict(zip(block, masses))
+        public = Distribution(space, tuple(Fraction(at.get(s, 0), sum(masses)) for s in space))
+        assert fast._key == public._key and fast.vector == public.vector
+        assert all(type(v) is Fraction for v in fast.vector)
+        assert hash(fast) == hash(public) and fast == public and public == fast
+        assert len({fast, public}) == 1
+    assert zero_mass > 200 and common_factor > 200
 
 
 def test_prior_requires_full_support():
