@@ -309,10 +309,18 @@ def apply_garbling(
     first: StochasticMatrix, garbling: Sequence[Sequence[Fraction]], col_labels: Sequence[str]
 ) -> StochasticMatrix:
     """Multiply a row-stochastic matrix by a garbling, yielding the garbled
-    matrix over the given column labels."""
+    matrix over the given column labels. The garbling needs one row per
+    column of the base matrix, each a distribution over the labels."""
     nu = len(first.column_labels)
     if len(garbling) != nu:
         raise InputError("garbling must have one row per column of the base matrix")
+    for label, row in zip(first.column_labels, garbling):
+        if len(row) != len(col_labels):
+            raise InputError(
+                f"garbling row for column '{label}' has {len(row)} entries, not {len(col_labels)}"
+            )
+        if any(v < 0 for v in row) or sum(row) != 1:
+            raise InputError(f"garbling row for column '{label}' is not a distribution")
     entries = []
     for w in first.space.states:
         frow = first.row(w)

@@ -30,6 +30,15 @@ from .types import (
 )
 
 
+def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple[Fraction, ...]]) -> dict:
+    """The signals with a positive entry somewhere, and the kernel on them."""
+    keep = [j for j in range(len(signals)) if any(row[j] > 0 for row in kernel)]
+    return {
+        "signals": tuple(signals[j] for j in keep),
+        "kernel": tuple(tuple(row[j] for j in keep) for row in kernel),
+    }
+
+
 @dataclass(frozen=True)
 class StochasticSignaling:
     """Row-stochastic kernel tau(s|state), constant on oracle blocks.
@@ -64,11 +73,18 @@ class StochasticSignaling:
                         f"kernel is not measurable: states '{block[0]}' and '{s}' share an "
                         "oracle block but have different rows"
                     )
-        keep = [j for j in range(len(signals)) if any(row[j] > 0 for row in kernel)]
-        object.__setattr__(self, "signals", tuple(signals[j] for j in keep))
-        object.__setattr__(
-            self, "kernel", tuple(tuple(row[j] for j in keep) for row in kernel)
-        )
+        vars(self).update(_trimmed(signals, kernel))
+
+    @classmethod
+    def _derived(
+        cls, oracle_partition: Partition, signals: tuple[str, ...], kernel: Sequence[tuple]
+    ) -> StochasticSignaling:
+        """A kernel computed exactly from a checked one, unchecked: distinct
+        checked signals and ``Fraction`` rows in state order, each nonnegative,
+        summing to 1 and constant on oracle blocks. Zero signals are trimmed."""
+        self = object.__new__(cls)
+        vars(self).update(oracle_partition=oracle_partition, **_trimmed(signals, kernel))
+        return self
 
     @property
     def space(self) -> StateSpace:
@@ -352,6 +368,14 @@ class ExperimentMatrix(StochasticMatrix):
                         f"entry for state '{state}' is positive outside block '{label}'"
                     )
 
+    @classmethod
+    def _derived(cls, **fields) -> ExperimentMatrix:
+        """A matrix computed exactly from a checked kernel, unchecked: the
+        public constructor's ``fields``, as tuples, with ``Fraction`` entries."""
+        self = object.__new__(cls)
+        vars(self).update(fields)
+        return self
+
     def as_json(self) -> dict:
         data = super().as_json()
         data["columns"] = [[sig, label] for sig, label in self.columns]
@@ -374,12 +398,11 @@ def experiment_matrix(
     labels = [f"b{i}" for i in range(len(partition.blocks))]
     columns = tuple((sig, lab) for sig in tau.signals for lab in labels)
     rows = []
+    zero = Fraction(0)
     for state, kernel_row in zip(tau.space.states, tau.kernel):
         bidx = partition.block_index(state)
-        rows.append(
-            tuple(p if b == bidx else Fraction(0) for p in kernel_row for b in range(len(labels)))
-        )
-    return ExperimentMatrix(
+        rows.append(tuple(p if b == bidx else zero for p in kernel_row for b in range(len(labels))))
+    return ExperimentMatrix._derived(
         space=tau.space,
         column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
         entries=tuple(rows),
@@ -417,7 +440,9 @@ def lift_garbled(
     pairs = [(j, s, t) for j, s in enumerate(tau.signals) for t in rows[s]]
     kernel = tuple(tuple(rows[s][t] * row[j] for j, s, t in pairs) for row in tau.kernel)
     new_signals = tuple(f"({s},{t})" for _, s, t in pairs)
-    return StochasticSignaling(tau.oracle_partition, new_signals, kernel)
+    if len(set(new_signals)) != len(new_signals):  # "(a,b,c)" from ("a", "b,c") and ("a,b", "c")
+        raise InputError("duplicate signal label")
+    return StochasticSignaling._derived(tau.oracle_partition, new_signals, kernel)
 
 
 def merge_garbled(
@@ -435,7 +460,7 @@ def merge_garbled(
         )
         for row in tau.kernel
     )
-    return StochasticSignaling(tau.oracle_partition, targets, kernel)
+    return StochasticSignaling._derived(tau.oracle_partition, targets, kernel)
 
 
 def _separating_scan() -> Iterator[Fraction]:

@@ -12,6 +12,7 @@ from oraclegames import dominance, partitions
 from oraclegames import (
     DomainError,
     InformationStructure,
+    InputError,
     Partition,
     Prior,
     ResourceLimitError,
@@ -407,6 +408,41 @@ def test_garbling_recovers_random_composites():
         for row in result.garbling:
             assert all(v >= 0 for v in row)
             assert sum(row) == 1
+
+
+# apply_garbling refuses a malformed garbling, even one whose product would
+# pass as a row-stochastic matrix: column u2 of BASE is 0, so its garbling row
+# never shows in the product, and the two columns of EVEN are equal, so one
+# row's negative entry can be offset by the other row.
+BASE = StochasticMatrix(SPACE, ("u1", "u2"), ((Fraction(1), Fraction(0)),) * 4)
+EVEN = StochasticMatrix(SPACE, ("u1", "u2"), ((Fraction(1, 2), Fraction(1, 2)),) * 4)
+
+
+def _garbling(*rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def test_apply_garbling_refuses_a_short_row():
+    with pytest.raises(InputError, match="row for column 'u2' has 1 entries, not 2"):
+        apply_garbling(BASE, _garbling((1, 0), (1,)), ("v1", "v2"))
+
+
+def test_apply_garbling_refuses_a_long_row():
+    with pytest.raises(InputError, match="row for column 'u1' has 3 entries, not 2"):
+        apply_garbling(BASE, _garbling((1, 0, 0), (1, 0)), ("v1", "v2"))
+
+
+@pytest.mark.parametrize(
+    "base, garbling, column",
+    [
+        (EVEN, _garbling(("3/2", "-1/2"), ("1/2", "1/2")), "u1"),  # the product is (1, 0)
+        (BASE, _garbling((1, 0), (1, 1)), "u2"),
+        (BASE, _garbling((1, 0), (0, 0)), "u2"),
+    ],
+)
+def test_apply_garbling_refuses_a_row_that_is_not_a_distribution(base, garbling, column):
+    with pytest.raises(InputError, match=f"row for column '{column}' is not a distribution"):
+        apply_garbling(base, garbling, ("v1", "v2"))
 
 
 def test_garbling_rejects_information_gains():

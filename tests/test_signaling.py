@@ -390,6 +390,78 @@ def test_experiment_matrix_space_mismatch():
         experiment_matrix(TAU, other)
 
 
+def _recording(monkeypatch, cls, made):
+    """Wrap ``cls._derived`` so each object it builds is kept with its arguments."""
+    derived = cls._derived.__func__
+
+    def record(owner, *args, **kwargs):
+        made.append((derived(owner, *args, **kwargs), args, kwargs))
+        return made[-1][0]
+
+    monkeypatch.setattr(cls, "_derived", classmethod(record))
+
+
+def _random_partition(rng, space, most):
+    owner = [rng.randrange(most) for _ in space.states]
+    return Partition(
+        space, tuple(tuple(w for w, k in zip(space.states, owner) if k == b) for b in set(owner))
+    )
+
+
+def _random_row(rng, labels):
+    """A distribution over ``labels`` as a garbling row, often with zero entries."""
+    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in labels]
+    weights[rng.randrange(len(labels))] += 1
+    return {t: f"{w}/{sum(weights)}" for t, w in zip(labels, weights)}
+
+
+def test_derived_objects_equal_the_public_constructions(monkeypatch):
+    # lift_garbled, merge_garbled and experiment_matrix build their results
+    # without the public checks; the public constructors on the same data
+    # must build the same objects, zero signals trimmed alike.
+    signalings, matrices = [], []
+    _recording(monkeypatch, StochasticSignaling, signalings)
+    _recording(monkeypatch, signaling.ExperimentMatrix, matrices)
+    rng = random.Random(2026)
+    for _ in range(60):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(2, 7))))
+        oracle = _random_partition(rng, space, 4)
+        signals = tuple(f"s{j}" for j in range(rng.randint(1, 4)))
+        rows = {
+            block: tuple(Fraction(v) for v in _random_row(rng, signals).values())
+            for block in oracle.blocks
+        }
+        tau = StochasticSignaling(
+            oracle, signals, tuple(rows[oracle.block_of(w)] for w in space.states)
+        )
+        labels = tuple(f"t{j}" for j in range(rng.randint(1, 3)))
+        garbling = {s: _random_row(rng, labels) for s in tau.signals}
+        player = _random_partition(rng, space, 3)
+        for derived in (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling)):
+            experiment_matrix(derived, player)
+    assert len(signalings) == 120 and len(matrices) == 180
+    trimmed = 0
+    for made, args, kwargs in signalings:
+        public = StochasticSignaling(*args, **kwargs)
+        assert (made.signals, made.kernel) == (public.signals, public.kernel)
+        assert made == public
+        trimmed += len(made.signals) < len(args[1])
+    assert trimmed >= 30
+    for made, args, kwargs in matrices:
+        public = signaling.ExperimentMatrix(*args, **kwargs)
+        assert (made.entries, made.column_labels) == (public.entries, public.column_labels)
+        assert (made.columns, made.blocks) == (public.columns, public.blocks)
+        assert made.as_json() == public.as_json()
+        assert made == public
+
+
+def test_lift_garbled_refuses_signal_labels_that_collide():
+    # ("a", "b,c") and ("a,b", "c") both lift to "(a,b,c)".
+    tau = StochasticSignaling(ORACLE, ("a", "a,b"), ((Fraction(1, 2),) * 2,) * 4)
+    with pytest.raises(InputError, match="duplicate signal label"):
+        lift_garbled(tau, {"a": {"b,c": "1"}, "a,b": {"c": "1"}})
+
+
 def test_separating_strategy_small_block_counts():
     trivial = separating_strategy(Partition.trivial(SPACE))
     assert [row[0] for row in trivial.kernel] == [Fraction(1, 3)] * 4
