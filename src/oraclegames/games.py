@@ -44,6 +44,7 @@ from .types import (
 
 DEFAULT_EQUILIBRIUM_CAP = 100000
 DEFAULT_PERMUTATION_CAP = 10000
+DEFAULT_SEARCH_CAP = 20000
 
 ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
@@ -369,32 +370,53 @@ def _cellwise_max(
     sizes: Sequence[int],
     branch_bound: Callable[[str, tuple[Optional[int], ...]], Fraction],
     value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Fraction],
+    cap: int,
+    first: Optional[Callable[[str, Sequence[Slot]], Optional[tuple[int, ...]]]] = None,
 ) -> Fraction:
     """Sum over the cells of the largest ``value(positioned, slots, leaf)``
-    over the cell's assignments of ``sizes[player]`` options per slot.  A
-    subtree is cut once the mass-weighted ``branch_bound(state, option index
-    per player, None while unassigned)`` of the cell's branches cannot beat
-    the best leaf so far.  Setting slot d moves only the bounds of the
-    branches that read it, so ``bound[d]``, the cell's bound with the slots
-    below d set, is kept per depth."""
+    over the cell's assignments of ``sizes[player]`` options per slot.
+
+    ``first(signal, slots)``, when given, names a starting leaf of the cell
+    (or None); it is valued before the walk, and its value is the first
+    best.  A subtree is cut once the mass-weighted ``branch_bound(state,
+    option index per player, None while unassigned)`` of the cell's branches
+    cannot beat the best leaf so far, so a cell whose first leaf reaches its
+    root bound is not walked at all.  Setting slot d moves only the bounds
+    of the branches that read it, so ``bound[d]``, the cell's bound with the
+    slots below d set, is kept per depth.  The walk counts the slots it
+    admits over all cells and raises ``ResourceLimitError`` as soon as the
+    count passes ``cap``."""
     total = Fraction(0)
-    for _, positioned, slots in _cells(structure, tau):
-        best: Optional[Fraction] = None
+    admitted = 0
+    for signal, positioned, slots in _cells(structure, tau):
+        leaf = None if first is None else first(signal, slots)
+        best = None if leaf is None else value(positioned, slots, leaf)
+        unset = (None,) * structure.n
+        bound = [sum(w * branch_bound(s, unset) for s, w, _ in positioned)] * (len(slots) + 1)
+        if best is not None and best >= bound[0]:
+            total += best  # the first leaf meets the cell's bound: nothing to walk
+            continue
         readers: list[list] = [[] for _ in slots]
         for branch in positioned:
             for k in branch[2]:
                 readers[k].append(branch)
-        unset = (None,) * structure.n
-        bound = [sum(w * branch_bound(s, unset) for s, w, _ in positioned)] * (len(slots) + 1)
 
         def admit(d: int, assigned: list[int]) -> bool:
+            nonlocal admitted
             upper = bound[d]
             for state, w, at in readers[d]:
                 after = tuple(assigned[k] if k <= d else None for k in at)
                 before = tuple(assigned[k] if k < d else None for k in at)
                 upper += w * (branch_bound(state, after) - branch_bound(state, before))
             bound[d + 1] = upper
-            return best is None or upper > best
+            if best is not None and upper <= best:
+                return False
+            admitted += 1
+            if admitted > cap:
+                raise ResourceLimitError(
+                    f"{admitted} admitted search slots exceed the cap of {cap}", cap=cap
+                )
+            return True
 
         for leaf in _slot_search([sizes[i] for i, _ in slots], admit):
             v = value(positioned, slots, leaf)
@@ -1109,6 +1131,13 @@ class TwoStageGame:
             for profile in profiles
         }
         self.menus = _posterior_menus(branches, structure.n)
+        # Player i's true (signal, posterior) at each (i, block, signal) the
+        # signaling reaches.
+        self._truthful = {
+            (i, partition.block_of(state), signal): (signal, profile[i])
+            for (state, signal), (_, profile) in branches.items()
+            for i, partition in enumerate(structure.players)
+        }
         actions = []
         for menu in self.menus:
             supports = [(d, d.support()) for d in menu]
@@ -1182,7 +1211,7 @@ class TwoStageGame:
         profile = tuple(d[1] for d in declarations)
         return profile if profile in self.feasible.get(signals.pop(), ()) else None
 
-    def max_aggregate(self, tau: StochasticSignaling) -> Fraction:
+    def max_aggregate(self, tau: StochasticSignaling, cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing
         play under the evaluation signaling.
 
@@ -1192,24 +1221,33 @@ class TwoStageGame:
         that property admits a profitable unilateral action change, so no
         equilibrium exceeds this value.  The total is additive over (signal,
         common-knowledge component) cells, and declarations are free per
-        cell, so each cell maximizes independently: a branch is worth at most
-        its best in-support actions over the settlements its declarations
-        still allow, or -M per player when none is left.
+        cell, so each cell maximizes independently.
+
+        A branch of mass w is worth at most -M per player when no settlement
+        is left, else -2w per declared posterior missing its state and -w
+        per posterior hitting it: a slot's best-response loss, max over s of
+        (settled mass h_s at s)/p(s), is at least the sum of its h_s, as the
+        p(s) of the states it hits sum to at most 1.  Each cell first values
+        the truthful leaf, where every slot declares the cell's signal and
+        its player's posterior under the game's own signaling (when the game
+        reaches that pair).  Under that signaling the leaf pays -n per unit
+        of mass, which is the cell's bound, so no other leaf is valued;
+        under any other it is only a first incumbent.  More than ``cap``
+        admitted search slots are refused with ``ResourceLimitError``.
         """
         n = self.structure.n
         menus = [
             tuple(dict.fromkeys(option[:2] for option in self.actions[i]))
             for i in range(n)
         ]
+        index = [{option: k for k, option in enumerate(menu)} for menu in menus]
 
         @cache
         def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
             # Filling the unassigned slots from each feasible (signal, profile)
             # reaches every settlement the assigned declarations still allow;
             # a leaf left unsettled pays -M per player, below any settled
-            # value because M exceeds every belief-game utility.  A settled
-            # branch's best actions pay -2 per posterior missing the state
-            # and -1 per point mass on it (every other player acts elsewhere).
+            # value because M exceeds every belief-game utility.
             settled = {
                 self._settlement(
                     [(s, p[i]) if f is None else menus[i][f] for i, f in enumerate(fixed)]
@@ -1217,11 +1255,14 @@ class TwoStageGame:
                 for s, profiles in self.feasible.items()
                 for p in profiles
             } - {None}
-            costs = (
-                sum(2 if d.of(state) == 0 else int(d.of(state) == 1) for d in p)
-                for p in settled
-            )
+            costs = (sum(2 if d.of(state) == 0 else 1 for d in p) for p in settled)
             return -min(costs, default=self.M * n)
+
+        def truthful_leaf(signal: str, slots: Sequence[Slot]) -> Optional[tuple[int, ...]]:
+            leaf = tuple(
+                index[i].get(self._truthful.get((i, block, signal))) for i, block in slots
+            )
+            return None if None in leaf else leaf
 
         return _cellwise_max(
             self.structure,
@@ -1231,6 +1272,8 @@ class TwoStageGame:
             lambda positioned, slots, leaf: self._cell_value_with_best_responses(
                 positioned, slots, [menus[i][o] for (i, _), o in zip(slots, leaf)]
             ),
+            cap,
+            truthful_leaf,
         )
 
     def _cell_value_with_best_responses(
@@ -1330,11 +1373,15 @@ class CombinedGame:
 # Common-objective coordination value.
 
 
-def best_common_payoff(game: BayesianGame, tau: StochasticSignaling) -> Fraction:
+def best_common_payoff(
+    game: BayesianGame, tau: StochasticSignaling, cap: int = DEFAULT_SEARCH_CAP
+) -> Fraction:
     """Highest expected common payoff over pure measurable strategy profiles.
 
     Requires all players to share one payoff function; maximization
     decomposes exactly over (signal, common-knowledge component) blocks.
+    More than ``cap`` admitted search slots are refused with
+    ``ResourceLimitError``.
     """
     if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
@@ -1363,4 +1410,5 @@ def best_common_payoff(game: BayesianGame, tau: StochasticSignaling) -> Fraction
         lambda positioned, slots, leaf: sum(
             w * branch_bound(state, tuple(leaf[k] for k in at)) for state, w, at in positioned
         ),
+        cap,
     )

@@ -1394,17 +1394,24 @@ def test_best_common_payoff_matches_the_brute_force_for_three_players():
         assert best_common_payoff(common, tau) == expected
 
 
-def _ceiling_signalings(rng, structure, tau):
-    """The game's own signaling, a garbling that merges its two signals on
-    half of t2's mass, and a foreign kernel on the singletons."""
-    merged = merge_garbled(tau, {"t1": {"g1": "1"}, "t2": {"g1": "1/2", "g2": "1/2"}})
-    foreign = {}
+def _singleton_kernel(rng, structure, signals):
+    """A seeded kernel on the singletons: each state sends the first of the
+    two ``signals`` with probability 0, 1/2 or 1."""
+    rows = {}
     for state in structure.space.states:
         k = rng.randint(0, 2)
-        foreign[state] = {"f1": Fraction(k, 2), "f2": Fraction(2 - k, 2)}
-    return tau, merged, StochasticSignaling.from_rows(
-        Partition.singletons(structure.space), ("f1", "f2"), foreign
-    )
+        rows[state] = dict(zip(signals, (Fraction(k, 2), Fraction(2 - k, 2))))
+    return StochasticSignaling.from_rows(Partition.singletons(structure.space), signals, rows)
+
+
+def _ceiling_signalings(rng, structure, tau):
+    """The game's own signaling, a garbling that merges its two signals on
+    half of t2's mass, a foreign kernel on the singletons, and another
+    kernel on the singletons that sends the game's own signal names, so that
+    a cell's truthful first leaf can exist without being its optimum."""
+    merged = merge_garbled(tau, {"t1": {"g1": "1"}, "t2": {"g1": "1/2", "g2": "1/2"}})
+    foreign = _singleton_kernel(rng, structure, ("f1", "f2"))
+    return tau, merged, foreign, _singleton_kernel(rng, structure, ("t1", "t2"))
 
 
 def _scan_size(structure, game, evaluation):
@@ -1427,6 +1434,15 @@ def _naive_ceiling(structure, game, evaluation):
     )
 
 
+def _truthful_everywhere(structure, tau, evaluation):
+    """Whether every (block, signal) pair the evaluation reaches is one the
+    game's own signaling reaches, so that every cell has a truthful first
+    leaf.  A case that also ends below -n reaches a first leaf that is not
+    the optimum."""
+    own = reachable_pairs(structure, tau)
+    return all(set(p) <= set(q) for p, q in zip(reachable_pairs(structure, evaluation), own))
+
+
 def test_two_stage_ceiling_matches_the_unsplit_brute_force():
     # Only cases whose unsplit scan covers at most 1,500 joint declarations
     # under every signaling are kept, so that the scan stays fast.
@@ -1438,14 +1454,17 @@ def test_two_stage_ceiling_matches_the_unsplit_brute_force():
         if max(_scan_size(structure, game, t) for t in signalings) <= 1500:
             kept.append((structure, tau, game, signalings))
     assert len(kept) >= 5
-    below = 0
+    below = truthful_below = 0
     for structure, tau, game, signalings in kept:
         for evaluation in signalings:
             expected = _naive_ceiling(structure, game, evaluation)
             assert game.max_aggregate(evaluation) == expected
             below += expected < -structure.n
+            truthful_below += expected < -structure.n and _truthful_everywhere(
+                structure, tau, evaluation
+            )
         assert game.max_aggregate(tau) == -structure.n
-    assert below > 0
+    assert below > 0 and truthful_below > 0
 
 
 def test_two_stage_ceiling_matches_the_unsplit_brute_force_for_three_players():
@@ -1454,7 +1473,7 @@ def test_two_stage_ceiling_matches_the_unsplit_brute_force_for_three_players():
     # (case, signaling) pairs whose unsplit scan stays at most 1,500 joint
     # declarations are checked.
     rng = random.Random(48)
-    checked = below = 0
+    checked = below = truthful_below = 0
     for structure, tau in _small_two_stage_cases(rng, 60, n=3):
         game = TwoStageGame(structure, tau)
         for evaluation in _ceiling_signalings(rng, structure, tau):
@@ -1464,7 +1483,10 @@ def test_two_stage_ceiling_matches_the_unsplit_brute_force_for_three_players():
             assert game.max_aggregate(evaluation) == expected
             checked += 1
             below += expected < -structure.n
-    assert checked >= 10 and below > 0
+            truthful_below += expected < -structure.n and _truthful_everywhere(
+                structure, tau, evaluation
+            )
+    assert checked >= 10 and below > 0 and truthful_below > 0
 
 
 def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypatch):
@@ -1491,3 +1513,70 @@ def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypat
             combos += size
         assert game.max_aggregate(tau) == -structure.n
     assert combos > 9000 and len(valued) * 20 < combos
+
+
+def test_two_stage_ceiling_values_one_leaf_per_cell_under_its_own_signaling(monkeypatch):
+    from oraclegames import games
+
+    valued = []
+    leaf = TwoStageGame._cell_value_with_best_responses
+
+    def counting(self, positioned, slots, combo):
+        valued.append(combo)
+        return leaf(self, positioned, slots, combo)
+
+    monkeypatch.setattr(TwoStageGame, "_cell_value_with_best_responses", counting)
+    # The truthful first leaf pays -n per unit of mass, the bound of its
+    # cell, so every other subtree is cut at once.
+    rng = random.Random(71)
+    cases = _small_two_stage_cases(rng, 16) + _small_two_stage_cases(rng, 8, n=3)
+    for structure, tau in cases:
+        game = TwoStageGame(structure, tau)
+        valued.clear()
+        assert game.max_aggregate(tau) == -structure.n
+        assert len(valued) == len(list(games._cells(structure, tau)))
+
+
+def _cycle(n):
+    """Two players on an n-state cycle, uniform prior: A's blocks {w0,w1},
+    {w2,w3}, ... and B's {w1,w2}, ..., {w(n-1),w0} link every state into
+    one common-knowledge component."""
+    space = StateSpace(tuple(f"w{j}" for j in range(n)))
+    w = space.states
+    a = Partition(space, tuple(w[j : j + 2] for j in range(0, n, 2)))
+    b = Partition(space, tuple((w[j], w[(j + 1) % n]) for j in range(1, n, 2)))
+    return InformationStructure(space, Prior.uniform(space), ("A", "B"), (a, b))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_two_stage_ceiling_of_a_cycle_admits_few_slots(n):
+    # Without a first leaf and with a bound of -1 per point mass only, the
+    # 8-state cycle took seconds and the 10-state one did not finish.
+    structure = _cycle(n)
+    tau = _singleton_kernel(random.Random(n), structure, ("t1", "t2"))
+    game = TwoStageGame(structure, tau)
+    start = time.perf_counter()
+    assert game.max_aggregate(tau, cap=n) == -2
+    assert time.perf_counter() - start < 1
+
+
+def test_best_common_payoff_refuses_a_large_cycle_at_the_cap():
+    from oraclegames.games import DEFAULT_SEARCH_CAP
+
+    # 24 states and 3 actions per player: the search without a cap took 36 s.
+    structure = _cycle(24)
+    rng = random.Random(0)
+    actions = (("a", "b", "c"),) * 2
+    payoffs = {}
+    for state in structure.space.states:
+        for profile in itertools.product(*actions):
+            v = Fraction(rng.randint(0, 9))
+            payoffs[(state, profile)] = (v, v)
+    game = BayesianGame(structure, actions, payoffs)
+    tau = _uninformative(structure)
+    with pytest.raises(ResourceLimitError) as info:
+        best_common_payoff(game, tau)
+    cap = DEFAULT_SEARCH_CAP
+    assert f"{cap + 1} admitted search slots exceed the cap of {cap}" in str(info.value)
+    with pytest.raises(ResourceLimitError, match="exceed the cap of 100$"):
+        best_common_payoff(game, tau, cap=100)
