@@ -58,7 +58,9 @@ class BayesianGame:
     """A finite n-player game with state-dependent payoffs.
 
     ``payoffs`` maps (state, action profile) to one utility per player and
-    must be total over states x action profiles.
+    must be total over states x action profiles.  Each utility is read with
+    ``parse_rational``, so it is stored as a ``Fraction``; a float or a bool
+    is refused.
     """
 
     structure: InformationStructure
@@ -96,6 +98,7 @@ class BayesianGame:
         for key, values in self.payoffs.items():
             if len(values) != n:
                 raise InputError(f"payoff entry {key!r} must list {n} utilities")
+        self.payoffs = {key: tuple(map(parse_rational, v)) for key, v in self.payoffs.items()}
 
     def payoff(self, state: str, profile: ActionProfile) -> tuple[Fraction, ...]:
         try:
@@ -104,6 +107,28 @@ class BayesianGame:
             raise DomainError(
                 f"no payoff entry for state '{state}' and profile {profile!r}"
             ) from None
+
+
+def _integer_payoffs(
+    game: BayesianGame,
+) -> list[tuple[dict[tuple[str, tuple[int, ...]], int], int]]:
+    """Per player, (table, scale): the player's utility at each (state,
+    profile of action indices) times ``scale``, the lcm of the player's
+    utility denominators, so every entry is an integer.  Built on each call,
+    as a game's payoffs may change after it is made."""
+    indices = itertools.product(*(range(len(acts)) for acts in game.actions))
+    profiles = list(zip(indices, itertools.product(*game.actions)))
+    rows = {
+        (state, at): game.payoff(state, profile)
+        for state in game.structure.space
+        for at, profile in profiles
+    }
+    tables = []
+    for i in range(game.structure.n):
+        scale = math.lcm(*(values[i].denominator for values in rows.values()))
+        table = {key: v[i].numerator * (scale // v[i].denominator) for key, v in rows.items()}
+        tables.append((table, scale))
+    return tables
 
 
 def game_from_json(
@@ -124,13 +149,13 @@ def game_from_json(
         check_labels("action", action_map[name], f"{what} actions of player '{name}'")
         for name in names
     )
-    payoffs: dict[tuple[str, ActionProfile], tuple[Fraction, ...]] = {}
+    payoffs: dict[tuple[str, ActionProfile], tuple] = {}  # utilities parsed by BayesianGame
     for state, row in json_object(data["payoffs"], f"{what} 'payoffs'").items():
         if state not in structure.space:
             raise InputError(f"unknown state '{state}' in payoffs")
         for key, values in json_object(row, f"{what} payoffs row '{state}'").items():
             entry = json_list(values, f"{what} payoff entry '{state}': '{key}'")
-            payoffs[(state, tuple(key.split("|")))] = tuple(map(parse_rational, entry))
+            payoffs[(state, tuple(key.split("|")))] = tuple(entry)
     return BayesianGame(structure, actions, payoffs)
 
 
@@ -305,15 +330,16 @@ def _outcomes(
 
 def _cells(
     structure: InformationStructure, tau: StochasticSignaling
-) -> Iterable[tuple[str, list[tuple[str, Fraction, tuple[int, ...]]], list[Slot]]]:
+) -> Iterable[tuple[str, list[tuple[str, int, tuple[int, ...]]], list[Slot], int]]:
     """Each nonempty (signal, common-knowledge component) cell as (signal,
-    positioned branches, slots).
+    positioned branches, slots, scale).
 
     A branch (state, signal) touches only the strategy slots (player, block)
     of its own cell, so a branch-additive objective over pure measurable
     strategies is maximized cell by cell.  Slots are numbered player by
-    player in first-seen order; a positioned branch is (state, mass, slot
-    index of each player).
+    player in first-seen order; a positioned branch is (state, mass times
+    ``scale``, slot index of each player), where ``scale`` is the lcm of the
+    cell's mass denominators, so every mass is an integer.
     """
     meet = ckc_decompose(structure.players)
     cells: dict[tuple[str, tuple[str, ...]], list[tuple[str, Fraction]]] = {}
@@ -328,10 +354,11 @@ def _cells(
                 if key not in index:
                     index[key] = len(slots)
                     slots.append(key)
+        scale = math.lcm(*(w.denominator for _, w in branches))
         positioned = [
             (
                 state,
-                w,
+                w.numerator * (scale // w.denominator),
                 tuple(
                     index[(i, partition.block_of(state))]
                     for i, partition in enumerate(structure.players)
@@ -339,7 +366,7 @@ def _cells(
             )
             for state, w in branches
         ]
-        yield signal, positioned, slots
+        yield signal, positioned, slots, scale
 
 
 def _slot_search(
@@ -368,14 +395,16 @@ def _cellwise_max(
     structure: InformationStructure,
     tau: StochasticSignaling,
     sizes: Sequence[int],
-    branch_bound: Callable[[str, tuple[Optional[int], ...]], Fraction],
-    value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Fraction],
+    branch_bound: Callable[[str, tuple[Optional[int], ...]], Union[int, Fraction]],
+    value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Union[int, Fraction]],
     cap: int,
     first: Optional[Callable[[str, Sequence[Slot]], Optional[tuple[int, ...]]]] = None,
 ) -> Fraction:
     """Sum over the cells of the largest ``value(positioned, slots, leaf)``
     over the cell's assignments of ``sizes[player]`` options per slot.
 
+    ``value`` reads the cell's integer masses, so it is in units of one over
+    the cell's scale, and the cell's best is divided by that scale once.
     ``first(signal, slots)``, when given, names a starting leaf of the cell
     (or None); it is valued before the walk, and its value is the first
     best.  A subtree is cut once the mass-weighted ``branch_bound(state,
@@ -388,13 +417,13 @@ def _cellwise_max(
     count passes ``cap``."""
     total = Fraction(0)
     admitted = 0
-    for signal, positioned, slots in _cells(structure, tau):
+    for signal, positioned, slots, scale in _cells(structure, tau):
         leaf = None if first is None else first(signal, slots)
         best = None if leaf is None else value(positioned, slots, leaf)
         unset = (None,) * structure.n
         bound = [sum(w * branch_bound(s, unset) for s, w, _ in positioned)] * (len(slots) + 1)
         if best is not None and best >= bound[0]:
-            total += best  # the first leaf meets the cell's bound: nothing to walk
+            total += Fraction(best, scale)  # the first leaf meets the bound: nothing to walk
             continue
         readers: list[list] = [[] for _ in slots]
         for branch in positioned:
@@ -422,7 +451,7 @@ def _cellwise_max(
             v = value(positioned, slots, leaf)
             if best is None or v > best:
                 best = v
-        total += best
+        total += Fraction(best, scale)
     return total
 
 
@@ -589,47 +618,50 @@ def enumerate_pure_equilibria(
     A deviation at a slot reads only its own (signal, common-knowledge
     component) cell, so the equilibria are the product of the cells'
     equilibria.  Each cell checks a slot for a profitable deviation as soon
-    as every slot its deviation values read is assigned.  Before any slot is
-    valued, a cell of more than ``cap`` pure profiles is refused; then a cell
-    without equilibria gives ``[]``; else more than ``cap`` equilibria are
-    refused."""
+    as every slot its deviation values read is assigned; the values are sums
+    over the slot's branches of integer mass times integer payoff.  Before
+    any payoff is read, a cell of more than ``cap`` pure profiles is
+    refused; then a cell without equilibria gives ``[]``; else more than
+    ``cap`` equilibria are refused."""
     if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
-    masses = _branch_masses(structure, tau)
     cells = list(_cells(structure, tau))
-    largest = max(math.prod(len(game.actions[i]) for i, _ in slots) for _, _, slots in cells)
+    largest = max(math.prod(len(game.actions[i]) for i, _ in slots) for _, _, slots, _ in cells)
     if largest > cap:
         raise ResourceLimitError(
             f"{largest} pure strategy profiles in one cell exceed the cap of {cap}", cap=cap
         )
-    pairs = _reachable(structure, tau.signals, masses)
+    payoffs = _integer_payoffs(game)
+    pairs = reachable_pairs(structure, tau)
     slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
     position = {slot: g for g, slot in enumerate(slots)}
-    tables: list[dict[Pair, dict[str, Fraction]]] = [{} for _ in range(structure.n)]
-    assigned_profile = StrategyProfile(tuple(tables))
     parts = []  # per cell, its equilibria as lists of (global slot, option index)
-    for signal, positioned, cell_slots in cells:
+    for signal, positioned, cell_slots, _ in cells:
         local = [(i, (block, signal)) for i, block in cell_slots]
-        reads: list[set[int]] = [set() for _ in local]  # every slot of a slot's branches
-        for _, _, at in positioned:
-            for k in at:
-                reads[k].update(at)
+        own: list[list] = [[] for _ in local]  # per slot, the branches that read it
+        for branch in positioned:
+            for k in branch[2]:
+                own[k].append(branch)
+        reads = [{k for _, _, at in branches for k in at} for branches in own]  # their slots
         due: list[list[int]] = [[] for _ in local]  # the slots checked at each depth
         for k, read in enumerate(reads):
             due[max(read)].append(k)
         verdicts: dict[tuple, bool] = {}
 
         def admit(d: int, assigned: list[int]) -> bool:
-            i, pair = local[d]
-            tables[i][pair] = {game.actions[i][assigned[d]]: Fraction(1)}
             for k in due[d]:
                 key = (k, tuple(assigned[r] for r in reads[k]))
                 if key not in verdicts:
-                    j, (block, signal) = local[k]
-                    value = _deviation_value(game, masses, assigned_profile, j, block, signal)
-                    values = [value(a) for a in game.actions[j]]
-                    verdicts[key] = not any(v > values[assigned[k]] for v in values)
+                    j = local[k][0]
+                    table = payoffs[j][0]
+                    values = [0] * len(game.actions[j])
+                    for state, w, at in own[k]:
+                        profile = [assigned[r] for r in at]
+                        for a in range(len(values)):
+                            profile[j] = a
+                            values[a] += w * table[(state, tuple(profile))]
+                    verdicts[key] = max(values) == values[assigned[k]]
                 if not verdicts[key]:
                     return False
             return True
@@ -1241,22 +1273,31 @@ class TwoStageGame:
             for i in range(n)
         ]
         index = [{option: k for k, option in enumerate(menu)} for menu in menus]
+        # The walk counts in units of one over the denominator of the
+        # penalty M n, so that every bound is an integer.
+        penalty = self.M * n
+        unit = penalty.denominator
+        # Each feasible (signal, profile), with the option each player
+        # declares it by.
+        feasible = [
+            (tuple(index[i][(s, d)] for i, d in enumerate(p)), p)
+            for s, profiles in self.feasible.items()
+            for p in profiles
+        ]
 
         @cache
-        def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
-            # Filling the unassigned slots from each feasible (signal, profile)
-            # reaches every settlement the assigned declarations still allow;
-            # a leaf left unsettled pays -M per player, below any settled
-            # value because M exceeds every belief-game utility.
-            settled = {
-                self._settlement(
-                    [(s, p[i]) if f is None else menus[i][f] for i, f in enumerate(fixed)]
-                )
-                for s, profiles in self.feasible.items()
-                for p in profiles
-            } - {None}
-            costs = (sum(2 if d.of(state) == 0 else 1 for d in p) for p in settled)
-            return -min(costs, default=self.M * n)
+        def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> int:
+            # The assigned declarations still allow a settlement exactly
+            # when they declare some feasible (signal, profile), which the
+            # unassigned slots then fill in; a leaf left unsettled pays -M
+            # per player, below any settled value because M exceeds every
+            # belief-game utility.
+            costs = (
+                unit * sum(2 if d.of(state) == 0 else 1 for d in p)
+                for options, p in feasible
+                if all(f is None or f == k for f, k in zip(fixed, options))
+            )
+            return -min(costs, default=penalty.numerator)
 
         def truthful_leaf(signal: str, slots: Sequence[Slot]) -> Optional[tuple[int, ...]]:
             leaf = tuple(
@@ -1269,28 +1310,29 @@ class TwoStageGame:
             tau,
             [len(menu) for menu in menus],
             branch_bound,
-            lambda positioned, slots, leaf: self._cell_value_with_best_responses(
+            lambda positioned, slots, leaf: unit * self._cell_value_with_best_responses(
                 positioned, slots, [menus[i][o] for (i, _), o in zip(slots, leaf)]
             ),
             cap,
             truthful_leaf,
-        )
+        ) / unit
 
     def _cell_value_with_best_responses(
         self,
-        positioned: Sequence[tuple[str, Fraction, tuple[int, ...]]],
+        positioned: Sequence[tuple[str, int, tuple[int, ...]]],
         slots: Sequence[Slot],
         combo: Sequence[tuple],
     ) -> Fraction:
         """Value of one (signal, component) cell for fixed declarations,
-        with every slot's action set to the owner's selfish best response.
+        with every slot's action set to the owner's selfish best response,
+        in the units of the cell's integer masses.
 
         By the ``BeliefGame`` identity a settled branch of mass w pays -2w
         per declared posterior missing its state, and each slot loses its
         acted-on ratio, which its best response makes the largest (settled
         mass at s)/p over the states s its posterior gives mass p."""
         value = Fraction(0)
-        hit: list[dict[str, Fraction]] = [{} for _ in slots]
+        hit: list[dict[str, int]] = [{} for _ in slots]
         for state, w, positions in positioned:
             if self._settlement([combo[k] for k in positions]) is None:
                 value -= w * self.M * self.structure.n
@@ -1299,7 +1341,7 @@ class TwoStageGame:
                 if combo[k][1].of(state) == 0:
                     value -= 2 * w
                 else:
-                    hit[k][state] = hit[k].get(state, Fraction(0)) + w
+                    hit[k][state] = hit[k].get(state, 0) + w
         for (_, posterior), mass in zip(combo, hit):
             if mass:
                 value -= max(m / posterior.of(s) for s, m in mass.items())
@@ -1392,15 +1434,13 @@ def best_common_payoff(
                 f"profile {profile!r}"
             )
 
+    table, scale = _integer_payoffs(game)[0]
+    every = [range(len(actions)) for actions in game.actions]
+
     @cache
-    def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> Fraction:
-        options = [
-            game.actions[i] if f is None else (game.actions[i][f],)
-            for i, f in enumerate(fixed)
-        ]
-        return max(
-            game.payoff(state, profile)[0] for profile in itertools.product(*options)
-        )
+    def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> int:
+        options = [every[i] if f is None else (f,) for i, f in enumerate(fixed)]
+        return max(table[(state, profile)] for profile in itertools.product(*options))
 
     return _cellwise_max(
         game.structure,
@@ -1411,4 +1451,4 @@ def best_common_payoff(
             w * branch_bound(state, tuple(leaf[k] for k in at)) for state, w, at in positioned
         ),
         cap,
-    )
+    ) / scale

@@ -102,6 +102,19 @@ def test_game_requires_total_payoffs():
         BayesianGame(structure, game.actions, bad_width)
 
 
+def test_game_reads_every_utility_as_a_rational():
+    structure, game = _matching_pennies()
+    for bad in (0.5, True):
+        payoffs = dict(game.payoffs)
+        payoffs[("x", ("h", "h"))] = (bad, Fraction(1))
+        with pytest.raises(InputError, match="not a rational"):
+            BayesianGame(structure, game.actions, payoffs)
+    ints = {key: tuple(int(v) for v in values) for key, values in game.payoffs.items()}
+    parsed = BayesianGame(structure, game.actions, ints)
+    assert all(type(v) is Fraction for values in parsed.payoffs.values() for v in values)
+    assert parsed.payoffs == game.payoffs
+
+
 def test_game_json_round_trip():
     structure, game = _matching_pennies()
     win, lose = ["1", "-1"], ["-1", "1"]
@@ -1116,6 +1129,56 @@ def _equilibrium_cases(rng, count):
     return cases
 
 
+def _unlike_denominator_cases(rng, count):
+    """Seeded games of 2 and then 3 players, alternately, with 5-8 reachable
+    (block, signal) slots and two actions each, whose exact values have
+    unlike denominators: the prior is over 7 or 11, the kernel rows over 2
+    or 3, and player i's utilities are 0 to 2 times one of two steps, 1/3 or
+    2/5 for A, 2/5 or 3/7 for B and 3/7 or 1/2 for C, so that deviation
+    values often tie.  Each case is (game, tau, brute-force arguments), as
+    in ``_equilibrium_cases``."""
+    labels = ("a0", "a1")
+    steps = (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 2))
+    rows_over = ((1, 1, 0), (1, 0, 1), (1, 2, 0), (0, 2, 1), (1, 1, 1), (2, 0, 0))
+    cases = []
+    while len(cases) < count:
+        n = 2 + len(cases) % 2
+        nums = rng.choice(((1, 2, 3, 1), (2, 1, 3, 4, 1)))
+        states = tuple(f"w{j}" for j in range(len(nums)))
+        space = StateSpace(states)
+        prior = Prior(space, tuple(Fraction(k, sum(nums)) for k in rng.sample(nums, len(nums))))
+        players = tuple(
+            Partition(space, tuple(_random_blocks(rng, states, 2))) for _ in range(n)
+        )
+        oracle = Partition(space, tuple(_random_blocks(rng, states, 3)))
+        rows = {}
+        for block in oracle.blocks:
+            weights = rng.choice(rows_over)
+            row = {f"t{k + 1}": Fraction(v, sum(weights)) for k, v in enumerate(weights)}
+            for state in block:
+                rows[state] = row
+        tau = StochasticSignaling.from_rows(oracle, ("t1", "t2", "t3"), rows)
+        structure = InformationStructure(space, prior, ("A", "B", "C")[:n], players)
+        if not 5 <= sum(len(p) for p in reachable_pairs(structure, tau)) <= 8:
+            continue
+        payoffs = {
+            (state, profile): tuple(
+                rng.choice(steps[i : i + 2]) * rng.randint(0, 2) for i in range(n)
+            )
+            for state in states
+            for profile in itertools.product(labels, repeat=n)
+        }
+        game = BayesianGame(structure, (labels,) * n, payoffs)
+        oracle_args = (
+            states,
+            dict(zip(states, prior.vector)),
+            {w: dict(rows[w]) for w in states},
+            [list(p.blocks) for p in players],
+        )
+        cases.append((game, tau, oracle_args))
+    return cases
+
+
 def _naive_result(structure, verdict):
     holds, witness = verdict
     if holds:
@@ -1127,7 +1190,9 @@ def _naive_result(structure, verdict):
 def test_equilibrium_checks_match_the_total_payoff_brute_force():
     rng = random.Random(41)
     halves = (Fraction(0), Fraction(1, 2), Fraction(1))
-    for game, tau, args in _equilibrium_cases(rng, 20):
+    players = set()
+    cases = _equilibrium_cases(rng, 20) + _unlike_denominator_cases(random.Random(67), 10)
+    for game, tau, args in cases:
         structure = game.structure
         pairs = oracles.naive_pairs(*args)
         assert [list(p) for p in reachable_pairs(structure, tau)] == pairs
@@ -1149,7 +1214,7 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
                 tables.append(table)
             check(make_strategy(game, tau, tables), tables)
 
-        slots = [(i, pair) for i in range(2) for pair in pairs[i]]
+        slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
         if len(slots) > 8:
             continue  # the brute force below scans 2**slots profiles
         expected = oracles.pure_profile_scan(
@@ -1163,6 +1228,8 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
         assert [list(s.per_player) for s in found] == expected
         for strategy in found[:2]:
             check(strategy, list(strategy.per_player))
+        players.add(structure.n)
+    assert players == {2, 3}
 
 
 def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
@@ -1258,12 +1325,24 @@ def test_enumerate_pure_equilibria_refuses_before_valuing_a_slot(monkeypatch):
     from oraclegames import games
 
     game, tau = _search_cases(random.Random(59), 1)[0]
-    largest = max(2 ** len(slots) for _, _, slots in games._cells(game.structure, tau))
+    largest = max(2 ** len(slots) for _, _, slots, _ in games._cells(game.structure, tau))
     assert largest < 2 ** sum(len(p) for p in reachable_pairs(game.structure, tau))
+
+    class Unread:
+        """Payoffs that fail on any read: a slot is valued, or a payoff
+        table built, only by reading them."""
+
+        def __getattr__(self, name):
+            raise AssertionError(f"the payoffs were read ({name})")
+
+        def __getitem__(self, key):
+            raise AssertionError(f"the payoffs were read at {key!r}")
 
     def valued(*args):
         raise AssertionError("a slot was valued")
 
+    monkeypatch.setattr(game, "payoffs", Unread())
+    monkeypatch.setattr(games, "_integer_payoffs", valued)
     monkeypatch.setattr(games, "_deviation_value", valued)
     with pytest.raises(ResourceLimitError) as info:
         enumerate_pure_equilibria(game, tau, cap=largest - 1)
@@ -1375,6 +1454,9 @@ def test_best_common_payoff_matches_the_brute_force_for_three_players():
     rng = random.Random(61)
     cases = [(game, tau) for game, tau in _search_cases(rng, 4) if game.structure.n == 3]
     assert len(cases) >= 2
+    unlike = _unlike_denominator_cases(random.Random(73), 8)
+    cases += [(game, tau) for game, tau, _ in unlike if game.structure.n == 3]
+    assert len(cases) >= 4
     for game, tau in cases:
         structure = game.structure
         common = BayesianGame(
@@ -1506,7 +1588,7 @@ def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypat
     combos = 0
     for structure, tau in _small_two_stage_cases(rng, 12):
         game = TwoStageGame(structure, tau)
-        for _, _, slots in games._cells(structure, tau):
+        for _, _, slots, _ in games._cells(structure, tau):
             size = 1
             for i, _ in slots:
                 size *= 1 + len(tau.signals) * len(game.menus[i])
