@@ -23,7 +23,7 @@ from .partitions import (
     join,
     refines,
 )
-from .signaling import StochasticMatrix
+from .signaling import StochasticMatrix, _product
 from .types import (
     InformationStructure,
     Partition,
@@ -48,9 +48,9 @@ def coarsening_profiles(
 ) -> dict[tuple[Partition, ...], Partition]:
     """Map each induced profile reachable by coarsening the oracle to the
     first coarsening (in enumeration order) that produces it."""
-    merged_masks = _merged_masks(oracle.masks, cap)
     if oracle.space != structure.space:
         raise DomainError("partitions are defined over different state spaces")
+    merged_masks = _merged_masks(oracle.masks, cap)
     players = [p.masks for p in structure.players]
     first_seen: dict[tuple[frozenset[int], ...], tuple[int, ...]] = {}
     for merged in merged_masks:
@@ -321,17 +321,10 @@ def apply_garbling(
             )
         if any(v < 0 for v in row) or sum(row) != 1:
             raise InputError(f"garbling row for column '{label}' is not a distribution")
-    entries = []
-    for w in first.space.states:
-        frow = first.row(w)
-        entries.append(
-            tuple(
-                sum((frow[u] * garbling[u][v] for u in range(nu)), Fraction(0))
-                for v in range(len(col_labels))
-            )
-        )
     return StochasticMatrix(
-        space=first.space, column_labels=tuple(col_labels), entries=tuple(entries)
+        space=first.space,
+        column_labels=tuple(col_labels),
+        entries=_product(first.entries, garbling),
     )
 
 

@@ -306,26 +306,30 @@ def strategy_from_json(
 
 def _outcomes(
     game: Game,
-    tau: StochasticSignaling,
+    branches: Iterable[tuple[Branch, Fraction]],
     strategy: StrategyProfile,
-    event: Optional[set[str]] = None,
-) -> Iterable[tuple[str, ActionProfile, Fraction]]:
-    """(state, action profile, mass) over every branch (at a state of
-    ``event``, when given) and every combination of the actions the players'
-    mixtures play there."""
+    free: Optional[int] = None,
+) -> Iterator[tuple[str, ActionProfile, Fraction]]:
+    """(state, action profile, mass) over the given (branch, mass) pairs and
+    every combination of the actions the players' mixtures play there.
+    Player ``free``, when given, is left to the caller: their action is
+    None and their mixture does not weigh the mass."""
     structure = game.structure
-    for (state, signal), w in _branch_masses(structure, tau).items():
-        if event is not None and state not in event:
-            continue
+    for (state, signal), w in branches:
         mixtures = []
         for i, partition in enumerate(structure.players):
+            if i == free:
+                mixtures.append(((None, None),))
+                continue
             mix = strategy.mixture(i, partition.block_of(state), signal)
             mixtures.append([(a, p) for a, p in mix.items() if p > 0])
         for combo in itertools.product(*mixtures):
+            actions, probabilities = zip(*combo)
             weight = w
-            for _, p in combo:
-                weight *= p
-            yield state, tuple(a for a, _ in combo), weight
+            for p in probabilities:
+                if p is not None:
+                    weight *= p
+            yield state, actions, weight
 
 
 def _cells(
@@ -475,8 +479,11 @@ def expected_payoffs(
             if state not in structure.space:
                 raise InputError(f"unknown state '{state}' in event")
         event = set(listed)
+    branches = _branch_masses(structure, tau).items()
+    if event is not None:
+        branches = [(branch, w) for branch, w in branches if branch[0] in event]
     totals = [Fraction(0)] * structure.n
-    for state, profile, weight in _outcomes(game, tau, strategy, event):
+    for state, profile, weight in _outcomes(game, branches, strategy):
         values = game.payoff(state, profile)
         for i in range(structure.n):
             totals[i] += weight * values[i]
@@ -527,7 +534,8 @@ def ned_distribution(
     """Distribution over (state, action profile) induced by prior, signaling,
     and strategy."""
     mass: dict[tuple[str, ActionProfile], Fraction] = {}
-    for state, profile, weight in _outcomes(game, tau, strategy):
+    branches = _branch_masses(game.structure, tau).items()
+    for state, profile, weight in _outcomes(game, branches, strategy):
         key = (state, profile)
         mass[key] = mass.get(key, Fraction(0)) + weight
     return OutcomeDistribution(game.structure.space, mass)
@@ -540,46 +548,6 @@ class EquilibriumResult:
 
     holds: bool
     witness: Optional[tuple] = None
-
-
-def _deviation_value(
-    game: Game,
-    masses: Mapping[Branch, Fraction],
-    strategy: StrategyProfile,
-    player: int,
-    block: tuple[str, ...],
-    signal: str,
-) -> Callable[[object], Fraction]:
-    """The player's payoff at the (block, signal) pair as a function of the
-    action they play there, the others playing ``strategy``; the others'
-    outcomes are built once and shared by every action valued."""
-    outcomes = []
-    for state in block:
-        w = masses.get((state, signal))
-        if not w:
-            continue
-        others = []
-        for j, partition in enumerate(game.structure.players):
-            if j == player:
-                continue
-            mix = strategy.mixture(j, partition.block_of(state), signal)
-            others.append((j, [(a, p) for a, p in mix.items() if p > 0]))
-        for combo in itertools.product(*(items for _, items in others)):
-            weight = w
-            profile: list[object] = [None] * game.structure.n
-            for (j, _), (a, p) in zip(others, combo):
-                weight *= p
-                profile[j] = a
-            outcomes.append((state, weight, profile))
-
-    def value(action: object) -> Fraction:
-        total = Fraction(0)
-        for state, weight, profile in outcomes:
-            profile[player] = action
-            total += weight * game.payoff(state, tuple(profile))[player]  # type: ignore[arg-type]
-        return total
-
-    return value
 
 
 def is_equilibrium(
@@ -596,7 +564,17 @@ def is_equilibrium(
     pairs = _reachable(game.structure, tau.signals, masses)
     for i, name in enumerate(game.structure.player_names):
         for block, signal in pairs[i]:
-            value = _deviation_value(game, masses, strategy, i, block, signal)
+            # The others' outcomes at the pair, split around player i's
+            # action and shared by every action valued.
+            at = [((s, signal), masses[(s, signal)]) for s in block if (s, signal) in masses]
+            outcomes = [(s, p[:i], p[i + 1 :], w) for s, p, w in _outcomes(game, at, strategy, i)]
+
+            def value(action: object) -> Fraction:
+                total = Fraction(0)
+                for s, head, tail, w in outcomes:
+                    total += w * game.payoff(s, (*head, action, *tail))[i]
+                return total
+
             mix = [(a, p) for a, p in strategy.mixture(i, block, signal).items() if p > 0]
             values = {a: value(a) for a, _ in mix}
             current = sum((p * values[a] for a, p in mix), Fraction(0))
@@ -1063,42 +1041,22 @@ def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) ->
     return LogScoreGame(structure, _posterior_menus(_branch_profiles(structure, tau), structure.n))
 
 
-def _truthful_strategy(
-    game: Game,
-    tau: StochasticSignaling,
-    declare: Callable[[int, Distribution, str], object],
-) -> StrategyProfile:
-    """At every reachable (block, signal) pair of player i, play
-    ``declare(i, true posterior, signal)``."""
-    structure = game.structure
-    masses = _branch_masses(structure, tau)
-    pairs = _reachable(structure, tau.signals, masses)
-    return make_strategy(
-        game,
-        tau,
-        [
-            {(b, s): declare(i, _posterior(structure, masses, b, s), s) for b, s in pairs[i]}
-            for i in range(structure.n)
-        ],
-    )
-
-
 def truthful_kld_strategy(
     game: LogScoreGame, tau: StochasticSignaling
 ) -> StrategyProfile:
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
-
-    def declare(i: int, posterior: Distribution, signal: str) -> str:
-        label = kld_action_label(posterior)
-        if label not in game.actions[i]:
-            raise DomainError(
-                f"posterior {label} is not in player "
-                f"'{game.structure.player_names[i]}'s declaration menu"
-            )
-        return label
-
-    return _truthful_strategy(game, tau, declare)
+    structure = game.structure
+    masses = _branch_masses(structure, tau)
+    pairs = _reachable(structure, tau.signals, masses)
+    tables: list[dict[Pair, str]] = [{} for _ in range(structure.n)]
+    for i, name in enumerate(structure.player_names):
+        for block, signal in pairs[i]:
+            label = kld_action_label(_posterior(structure, masses, block, signal))
+            if label not in game.actions[i]:
+                raise DomainError(f"posterior {label} is not in player '{name}'s declaration menu")
+            tables[i][(block, signal)] = label
+    return make_strategy(game, tau, tables)
 
 
 def kld_expected_scores(
@@ -1109,7 +1067,8 @@ def kld_expected_scores(
         raise DomainError("kld_expected_scores applies to log-score games only")
     n = game.structure.n
     terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
-    for state, profile, weight in _outcomes(game, tau, strategy):
+    branches = _branch_masses(game.structure, tau).items()
+    for state, profile, weight in _outcomes(game, branches, strategy):
         values = game.payoff(state, profile)
         for i in range(n):
             terms[i].append((weight, values[i]))
@@ -1214,11 +1173,10 @@ class TwoStageGame:
     def truthful_strategy(self) -> StrategyProfile:
         """Declare the observed signal, the true posterior, and its first
         in-support state, at every reachable pair."""
-        return _truthful_strategy(
-            self,
-            self.tau,
-            lambda i, posterior, signal: (signal, posterior, posterior.support()[0]),
-        )
+        tables: list[dict[Pair, Declaration]] = [{} for _ in range(self.structure.n)]
+        for (i, block, signal), (_, posterior) in self._truthful.items():
+            tables[i][(block, signal)] = (signal, posterior, posterior.support()[0])
+        return make_strategy(self, self.tau, tables)
 
     def payoff(
         self, state: str, declarations: Sequence[Declaration]

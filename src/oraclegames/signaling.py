@@ -19,6 +19,7 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
+    _unchecked,
     check_label,
     check_labels,
     format_rational,
@@ -28,6 +29,39 @@ from .types import (
     parse_rational,
     partition_from_json,
 )
+
+
+def _stochastic_rows(
+    space: StateSpace, labels: Sequence[str], rows: Sequence[Sequence], what: str, kind: str
+) -> tuple[tuple[Fraction, ...], ...]:
+    """``rows`` as ``Fraction`` tuples, checked in this order: one row per
+    state, distinct ``kind`` labels, one entry per label, no negative entry,
+    every row summing to 1. An InputError names the ``what``'s first fault."""
+    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    if len(rows) != len(space):
+        raise InputError(f"{what} must have one row per state")
+    if len(set(labels)) != len(labels):
+        raise InputError(f"duplicate {kind} label")
+    for state, row in zip(space.states, rows):
+        if len(row) != len(labels):
+            raise InputError(f"{what} row for state '{state}' has the wrong width")
+        for label, v in zip(labels, row):
+            if v < 0:
+                raise InputError(f"negative probability {v} at ({state}, {label})")
+        if sum(row) != 1:
+            raise InputError(f"{what} row for state '{state}' sums to {sum(row)}, not 1")
+    return rows
+
+
+def _product(
+    rows: Sequence[Sequence[Fraction]], garbling: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact matrix product ``rows`` @ ``garbling``."""
+    columns = tuple(zip(*garbling))
+    return tuple(
+        tuple(sum((p * g for p, g in zip(row, column)), Fraction(0)) for column in columns)
+        for row in rows
+    )
 
 
 def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple[Fraction, ...]]) -> dict:
@@ -54,17 +88,7 @@ class StochasticSignaling:
     def __post_init__(self):
         space = self.oracle_partition.space
         signals = tuple(check_label("signal", s) for s in self.signals)
-        if len(set(signals)) != len(signals):
-            raise InputError("duplicate signal label")
-        kernel = tuple(tuple(Fraction(v) for v in row) for row in self.kernel)
-        if len(kernel) != len(space) or any(len(row) != len(signals) for row in kernel):
-            raise InputError("kernel shape does not match states x signals")
-        for state, row in zip(space.states, kernel):
-            for sig, v in zip(signals, row):
-                if v < 0:
-                    raise InputError(f"negative probability {v} at ({state}, {sig})")
-            if sum(row) != 1:
-                raise InputError(f"kernel row for state '{state}' sums to {sum(row)}, not 1")
+        kernel = _stochastic_rows(space, signals, self.kernel, "kernel", "signal")
         for block in self.oracle_partition.blocks:
             ref = kernel[space.index(block[0])]
             for s in block[1:]:
@@ -74,17 +98,6 @@ class StochasticSignaling:
                         "oracle block but have different rows"
                     )
         vars(self).update(_trimmed(signals, kernel))
-
-    @classmethod
-    def _derived(
-        cls, oracle_partition: Partition, signals: tuple[str, ...], kernel: Sequence[tuple]
-    ) -> StochasticSignaling:
-        """A kernel computed exactly from a checked one, unchecked: distinct
-        checked signals and ``Fraction`` rows in state order, each nonnegative,
-        summing to 1 and constant on oracle blocks. Zero signals are trimmed."""
-        self = object.__new__(cls)
-        vars(self).update(oracle_partition=oracle_partition, **_trimmed(signals, kernel))
-        return self
 
     @property
     def space(self) -> StateSpace:
@@ -315,20 +328,10 @@ class StochasticMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        entries = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
-        if len(entries) != len(self.space):
-            raise InputError("matrix must have one row per state")
-        if len(set(self.column_labels)) != len(self.column_labels):
-            raise InputError("duplicate column label")
-        for state, row in zip(self.space.states, entries):
-            if len(row) != len(self.column_labels):
-                raise InputError(f"row for state '{state}' has the wrong width")
-            if any(v < 0 for v in row):
-                raise InputError(f"negative entry in row for state '{state}'")
-            if sum(row) != 1:
-                raise InputError(f"row for state '{state}' sums to {sum(row)}, not 1")
+        labels = tuple(self.column_labels)
+        entries = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
+        object.__setattr__(self, "column_labels", labels)
 
     def row(self, state: str) -> tuple[Fraction, ...]:
         return self.entries[self.space.index(state)]
@@ -356,25 +359,22 @@ class ExperimentMatrix(StochasticMatrix):
     def __post_init__(self):
         super().__post_init__()
         block_map = dict(self.blocks)
+        if len(block_map) != len(self.blocks):
+            raise InputError("duplicate block label")
+        Partition(self.space, tuple(block_map.values()))  # the blocks partition the states
         if len(self.columns) != len(self.column_labels):
             raise InputError("column metadata does not match the matrix width")
-        for (sig, label) in self.columns:
+        for (sig, label), name in zip(self.columns, self.column_labels):
             if label not in block_map:
                 raise InputError(f"column references unknown block '{label}'")
+            if name != f"{sig}@{label}":
+                raise InputError(f"column label '{name}' is not '{sig}@{label}'")
         for state, row in zip(self.space.states, self.entries):
             for (sig, label), v in zip(self.columns, row):
                 if v > 0 and state not in block_map[label]:
                     raise InputError(
                         f"entry for state '{state}' is positive outside block '{label}'"
                     )
-
-    @classmethod
-    def _derived(cls, **fields) -> ExperimentMatrix:
-        """A matrix computed exactly from a checked kernel, unchecked: the
-        public constructor's ``fields``, as tuples, with ``Fraction`` entries."""
-        self = object.__new__(cls)
-        vars(self).update(fields)
-        return self
 
     def as_json(self) -> dict:
         data = super().as_json()
@@ -402,7 +402,8 @@ def experiment_matrix(
     for state, kernel_row in zip(tau.space.states, tau.kernel):
         bidx = partition.block_index(state)
         rows.append(tuple(p if b == bidx else zero for p in kernel_row for b in range(len(labels))))
-    return ExperimentMatrix._derived(
+    return _unchecked(
+        ExperimentMatrix,
         space=tau.space,
         column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
         entries=tuple(rows),
@@ -442,7 +443,9 @@ def lift_garbled(
     new_signals = tuple(f"({s},{t})" for _, s, t in pairs)
     if len(set(new_signals)) != len(new_signals):  # "(a,b,c)" from ("a", "b,c") and ("a,b", "c")
         raise InputError("duplicate signal label")
-    return StochasticSignaling._derived(tau.oracle_partition, new_signals, kernel)
+    return _unchecked(
+        StochasticSignaling, oracle_partition=tau.oracle_partition, **_trimmed(new_signals, kernel)
+    )
 
 
 def merge_garbled(
@@ -453,14 +456,11 @@ def merge_garbled(
     ``lift_garbled`` this genuinely coarsens the information."""
     rows = _garbling_rows(tau, m)
     targets = tuple(dict.fromkeys(t for s in tau.signals for t in rows[s]))
-    kernel = tuple(
-        tuple(
-            sum((rows[s].get(t, Fraction(0)) * p for s, p in zip(tau.signals, row)), Fraction(0))
-            for t in targets
-        )
-        for row in tau.kernel
+    garbling = [[rows[s].get(t, Fraction(0)) for t in targets] for s in tau.signals]
+    kernel = _product(tau.kernel, garbling)
+    return _unchecked(
+        StochasticSignaling, oracle_partition=tau.oracle_partition, **_trimmed(targets, kernel)
     )
-    return StochasticSignaling._derived(tau.oracle_partition, targets, kernel)
 
 
 def _separating_scan() -> Iterator[Fraction]:

@@ -144,6 +144,16 @@ def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple
     return tuple(values)
 
 
+def _unchecked(cls: type, **fields: object):
+    """An instance of ``cls`` holding ``fields``, built without its
+    constructor or checks: the one builder of objects computed exactly from
+    checked ones, which the caller vouches for. ``cls`` keeps its fields in
+    its instance ``__dict__``."""
+    self = object.__new__(cls)
+    vars(self).update(fields)
+    return self
+
+
 _ZERO = Fraction(0)  # every zero _on_block writes off the block; tuples compare it by identity
 
 
@@ -191,9 +201,8 @@ class Distribution:
         for state, m in zip(block, masses):
             i = space._position[state]
             vector[i], key[i + 1] = Fraction(m, total), m // g
-        self, key = object.__new__(cls), tuple(key)
-        vars(self).update(space=space, vector=tuple(vector), _key=key, _hash=hash(key))
-        return self
+        key = tuple(key)
+        return _unchecked(cls, space=space, vector=tuple(vector), _key=key, _hash=hash(key))
 
     def __eq__(self, other: object) -> bool:
         return (

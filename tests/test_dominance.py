@@ -20,6 +20,7 @@ from oraclegames import (
     StochasticMatrix,
     apply_garbling,
     ckc_decompose,
+    coarsening_profiles,
     coarsenings,
     common_objective_condition,
     garbling_exists,
@@ -53,6 +54,16 @@ def test_induced_profile_is_the_joined_information():
     oracle = Partition(SPACE, (("w1",), ("w2", "w3", "w4")))
     profile = induced_profile(CONNECTED, oracle)
     assert profile == (join(P1, oracle), join(P2, oracle))
+
+
+def test_coarsening_profiles_checks_the_space_before_the_block_cap():
+    eleven = StateSpace(tuple(f"s{i}" for i in range(11)))
+    with pytest.raises(DomainError, match="different state spaces"):
+        coarsening_profiles(CONNECTED, Partition.singletons(eleven))
+    structure = _one_player(eleven, (eleven.states,))
+    with pytest.raises(ResourceLimitError, match="partition has 11 blocks"):
+        coarsening_profiles(structure, Partition.singletons(eleven))
+    assert len(coarsening_profiles(structure, Partition.trivial(eleven))) == 1
 
 
 def test_imi_failure_produces_a_checkable_witness():

@@ -22,6 +22,7 @@ from oraclegames import (
     LogScore,
     LogScoreGame,
     MixedValue,
+    OutcomeDistribution,
     Partition,
     Prior,
     ResourceLimitError,
@@ -226,6 +227,23 @@ def test_ned_distribution_masses():
     assert sum(dist.mass.values()) == 1
     assert dist.of("x", ("h", "h")) == Fraction(1, 4)
     assert dist.of("x", ("t", "t")) == 0
+
+
+def test_outcome_distribution_as_json_and_refusals():
+    # Rows in (state, profile) order, zero masses left out.
+    mass = {("y", ("h", "t")): Fraction(1, 3), ("x", ("t", "h")): Fraction(2, 3)}
+    dist = OutcomeDistribution(SPACE2, {("x", ("h", "h")): Fraction(0), **mass})
+    assert dist.as_json() == [
+        {"state": "x", "actions": ["t", "h"], "mass": "2/3"},
+        {"state": "y", "actions": ["h", "t"], "mass": "1/3"},
+    ]
+    for bad, message in (
+        ({("z", ("h", "h")): Fraction(1)}, "unknown state 'z' in outcome distribution"),
+        ({**mass, ("x", ("h", "h")): Fraction(-1, 3)}, "outcome masses must be nonnegative"),
+        ({("x", ("h", "h")): Fraction(1, 2)}, "outcome masses sum to 1/2, expected 1"),
+    ):
+        with pytest.raises(InputError, match=message):
+            OutcomeDistribution(SPACE2, bad)
 
 
 def _over_reversed_space(data, name):
@@ -572,6 +590,18 @@ def test_belief_game_input_validation():
     if outside:
         with pytest.raises(DomainError):
             belief_expected_payoffs(game, declared, (outside[0], "x"))
+
+
+def test_belief_game_refuses_another_state_space():
+    declared = _random_profile(random.Random(1), SPACE2, 2)
+    foreign = Distribution(StateSpace(("y", "x")), (Fraction(1), Fraction(0)))
+    with pytest.raises(InputError, match="declared posteriors use a different state space"):
+        BeliefGame(SPACE2, (declared[0], foreign))
+    game = BeliefGame(SPACE2, declared)
+    with pytest.raises(InputError, match="beliefs use a different state space"):
+        belief_expected_payoffs(game, (declared[0], foreign), truthful_choices(game))
+    with pytest.raises(InputError, match="belief uses a different state space"):
+        belief_best_response(game, 1, foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,7 +1373,6 @@ def test_enumerate_pure_equilibria_refuses_before_valuing_a_slot(monkeypatch):
 
     monkeypatch.setattr(game, "payoffs", Unread())
     monkeypatch.setattr(games, "_integer_payoffs", valued)
-    monkeypatch.setattr(games, "_deviation_value", valued)
     with pytest.raises(ResourceLimitError) as info:
         enumerate_pure_equilibria(game, tau, cap=largest - 1)
     assert f"{largest} pure strategy profiles" in str(info.value)

@@ -48,6 +48,23 @@ def test_expect_error_claims():
     assert harness.report_passed(report), harness.report_lines(report)
 
 
+def test_a_claim_may_give_its_signaling_inline():
+    # Every claim names its signalings; given inline instead, each passes alike.
+    data = harness.load_fixture("witness-two-stage")
+    inlined = 0
+    for claim in data["claims"]:
+        for key, value in claim["args"].items():
+            if isinstance(value, str) and value in data["signalings"]:
+                claim["args"][key] = data["signalings"][value]
+                inlined += 1
+    assert inlined >= len(data["claims"])
+    report = harness.run_fixture(data)
+    assert harness.report_passed(report), harness.report_lines(report)
+    claim = dict(data["claims"][0], args={"signaling": {"type": "stochastic"}})
+    with pytest.raises(InputError, match="signaling needs an 'oracle' name"):
+        harness.run_claim(harness.Fixture(data), claim)
+
+
 def test_failing_claim_is_reported_not_raised():
     data = harness.load_fixture("one-dm")
     claim = next(c for c in data["claims"] if "expected" in c)
@@ -421,6 +438,27 @@ def test_cli_relation_verbs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_imi_exits_3_past_the_coarsening_cap(tmp_path, capsys):
+    # The first oracle does not refine the second, whose 11 blocks are past
+    # the cap of 10, so the scan is refused before it starts.
+    states = [f"w{i}" for i in range(11)]
+    structure = {
+        "states": states,
+        "prior": ["1/11"] * 11,
+        "players": [{"name": "P", "partition": [states]}],
+        "oracles": [
+            {"name": "F1", "partition": [states]},
+            {"name": "F2", "partition": [[s] for s in states]},
+        ],
+    }
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure))
+    assert cli.main(["imi", str(path), "F1", "F2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "capped at 10 blocks" in err
+
+
 def test_cli_verbs_in_one_process_match_separate_runs(tmp_path, capsys):
     fixture, spath = _write_structure(tmp_path, "witness-two-stage")
     tpath = tmp_path / "tau.json"
@@ -531,8 +569,17 @@ def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
         lambda m: setitem(m, "columns", [["a", "b0", "x"], ["b", "b0", "x"]]),
         lambda m: setitem(m, "entries", [["1/2", "1/2"], ["0", "1"]]),
         lambda m: setitem(m, "blocks", [["w1", "w2"]]),
+        lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["zz"]}),
+        lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["w2"]}),
     ],
-    ids=["no-columns", "columns-not-pairs", "entries-not-object", "blocks-not-object"],
+    ids=[
+        "no-columns",
+        "columns-not-pairs",
+        "entries-not-object",
+        "blocks-not-object",
+        "block-of-an-unknown-state",
+        "overlapping-blocks",
+    ],
 )
 def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit):
     matrix = {

@@ -11,11 +11,14 @@ import oracles
 from oraclegames import (
     Distribution,
     DomainError,
+    ExperimentMatrix,
     InformationStructure,
     InputError,
     Partition,
+    PosteriorAtlas,
     Prior,
     StateSpace,
+    StochasticMatrix,
     StochasticSignaling,
     build_kld_game,
     build_permutation_game,
@@ -72,6 +75,32 @@ def test_kernel_validation():
         StochasticSignaling(ORACLE, ("s1", "s1"), ((Fraction(1, 2), Fraction(1, 2)),) * 4)
     with pytest.raises(InputError):
         StochasticSignaling(ORACLE, ("s|1",), ((Fraction(1),),) * 4)
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "labels, last, message",
+    [
+        (("s1", "s2"), (), "kernel must have one row per state"),
+        (("s1", "s1"), ((HALF, HALF),), "duplicate signal label"),
+        (("s1", "s2"), ((1,),), "kernel row for state 'w4' has the wrong width"),
+        (("s1", "s2"), ((2, -1),), "negative probability -1 at (w4, s2)"),
+        (("s1", "s2"), ((HALF, 1),), "kernel row for state 'w4' sums to 3/2, not 1"),
+    ],
+    ids=["row-count", "labels", "width", "sign", "row-sum"],
+)
+def test_kernels_and_matrices_share_one_row_check(labels, last, message):
+    # One row-stochastic check serves both types; a matrix names its rows
+    # and labels as a matrix's.
+    rows = ((HALF, HALF),) * 3 + last
+    with pytest.raises(InputError) as kernel:
+        StochasticSignaling(ORACLE, labels, rows)
+    with pytest.raises(InputError) as matrix:
+        StochasticMatrix(SPACE, labels, rows)
+    assert str(kernel.value) == message
+    assert str(matrix.value) == message.replace("kernel", "matrix").replace("signal", "column")
 
 
 def test_kernel_measurability_enforced():
@@ -390,15 +419,24 @@ def test_experiment_matrix_space_mismatch():
         experiment_matrix(TAU, other)
 
 
-def _recording(monkeypatch, cls, made):
-    """Wrap ``cls._derived`` so each object it builds is kept with its arguments."""
-    derived = cls._derived.__func__
+def _recording(monkeypatch, made):
+    """Wrap ``signaling._unchecked``, the one unchecked builder, so each
+    object it builds is kept with its fields and, for a signaling, with the
+    untrimmed signals and kernel that were trimmed into those fields."""
+    given = []
+    trimmed, unchecked = signaling._trimmed, signaling._unchecked
 
-    def record(owner, *args, **kwargs):
-        made.append((derived(owner, *args, **kwargs), args, kwargs))
+    def trim(signals, kernel):
+        given.append((signals, kernel))
+        return trimmed(signals, kernel)
+
+    def record(cls, **fields):
+        untrimmed = given[-1] if cls is StochasticSignaling else None
+        made.append((unchecked(cls, **fields), fields, untrimmed))
         return made[-1][0]
 
-    monkeypatch.setattr(cls, "_derived", classmethod(record))
+    monkeypatch.setattr(signaling, "_trimmed", trim)
+    monkeypatch.setattr(signaling, "_unchecked", record)
 
 
 def _random_partition(rng, space, most):
@@ -417,11 +455,10 @@ def _random_row(rng, labels):
 
 def test_derived_objects_equal_the_public_constructions(monkeypatch):
     # lift_garbled, merge_garbled and experiment_matrix build their results
-    # without the public checks; the public constructors on the same data
-    # must build the same objects, zero signals trimmed alike.
-    signalings, matrices = [], []
-    _recording(monkeypatch, StochasticSignaling, signalings)
-    _recording(monkeypatch, signaling.ExperimentMatrix, matrices)
+    # with the one unchecked builder; the public constructors on the same
+    # data must build the same objects, zero signals trimmed alike.
+    made = []
+    _recording(monkeypatch, made)
     rng = random.Random(2026)
     for _ in range(60):
         space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(2, 7))))
@@ -439,20 +476,22 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
         player = _random_partition(rng, space, 3)
         for derived in (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling)):
             experiment_matrix(derived, player)
+    signalings = [entry for entry in made if entry[2] is not None]
+    matrices = [entry[:2] for entry in made if entry[2] is None]
     assert len(signalings) == 120 and len(matrices) == 180
     trimmed = 0
-    for made, args, kwargs in signalings:
-        public = StochasticSignaling(*args, **kwargs)
-        assert (made.signals, made.kernel) == (public.signals, public.kernel)
-        assert made == public
-        trimmed += len(made.signals) < len(args[1])
+    for built, fields, (signals, kernel) in signalings:
+        public = StochasticSignaling(fields["oracle_partition"], signals, kernel)
+        assert (built.signals, built.kernel) == (public.signals, public.kernel)
+        assert built == public
+        trimmed += len(built.signals) < len(signals)
     assert trimmed >= 30
-    for made, args, kwargs in matrices:
-        public = signaling.ExperimentMatrix(*args, **kwargs)
-        assert (made.entries, made.column_labels) == (public.entries, public.column_labels)
-        assert (made.columns, made.blocks) == (public.columns, public.blocks)
-        assert made.as_json() == public.as_json()
-        assert made == public
+    for built, fields in matrices:
+        public = signaling.ExperimentMatrix(**fields)
+        assert (built.entries, built.column_labels) == (public.entries, public.column_labels)
+        assert (built.columns, built.blocks) == (public.columns, public.blocks)
+        assert built.as_json() == public.as_json()
+        assert built == public
 
 
 def test_lift_garbled_refuses_signal_labels_that_collide():
@@ -670,6 +709,14 @@ def test_matrix_from_json_round_trip():
         ({"blocks": [["w1", "w2"], ["w3", "w4"]]}, "'blocks' must be a JSON object"),
         ({"blocks": {"b0": "w1w2", "b1": ["w3", "w4"]}}, "block 'b0' must be a JSON list"),
         ({"states": "w1w2w3w4"}, "'states' must be a JSON list"),
+        (
+            {"blocks": {"b0": ["w1", "w2"], "b1": ["w3", "w4"], "b2": ["zz"]}},
+            "unknown state 'zz'",
+        ),
+        (
+            {"blocks": {"b0": ["w1", "w2"], "b1": ["w2", "w3", "w4"]}},
+            "state 'w2' appears in more than one block",
+        ),
     ],
 )
 def test_matrix_from_json_rejects_malformed_sections(change, message):
@@ -681,6 +728,39 @@ def test_matrix_from_json_rejects_malformed_sections(change, message):
             data[key] = value
     with pytest.raises(InputError, match=message):
         matrix_from_json(data)
+
+
+def test_experiment_matrix_refuses_metadata_that_would_not_round_trip():
+    # Each of these would lose a column or a block in as_json.
+    made = experiment_matrix(TAU, P1)
+    fields = ("space", "column_labels", "entries", "columns", "blocks")
+    good = {key: getattr(made, key) for key in fields}
+    assert ExperimentMatrix(**good) == made
+    relabelled = ("x", *good["column_labels"][1:])
+    with pytest.raises(InputError, match="column label 'x' is not 's1@b0'"):
+        ExperimentMatrix(**dict(good, column_labels=relabelled))
+    twice = (("b0", P1.blocks[0]), ("b0", P1.blocks[1]))
+    with pytest.raises(InputError, match="duplicate block label"):
+        ExperimentMatrix(**dict(good, blocks=twice))
+    short = (("b0", P1.blocks[0]), ("b1", ("w3",)))
+    with pytest.raises(InputError, match="do not cover state 'w4'"):
+        ExperimentMatrix(**dict(good, blocks=short))
+
+
+def test_atlas_refusals():
+    point = (Distribution(SPACE, (1, 0, 0, 0)),)
+    other = (Distribution(SPACE, (0, 1, 0, 0)),)
+    for entries, message in (
+        ({}, "an atlas cannot be empty"),
+        ({point: Fraction(1), other: Fraction(0)}, "atlas weight 0 is not positive"),
+        ({point: HALF, other: Fraction(1, 3)}, "atlas weights do not sum to 1"),
+    ):
+        with pytest.raises(InputError, match=message):
+            PosteriorAtlas(entries)
+    atlas = PosteriorAtlas({point: HALF, other: HALF})
+    assert atlas.weight(other) == HALF
+    with pytest.raises(DomainError, match="profile is not in the atlas"):
+        atlas.weight((Distribution(SPACE, (0, 0, 1, 0)),))
 
 
 @st.composite

@@ -3,7 +3,8 @@ only, and no floats anywhere in the arithmetic.  Every function the
 benchmark's span tracer wraps must exist under its recorded name, and so
 must every name the benchmark imports from the library.  No top-level
 definition is an orphan: each undecorated function and class is named
-somewhere besides its own definition."""
+somewhere besides its own definition.  Only ``types._unchecked`` builds an
+object without its constructor."""
 
 import ast
 import importlib
@@ -102,3 +103,16 @@ def test_every_definition_is_named_elsewhere():
             if uses == len(word.findall(own)):
                 orphans.append(f"{path.name}:{node.lineno} {node.name}")
     assert not orphans, orphans
+
+
+def test_only_the_one_unchecked_builder_skips_a_constructor():
+    """``__new__`` (``object.__new__`` or any other) is named in the library
+    only inside ``types._unchecked``, so a fast path that skips a
+    constructor's checks reuses that one builder."""
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = (isinstance(n, ast.Attribute) and n.attr == "__new__" for n in ast.walk(top))
+            if any(named):
+                found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert found == ["types.py:_unchecked"]

@@ -256,6 +256,21 @@ def test_structure_validation():
         st_ok.oracle("missing")
 
 
+def test_structure_refuses_misaligned_oracles_and_foreign_spaces():
+    prior, part = Prior.uniform(SPACE), Partition.trivial(SPACE)
+    other = StateSpace(("a", "b", "c", "e"))
+    foreign = Partition.trivial(other)
+    for players, oracle_names, oracles, message in (
+        ((part,), ("F", "G"), (part,), "oracle names and partitions do not line up"),
+        ((part,), ("F",), (foreign,), "partition 'F' is defined over a different state space"),
+        ((foreign,), (), (), "partition 'P1' is defined over a different state space"),
+    ):
+        with pytest.raises(InputError, match=message):
+            InformationStructure(SPACE, prior, ("P1",), players, oracle_names, oracles)
+    with pytest.raises(InputError, match="prior is defined over a different state space"):
+        InformationStructure(SPACE, Prior.uniform(other), ("P1",), (part,))
+
+
 def test_structure_from_json():
     data = {
         "states": ["a", "b", "c", "d"],
