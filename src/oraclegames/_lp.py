@@ -1,16 +1,6 @@
 """Phase-1 simplex over exact rationals: decide ``{ x >= 0 : A x = b }`` and
 produce a point when feasible.
 
-The rows fall into independent components: two rows are linked when they
-share a nonzero column. Each component is solved on its own tableau, in order
-of its first row, and the first infeasible one decides; a column with no
-nonzero entry is 0. This is the pivot path of one tableau over the whole
-system: a pivot changes only the rows with a nonzero in the entering column,
-all in one component, and the cost row restricted to a component's columns is
-a positive multiple of that component's own cost row. So Bland's rule enters
-the same columns in each component, ratio-test ties stay inside it, and the
-local indices keep structural columns in order before artificial ones.
-
 The tableau is fraction-free: each row is the rational row ``[A_i | e_i |
 b_i]`` (negated when ``b_i < 0``) times a positive integer, the lcm of its
 denominators at first; a pivot sets ``row <- p * row - f * pivot_row`` and
@@ -22,7 +12,6 @@ and the same vertex comes back, each basic variable read as ``rhs / diagonal``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -32,57 +21,15 @@ def _reduced(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _components(A: Sequence[Sequence[Fraction]]) -> list[tuple[list[int], list[int]]]:
-    """The rows of each component with its nonzero columns, both ascending,
-    in order of first row."""
-    parent = list(range(len(A)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    support = []
-    owner: dict[int, int] = {}  # column -> the first row with a nonzero there
-    for i, row in enumerate(A):
-        cols = list(compress(range(len(row)), row))
-        support.append(cols)
-        for j in cols:
-            parent[root(owner.setdefault(j, i))] = root(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(A)):
-        groups.setdefault(root(i), []).append(i)
-    return [
-        (rows, sorted({j for i in rows for j in support[i]})) for rows in groups.values()
-    ]
-
-
 def feasible_nonneg(
     A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> Optional[list[Fraction]]:
     """Return some x >= 0 with A x = b, or None when the system is infeasible."""
+    m = len(A)
     n = len(A[0]) if A else 0
     for row in A:
         if len(row) != n:
             raise ValueError("ragged constraint matrix")
-    x = [Fraction(0)] * n
-    for rows, cols in _components(A):
-        if not cols:  # a zero row
-            if b[rows[0]] != 0:
-                return None
-            continue
-        part = _phase1([[A[i][j] for j in cols] for i in rows], [b[i] for i in rows])
-        if part is None:
-            return None
-        for j, v in zip(cols, part):
-            x[j] = v
-    return x
-
-
-def _phase1(A: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """One component's tableau: A has at least one row and one column."""
-    m = len(A)
-    n = len(A[0])
 
     # Rows with nonnegative right-hand sides, one artificial variable each.
     width = n + m

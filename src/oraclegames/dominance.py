@@ -30,6 +30,7 @@ from .types import (
     Prior,
     StateSpace,
     format_rational,
+    parse_rational,
 )
 
 
@@ -268,41 +269,50 @@ class GarblingResult:
 
 def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> GarblingResult:
     """Exact feasibility of first @ G == second over row-stochastic G >= 0,
-    decided by a fraction-free phase-1 simplex."""
+    decided by a fraction-free phase-1 simplex.
+
+    Two columns of ``first`` are linked when some state gives both of them
+    mass, and a column with mass nowhere is a group of its own. The system
+    falls apart into one system per linked group: its rows are the group's
+    states x ``second``'s columns, state-major, then one row-sum row per
+    group column, and its variables G[u, v] are the group's columns x
+    ``second``'s columns, in that order. The groups are solved in order of
+    their first row in the whole system, and the first infeasible one
+    decides. This is the pivot path of one tableau over the whole system: a
+    pivot changes only the rows with a nonzero in the entering column, all
+    in one group, and the cost row restricted to a group's variables is a
+    positive multiple of that group's own cost row. So Bland's rule enters
+    the same variables in each group, ratio-test ties stay inside it, and
+    the local indices keep structural columns in order before artificial
+    ones: each group returns its part of the whole system's vertex."""
     if first.space != second.space:
         raise DomainError("matrices are defined over different state spaces")
-    nu = len(first.column_labels)
-    nv = len(second.column_labels)
-    nvars = nu * nv
-
-    def var(u: int, v: int) -> int:
-        return u * nv + v
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for w in first.space.states:
-        frow = first.row(w)
-        srow = second.row(w)
-        for v in range(nv):
-            coeffs = [Fraction(0)] * nvars
-            for u in range(nu):
-                coeffs[var(u, v)] = frow[u]
-            rows.append(coeffs)
-            rhs.append(srow[v])
-    for u in range(nu):
-        coeffs = [Fraction(0)] * nvars
-        for v in range(nv):
-            coeffs[var(u, v)] = Fraction(1)
-        rows.append(coeffs)
-        rhs.append(Fraction(1))
-
-    solution = feasible_nonneg(rows, rhs)
-    if solution is None:
-        return GarblingResult(False, first.column_labels, second.column_labels)
-    garbling = tuple(
-        tuple(solution[var(u, v)] for v in range(nv)) for u in range(nu)
-    )
-    return GarblingResult(True, first.column_labels, second.column_labels, garbling)
+    nu, nv = len(first.column_labels), len(second.column_labels)
+    supports = [[u for u, p in enumerate(row) if p] for row in first.entries]
+    group = list(range(nu))  # each column's group, named by its least column
+    for cols in supports:
+        linked = {group[u] for u in cols}
+        group = [min(linked) if g in linked else g for g in group]
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # name -> (states, columns)
+    for w, cols in enumerate(supports):
+        groups.setdefault(group[cols[0]], ([], []))[0].append(w)
+    for u, g in enumerate(group):
+        groups.setdefault(g, ([], []))[1].append(u)
+    garbling: list[tuple[Fraction, ...]] = [()] * nu
+    for states, cols in groups.values():
+        width = len(cols) * nv
+        rows = [
+            [first.entries[w][cols[j // nv]] if j % nv == v else 0 for j in range(width)]
+            for w in states
+            for v in range(nv)
+        ] + [[int(j // nv == i) for j in range(width)] for i in range(len(cols))]
+        rhs = [p for w in states for p in second.entries[w]] + [1] * len(cols)
+        x = feasible_nonneg(rows, rhs)
+        if x is None:
+            return GarblingResult(False, first.column_labels, second.column_labels)
+        for i, u in enumerate(cols):
+            garbling[u] = tuple(x[i * nv : (i + 1) * nv])
+    return GarblingResult(True, first.column_labels, second.column_labels, tuple(garbling))
 
 
 def apply_garbling(
@@ -311,9 +321,9 @@ def apply_garbling(
     """Multiply a row-stochastic matrix by a garbling, yielding the garbled
     matrix over the given column labels. The garbling needs one row per
     column of the base matrix, each a distribution over the labels."""
-    nu = len(first.column_labels)
-    if len(garbling) != nu:
+    if len(garbling) != len(first.column_labels):
         raise InputError("garbling must have one row per column of the base matrix")
+    garbling = [tuple(map(parse_rational, row)) for row in garbling]
     for label, row in zip(first.column_labels, garbling):
         if len(row) != len(col_labels):
             raise InputError(

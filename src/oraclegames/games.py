@@ -900,6 +900,7 @@ class LogScore:
         """Score sum(w * log(v)) from (weight, value) terms with w >= 0."""
         kept = []
         for weight, value in terms:
+            weight, value = parse_rational(weight), parse_rational(value)
             if weight < 0:
                 raise InputError("log score weights must be nonnegative")
             if value < 0:
@@ -908,7 +909,7 @@ class LogScore:
                 continue
             if value == 0:
                 return cls.minus_infinity()
-            kept.append((Fraction(weight), Fraction(value)))
+            kept.append((weight, value))
         if not kept:
             return cls.zero()
         denom = 1

@@ -224,9 +224,7 @@ class Fixture:
         return self._two_stage[tau]
 
     def distribution(self, vector: object, what: str = "a distribution") -> Distribution:
-        return Distribution(
-            self.structure.space, tuple(parse_rational(v) for v in json_list(vector, what))
-        )
+        return Distribution(self.structure.space, tuple(json_list(vector, what)))
 
     def profile(self, spec: object) -> tuple[Distribution, ...]:
         """A tuple of distributions: a named entry of the "profiles" section

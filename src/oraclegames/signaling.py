@@ -34,10 +34,11 @@ from .types import (
 def _stochastic_rows(
     space: StateSpace, labels: Sequence[str], rows: Sequence[Sequence], what: str, kind: str
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """``rows`` as ``Fraction`` tuples, checked in this order: one row per
-    state, distinct ``kind`` labels, one entry per label, no negative entry,
-    every row summing to 1. An InputError names the ``what``'s first fault."""
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    """``rows`` read by ``parse_rational`` into ``Fraction`` tuples, checked
+    in this order: one row per state, distinct ``kind`` labels, one entry per
+    label, no negative entry, every row summing to 1. An InputError names
+    the ``what``'s first fault."""
+    rows = tuple(tuple(map(parse_rational, row)) for row in rows)
     if len(rows) != len(space):
         raise InputError(f"{what} must have one row per state")
     if len(set(labels)) != len(labels):
@@ -47,7 +48,10 @@ def _stochastic_rows(
             raise InputError(f"{what} row for state '{state}' has the wrong width")
         for label, v in zip(labels, row):
             if v < 0:
-                raise InputError(f"negative probability {v} at ({state}, {label})")
+                raise InputError(
+                    f"{what} row for state '{state}' has negative probability {v} "
+                    f"at {kind} '{label}'"
+                )
         if sum(row) != 1:
             raise InputError(f"{what} row for state '{state}' sums to {sum(row)}, not 1")
     return rows
@@ -135,7 +139,7 @@ class StochasticSignaling:
             for sig in row:
                 if sig not in signals:
                     raise InputError(f"kernel row for state '{state}' names unknown signal {sig!r}")
-            kernel.append(tuple(parse_rational(row.get(sig, 0)) for sig in signals))
+            kernel.append(tuple(row.get(sig, 0) for sig in signals))
         return cls(oracle_partition, tuple(signals), tuple(kernel))
 
     @classmethod
@@ -328,7 +332,7 @@ class StochasticMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        labels = tuple(self.column_labels)
+        labels = tuple(check_label("column", c, "") for c in self.column_labels)
         entries = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "column_labels", labels)
@@ -361,7 +365,16 @@ class ExperimentMatrix(StochasticMatrix):
         block_map = dict(self.blocks)
         if len(block_map) != len(self.blocks):
             raise InputError("duplicate block label")
-        Partition(self.space, tuple(block_map.values()))  # the blocks partition the states
+        seen: set[str] = set()
+        for label, states in self.blocks:
+            for s in states:
+                if s not in self.space:
+                    raise InputError(f"matrix block '{label}' names unknown state {s!r}")
+                if s in seen:
+                    raise InputError(f"matrix block '{label}' repeats state '{s}'")
+                seen.add(s)
+        # What is left to refuse: an empty block, or a state in no block.
+        partition_from_json(self.space, list(block_map.values()), "matrix 'blocks'")
         if len(self.columns) != len(self.column_labels):
             raise InputError("column metadata does not match the matrix width")
         for (sig, label), name in zip(self.columns, self.column_labels):
@@ -373,7 +386,8 @@ class ExperimentMatrix(StochasticMatrix):
             for (sig, label), v in zip(self.columns, row):
                 if v > 0 and state not in block_map[label]:
                     raise InputError(
-                        f"entry for state '{state}' is positive outside block '{label}'"
+                        f"matrix row for state '{state}' is positive at column "
+                        f"'{sig}@{label}' outside its block"
                     )
 
     def as_json(self) -> dict:
@@ -572,12 +586,9 @@ def matrix_from_json(data: object) -> StochasticMatrix:
     data = json_record(data, "matrix", "states", "entries", "columns", optional=("blocks",))
     space = StateSpace(tuple(json_list(data["states"], "matrix 'states'")))
     entries = json_object(data["entries"], "matrix 'entries'", *space.states)
-    rows = tuple(
-        tuple(parse_rational(v) for v in json_list(entries[s], f"matrix row for state '{s}'"))
-        for s in space.states
-    )
+    rows = tuple(tuple(json_list(entries[s], f"matrix row for state '{s}'")) for s in space.states)
     if "blocks" not in data:
-        columns = check_labels("column", data["columns"], "matrix 'columns'", "")
+        columns = tuple(json_list(data["columns"], "matrix 'columns'"))
         return StochasticMatrix(space=space, column_labels=columns, entries=rows)
     pairs = []
     for col in json_list(data["columns"], "matrix 'columns'"):

@@ -32,12 +32,12 @@ def check_label(kind: str, label: object, reserved: str = "|") -> str:
 
 def parse_rational(value: object) -> Fraction:
     """Turn an int or a "p/q" string into a Fraction; floats are refused."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
@@ -129,19 +129,19 @@ class StateSpace:
         return isinstance(state, str) and state in self._position
 
 
-def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple[Fraction, ...]:
+def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple[object, ...]:
+    """The masses of a JSON object or list in state order, unparsed."""
     if isinstance(mass, Mapping):
         for state in mass:
             space.index(state)
-        return tuple(parse_rational(mass.get(s, 0)) for s in space.states)
+        return tuple(mass.get(s, 0) for s in space.states)
     if not isinstance(mass, (list, tuple)):
         raise InputError(f"{what} must be a JSON object or list, got {mass!r}")
-    values = [parse_rational(v) for v in mass]
-    if len(values) != len(space):
+    if len(mass) != len(space):
         raise InputError(
-            f"expected {len(space)} masses for states {list(space.states)}, got {len(values)}"
+            f"expected {len(space)} masses for states {list(space.states)}, got {len(mass)}"
         )
-    return tuple(values)
+    return tuple(mass)
 
 
 def _unchecked(cls: type, **fields: object):
@@ -172,7 +172,7 @@ class Distribution:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        vector = tuple(v if type(v) is Fraction else Fraction(v) for v in self.vector)
+        vector = tuple(map(parse_rational, self.vector))
         object.__setattr__(self, "vector", vector)
         if len(vector) != len(self.space):
             name = type(self).__name__.lower()
@@ -392,10 +392,13 @@ class InformationStructure:
 
 
 def partition_from_json(space: StateSpace, blocks: object, what: str = "partition") -> Partition:
-    """A partition written as a JSON list of blocks, each a list of states."""
-    return Partition(
-        space, tuple(tuple(json_list(b, f"a block of {what}")) for b in json_list(blocks, what))
-    )
+    """A partition written as a JSON list of blocks, each a list of states;
+    a refusal names ``what``."""
+    given = tuple(tuple(json_list(b, f"a block of {what}")) for b in json_list(blocks, what))
+    try:
+        return Partition(space, given)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _named_partitions(

@@ -311,6 +311,26 @@ def fraction_simplex(A, b):
     return x
 
 
+def dense_garbling_system(first, second):
+    """The whole system first @ G == second over row-stochastic G >= 0, in
+    one piece: one row per (state, column of second), state-major, then one
+    row-sum row per column of first; variable u * (columns of second) + v is
+    G[u][v]. ``first`` and ``second`` are row lists over the same states."""
+    nu, nv = len(first[0]), len(second[0])
+    A, b = [], []
+    for frow, srow in zip(first, second):
+        for v in range(nv):
+            row = [Fraction(0)] * (nu * nv)
+            for u in range(nu):
+                row[u * nv + v] = Fraction(frow[u])
+            A.append(row)
+            b.append(Fraction(srow[v]))
+    for u in range(nu):
+        A.append([Fraction(int(j // nv == u)) for j in range(nu * nv)])
+        b.append(Fraction(1))
+    return A, b
+
+
 # ---------------------------------------------------------------------------
 # Game values
 

@@ -456,6 +456,12 @@ def test_apply_garbling_refuses_a_row_that_is_not_a_distribution(base, garbling,
         apply_garbling(base, garbling, ("v1", "v2"))
 
 
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+def test_apply_garbling_refuses_a_float_and_a_bool(value):
+    with pytest.raises(InputError, match="not a rational"):
+        apply_garbling(BASE, ((value, 1 - value), (1, 0)), ("v1", "v2"))
+
+
 def test_garbling_rejects_information_gains():
     # Both base columns treat w1 and w2 identically, so no garbling can
     # separate those states afterwards.
@@ -500,22 +506,7 @@ def test_garbling_agrees_with_vertex_oracle():
         second = StochasticMatrix(
             SPACE, ("v1", "v2"), tuple(_random_stochastic_rows(rng, 4, 2))
         )
-        # Rebuild the feasibility system exactly as an equality LP and give it
-        # to the independent basic-solution oracle.
-        rows, rhs = [], []
-        for w in SPACE.states:
-            frow, srow = base.row(w), second.row(w)
-            for v in range(2):
-                coeffs = [Fraction(0)] * 4
-                for u in range(2):
-                    coeffs[u * 2 + v] = frow[u]
-                rows.append(coeffs)
-                rhs.append(srow[v])
-        for u in range(2):
-            coeffs = [Fraction(0)] * 4
-            for v in range(2):
-                coeffs[u * 2 + v] = Fraction(1)
-            rows.append(coeffs)
-            rhs.append(Fraction(1))
+        # The whole feasibility system, for the independent basic-solution oracle.
+        rows, rhs = oracles.dense_garbling_system(base.entries, second.entries)
         expected = oracles.feasible_nonneg_oracle(rows, rhs) is not None
         assert garbling_exists(base, second).exists == expected

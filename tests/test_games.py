@@ -667,6 +667,13 @@ def test_log_score_validation():
         LogScore.zero() < 3
 
 
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+def test_log_score_from_terms_refuses_a_float_and_a_bool(value):
+    for term in ((value, Fraction(1, 2)), (Fraction(1, 2), value)):
+        with pytest.raises(InputError, match="not a rational"):
+            LogScore.from_terms([term])
+
+
 def test_log_score_argmax_is_strictly_proper_on_random_menus():
     rng = random.Random(77)
     for _ in range(40):

@@ -563,14 +563,37 @@ def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda m: delitem(m, "columns"),
-        lambda m: setitem(m, "columns", [["a", "b0", "x"], ["b", "b0", "x"]]),
-        lambda m: setitem(m, "entries", [["1/2", "1/2"], ["0", "1"]]),
-        lambda m: setitem(m, "blocks", [["w1", "w2"]]),
-        lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["zz"]}),
-        lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["w2"]}),
+        (lambda m: delitem(m, "columns"), "matrix is missing its 'columns' field"),
+        (
+            lambda m: setitem(m, "columns", [["a", "b0", "x"], ["b", "b0", "x"]]),
+            "matrix column ['a', 'b0', 'x'] is not a [signal, label] pair",
+        ),
+        (
+            lambda m: setitem(m, "entries", [["1/2", "1/2"], ["0", "1"]]),
+            "matrix 'entries' must be a JSON object, got [['1/2', '1/2'], ['0', '1']]",
+        ),
+        (
+            lambda m: setitem(m, "blocks", [["w1", "w2"]]),
+            "matrix 'blocks' must be a JSON object, got [['w1', 'w2']]",
+        ),
+        (
+            lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["zz"]}),
+            "matrix block 'b1' names unknown state 'zz'",
+        ),
+        (
+            lambda m: setitem(m, "blocks", {"b0": ["w1", "w2"], "b1": ["w2"]}),
+            "matrix block 'b1' repeats state 'w2'",
+        ),
+        (
+            lambda m: setitem(m["entries"], "w2", ["-1", "2"]),
+            "matrix row for state 'w2' has negative probability -1 at column 'a@b0'",
+        ),
+        (
+            lambda m: setitem(m, "blocks", {"b0": ["w1"], "b1": ["w2"]}),
+            "matrix row for state 'w2' is positive at column 'b@b0' outside its block",
+        ),
     ],
     ids=[
         "no-columns",
@@ -579,9 +602,11 @@ def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
         "blocks-not-object",
         "block-of-an-unknown-state",
         "overlapping-blocks",
+        "negative-entry",
+        "positive-outside-its-block",
     ],
 )
-def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit):
+def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit, message):
     matrix = {
         "states": ["w1", "w2"],
         "columns": [["a", "b0"], ["b", "b0"]],
@@ -596,7 +621,17 @@ def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit):
     assert cli.main(["garble-check", str(good), str(good)]) == 0
     capsys.readouterr()
     assert cli.main(["garble-check", str(bad), str(good)]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_names_the_partition_with_an_unknown_state(tmp_path, capsys):
+    fixture, spath = _write_structure(tmp_path, "rock-concert")
+    structure = fixture["structure"]
+    structure["players"][1]["partition"][0].append("zz")
+    spath.write_text(json.dumps(structure))
+    assert cli.main(["ckc", str(spath)]) == 2
+    name = structure["players"][1]["name"]
+    assert capsys.readouterr().err == f"error: player '{name}' partition: unknown state 'zz'\n"
 
 
 def test_cli_usage_errors(capsys, tmp_path):

@@ -9,6 +9,7 @@ import oracles
 from oraclegames import (
     Partition,
     StateSpace,
+    StochasticMatrix,
     StochasticSignaling,
     apply_garbling,
     dominance,
@@ -177,22 +178,19 @@ def test_same_vertex_as_fraction_simplex_when_ratio_ties_are_common():
         assert feasible_nonneg(A, b) == oracles.fraction_simplex(A, b)
 
 
-# A system falls apart into components, rows linked by a shared nonzero
-# column; each is solved on its own tableau and must give the vertex that one
-# tableau over the whole system gives.
+# Block-diagonal systems with zero rows and columns shuffled in: the shape of
+# a garbling system, which falls apart into one block per linked column group.
 
 
 def _block_diagonal(rng, blocks, zero_rows, zero_cols):
     """The (A, b) ``blocks`` on a diagonal, below them ``zero_rows`` (a list
     of right-hand sides) and beside them ``zero_cols`` empty columns, with
-    rows and columns shuffled into each other. Also returns each block's
-    rows in the shuffled system."""
+    rows and columns shuffled into each other."""
     m = sum(len(A) for A, _ in blocks) + len(zero_rows)
     n = sum(len(A[0]) for A, _ in blocks) + zero_cols
     row_at, col_at = rng.sample(range(m), m), rng.sample(range(n), n)
     big = [[Fraction(0)] * n for _ in range(m)]
     rhs = [Fraction(0)] * m
-    owned = []
     r0 = c0 = 0
     for A, b in blocks:
         rows = [row_at[r0 + i] for i in range(len(A))]
@@ -201,11 +199,10 @@ def _block_diagonal(rng, blocks, zero_rows, zero_cols):
             rhs[r] = b_i
             for c, v in zip(cols, a_row):
                 big[r][c] = v
-        owned.append(rows)
         r0, c0 = r0 + len(A), c0 + len(A[0])
     for i, b_i in enumerate(zero_rows):
         rhs[row_at[r0 + i]] = b_i
-    return big, rhs, owned
+    return big, rhs
 
 
 def _random_block(rng, values, feasible):
@@ -227,7 +224,7 @@ def test_same_vertex_as_fraction_simplex_on_block_diagonal_systems():
             for _ in range(rng.randint(2, 4))
         ]
         zero_rows = [Fraction(rng.choice((0, 0, 0, 1))) for _ in range(rng.randint(0, 2))]
-        A, b, _ = _block_diagonal(rng, blocks, zero_rows, rng.randint(0, 2))
+        A, b = _block_diagonal(rng, blocks, zero_rows, rng.randint(0, 2))
         x = feasible_nonneg(A, b)
         assert x == oracles.fraction_simplex(A, b)
         if x is None:
@@ -238,71 +235,186 @@ def test_same_vertex_as_fraction_simplex_on_block_diagonal_systems():
     assert feasible_seen >= 60 and infeasible_seen >= 60
 
 
-def _counting_phase1(monkeypatch):
-    """Record the shape of every system ``_lp._phase1`` is given."""
-    calls, phase1 = [], _lp._phase1
+# garbling_exists solves one system per linked group of the first matrix's
+# columns. Each group's witness must be its part of the vertex that one
+# Fraction tableau over the whole dense system gives.
+
+
+def _dense_vertex(first, second):
+    """The rows of G at the vertex ``oracles.fraction_simplex`` finds on the
+    whole system first @ G == second, or None when it is infeasible."""
+    A, b = oracles.dense_garbling_system(first.entries, second.entries)
+    x = oracles.fraction_simplex(A, b)
+    nv = len(second.column_labels)
+    return None if x is None else tuple(tuple(x[i : i + nv]) for i in range(0, len(x), nv))
+
+
+def _distribution(rng, k, low=1):
+    weights = [rng.randint(low, 4) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = 1
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def _matrix(space, prefix, rows):
+    labels = tuple(f"{prefix}{i}" for i in range(len(rows[0])))
+    return StochasticMatrix(space, labels, tuple(map(tuple, rows)))
+
+
+def _garbled(rng, space, first, nv):
+    """first @ G for a random row-stochastic G with zero entries allowed."""
+    G = [_distribution(rng, nv, 0) for _ in first.column_labels]
+    rows = [[sum(r[u] * G[u][v] for u in range(len(G))) for v in range(nv)] for r in first.entries]
+    return _matrix(space, "v", rows)
+
+
+def _plain_pair(rng):
+    """A plain first matrix whose states put mass on one of 1-3 column groups,
+    now and then on a column of another group too, with some columns empty;
+    second is a garbling of it or a random matrix."""
+    n, nu, nv = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 4)
+    space = StateSpace(tuple(f"w{i}" for i in range(n)))
+    group = [rng.randrange(3) for _ in range(nu)]
+    empty = set(rng.sample(range(nu), rng.randint(0, nu - 1)))
+    rows = []
+    for _ in range(n):
+        g = rng.randrange(3)
+        cols = [u for u in range(nu) if u not in empty and (group[u] == g or rng.random() < 0.2)]
+        cols = cols or [min(set(range(nu)) - empty)]
+        row = [Fraction(0)] * nu
+        for u, p in zip(cols, _distribution(rng, len(cols), 0)):
+            row[u] = p
+        rows.append(row)
+    first = _matrix(space, "u", rows)
+    if rng.random() < 0.5:
+        return first, _garbled(rng, space, first, nv)
+    return first, _matrix(space, "v", [_distribution(rng, nv, 0) for _ in range(n)])
+
+
+def test_garbling_witness_is_the_dense_systems_vertex():
+    rng = random.Random(2718)
+    seen = dict.fromkeys(("feasible", "infeasible", "empty_column", "cross_linked"), 0)
+    pairs = []
+    for _ in range(300):
+        first, second = _plain_pair(rng)
+        columns = list(zip(*first.entries))
+        seen["empty_column"] += not all(any(col) for col in columns)
+        supports = [{u for u, p in enumerate(row) if p} for row in first.entries]
+        seen["cross_linked"] += any(a & b and a != b for a in supports for b in supports)
+        pairs.append((first, second))
+    for _ in range(12):
+        states = rng.randint(5, 8)
+        cuts = sorted(rng.sample(range(1, states), rng.randint(1, 2))) + [states]
+        first, second = _merged_experiments(rng, states, cuts)
+        pairs += [(first, second), (second, first)]
+    # Here the ratio test ties a state row with a row-sum row, so solving the
+    # row sums first would give another vertex.
+    space = StateSpace(("w0", "w1", "w2"))
+    tie = [[1, 1, 1, 2], [1, 1, 2, 1], [1, 1, 1, 2]]
+    first = _matrix(space, "u", [[Fraction(v, 5) for v in row] for row in tie])
+    target = [[Fraction(5, 15), Fraction(10, 15)], [Fraction(8, 15), Fraction(7, 15)]]
+    pairs.append((first, _matrix(space, "v", [target[0], target[1], target[0]])))
+    for first, second in pairs:
+        result = garbling_exists(first, second)
+        assert result.garbling == _dense_vertex(first, second)
+        assert result.exists == (result.garbling is not None)
+        seen["feasible" if result.exists else "infeasible"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def _counting_solves(monkeypatch):
+    """Record the shape of every system ``garbling_exists`` hands to
+    ``feasible_nonneg``."""
+    calls = []
 
     def record(A, b):
         calls.append((len(A), len(A[0])))
-        return phase1(A, b)
-
-    monkeypatch.setattr(_lp, "_phase1", record)
-    return calls
-
-
-def test_one_tableau_per_component(monkeypatch):
-    # Dense blocks are one component each; zero rows and columns need none.
-    calls = _counting_phase1(monkeypatch)
-    rng = random.Random(99)
-    for _ in range(100):
-        blocks = [_random_block(rng, (1, -1, 2, -3), True) for _ in range(rng.randint(2, 4))]
-        A, b, owned = _block_diagonal(rng, blocks, [Fraction(0)] * rng.randint(0, 2), 2)
-        calls.clear()
-        x = feasible_nonneg(A, b)
-        assert x is not None and x == oracles.fraction_simplex(A, b)
-        by_first_row = sorted(zip(owned, blocks), key=lambda pair: min(pair[0]))
-        assert calls == [(len(B), len(B[0])) for _, (B, _) in by_first_row]
-
-
-def test_the_first_infeasible_component_decides(monkeypatch):
-    # A positive block with a negative right-hand side has no solution x >= 0.
-    calls = _counting_phase1(monkeypatch)
-    rng = random.Random(5)
-    for _ in range(50):
-        blocks = [_random_block(rng, (1, 2, 3), True) for _ in range(rng.randint(2, 4))]
-        A, b, owned = _block_diagonal(rng, blocks, [], 1)
-        first = next(rows for rows in owned if 0 in rows)
-        b[first[0]] = -b[first[0]] - 1
-        calls.clear()
-        assert feasible_nonneg(A, b) is None
-        assert len(calls) == 1
-
-
-def _garbling_lps(monkeypatch, first, second):
-    """The two LPs that garbling_exists solves, forward then backward."""
-    lps = []
-
-    def record(A, b):
-        lps.append((A, b))
         return feasible_nonneg(A, b)
 
     monkeypatch.setattr(dominance, "feasible_nonneg", record)
-    garbling_exists(first, second)
-    garbling_exists(second, first)
-    return lps
+    return calls
 
 
-def test_same_vertex_on_one_dm_garblings(monkeypatch):
+def _grouped_pair(rng, k, empty, one_column=None):
+    """A plain first matrix of ``k`` linked column groups and ``empty``
+    columns with mass nowhere, shuffled together; each state puts positive
+    mass on every column of its group, and every group has a state (group
+    ``one_column`` has one column and at least two states). Returns first, a
+    garbling of it, and each group's (states, columns) in order of first
+    state, then one ([], [u]) per empty column."""
+    sizes = [1 if g == one_column else rng.randint(1, 3) for g in range(k)]
+    nu = sum(sizes) + empty
+    order = rng.sample(range(nu), nu)
+    cuts = [sum(sizes[:g]) for g in range(k + 1)]
+    columns = [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    owner = list(range(k)) + [rng.randrange(k) for _ in range(rng.randint(0, 3))]
+    if one_column is not None:
+        owner.append(one_column)
+    rng.shuffle(owner)
+    space = StateSpace(tuple(f"w{i}" for i in range(len(owner))))
+    rows = []
+    for g in owner:
+        row = [Fraction(0)] * nu
+        for u, p in zip(columns[g], _distribution(rng, sizes[g])):
+            row[u] = p
+        rows.append(row)
+    first = _matrix(space, "u", rows)
+    groups = [([w for w, o in enumerate(owner) if o == g], columns[g]) for g in range(k)]
+    groups.sort(key=lambda group: group[0][0])
+    groups += [([], [u]) for u in sorted(order[cuts[-1] :])]
+    return first, _garbled(rng, space, first, rng.randint(2, 3)), groups
+
+
+def test_one_tableau_per_linked_column_group(monkeypatch):
+    # Each group's system is its states x second's columns plus its row sums,
+    # over its columns x second's columns; a column with mass nowhere is a
+    # group of its own.
+    calls = _counting_solves(monkeypatch)
+    rng = random.Random(99)
+    for _ in range(100):
+        first, second, groups = _grouped_pair(rng, rng.randint(1, 4), rng.randint(0, 2))
+        nv = len(second.column_labels)
+        calls.clear()
+        result = garbling_exists(first, second)
+        assert result.garbling == _dense_vertex(first, second) is not None
+        assert calls == [(len(w) * nv + len(u), len(u) * nv) for w, u in groups]
+
+
+def test_the_first_infeasible_group_decides(monkeypatch):
+    # The states of a one-column group all have the same row of first, so
+    # giving two of them different rows of second leaves that group without
+    # a solution; no group after it is solved.
+    calls = _counting_solves(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(50):
+        k = rng.randint(1, 4)
+        first, second, groups = _grouped_pair(rng, k, rng.randint(0, 2), rng.randrange(k))
+        at = next(i for i, (w, u) in enumerate(groups) if len(u) == 1 and len(w) >= 2)
+        rows = [list(row) for row in second.entries]
+        a, b = groups[at][0][:2]
+        rows[a] = [Fraction(int(v == 0)) for v in range(len(rows[a]))]
+        rows[b] = [Fraction(int(v == 1)) for v in range(len(rows[b]))]
+        calls.clear()
+        assert not garbling_exists(first, _matrix(first.space, "v", rows)).exists
+        assert len(calls) == at + 1
+
+
+def _garbling_witnesses(first, second):
+    """Both directions of garbling_exists, forward then backward."""
+    return [garbling_exists(first, second).garbling, garbling_exists(second, first).garbling]
+
+
+def test_same_vertex_on_one_dm_garblings():
     data = harness.load_fixture("one-dm")
     structure = structure_from_json(data["structure"])
     dm = structure.players[0]
     full, tau2 = (
         signaling_from_json(structure, data["signalings"][k]) for k in ("tau1full", "tau2")
     )
-    lps = _garbling_lps(monkeypatch, experiment_matrix(full, dm), experiment_matrix(tau2, dm))
-    vertices = [feasible_nonneg(A, b) for A, b in lps]
-    assert vertices == [oracles.fraction_simplex(A, b) for A, b in lps]
-    assert [x is None for x in vertices] == [False, True]
+    first, second = experiment_matrix(full, dm), experiment_matrix(tau2, dm)
+    witnesses = _garbling_witnesses(first, second)
+    assert witnesses == [_dense_vertex(first, second), _dense_vertex(second, first)]
+    assert [x is None for x in witnesses] == [False, True]
 
 
 def _merged_experiments(rng, states, player_blocks):
@@ -326,13 +438,19 @@ def _merged_experiments(rng, states, player_blocks):
 
 
 def test_same_vertex_on_a_benchmark_sized_garbling(monkeypatch):
-    # 11 states, a 3-block player, 3 signals on a 4-block oracle, merged to 2.
+    # 11 states, a 3-block player, 3 signals on a 4-block oracle, merged to 2:
+    # a 75x54 forward and a 105x54 backward system, one group per player block.
     first, second = _merged_experiments(random.Random(11), 11, (4, 7, 11))
-    lps = _garbling_lps(monkeypatch, first, second)
-    assert [(len(A), len(A[0])) for A, b in lps] == [(75, 54), (105, 54)]
-    vertices = [feasible_nonneg(A, b) for A, b in lps]
-    assert vertices == [oracles.fraction_simplex(A, b) for A, b in lps]
-    assert vertices[0] is not None
+    for a, b, shape in ((first, second, (75, 54)), (second, first, (105, 54))):
+        A, _ = oracles.dense_garbling_system(a.entries, b.entries)
+        assert (len(A), len(A[0])) == shape
+    calls = _counting_solves(monkeypatch)
+    witnesses = _garbling_witnesses(first, second)
+    assert witnesses == [_dense_vertex(first, second), _dense_vertex(second, first)]
+    assert witnesses[0] is not None
+    # Forward, the three groups of 4, 3 and 4 states; backward, the first
+    # group is already infeasible.
+    assert calls == [(27, 18), (21, 18), (27, 18), (38, 18)]
 
 
 def test_a_garbling_with_ten_player_blocks_is_solved_block_by_block():

@@ -78,6 +78,33 @@ def test_kernel_validation():
 
 
 HALF = Fraction(1, 2)
+FLOAT_AND_BOOL = pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+
+
+@FLOAT_AND_BOOL
+def test_stochastic_signaling_refuses_a_float_and_a_bool(value):
+    # 0.5 was once read as the kernel of halves, True as 1.
+    with pytest.raises(InputError, match="not a rational"):
+        StochasticSignaling(ORACLE, ("x", "y"), ((value, 1 - value),) * 4)
+
+
+@FLOAT_AND_BOOL
+def test_stochastic_matrix_refuses_a_float_and_a_bool(value):
+    with pytest.raises(InputError, match="not a rational"):
+        StochasticMatrix(SPACE, ("x", "y"), ((HALF, HALF),) * 3 + ((value, 1 - value),))
+
+
+@pytest.mark.parametrize("labels", [(1, "y"), ("x", "")], ids=["not-a-string", "empty"])
+def test_stochastic_matrix_refuses_labels_its_json_form_would_refuse(labels):
+    with pytest.raises(InputError, match="column labels must be nonempty strings"):
+        StochasticMatrix(SPACE, labels, ((HALF, HALF),) * 4)
+
+
+def test_stochastic_matrix_round_trips_through_its_json_form():
+    plain = StochasticMatrix(SPACE, ("x", "y z"), ((HALF, HALF), (1, 0), (0, 1), (HALF, HALF)))
+    made = experiment_matrix(TAU, P1)
+    for matrix in (plain, made):
+        assert matrix_from_json(matrix.as_json()) == matrix
 
 
 @pytest.mark.parametrize(
@@ -86,7 +113,11 @@ HALF = Fraction(1, 2)
         (("s1", "s2"), (), "kernel must have one row per state"),
         (("s1", "s1"), ((HALF, HALF),), "duplicate signal label"),
         (("s1", "s2"), ((1,),), "kernel row for state 'w4' has the wrong width"),
-        (("s1", "s2"), ((2, -1),), "negative probability -1 at (w4, s2)"),
+        (
+            ("s1", "s2"),
+            ((2, -1),),
+            "kernel row for state 'w4' has negative probability -1 at signal 's2'",
+        ),
         (("s1", "s2"), ((HALF, 1),), "kernel row for state 'w4' sums to 3/2, not 1"),
     ],
     ids=["row-count", "labels", "width", "sign", "row-sum"],
@@ -711,11 +742,11 @@ def test_matrix_from_json_round_trip():
         ({"states": "w1w2w3w4"}, "'states' must be a JSON list"),
         (
             {"blocks": {"b0": ["w1", "w2"], "b1": ["w3", "w4"], "b2": ["zz"]}},
-            "unknown state 'zz'",
+            "^matrix block 'b2' names unknown state 'zz'$",
         ),
         (
             {"blocks": {"b0": ["w1", "w2"], "b1": ["w2", "w3", "w4"]}},
-            "state 'w2' appears in more than one block",
+            "^matrix block 'b1' repeats state 'w2'$",
         ),
     ],
 )
@@ -743,7 +774,8 @@ def test_experiment_matrix_refuses_metadata_that_would_not_round_trip():
     with pytest.raises(InputError, match="duplicate block label"):
         ExperimentMatrix(**dict(good, blocks=twice))
     short = (("b0", P1.blocks[0]), ("b1", ("w3",)))
-    with pytest.raises(InputError, match="do not cover state 'w4'"):
+    uncovered = "^matrix 'blocks': partition blocks do not cover state 'w4'$"
+    with pytest.raises(InputError, match=uncovered):
         ExperimentMatrix(**dict(good, blocks=short))
 
 

@@ -41,6 +41,23 @@ def test_parse_rational_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+# Each constructor reads its values through parse_rational, so a float or a
+# bool is refused rather than taken as the rational it rounds to.
+FLOAT_AND_BOOL = pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+
+
+@FLOAT_AND_BOOL
+def test_distribution_refuses_a_float_and_a_bool(value):
+    with pytest.raises(InputError, match="not a rational"):
+        Distribution(SPACE, (value, 1 - value, 0, 0))
+
+
+@FLOAT_AND_BOOL
+def test_prior_refuses_a_float_and_a_bool(value):
+    with pytest.raises(InputError, match="not a rational"):
+        Prior(SPACE, (value, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2) - value))
+
+
 def test_format_rational_round_trips():
     for value in (Fraction(0), Fraction(3, 7), Fraction(-22, 5), Fraction(4)):
         assert parse_rational(format_rational(value)) == value
