@@ -23,7 +23,7 @@ from .partitions import (
     join,
     refines,
 )
-from .signaling import StochasticMatrix, _product
+from .signaling import StochasticMatrix
 from .types import (
     InformationStructure,
     Partition,
@@ -331,10 +331,14 @@ def apply_garbling(
             )
         if any(v < 0 for v in row) or sum(row) != 1:
             raise InputError(f"garbling row for column '{label}' is not a distribution")
+    columns = tuple(zip(*garbling))
     return StochasticMatrix(
         space=first.space,
         column_labels=tuple(col_labels),
-        entries=_product(first.entries, garbling),
+        entries=tuple(
+            tuple(sum((p * g for p, g in zip(row, column)), Fraction(0)) for column in columns)
+            for row in first.entries
+        ),
     )
 
 

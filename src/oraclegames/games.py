@@ -33,6 +33,7 @@ from .types import (
     InformationStructure,
     Partition,
     StateSpace,
+    _over_lcm,
     check_label,
     check_labels,
     format_rational,
@@ -123,12 +124,8 @@ def _integer_payoffs(
         for state in game.structure.space
         for at, profile in profiles
     }
-    tables = []
-    for i in range(game.structure.n):
-        scale = math.lcm(*(values[i].denominator for values in rows.values()))
-        table = {key: v[i].numerator * (scale // v[i].denominator) for key, v in rows.items()}
-        tables.append((table, scale))
-    return tables
+    columns = (_over_lcm([v[i] for v in rows.values()]) for i in range(game.structure.n))
+    return [(dict(zip(rows, ints)), scale) for scale, *ints in columns]
 
 
 def game_from_json(
@@ -164,13 +161,11 @@ def reachable_pairs(
 ) -> tuple[tuple[Pair, ...], ...]:
     """Per player, the (block, signal) pairs that occur with positive mass:
     blocks in canonical order, then signal order."""
-    return _reachable(structure, tau.signals, _branch_masses(structure, tau))
+    return _reachable(structure, tau.signals, _branch_masses(structure, tau)[0])
 
 
 def _reachable(
-    structure: InformationStructure,
-    signals: Sequence[str],
-    masses: Mapping[Branch, Fraction],
+    structure: InformationStructure, signals: Sequence[str], masses: Mapping[Branch, int]
 ) -> tuple[tuple[Pair, ...], ...]:
     return tuple(
         tuple(
@@ -306,16 +301,18 @@ def strategy_from_json(
 
 def _outcomes(
     game: Game,
-    branches: Iterable[tuple[Branch, Fraction]],
+    branches: Iterable[tuple[Branch, int]],
+    total: int,
     strategy: StrategyProfile,
     free: Optional[int] = None,
 ) -> Iterator[tuple[str, ActionProfile, Fraction]]:
-    """(state, action profile, mass) over the given (branch, mass) pairs and
-    every combination of the actions the players' mixtures play there.
-    Player ``free``, when given, is left to the caller: their action is
-    None and their mixture does not weigh the mass."""
+    """(state, action profile, mass) over the given (branch, integer mass
+    over ``total``) pairs and every combination of the actions the players'
+    mixtures play there. Player ``free``, when given, is left to the caller:
+    their action is None and their mixture does not weigh the mass."""
     structure = game.structure
-    for (state, signal), w in branches:
+    for (state, signal), m in branches:
+        w = Fraction(m, total)
         mixtures = []
         for i, partition in enumerate(structure.players):
             if i == free:
@@ -342,13 +339,14 @@ def _cells(
     of its own cell, so a branch-additive objective over pure measurable
     strategies is maximized cell by cell.  Slots are numbered player by
     player in first-seen order; a positioned branch is (state, mass times
-    ``scale``, slot index of each player), where ``scale`` is the lcm of the
-    cell's mass denominators, so every mass is an integer.
+    ``scale``, slot index of each player): with g = gcd(D, m, ...) over the
+    cell's table masses m/D, scale = D/g is the lcm of their reduced denominators.
     """
     meet = ckc_decompose(structure.players)
-    cells: dict[tuple[str, tuple[str, ...]], list[tuple[str, Fraction]]] = {}
-    for (state, signal), w in _branch_masses(structure, tau).items():
-        cells.setdefault((signal, meet.block_of(state)), []).append((state, w))
+    masses, total = _branch_masses(structure, tau)
+    cells: dict[tuple[str, tuple[str, ...]], list[tuple[str, int]]] = {}
+    for (state, signal), m in masses.items():
+        cells.setdefault((signal, meet.block_of(state)), []).append((state, m))
     for (signal, _), branches in cells.items():
         slots: list[Slot] = []
         index: dict[Slot, int] = {}
@@ -358,19 +356,19 @@ def _cells(
                 if key not in index:
                     index[key] = len(slots)
                     slots.append(key)
-        scale = math.lcm(*(w.denominator for _, w in branches))
+        g = math.gcd(total, *(m for _, m in branches))
         positioned = [
             (
                 state,
-                w.numerator * (scale // w.denominator),
+                m // g,
                 tuple(
                     index[(i, partition.block_of(state))]
                     for i, partition in enumerate(structure.players)
                 ),
             )
-            for state, w in branches
+            for state, m in branches
         ]
-        yield signal, positioned, slots, scale
+        yield signal, positioned, slots, total // g
 
 
 def _slot_search(
@@ -479,17 +477,16 @@ def expected_payoffs(
             if state not in structure.space:
                 raise InputError(f"unknown state '{state}' in event")
         event = set(listed)
-    branches = _branch_masses(structure, tau).items()
-    if event is not None:
-        branches = [(branch, w) for branch, w in branches if branch[0] in event]
+    masses, total = _branch_masses(structure, tau)
+    branches = masses.items()
+    if event is not None:  # the event's branches weighed over their own total
+        branches = [(branch, m) for branch, m in branches if branch[0] in event]
+        total = sum(m for _, m in branches)
     totals = [Fraction(0)] * structure.n
-    for state, profile, weight in _outcomes(game, branches, strategy):
+    for state, profile, weight in _outcomes(game, branches, total, strategy):
         values = game.payoff(state, profile)
         for i in range(structure.n):
             totals[i] += weight * values[i]
-    if event is not None:
-        mass = structure.prior.event_mass(event)
-        totals = [t / mass for t in totals]
     return tuple(totals)
 
 
@@ -534,8 +531,8 @@ def ned_distribution(
     """Distribution over (state, action profile) induced by prior, signaling,
     and strategy."""
     mass: dict[tuple[str, ActionProfile], Fraction] = {}
-    branches = _branch_masses(game.structure, tau).items()
-    for state, profile, weight in _outcomes(game, branches, strategy):
+    masses, total = _branch_masses(game.structure, tau)
+    for state, profile, weight in _outcomes(game, masses.items(), total, strategy):
         key = (state, profile)
         mass[key] = mass.get(key, Fraction(0)) + weight
     return OutcomeDistribution(game.structure.space, mass)
@@ -560,20 +557,22 @@ def is_equilibrium(
     so the sweep is exhaustive."""
     if isinstance(game, LogScoreGame):
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
-    masses = _branch_masses(game.structure, tau)
+    masses, total = _branch_masses(game.structure, tau)
     pairs = _reachable(game.structure, tau.signals, masses)
     for i, name in enumerate(game.structure.player_names):
         for block, signal in pairs[i]:
             # The others' outcomes at the pair, split around player i's
             # action and shared by every action valued.
             at = [((s, signal), masses[(s, signal)]) for s in block if (s, signal) in masses]
-            outcomes = [(s, p[:i], p[i + 1 :], w) for s, p, w in _outcomes(game, at, strategy, i)]
+            outcomes = [
+                (s, p[:i], p[i + 1 :], w) for s, p, w in _outcomes(game, at, total, strategy, i)
+            ]
 
             def value(action: object) -> Fraction:
-                total = Fraction(0)
+                v = Fraction(0)
                 for s, head, tail, w in outcomes:
-                    total += w * game.payoff(s, (*head, action, *tail))[i]
-                return total
+                    v += w * game.payoff(s, (*head, action, *tail))[i]
+                return v
 
             mix = [(a, p) for a, p in strategy.mixture(i, block, signal).items() if p > 0]
             values = {a: value(a) for a, _ in mix}
@@ -1006,11 +1005,11 @@ def kld_action_label(dist: Distribution) -> str:
 
 
 def _posterior_menus(
-    branches: Mapping[Branch, tuple], n: int
+    profiles: Mapping[Branch, tuple], n: int
 ) -> tuple[tuple[Distribution, ...], ...]:
     """Per player, the distinct posteriors of the branches, sorted by
     vector: the player's declaration menu."""
-    return tuple(posterior_menu(p[i] for _, p in branches.values()) for i in range(n))
+    return tuple(posterior_menu(p[i] for p in profiles.values()) for i in range(n))
 
 
 class LogScoreGame:
@@ -1039,7 +1038,8 @@ class LogScoreGame:
 def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) -> LogScoreGame:
     """The log-score game whose menus are the posteriors the signaling
     induces."""
-    return LogScoreGame(structure, _posterior_menus(_branch_profiles(structure, tau), structure.n))
+    profiles = _branch_profiles(structure, _branch_masses(structure, tau)[0])
+    return LogScoreGame(structure, _posterior_menus(profiles, structure.n))
 
 
 def truthful_kld_strategy(
@@ -1048,7 +1048,7 @@ def truthful_kld_strategy(
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
     structure = game.structure
-    masses = _branch_masses(structure, tau)
+    masses, _ = _branch_masses(structure, tau)
     pairs = _reachable(structure, tau.signals, masses)
     tables: list[dict[Pair, str]] = [{} for _ in range(structure.n)]
     for i, name in enumerate(structure.player_names):
@@ -1068,8 +1068,8 @@ def kld_expected_scores(
         raise DomainError("kld_expected_scores applies to log-score games only")
     n = game.structure.n
     terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
-    branches = _branch_masses(game.structure, tau).items()
-    for state, profile, weight in _outcomes(game, branches, strategy):
+    masses, total = _branch_masses(game.structure, tau)
+    for state, profile, weight in _outcomes(game, masses.items(), total, strategy):
         values = game.payoff(state, profile)
         for i in range(n):
             terms[i].append((weight, values[i]))
@@ -1112,9 +1112,9 @@ class TwoStageGame:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
         self.tau = tau
-        branches = _branch_profiles(structure, tau)
+        branches = _branch_profiles(structure, _branch_masses(structure, tau)[0])
         feasible: dict[str, set[tuple[Distribution, ...]]] = {}
-        for (_, signal), (_, profile) in branches.items():
+        for (_, signal), profile in branches.items():
             feasible.setdefault(signal, set()).add(profile)
         self.feasible = {s: frozenset(ps) for s, ps in feasible.items()}
         self._belief_games = {
@@ -1127,7 +1127,7 @@ class TwoStageGame:
         # signaling reaches.
         self._truthful = {
             (i, partition.block_of(state), signal): (signal, profile[i])
-            for (state, signal), (_, profile) in branches.items()
+            for (state, signal), profile in branches.items()
             for i, partition in enumerate(structure.players)
         }
         actions = []

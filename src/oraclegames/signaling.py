@@ -7,9 +7,9 @@ column-proportionality decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -19,6 +19,8 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
+    _over_lcm,
+    _parsed,
     _unchecked,
     check_label,
     check_labels,
@@ -33,17 +35,20 @@ from .types import (
 
 def _stochastic_rows(
     space: StateSpace, labels: Sequence[str], rows: Sequence[Sequence], what: str, kind: str
-) -> tuple[tuple[Fraction, ...], ...]:
-    """``rows`` read by ``parse_rational`` into ``Fraction`` tuples, checked
-    in this order: one row per state, distinct ``kind`` labels, one entry per
-    label, no negative entry, every row summing to 1. An InputError names
-    the ``what``'s first fault."""
-    rows = tuple(tuple(map(parse_rational, row)) for row in rows)
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``rows`` read by ``parse_rational`` and each row's ``_over_lcm`` key,
+    checked in this order: one row per state, every entry rational, distinct
+    ``kind`` labels, one entry per label, no negative entry, every row summing
+    to 1. An InputError names the ``what``'s first fault."""
+    rows = tuple(rows)
     if len(rows) != len(space):
         raise InputError(f"{what} must have one row per state")
+    at = (f"{what} row for state '{s}'" for s in space.states)
+    rows = tuple(tuple(_parsed(v, where) for v in row) for row, where in zip(rows, at))
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate {kind} label")
-    for state, row in zip(space.states, rows):
+    keys = tuple(map(_over_lcm, rows))
+    for state, row, key in zip(space.states, rows, keys):
         if len(row) != len(labels):
             raise InputError(f"{what} row for state '{state}' has the wrong width")
         for label, v in zip(labels, row):
@@ -52,28 +57,18 @@ def _stochastic_rows(
                     f"{what} row for state '{state}' has negative probability {v} "
                     f"at {kind} '{label}'"
                 )
-        if sum(row) != 1:
+        if sum(key[1:]) != key[0]:
             raise InputError(f"{what} row for state '{state}' sums to {sum(row)}, not 1")
-    return rows
+    return rows, keys
 
 
-def _product(
-    rows: Sequence[Sequence[Fraction]], garbling: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact matrix product ``rows`` @ ``garbling``."""
-    columns = tuple(zip(*garbling))
-    return tuple(
-        tuple(sum((p * g for p, g in zip(row, column)), Fraction(0)) for column in columns)
-        for row in rows
-    )
-
-
-def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple[Fraction, ...]]) -> dict:
-    """The signals with a positive entry somewhere, and the kernel on them."""
-    keep = [j for j in range(len(signals)) if any(row[j] > 0 for row in kernel)]
+def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple], keys: Sequence[tuple]) -> dict:
+    """The signals with a positive entry somewhere, and the kernel and its keys on them."""
+    keep = [j for j in range(len(signals)) if any(key[j + 1] for key in keys)]
     return {
         "signals": tuple(signals[j] for j in keep),
         "kernel": tuple(tuple(row[j] for j in keep) for row in kernel),
+        "_keys": tuple((key[0], *(key[j + 1] for j in keep)) for key in keys),
     }
 
 
@@ -82,17 +77,19 @@ class StochasticSignaling:
     """Row-stochastic kernel tau(s|state), constant on oracle blocks.
 
     Signals with zero probability everywhere are trimmed at construction so
-    the signal set is canonical (the support of the kernel).
+    the signal set is canonical (the support of the kernel). ``_keys`` holds
+    each row as integers ``(d, n_1, ...)`` over its lcm denominator d.
     """
 
     oracle_partition: Partition
     signals: tuple[str, ...]
     kernel: tuple[tuple[Fraction, ...], ...]  # rows in state order, cols in signal order
+    _keys: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         space = self.oracle_partition.space
         signals = tuple(check_label("signal", s) for s in self.signals)
-        kernel = _stochastic_rows(space, signals, self.kernel, "kernel", "signal")
+        kernel, keys = _stochastic_rows(space, signals, self.kernel, "kernel", "signal")
         for block in self.oracle_partition.blocks:
             ref = kernel[space.index(block[0])]
             for s in block[1:]:
@@ -101,7 +98,7 @@ class StochasticSignaling:
                         f"kernel is not measurable: states '{block[0]}' and '{s}' share an "
                         "oracle block but have different rows"
                     )
-        vars(self).update(_trimmed(signals, kernel))
+        vars(self).update(_trimmed(signals, kernel, keys))
 
     @property
     def space(self) -> StateSpace:
@@ -160,16 +157,11 @@ class StochasticSignaling:
 
     def induced_partition(self) -> Partition:
         """The signal preimages; only a deterministic (0/1) kernel has them."""
-        if any(v not in (0, 1) for row in self.kernel for v in row):
+        if any(key[0] != 1 for key in self._keys):  # integers summing to 1 are 0s and a 1
             raise DomainError("deterministic information is required here")
         states = self.space.states
-        return Partition(
-            self.space,
-            tuple(
-                tuple(w for w, row in zip(states, self.kernel) if row[j])
-                for j in range(len(self.signals))
-            ),
-        )
+        preimages = (tuple(w for w, p in zip(states, column) if p) for column in zip(*self.kernel))
+        return Partition(self.space, tuple(preimages))
 
 
 class PosteriorAtlas:
@@ -180,19 +172,7 @@ class PosteriorAtlas:
 
     def __init__(self, entries: Mapping[tuple[Distribution, ...], Fraction]):
         self.entries: dict[tuple[Distribution, ...], Fraction] = dict(entries)
-        if not self.entries:
-            raise InputError("an atlas cannot be empty")
-        for profile, w in self.entries.items():
-            if w <= 0:
-                raise InputError(f"atlas weight {w} is not positive")
-        if sum(self.entries.values()) != 1:
-            raise InputError("atlas weights do not sum to 1")
-        # Equal vectors are equal posteriors, so ranking each player's
-        # posteriors by vector once and sorting by ranks sorts by vectors.
-        ranks = [{d: r for r, d in enumerate(posterior_menu(c))} for c in zip(*self.entries)]
-        self._order = tuple(
-            sorted(self.entries, key=lambda p: tuple(map(dict.__getitem__, ranks, p)))
-        )
+        self._order = _checked_order(self.entries, 1)
 
     def profiles(self) -> tuple[tuple[Distribution, ...], ...]:
         return self._order
@@ -218,6 +198,20 @@ class PosteriorAtlas:
             {"posteriors": [d.as_strings() for d in p], "weight": format_rational(self.entries[p])}
             for p in self._order
         ]
+
+
+def _checked_order(weights: Mapping[tuple[Distribution, ...], object], total: int) -> tuple:
+    """The profiles of ``weights`` by vector (equal vectors are equal posteriors, so by each
+    player's ranks), once they are some, each positive, summing to ``total``."""
+    if not weights:
+        raise InputError("an atlas cannot be empty")
+    for w in weights.values():
+        if w <= 0:
+            raise InputError(f"atlas weight {w} is not positive")
+    if sum(weights.values()) != total:
+        raise InputError("atlas weights do not sum to 1")
+    ranks = [{d: r for r, d in enumerate(posterior_menu(c))} for c in zip(*weights)]
+    return tuple(sorted(weights, key=lambda p: tuple(map(dict.__getitem__, ranks, p))))
 
 
 def posterior_menu(posteriors: Iterable[Distribution]) -> tuple[Distribution, ...]:
@@ -246,7 +240,7 @@ def stoch_posterior(
     prior * kernel on the player's block, zero elsewhere."""
     if i not in range(structure.n):
         raise InputError(f"player index {i!r} is out of range for {structure.n} players")
-    masses = _branch_masses(structure, tau)
+    masses, _ = _branch_masses(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
     return _posterior(structure, masses, structure.players[i].block_of(omega), signal)
@@ -254,51 +248,48 @@ def stoch_posterior(
 
 def _branch_masses(
     structure: InformationStructure, tau: StochasticSignaling
-) -> dict[tuple[str, str], Fraction]:
-    """prior(state) * tau(signal|state) for every (state, signal) branch of
-    positive mass, in state order and then signal order: the one table that
-    every walk over branches reads."""
+) -> tuple[dict[tuple[str, str], int], int]:
+    """(masses, D): prior(state) * tau(signal|state) for every (state, signal)
+    branch of positive mass, in state order and then signal order, as integers
+    over D, the prior's and the kernel rows' denominators' lcms multiplied:
+    the one table that every walk over branches reads. The masses sum to D."""
     if tau.space != structure.space:
         raise DomainError("signaling and structure use different state spaces")
-    masses: dict[tuple[str, str], Fraction] = {}
-    rows = zip(structure.space.states, structure.prior.vector, tau.kernel)
-    for state, base, row in rows:
-        for signal, p in zip(tau.signals, row):
-            if p:
-                masses[(state, signal)] = base * p
-    return masses
+    prior = structure.prior._key
+    scale = lcm(*(key[0] for key in tau._keys))
+    masses: dict[tuple[str, str], int] = {}
+    for state, base, key in zip(structure.space.states, prior[1:], tau._keys):
+        base *= scale // key[0]
+        for signal, n in zip(tau.signals, key[1:]):
+            if n:
+                masses[(state, signal)] = base * n
+    return masses, prior[0] * scale
 
 
 def _posterior(
     structure: InformationStructure, masses: Mapping, block: Sequence[str], signal: str
 ) -> Distribution:
-    """The posterior on ``block`` after ``signal``: each block state's mass
-    in the table over the block's total, zero elsewhere. The masses are
-    scaled to integers over their lcm denominator."""
+    """The posterior on ``block`` after ``signal``: its table masses over their total."""
     weights = [masses.get((s, signal), 0) for s in block]
-    d = lcm(*(w.denominator for w in weights))
-    return Distribution._on_block(
-        structure.space, block, [w.numerator * (d // w.denominator) for w in weights]
-    )
+    return Distribution._on_block(structure.space, block, weights)
 
 
 def _branch_profiles(
-    structure: InformationStructure, tau: StochasticSignaling
-) -> dict[tuple[str, str], tuple[Fraction, tuple[Distribution, ...]]]:
-    """Mass and joint posterior profile of every branch in the mass table.  A
+    structure: InformationStructure, masses: Mapping
+) -> dict[tuple[str, str], tuple[Distribution, ...]]:
+    """The joint posterior profile of every branch in the mass table.  A
     player's posterior depends only on (their block, signal), so each is
     computed once."""
-    masses = _branch_masses(structure, tau)
     cache: dict[tuple[int, int, str], Distribution] = {}
     out = {}
-    for (state, signal), w in masses.items():
+    for state, signal in masses:
         posts = []
         for i, partition in enumerate(structure.players):
             key = (i, partition.block_index(state), signal)
             if key not in cache:
                 cache[key] = _posterior(structure, masses, partition.block_of(state), signal)
             posts.append(cache[key])
-        out[(state, signal)] = (w, tuple(posts))
+        out[(state, signal)] = tuple(posts)
     return out
 
 
@@ -307,11 +298,14 @@ def posterior_atlas(
 ) -> PosteriorAtlas:
     """The joint posterior profiles of all branches with positive mass,
     exact duplicates merged, each weighted by the total prior(state) *
-    tau(signal|state) of its branches."""
-    entries: dict[tuple[Distribution, ...], Fraction] = {}
-    for w, profile in _branch_profiles(structure, tau).values():
-        entries[profile] = entries.get(profile, Fraction(0)) + w
-    return PosteriorAtlas(entries)
+    tau(signal|state) of its branches, summed over the table's denominator."""
+    masses, total = _branch_masses(structure, tau)
+    weights: dict[tuple[Distribution, ...], int] = {}
+    for branch, profile in _branch_profiles(structure, masses).items():
+        weights[profile] = weights.get(profile, 0) + masses[branch]
+    order = _checked_order(weights, total)
+    entries = {profile: Fraction(w, total) for profile, w in weights.items()}
+    return _unchecked(PosteriorAtlas, entries=entries, _order=order)
 
 
 def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
@@ -333,7 +327,7 @@ class StochasticMatrix:
 
     def __post_init__(self):
         labels = tuple(check_label("column", c, "") for c in self.column_labels)
-        entries = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
+        entries, _ = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "column_labels", labels)
 
@@ -379,7 +373,7 @@ class ExperimentMatrix(StochasticMatrix):
             raise InputError("column metadata does not match the matrix width")
         for (sig, label), name in zip(self.columns, self.column_labels):
             if label not in block_map:
-                raise InputError(f"column references unknown block '{label}'")
+                raise InputError(f"matrix column '{name}' references unknown block '{label}'")
             if name != f"{sig}@{label}":
                 raise InputError(f"column label '{name}' is not '{sig}@{label}'")
         for state, row in zip(self.space.states, self.entries):
@@ -428,8 +422,8 @@ def experiment_matrix(
 
 def _garbling_rows(
     tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
-) -> dict[str, dict[str, Fraction]]:
-    """One distribution over garbled labels per signal of tau."""
+) -> dict[str, dict[str, int]]:
+    """Per signal of tau, a distribution over garbled labels, as integers over one lcm."""
     json_object(m, "a garbling")
     rows: dict[str, dict[str, Fraction]] = {}
     for s in tau.signals:
@@ -442,7 +436,18 @@ def _garbling_rows(
         for t in row:
             check_label("signal", t)
         rows[s] = row
-    return rows
+    d = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {s: {t: v.numerator * d // v.denominator for t, v in r.items()} for s, r in rows.items()}
+
+
+def _garbled(tau: StochasticSignaling, signals: tuple, masses: list) -> StochasticSignaling:
+    """``tau``'s oracle sending ``signals`` with integer ``masses`` m over each row's total T,
+    zero signals trimmed; with g = gcd(m, ...), T/g is the lcm of m/T's reduced denominators."""
+    rows = [(row, sum(row), gcd(*row)) for row in masses]
+    kernel = tuple(tuple(Fraction(m, total) for m in row) for row, total, _ in rows)
+    keys = tuple((total // g, *(m // g for m in row)) for row, total, g in rows)
+    fields = _trimmed(signals, kernel, keys)
+    return _unchecked(StochasticSignaling, oracle_partition=tau.oracle_partition, **fields)
 
 
 def lift_garbled(
@@ -452,14 +457,12 @@ def lift_garbled(
     (s, t) with probability m[s][t] * tau(s|state). For a fixed s, every (s, t)
     signal induces the posterior that s induces under tau."""
     rows = _garbling_rows(tau, m)
-    pairs = [(j, s, t) for j, s in enumerate(tau.signals) for t in rows[s]]
-    kernel = tuple(tuple(rows[s][t] * row[j] for j, s, t in pairs) for row in tau.kernel)
+    pairs = [(j, s, t) for j, s in enumerate(tau.signals, 1) for t in rows[s]]
     new_signals = tuple(f"({s},{t})" for _, s, t in pairs)
     if len(set(new_signals)) != len(new_signals):  # "(a,b,c)" from ("a", "b,c") and ("a,b", "c")
         raise InputError("duplicate signal label")
-    return _unchecked(
-        StochasticSignaling, oracle_partition=tau.oracle_partition, **_trimmed(new_signals, kernel)
-    )
+    masses = [[rows[s][t] * key[j] for j, s, t in pairs] for key in tau._keys]
+    return _garbled(tau, new_signals, masses)
 
 
 def merge_garbled(
@@ -470,11 +473,9 @@ def merge_garbled(
     ``lift_garbled`` this genuinely coarsens the information."""
     rows = _garbling_rows(tau, m)
     targets = tuple(dict.fromkeys(t for s in tau.signals for t in rows[s]))
-    garbling = [[rows[s].get(t, Fraction(0)) for t in targets] for s in tau.signals]
-    kernel = _product(tau.kernel, garbling)
-    return _unchecked(
-        StochasticSignaling, oracle_partition=tau.oracle_partition, **_trimmed(targets, kernel)
-    )
+    columns = [[rows[s].get(t, 0) for s in tau.signals] for t in targets]
+    masses = [[sum(a * b for a, b in zip(key[1:], c)) for c in columns] for key in tau._keys]
+    return _garbled(tau, targets, masses)
 
 
 def _separating_scan() -> Iterator[Fraction]:

@@ -46,6 +46,14 @@ def parse_rational(value: object) -> Fraction:
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
+def _parsed(value: object, what: str) -> Fraction:
+    """``parse_rational(value)``, a refusal prefixed with ``what``, the place of the value."""
+    try:
+        return parse_rational(value)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
 def json_object(value: object, what: str, *keys: str) -> Mapping:
     """``value`` if it is a JSON object holding every one of ``keys``;
     otherwise an InputError naming ``what`` (and the first missing key)."""
@@ -154,6 +162,12 @@ def _unchecked(cls: type, **fields: object):
     return self
 
 
+def _over_lcm(vector: Sequence[Fraction]) -> tuple[int, ...]:
+    """``(d, n_1 * d / d_1, ...)``: ``vector`` as integers over d, the lcm of its denominators."""
+    d = lcm(*(v.denominator for v in vector))
+    return (d, *(v.numerator * (d // v.denominator) for v in vector))
+
+
 _ZERO = Fraction(0)  # every zero _on_block writes off the block; tuples compare it by identity
 
 
@@ -172,14 +186,14 @@ class Distribution:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        vector = tuple(map(parse_rational, self.vector))
-        object.__setattr__(self, "vector", vector)
+        name, vector = type(self).__name__.lower(), tuple(self.vector)
         if len(vector) != len(self.space):
-            name = type(self).__name__.lower()
             raise InputError(f"{name} length does not match the state space")
-        d = lcm(*(v.denominator for v in vector))
-        key = (d, *(v.numerator * (d // v.denominator) for v in vector))
-        self._check_masses(sum(key[1:]) == d)
+        at = (f"{name} mass at state '{s}'" for s in self.space.states)
+        vector = tuple(map(_parsed, vector, at))
+        object.__setattr__(self, "vector", vector)
+        key = _over_lcm(vector)
+        self._check_masses(sum(key[1:]) == key[0])
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 

@@ -146,6 +146,24 @@ def naive_posterior(prior, kernel, block, states, signal):
     )
 
 
+def naive_atlas(prior, kernel, partitions, states):
+    """Joint posterior profile -> weight in plain Fractions: each branch
+    (w, s) of positive mass prior[w] * kernel[w][s] adds that mass to the
+    profile of every partition's naive posterior at (the block of w, s). A
+    profile is a tuple of posterior vectors, one per partition."""
+    atlas = {}
+    for w in states:
+        for s, p in kernel[w].items():
+            if p == 0:
+                continue
+            profile = tuple(
+                naive_posterior(prior, kernel, next(b for b in blocks if w in b), states, s)
+                for blocks in partitions
+            )
+            atlas[profile] = atlas.get(profile, Fraction(0)) + prior[w] * p
+    return atlas
+
+
 def separating_probabilities(m):
     """The first ``m`` values of 1/3, 1/5, 1/7, ... that keep every value in
     {p, 1 - p} distinct and every ratio of two distinct ones distinct,

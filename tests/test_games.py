@@ -1607,6 +1607,22 @@ def test_two_stage_ceiling_matches_the_unsplit_brute_force_for_three_players():
     assert checked >= 10 and below > 0 and truthful_below > 0
 
 
+def test_cells_scale_the_fraction_masses_by_each_cells_lcm():
+    # A reference from Fraction masses prior(w) * tau(s|w): each cell's
+    # scale is the lcm of its masses' denominators, and each positioned
+    # mass is its Fraction mass times that scale.
+    from oraclegames import games
+
+    for game, tau, (states, prior, kernel, _) in _unlike_denominator_cases(random.Random(79), 12):
+        branches = set()
+        for signal, positioned, _, scale in games._cells(game.structure, tau):
+            masses = [prior[w] * kernel[w][signal] for w, _, _ in positioned]
+            assert scale == math.lcm(*(m.denominator for m in masses))
+            assert [m for _, m, _ in positioned] == [m * scale for m in masses]
+            branches.update((w, signal) for w, _, _ in positioned)
+        assert branches == {(w, s) for w in states for s, p in kernel[w].items() if p}
+
+
 def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypatch):
     from oraclegames import games
 

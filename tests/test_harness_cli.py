@@ -594,6 +594,14 @@ def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
             lambda m: setitem(m, "blocks", {"b0": ["w1"], "b1": ["w2"]}),
             "matrix row for state 'w2' is positive at column 'b@b0' outside its block",
         ),
+        (
+            lambda m: setitem(m, "columns", [["a", "b9"], ["b", "b0"]]),
+            "matrix column 'a@b9' references unknown block 'b9'",
+        ),
+        (
+            lambda m: setitem(m["entries"], "w1", [0.5, "1/2"]),
+            "matrix row for state 'w1': not a rational: 0.5 (floats are not accepted)",
+        ),
     ],
     ids=[
         "no-columns",
@@ -604,6 +612,8 @@ def test_cli_post_exits_2_on_a_stray_assignment_key(tmp_path, capsys):
         "overlapping-blocks",
         "negative-entry",
         "positive-outside-its-block",
+        "column-of-an-unknown-block",
+        "float-entry",
     ],
 )
 def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit, message):
@@ -621,6 +631,37 @@ def test_cli_garble_check_exits_2_on_a_malformed_matrix(tmp_path, capsys, edit, 
     assert cli.main(["garble-check", str(good), str(good)]) == 0
     capsys.readouterr()
     assert cli.main(["garble-check", str(bad), str(good)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_garble_check_names_the_row_of_a_float_in_a_plain_matrix(tmp_path, capsys):
+    matrix = {"states": ["w1", "w2"], "columns": ["x", "y"]}
+    matrix["entries"] = {"w1": [0.5, "1/2"], "w2": ["0", "1"]}
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(matrix))
+    assert cli.main(["garble-check", str(path), str(path)]) == 2
+    message = "matrix row for state 'w1': not a rational: 0.5 (floats are not accepted)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_post_names_the_row_of_a_float_in_a_kernel(tmp_path, capsys):
+    fixture, spath = _write_structure(tmp_path, "witness-two-stage")
+    tau = fixture["signalings"]["tau2"]
+    tau["kernel"]["w2"]["s1"] = 0.25
+    tpath = tmp_path / "tau.json"
+    tpath.write_text(json.dumps(tau))
+    assert cli.main(["post", str(spath), str(tpath)]) == 2
+    message = "kernel row for state 'w2': not a rational: 0.25 (floats are not accepted)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_names_the_state_of_a_float_in_a_prior(tmp_path, capsys):
+    fixture, spath = _write_structure(tmp_path, "witness-two-stage")
+    structure = fixture["structure"]
+    structure["prior"]["w3"] = 0.25
+    spath.write_text(json.dumps(structure))
+    assert cli.main(["ckc", str(spath)]) == 2
+    message = "prior mass at state 'w3': not a rational: 0.25 (floats are not accepted)"
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

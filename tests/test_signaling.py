@@ -84,13 +84,13 @@ FLOAT_AND_BOOL = pytest.mark.parametrize("value", [0.5, True], ids=["float", "bo
 @FLOAT_AND_BOOL
 def test_stochastic_signaling_refuses_a_float_and_a_bool(value):
     # 0.5 was once read as the kernel of halves, True as 1.
-    with pytest.raises(InputError, match="not a rational"):
+    with pytest.raises(InputError, match="^kernel row for state 'w1': not a rational"):
         StochasticSignaling(ORACLE, ("x", "y"), ((value, 1 - value),) * 4)
 
 
 @FLOAT_AND_BOOL
 def test_stochastic_matrix_refuses_a_float_and_a_bool(value):
-    with pytest.raises(InputError, match="not a rational"):
+    with pytest.raises(InputError, match="^matrix row for state 'w4': not a rational"):
         StochasticMatrix(SPACE, ("x", "y"), ((HALF, HALF),) * 3 + ((value, 1 - value),))
 
 
@@ -457,9 +457,9 @@ def _recording(monkeypatch, made):
     given = []
     trimmed, unchecked = signaling._trimmed, signaling._unchecked
 
-    def trim(signals, kernel):
+    def trim(signals, kernel, keys):
         given.append((signals, kernel))
-        return trimmed(signals, kernel)
+        return trimmed(signals, kernel, keys)
 
     def record(cls, **fields):
         untrimmed = given[-1] if cls is StochasticSignaling else None
@@ -487,7 +487,8 @@ def _random_row(rng, labels):
 def test_derived_objects_equal_the_public_constructions(monkeypatch):
     # lift_garbled, merge_garbled and experiment_matrix build their results
     # with the one unchecked builder; the public constructors on the same
-    # data must build the same objects, zero signals trimmed alike.
+    # data must build the same objects, zero signals trimmed alike, and the
+    # same integer rows: a derived signaling computes its rows from integers.
     made = []
     _recording(monkeypatch, made)
     rng = random.Random(2026)
@@ -514,6 +515,7 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
     for built, fields, (signals, kernel) in signalings:
         public = StochasticSignaling(fields["oracle_partition"], signals, kernel)
         assert (built.signals, built.kernel) == (public.signals, public.kernel)
+        assert built._keys == public._keys
         assert built == public
         trimmed += len(built.signals) < len(signals)
     assert trimmed >= 30
@@ -523,6 +525,84 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
         assert (built.columns, built.blocks) == (public.columns, public.blocks)
         assert built.as_json() == public.as_json()
         assert built == public
+
+
+def _composition(rng, total, parts, least):
+    """``parts`` integers of at least ``least`` summing to ``total``."""
+    nums = [least] * parts
+    for _ in range(total - least * parts):
+        nums[rng.randrange(parts)] += 1
+    return nums
+
+
+def _unlike_denominator_signalings(rng, count):
+    """Seeded (structure, tau, garbling) cases whose masses have unlike
+    denominators: the prior over 7 or 11, each kernel row over 2, 3 or 5
+    (zero entries allowed), and garbling rows over their own totals."""
+    cases = []
+    for _ in range(count):
+        space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(2, 6))))
+        d = rng.choice((7, 11))
+        prior = Prior(space, tuple(Fraction(k, d) for k in _composition(rng, d, len(space), 1)))
+        oracle = _random_partition(rng, space, 3)
+        signals = tuple(f"s{j}" for j in range(rng.randint(2, 3)))
+        rows = {}
+        for block in oracle.blocks:
+            q = rng.choice((2, 3, 5))
+            rows[block] = tuple(Fraction(k, q) for k in _composition(rng, q, len(signals), 0))
+        tau = StochasticSignaling(
+            oracle, signals, tuple(rows[oracle.block_of(w)] for w in space.states)
+        )
+        players = tuple(_random_partition(rng, space, 3) for _ in range(rng.randint(1, 3)))
+        names = tuple(f"P{i}" for i in range(len(players)))
+        structure = InformationStructure(space, prior, names, players)
+        labels = tuple(f"t{j}" for j in range(rng.randint(1, 3)))
+        cases.append((structure, tau, {s: _random_row(rng, labels) for s in tau.signals}))
+    return cases
+
+
+def _naive_kernels(tau, garbling, states):
+    """The kernels of tau, of its lift and of its merge by ``garbling``, as
+    state -> signal -> mass, computed here from tau's rows."""
+    base = {w: dict(zip(tau.signals, tau.row(w))) for w in states}
+    g = {s: {t: Fraction(p) for t, p in row.items()} for s, row in garbling.items()}
+    lifted = {w: {(s, t): g[s][t] * base[w][s] for s in g for t in g[s]} for w in states}
+    targets = {t for row in g.values() for t in row}
+    merged = {
+        w: {t: sum(g[s].get(t, 0) * base[w][s] for s in tau.signals) for t in targets}
+        for w in states
+    }
+    return base, lifted, merged
+
+
+def test_posterior_atlas_equals_the_naive_weighted_atlas():
+    # Weights and profile order, on base, lifted and merged signalings whose
+    # prior and kernel denominators differ.
+    checked = 0
+    for structure, tau, garbling in _unlike_denominator_signalings(random.Random(2027), 40):
+        states = structure.space.states
+        prior = dict(zip(states, structure.prior.vector))
+        partitions = [p.blocks for p in structure.players]
+        derived = (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling))
+        for sig, kernel in zip(derived, _naive_kernels(tau, garbling, states)):
+            atlas = posterior_atlas(structure, sig)
+            naive = oracles.naive_atlas(prior, kernel, partitions, states)
+            order = sorted(naive)
+            assert [tuple(d.vector for d in p) for p in atlas.profiles()] == order
+            assert [atlas.weight(p) for p in atlas.profiles()] == [naive[v] for v in order]
+            checked += len(order)
+    assert checked > 200
+
+
+def test_posterior_atlas_equals_the_public_constructor_on_its_entries():
+    # posterior_atlas builds its atlas unchecked; the public constructor on
+    # the same entries must build the same atlas, in the same order.
+    for structure, tau, garbling in _unlike_denominator_signalings(random.Random(2028), 20):
+        for sig in (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling)):
+            atlas = posterior_atlas(structure, sig)
+            public = PosteriorAtlas(atlas.entries)
+            assert public == atlas and public._order == atlas._order
+            assert public.as_json() == atlas.as_json()
 
 
 def test_lift_garbled_refuses_signal_labels_that_collide():

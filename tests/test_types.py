@@ -48,13 +48,13 @@ FLOAT_AND_BOOL = pytest.mark.parametrize("value", [0.5, True], ids=["float", "bo
 
 @FLOAT_AND_BOOL
 def test_distribution_refuses_a_float_and_a_bool(value):
-    with pytest.raises(InputError, match="not a rational"):
+    with pytest.raises(InputError, match="^distribution mass at state 'a': not a rational"):
         Distribution(SPACE, (value, 1 - value, 0, 0))
 
 
 @FLOAT_AND_BOOL
 def test_prior_refuses_a_float_and_a_bool(value):
-    with pytest.raises(InputError, match="not a rational"):
+    with pytest.raises(InputError, match="^prior mass at state 'a': not a rational"):
         Prior(SPACE, (value, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2) - value))
 
 
