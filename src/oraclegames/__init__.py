@@ -36,7 +36,6 @@ from .partitions import (
     connect_path,
     join,
     refines,
-    set_partitions,
 )
 from .signaling import (
     ExperimentMatrix,

@@ -12,13 +12,10 @@ and the same vertex comes back, each basic variable read as ``rhs / diagonal``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
-
-def _reduced(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
+from .types import _over_lcm, _reduced
 
 
 def feasible_nonneg(
@@ -36,9 +33,7 @@ def feasible_nonneg(
     tab: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
-        entries = (*A[i], b[i])
-        scale = lcm(*(v.denominator for v in entries))
-        row = [v.numerator * (scale // v.denominator) for v in entries]
+        scale, *row = _over_lcm((*A[i], b[i]))
         if row[-1] < 0:
             row = [-v for v in row]
         tab.append(row[:n] + [scale if j == i else 0 for j in range(m)] + row[n:])

@@ -34,6 +34,7 @@ from .types import (
     Partition,
     StateSpace,
     _over_lcm,
+    _reduced,
     check_label,
     check_labels,
     format_rational,
@@ -339,8 +340,8 @@ def _cells(
     of its own cell, so a branch-additive objective over pure measurable
     strategies is maximized cell by cell.  Slots are numbered player by
     player in first-seen order; a positioned branch is (state, mass times
-    ``scale``, slot index of each player): with g = gcd(D, m, ...) over the
-    cell's table masses m/D, scale = D/g is the lcm of their reduced denominators.
+    ``scale``, slot index of each player): ``(scale, ...)`` is the
+    ``_reduced`` form of ``(D, m, ...)`` over the cell's table masses m/D.
     """
     meet = ckc_decompose(structure.players)
     masses, total = _branch_masses(structure, tau)
@@ -356,19 +357,19 @@ def _cells(
                 if key not in index:
                     index[key] = len(slots)
                     slots.append(key)
-        g = math.gcd(total, *(m for _, m in branches))
+        scale, *weights = _reduced((total, *(m for _, m in branches)))
         positioned = [
             (
                 state,
-                m // g,
+                w,
                 tuple(
                     index[(i, partition.block_of(state))]
                     for i, partition in enumerate(structure.players)
                 ),
             )
-            for state, m in branches
+            for (state, _), w in zip(branches, weights)
         ]
-        yield signal, positioned, slots, total // g
+        yield signal, positioned, slots, scale
 
 
 def _slot_search(
@@ -911,13 +912,10 @@ class LogScore:
             kept.append((weight, value))
         if not kept:
             return cls.zero()
-        denom = 1
-        for weight, _ in kept:
-            denom = math.lcm(denom, weight.denominator)
+        denom, *exponents = _over_lcm([weight for weight, _ in kept])
         product = Fraction(1)
-        for weight, value in kept:
-            exponent = weight * denom
-            product *= value ** int(exponent)
+        for exponent, (_, value) in zip(exponents, kept):
+            product *= value**exponent
         return cls(False, product, denom)
 
     def half(self) -> "LogScore":
@@ -942,9 +940,9 @@ class LogScore:
         if other.neg_inf:
             return 1
         # a**e against b**d, both sides taken to the increasing power 1/gcd(d, e)
-        g = math.gcd(self.denom, other.denom)
-        left = self.product ** (other.denom // g)
-        right = other.product ** (self.denom // g)
+        d, e = _reduced((self.denom, other.denom))
+        left = self.product**e
+        right = other.product**d
         return (left > right) - (left < right)
 
     def _holds(self, other: object, test: Callable[[int, int], bool]) -> bool:
@@ -1234,8 +1232,7 @@ class TwoStageGame:
         index = [{option: k for k, option in enumerate(menu)} for menu in menus]
         # The walk counts in units of one over the denominator of the
         # penalty M n, so that every bound is an integer.
-        penalty = self.M * n
-        unit = penalty.denominator
+        unit, penalty = _over_lcm([self.M * n])
         # Each feasible (signal, profile), with the option each player
         # declares it by.
         feasible = [
@@ -1256,7 +1253,7 @@ class TwoStageGame:
                 for options, p in feasible
                 if all(f is None or f == k for f, k in zip(fixed, options))
             )
-            return -min(costs, default=penalty.numerator)
+            return -min(costs, default=penalty)
 
         def truthful_leaf(signal: str, slots: Sequence[Slot]) -> Optional[tuple[int, ...]]:
             leaf = tuple(

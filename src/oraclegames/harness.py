@@ -760,7 +760,7 @@ def _mixed_equal(actual: MixedValue, expected: object) -> bool:
     else:
         json_object(log, "mixed 'expected' log", "product", "denom")
         denom = parse_rational(log["denom"])
-        if denom.denominator != 1:
+        if denom != int(denom):
             raise InputError(f"mixed 'expected' log denom must be an integer, got {denom}")
         score = LogScore(False, parse_rational(log["product"]), int(denom))
     return (

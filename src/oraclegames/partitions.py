@@ -91,21 +91,12 @@ def _merged_masks(masks: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
     return grow(0)
 
 
-def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
-    """All set partitions of `items` as tuples of tuples, enumerated by
-    restricted growth strings in lexicographic order (everything merged
-    first, all singletons last). Deterministic by construction."""
-    for merged in _merged_masks([1 << i for i in range(len(items))], len(items)):
-        yield tuple(
-            tuple(x for i, x in enumerate(items) if m >> i & 1) for m in merged
-        )
-
-
 def coarsenings(p: Partition, cap: int = DEFAULT_COARSENING_CAP) -> tuple[Partition, ...]:
     """Every partition obtainable by merging blocks of p, in the order of
-    ``set_partitions(p.blocks)``. There are Bell(#blocks) of them, so more
-    than `cap` blocks are refused before anything is built. The dominance
-    checks walk the same order lazily, as masks."""
+    ``_merged_masks(p.masks, cap)`` (everything merged first, all blocks
+    apart last). There are Bell(#blocks) of them, so more than `cap` blocks
+    are refused before anything is built. The dominance checks walk the
+    same order lazily, as masks."""
     states_of = lru_cache(maxsize=None)(p.space.states_of)
     return tuple(
         Partition(p.space, tuple(map(states_of, merged))) for merged in _merged_masks(p.masks, cap)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -21,6 +21,7 @@ from .types import (
     StateSpace,
     _over_lcm,
     _parsed,
+    _reduced,
     _unchecked,
     check_label,
     check_labels,
@@ -423,29 +424,31 @@ def experiment_matrix(
 def _garbling_rows(
     tau: StochasticSignaling, m: Mapping[str, Mapping[str, object]]
 ) -> dict[str, dict[str, int]]:
-    """Per signal of tau, a distribution over garbled labels, as integers over one lcm."""
+    """Per signal of tau, a distribution over garbled labels, as integers over one lcm. Every
+    row of ``m`` is checked; one under a key that is not a signal of tau is then ignored."""
     json_object(m, "a garbling")
-    rows: dict[str, dict[str, Fraction]] = {}
     for s in tau.signals:
         if s not in m:
             raise DomainError(f"garbling is missing a row for signal '{s}'")
-        given = json_object(m[s], f"garbling row for signal '{s}'")
+    rows: dict[str, dict[str, Fraction]] = {}
+    for s, given in m.items():
+        given = json_object(given, f"garbling row for signal '{s}'")
         row = {t: parse_rational(v) for t, v in given.items()}
         if any(v < 0 for v in row.values()) or sum(row.values()) != 1:
             raise DomainError(f"garbling row for signal '{s}' is not a distribution")
         for t in row:
             check_label("signal", t)
         rows[s] = row
-    d = lcm(*(v.denominator for row in rows.values() for v in row.values()))
-    return {s: {t: v.numerator * d // v.denominator for t, v in r.items()} for s, r in rows.items()}
+    _, *ints = _over_lcm([v for s in tau.signals for v in rows[s].values()])
+    at = iter(ints)
+    return {s: {t: next(at) for t in rows[s]} for s in tau.signals}
 
 
 def _garbled(tau: StochasticSignaling, signals: tuple, masses: list) -> StochasticSignaling:
     """``tau``'s oracle sending ``signals`` with integer ``masses`` m over each row's total T,
-    zero signals trimmed; with g = gcd(m, ...), T/g is the lcm of m/T's reduced denominators."""
-    rows = [(row, sum(row), gcd(*row)) for row in masses]
-    kernel = tuple(tuple(Fraction(m, total) for m in row) for row, total, _ in rows)
-    keys = tuple((total // g, *(m // g for m in row)) for row, total, g in rows)
+    zero signals trimmed; each row's key is ``_reduced((T, m, ...))``, as in ``_on_block``."""
+    keys = tuple((sum(row), *row) for row in map(_reduced, masses))
+    kernel = tuple(tuple(Fraction(m, total) for m in row) for total, *row in keys)
     fields = _trimmed(signals, kernel, keys)
     return _unchecked(StochasticSignaling, oracle_partition=tau.oracle_partition, **fields)
 
@@ -482,14 +485,13 @@ def _separating_scan() -> Iterator[Fraction]:
     """Scan candidates 1/3, 1/5, 1/7, ... and yield the first ones whose
     ratio set passes the pairwise check; only the two values a candidate
     adds, and the ratios they form, are checked against the distinct ones
-    kept so far. Each accepted value rules out only finitely many later
+    kept so far. No candidate repeats a kept value, as 1/(2k+1) <= 1/3 <
+    2/3 <= 2j/(2j+1). Each accepted value rules out only finitely many later
     candidates, so the scan never stalls."""
     values: set[Fraction] = set()
     ratios: set[Fraction] = set()
     for k in itertools.count(1):
         new = (Fraction(1, 2 * k + 1), Fraction(2 * k, 2 * k + 1))
-        if not values.isdisjoint(new):
-            continue
         fresh = [new[0] / new[1], new[1] / new[0]]
         fresh += [r for x in new for y in values for r in (x / y, y / x)]
         if len(set(fresh)) == len(fresh) and ratios.isdisjoint(fresh):

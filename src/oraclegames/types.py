@@ -5,7 +5,8 @@ Every probability is a fractions.Fraction. Floats are rejected at parse time
 so that all downstream identities and strict inequalities stay exact. A prior
 is a distribution with full support; every distribution is checked on one
 integer key, its masses over their common denominator. The library's own
-posteriors build that key directly from integer masses, unchecked.
+posteriors build that key directly from integer masses, unchecked. Only this
+module scales by a denominator or divides by a gcd: ``_over_lcm``, ``_reduced``.
 """
 
 from __future__ import annotations
@@ -168,6 +169,14 @@ def _over_lcm(vector: Sequence[Fraction]) -> tuple[int, ...]:
     return (d, *(v.numerator * (d // v.denominator) for v in vector))
 
 
+def _reduced(values: Sequence[int]) -> Sequence[int]:
+    """``values`` divided by their gcd g, as a list; ``values`` itself, uncopied, when g
+    is 0 or 1. So ``(T, m_1, ...)``, integer masses m over their total T > 0, becomes
+    the key of m/T: T/g is the lcm of the reduced denominators of m/T."""
+    g = gcd(*values)
+    return values if g < 2 else [v // g for v in values]
+
+
 _ZERO = Fraction(0)  # every zero _on_block writes off the block; tuples compare it by identity
 
 
@@ -207,14 +216,14 @@ class Distribution:
 
     @classmethod
     def _on_block(cls, space: StateSpace, block: Sequence[str], masses: list[int]) -> Distribution:
-        """Integer ``masses`` m >= 0 on ``block`` over their total T > 0, 0 elsewhere, unchecked.
-        The key is ``(T/g, m/g, ...)`` with g = gcd(m, ...) = gcd(T, m, ...): T/g is the
-        lcm of the reduced denominators of m/T."""
-        total, g = sum(masses), gcd(*masses)
-        vector, key = [_ZERO] * len(space), [total // g] + [0] * len(space)
-        for state, m in zip(block, masses):
+        """Integer ``masses`` m >= 0 on ``block`` over their total T > 0, 0 elsewhere, unchecked;
+        the key is ``_reduced((T, m, ...))``, the masses reduced alone, as their gcd divides T."""
+        reduced = _reduced(masses)
+        total = sum(reduced)
+        vector, key = [_ZERO] * len(space), [total] + [0] * len(space)
+        for state, m in zip(block, reduced):
             i = space._position[state]
-            vector[i], key[i + 1] = Fraction(m, total), m // g
+            vector[i], key[i + 1] = Fraction(m, total), m
         key = tuple(key)
         return _unchecked(cls, space=space, vector=tuple(vector), _key=key, _hash=hash(key))
 

@@ -47,7 +47,6 @@ from oraclegames import (
     proportional_decompose,
     refines,
     separating_strategy,
-    set_partitions,
     signaling_from_json,
     stoch_posterior,
     strategy_from_json,
@@ -81,7 +80,7 @@ def _passed(capsys, number, text):
 def _lattice(n):
     space = StateSpace(tuple(f"x{i}" for i in range(n)))
     prior = Prior.uniform(space)
-    parts = tuple(Partition(space, blocks) for blocks in set_partitions(space.states))
+    parts = coarsenings(Partition.singletons(space))
     return space, prior, parts
 
 
@@ -536,7 +535,7 @@ def test_criterion_11(capsys):
     for n in range(1, 6):
         states = tuple(f"x{i}" for i in range(n))
         space = StateSpace(states)
-        package = [Partition(space, b) for b in set_partitions(states)]
+        package = coarsenings(Partition.singletons(space))
         naive = oracles.all_partitions(states)
         assert {oracles.canon(p.blocks) for p in package} == {
             oracles.canon(b) for b in naive

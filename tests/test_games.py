@@ -616,6 +616,12 @@ def test_log_score_from_terms_by_hand():
     own = log_score(q, q)
     assert own.product == Fraction(1, 4) and own.denom == 2
     assert own > score
+    # A zero weight is skipped, whatever its value; all-zero weights score 0.
+    skipped = LogScore.from_terms([(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(2))])
+    assert skipped.product == Fraction(2) and skipped.denom == 3
+    assert LogScore.from_terms([(Fraction(0), Fraction(1, 2))]) == LogScore.zero()
+    assert LogScore.from_terms([]) == LogScore.zero()
+    assert LogScore.minus_infinity().as_json() == "-inf"
 
 
 def test_log_score_zero_candidate_mass_is_minus_infinity():
@@ -663,6 +669,8 @@ def test_log_score_validation():
         LogScore(False, Fraction(0), 1)
     with pytest.raises(InputError):
         LogScore.from_terms([(Fraction(-1), Fraction(1))])
+    with pytest.raises(InputError, match="log score values must be nonnegative"):
+        LogScore.from_terms([(Fraction(1), Fraction(-1))])
     with pytest.raises(TypeError):
         LogScore.zero() < 3
 

@@ -1,6 +1,7 @@
 """Fixture harness and command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from operator import delitem, setitem
@@ -172,6 +173,15 @@ def test_cli_verify_exits_2_naming_a_malformed_section(tmp_path, capsys, section
 
 def _claim_of(data, op):
     return next(c for c in data["claims"] if c["op"] == op)
+
+
+def test_a_mixed_claim_expecting_minus_infinity_fails_without_raising():
+    data = harness.load_fixture("witness-kld-combined")
+    claim = _claim_of(data, "combined_truthful_aggregate")
+    assert harness.run_claim(harness.Fixture(data), claim)["pass"] is True
+    claim["expected"]["log"] = "-inf"
+    row = harness.run_claim(harness.Fixture(data), claim)
+    assert row["pass"] is False and row["expected"]["log"] == "-inf"
 
 
 def _mixed_expected(data):
@@ -714,6 +724,23 @@ def test_cli_module_entry_point_smoke():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "claims passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--all"], ["report", "--all", "--format", "json"]], ids=" ".join
+)
+def test_cli_output_does_not_depend_on_the_hash_seed(argv):
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "oraclegames.cli", *argv],
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    assert [proc.returncode for proc in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout and outputs[0].stdout
 
 
 def test_fixture_builds_each_two_stage_game_once(monkeypatch):

@@ -385,6 +385,18 @@ def test_garblers_reject_bad_rows(garble):
         garble(TAU, [["s1", "t1"]])
     with pytest.raises(InputError, match="garbling row for signal 's2' must be a JSON object"):
         garble(TAU, {"s1": {"t1": "1"}, "s2": ["t1", "1"]})
+    # Rows under a signal tau does not send are checked too.
+    m = {"s1": {"t1": "1/2", "t2": "1/2"}, "s2": {"t2": "1"}}
+    message = "garbling row for signal 'c' must be a JSON object, got 'not even a row'"
+    with pytest.raises(InputError, match=message):
+        garble(TAU, {**m, "c": "not even a row"})
+    with pytest.raises(DomainError, match="garbling row for signal 'c' is not a distribution"):
+        garble(TAU, {**m, "c": {"t1": "1/2"}})
+    with pytest.raises(DomainError, match="garbling row for signal 'c' is not a distribution"):
+        garble(TAU, {**m, "c": {"t1": "2", "t2": "-1"}})
+    # A well-formed row under a signal tau does not send (here, one its
+    # kernel could have trimmed) is checked, then ignored.
+    assert garble(TAU, {**m, "c": {"t3": "1"}}) == garble(TAU, m)
 
 
 def test_merge_garbled_kernel_is_the_column_mixture():

@@ -4,7 +4,8 @@ benchmark's span tracer wraps must exist under its recorded name, and so
 must every name the benchmark imports from the library.  No top-level
 definition is an orphan: each undecorated function and class is named
 somewhere besides its own definition.  Only ``types._unchecked`` builds an
-object without its constructor."""
+object without its constructor, and only ``types`` reads a rational's
+integer form."""
 
 import ast
 import importlib
@@ -116,3 +117,25 @@ def test_only_the_one_unchecked_builder_skips_a_constructor():
             if any(named):
                 found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert found == ["types.py:_unchecked"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "types.py"], ids=lambda p: p.name
+)
+def test_only_types_reads_the_integer_form_of_a_rational(path):
+    """No module but ``types`` names ``.numerator``, ``.denominator`` or
+    ``gcd``: an integer path scales by ``types._over_lcm`` and reduces by
+    ``types._reduced``, the one owner of that format."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in ("numerator", "denominator", "gcd"):
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, found
