@@ -18,7 +18,8 @@ class DomainError(OracleGamesError):
 
 
 class ResourceLimitError(OracleGamesError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration exceeded its configured cap, or a number has too many
+    digits to print."""
 
     def __init__(self, message: str, cap: int | None = None):
         super().__init__(message)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,8 @@ from .types import (
     StateSpace,
     _over_lcm,
     _reduced,
+    _shown,
+    _unchecked,
     check_label,
     check_labels,
     format_rational,
@@ -204,9 +207,7 @@ class StrategyProfile:
                 if len(pure) == 1 and len([p for p in mix.values() if p > 0]) == 1:
                     entry[key] = pure[0]
                 else:
-                    entry[key] = {
-                        a: format_rational(p) for a, p in sorted(mix.items()) if p > 0
-                    }
+                    entry[key] = {a: format_rational(p) for a, p in sorted(mix.items()) if p > 0}
             out[name] = entry
         return out
 
@@ -222,10 +223,10 @@ def _normalize_mixture(value: object, actions: frozenset) -> dict:
         if action not in actions:
             raise InputError(f"unknown action {action!r} in strategy")
         if p < 0:
-            raise InputError(f"negative probability {p} in strategy")
+            raise InputError(f"negative probability {_shown(p)} in strategy")
         total += p
     if total != 1:
-        raise InputError(f"strategy mixture sums to {total}, expected 1")
+        raise InputError(f"strategy mixture sums to {_shown(total)}, expected 1")
     return mix
 
 
@@ -306,28 +307,45 @@ def _outcomes(
     total: int,
     strategy: StrategyProfile,
     free: Optional[int] = None,
-) -> Iterator[tuple[str, ActionProfile, Fraction]]:
-    """(state, action profile, mass) over the given (branch, integer mass
-    over ``total``) pairs and every combination of the actions the players'
-    mixtures play there. Player ``free``, when given, is left to the caller:
-    their action is None and their mixture does not weigh the mass."""
-    structure = game.structure
+) -> tuple[int, list[tuple[str, ActionProfile, int]]]:
+    """(D, outcomes): each (state, action profile, weight) over the given
+    (branch, integer mass over ``total``) pairs and every combination of the
+    actions the players' mixtures play there.  Each player's mixtures are
+    written as integers over their lcm, so a weight is the branch mass times
+    one integer per player, over D, ``total`` times those lcms.  Player
+    ``free``, when given, is left to the caller: their action is None and
+    their mixture does not weigh the mass."""
+    players = game.structure.players
+    reached, mixes = [], [{} for _ in players]  # the branches; per player, the mixtures reached
     for (state, signal), m in branches:
-        w = Fraction(m, total)
-        mixtures = []
-        for i, partition in enumerate(structure.players):
-            if i == free:
-                mixtures.append(((None, None),))
-                continue
-            mix = strategy.mixture(i, partition.block_of(state), signal)
-            mixtures.append([(a, p) for a, p in mix.items() if p > 0])
-        for combo in itertools.product(*mixtures):
-            actions, probabilities = zip(*combo)
-            weight = w
-            for p in probabilities:
-                if p is not None:
-                    weight *= p
-            yield state, actions, weight
+        reached.append((state, m, [(partition.block_of(state), signal) for partition in players]))
+        for i, pair in enumerate(reached[-1][2]):
+            if i != free and pair not in mixes[i]:
+                mixes[i][pair] = strategy.mixture(i, *pair)
+    for table in mixes:
+        scale, *ints = _over_lcm([p for mix in table.values() for p in mix.values()])
+        total, at = total * scale, iter(ints)  # zip stops at each mixture's end: ``at`` moves on
+        for pair, mix in table.items():
+            table[pair] = [(a, k) for a, k in zip(mix, at) if k > 0]
+    out = []
+    for state, m, pairs in reached:
+        options = [((None, 1),) if i == free else mixes[i][pair] for i, pair in enumerate(pairs)]
+        for combo in itertools.product(*options):
+            actions, ints = zip(*combo)
+            out.append((state, actions, m * math.prod(ints)))
+    return total, out
+
+
+def _outcome_masses(
+    game: Game, branches: Iterable[tuple[Branch, int]], total: int, strategy: StrategyProfile
+) -> tuple[int, dict[tuple[str, ActionProfile], int]]:
+    """(D, masses): the ``_outcomes`` weights over D summed per distinct
+    (state, action profile), in first-seen order."""
+    scale, outcomes = _outcomes(game, branches, total, strategy)
+    masses: Counter[tuple[str, ActionProfile]] = Counter()
+    for state, profile, w in outcomes:
+        masses[(state, profile)] += w
+    return scale, masses
 
 
 def _cells(
@@ -483,12 +501,13 @@ def expected_payoffs(
     if event is not None:  # the event's branches weighed over their own total
         branches = [(branch, m) for branch, m in branches if branch[0] in event]
         total = sum(m for _, m in branches)
-    totals = [Fraction(0)] * structure.n
-    for state, profile, weight in _outcomes(game, branches, total, strategy):
-        values = game.payoff(state, profile)
-        for i in range(structure.n):
-            totals[i] += weight * values[i]
-    return tuple(totals)
+    scale, outcomes = _outcome_masses(game, branches, total, strategy)
+    values = [game.payoff(state, profile) for state, profile in outcomes]
+    out = []
+    for i in range(structure.n):  # each player's utilities as integers over their lcm
+        d, *utilities = _over_lcm([v[i] for v in values])
+        out.append(Fraction(sum(map(operator.mul, outcomes.values(), utilities)), scale * d))
+    return tuple(out)
 
 
 @dataclass(eq=False)
@@ -507,23 +526,17 @@ class OutcomeDistribution:
                 raise InputError("outcome masses must be nonnegative")
             total += value
         if total != 1:
-            raise InputError(f"outcome masses sum to {total}, expected 1")
+            raise InputError(f"outcome masses sum to {_shown(total)}, expected 1")
 
     def of(self, state: str, profile: ActionProfile) -> Fraction:
         return self.mass.get((state, tuple(profile)), Fraction(0))
 
     def as_json(self) -> list[dict]:
-        rows = []
-        for (state, profile), value in sorted(self.mass.items()):
-            if value > 0:
-                rows.append(
-                    {
-                        "state": state,
-                        "actions": list(profile),
-                        "mass": format_rational(value),
-                    }
-                )
-        return rows
+        return [
+            {"state": state, "actions": list(profile), "mass": format_rational(value)}
+            for (state, profile), value in sorted(self.mass.items())
+            if value > 0
+        ]
 
 
 def ned_distribution(
@@ -531,12 +544,12 @@ def ned_distribution(
 ) -> OutcomeDistribution:
     """Distribution over (state, action profile) induced by prior, signaling,
     and strategy."""
-    mass: dict[tuple[str, ActionProfile], Fraction] = {}
     masses, total = _branch_masses(game.structure, tau)
-    for state, profile, weight in _outcomes(game, masses.items(), total, strategy):
-        key = (state, profile)
-        mass[key] = mass.get(key, Fraction(0)) + weight
-    return OutcomeDistribution(game.structure.space, mass)
+    scale, outcomes = _outcome_masses(game, masses.items(), total, strategy)
+    space, mass = game.structure.space, {k: Fraction(w, scale) for k, w in outcomes.items()}
+    if sum(outcomes.values()) != scale:  # mixtures not summing to 1: the constructor refuses them
+        return OutcomeDistribution(space, mass)
+    return _unchecked(OutcomeDistribution, space=space, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -565,15 +578,11 @@ def is_equilibrium(
             # The others' outcomes at the pair, split around player i's
             # action and shared by every action valued.
             at = [((s, signal), masses[(s, signal)]) for s in block if (s, signal) in masses]
-            outcomes = [
-                (s, p[:i], p[i + 1 :], w) for s, p, w in _outcomes(game, at, total, strategy, i)
-            ]
+            _, outcomes = _outcomes(game, at, total, strategy, i)  # values in units of one weight
+            outcomes = [(s, p[:i], p[i + 1 :], w) for s, p, w in outcomes]
 
             def value(action: object) -> Fraction:
-                v = Fraction(0)
-                for s, head, tail, w in outcomes:
-                    v += w * game.payoff(s, (*head, action, *tail))[i]
-                return v
+                return sum(w * game.payoff(s, (*h, action, *t))[i] for s, h, t, w in outcomes)
 
             mix = [(a, p) for a, p in strategy.mixture(i, block, signal).items() if p > 0]
             values = {a: value(a) for a, _ in mix}
@@ -696,9 +705,7 @@ def build_permutation_game(
     that partition's blocks.
     """
     base = information_partition(structure, player, source)
-    size = 0
-    for block in base.blocks:
-        size += math.factorial(len(block))
+    size = sum(math.factorial(len(block)) for block in base.blocks)
     if size > cap:
         raise ResourceLimitError(
             f"{size} permutation actions exceed the cap of {cap}", cap=cap
@@ -778,14 +785,12 @@ class BeliefGame:
         return Fraction(0)
 
     def utility(self, player: int, state: str, actions: Sequence[str]) -> Fraction:
-        value = self.r_value(player, actions[player], state)
-        share = Fraction(2, self.n - 1)
-        for j in range(self.n):
-            if j == player:
-                continue
-            if self.declared[j].of(state) > 0:
-                value -= share * self.r_value(j, actions[j], state)
-        return value
+        others = sum(
+            self.r_value(j, actions[j], state)
+            for j in range(self.n)
+            if j != player and self.declared[j].of(state) > 0
+        )
+        return self.r_value(player, actions[player], state) - Fraction(2, self.n - 1) * others
 
 
 def _check_belief_inputs(
@@ -830,15 +835,10 @@ def belief_best_response(game: BeliefGame, player: int, belief: Distribution) ->
     earliest state); the cross terms do not depend on the player's action."""
     if belief.space != game.space:
         raise InputError("belief uses a different state space")
-    best = None
-    best_value = None
-    for action in game.action_set(player):
-        value = belief.of(action) / game.declared[player].of(action)
-        if best is None or value > best_value:
-            best, best_value = action, value
-    if best is None:
+    actions = game.action_set(player)
+    if not actions:
         raise DomainError("declared posterior has empty support")
-    return best
+    return max(actions, key=lambda a: belief.of(a) / game.declared[player].of(a))
 
 
 def belief_is_equilibrium(
@@ -985,13 +985,7 @@ def log_score_argmax(
     maximum in listed order wins."""
     if not candidates:
         raise DomainError("no candidates to score")
-    best = None
-    best_score = None
-    for candidate in candidates:
-        score = log_score(q, candidate)
-        if best is None or score > best_score:
-            best, best_score = candidate, score
-    return best
+    return max(candidates, key=lambda candidate: log_score(q, candidate))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1058,13 @@ def kld_expected_scores(
     """Per-player expected log score under the signaling and strategy."""
     if not isinstance(game, LogScoreGame):
         raise DomainError("kld_expected_scores applies to log-score games only")
-    n = game.structure.n
-    terms: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
     masses, total = _branch_masses(game.structure, tau)
-    for state, profile, weight in _outcomes(game, masses.items(), total, strategy):
-        values = game.payoff(state, profile)
-        for i in range(n):
-            terms[i].append((weight, values[i]))
-    return tuple(LogScore.from_terms(t) for t in terms)
+    scale, outcomes = _outcomes(game, masses.items(), total, strategy)
+    weighted = [(Fraction(w, scale), game.payoff(state, profile)) for state, profile, w in outcomes]
+    return tuple(
+        LogScore.from_terms((w, values[i]) for w, values in weighted)
+        for i in range(game.structure.n)
+    )
 
 
 def kld_aggregate(
@@ -1146,28 +1139,31 @@ class TwoStageGame:
         and each term is set by one player's action alone: -2 off the
         declared support, else 1/p on the state and 0 elsewhere (impossible
         for a point mass).  So its extremes are sums of per-term extremes,
-        and no action profile is enumerated."""
+        and no action profile is enumerated.  A posterior's key (d, n_1, ...)
+        gives 1/p = d/n_s, so each term is an integer over L, the lcm of the
+        nonzero n_s, and each utility an integer over (n-1) L."""
         n = self.structure.n
-        share = Fraction(2, n - 1)
-        worst = Fraction(0)
-        for profile in self._belief_games:
-            for state in self.structure.space:
-                # (lowest, highest) own term and hit per player; a player
-                # giving the state no mass has no hit to share.
+        keys = [[d._key for d in profile] for profile in self._belief_games]
+        unit = math.lcm(*(m for profile in keys for key in profile for m in key[1:] if m))
+        worst = 0
+        for profile in keys:
+            for s in range(1, len(self.structure.space) + 1):
+                # (lowest, highest) own term and hit per player, times L; a
+                # player giving the state no mass has no hit to share.
                 own, hit = [], []
-                for d in profile:
-                    p = d.of(state)
-                    own.append((-2, -2) if p == 0 else (int(p == 1), 1 / p))
+                for key in profile:
+                    p, d = key[s], key[0]
+                    own.append((-2 * unit,) * 2 if p == 0 else (unit * (p == d), unit // p * d))
                     hit.append((0, 0) if p == 0 else own[-1])
-                low = sum(lo for lo, _ in hit)
-                high = sum(hi for _, hi in hit)
+                low, high = map(sum, zip(*hit))
                 for (lo, hi), (hit_lo, hit_hi) in zip(own, hit):
                     worst = max(
                         worst,
-                        abs(hi - share * (low - hit_lo)),
-                        abs(lo - share * (high - hit_hi)),
+                        abs((n - 1) * hi - 2 * (low - hit_lo)),
+                        abs((n - 1) * lo - 2 * (high - hit_hi)),
                     )
-        return 2 + n * len(self.structure.space) * (1 + worst)
+        unit *= n - 1  # the utilities' unit
+        return Fraction(2 * unit + n * len(self.structure.space) * (unit + worst), unit)
 
     def truthful_strategy(self) -> StrategyProfile:
         """Declare the observed signal, the true posterior, and its first
@@ -1278,7 +1274,7 @@ class TwoStageGame:
         positioned: Sequence[tuple[str, int, tuple[int, ...]]],
         slots: Sequence[Slot],
         combo: Sequence[tuple],
-    ) -> Fraction:
+    ) -> Union[int, Fraction]:
         """Value of one (signal, component) cell for fixed declarations,
         with every slot's action set to the owner's selfish best response,
         in the units of the cell's integer masses.
@@ -1286,21 +1282,26 @@ class TwoStageGame:
         By the ``BeliefGame`` identity a settled branch of mass w pays -2w
         per declared posterior missing its state, and each slot loses its
         acted-on ratio, which its best response makes the largest (settled
-        mass at s)/p over the states s its posterior gives mass p."""
-        value = Fraction(0)
-        hit: list[dict[str, int]] = [{} for _ in slots]
+        mass at s)/p over the states s its posterior gives mass p.  With the
+        posterior's key (d, n_1, ...) that ratio is m d/n_s, so a slot's
+        largest one is found in integers over the lcm of its n_s."""
+        value = 0
+        hit: list[dict[int, int]] = [{} for _ in slots]  # per slot, mass per key position
         for state, w, positions in positioned:
             if self._settlement([combo[k] for k in positions]) is None:
                 value -= w * self.M * self.structure.n
                 continue
+            s = self.structure.space.index(state) + 1
             for k in positions:
-                if combo[k][1].of(state) == 0:
+                if combo[k][1]._key[s] == 0:
                     value -= 2 * w
                 else:
-                    hit[k][state] = hit[k].get(state, 0) + w
+                    hit[k][s] = hit[k].get(s, 0) + w
         for (_, posterior), mass in zip(combo, hit):
             if mass:
-                value -= max(m / posterior.of(s) for s, m in mass.items())
+                key = posterior._key
+                unit = math.lcm(*(key[s] for s in mass))
+                value -= Fraction(key[0] * max(m * (unit // key[s]) for s, m in mass.items()), unit)
         return value
 
 
@@ -1328,10 +1329,7 @@ class MixedValue:
         return MixedValue(self.rational / 2, self.log.half())
 
     def as_json(self) -> dict:
-        return {
-            "rational": format_rational(self.rational),
-            "log": self.log.as_json(),
-        }
+        return {"rational": format_rational(self.rational), "log": self.log.as_json()}
 
 
 class CombinedGame:

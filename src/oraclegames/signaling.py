@@ -22,6 +22,7 @@ from .types import (
     _over_lcm,
     _parsed,
     _reduced,
+    _shown,
     _unchecked,
     check_label,
     check_labels,
@@ -55,11 +56,11 @@ def _stochastic_rows(
         for label, v in zip(labels, row):
             if v < 0:
                 raise InputError(
-                    f"{what} row for state '{state}' has negative probability {v} "
+                    f"{what} row for state '{state}' has negative probability {_shown(v)} "
                     f"at {kind} '{label}'"
                 )
         if sum(key[1:]) != key[0]:
-            raise InputError(f"{what} row for state '{state}' sums to {sum(row)}, not 1")
+            raise InputError(f"{what} row for state '{state}' sums to {_shown(sum(row))}, not 1")
     return rows, keys
 
 

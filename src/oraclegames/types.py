@@ -12,12 +12,13 @@ module scales by a denominator or divides by a gcd: ``_over_lcm``, ``_reduced``.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 
 def check_label(kind: str, label: object, reserved: str = "|") -> str:
@@ -31,19 +32,34 @@ def check_label(kind: str, label: object, reserved: str = "|") -> str:
     return label
 
 
+_DIGITS = 1000  # the most digits of an input rational's part, far below CPython's 4,300
+_BOUND = 10**_DIGITS
+_RATIONAL = re.compile(f"(-?[0-9]{{1,{_DIGITS}}})(?:/([0-9]{{1,{_DIGITS}}}))?")
+
+
 def parse_rational(value: object) -> Fraction:
-    """Turn an int or a "p/q" string into a Fraction; floats are refused."""
+    """Turn an int or an ASCII "p" or "p/q" string (decimal digits, an
+    optional leading minus, q > 0) into a Fraction; a Fraction is kept.
+    Floats, bools and parts of more than ``_DIGITS`` digits are refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        if -_BOUND < value < _BOUND:
+            return Fraction(value)
+        raise InputError(f"not a rational: an integer of more than {_DIGITS} digits")
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            p, q = match.groups()
+            if q is None:
+                return Fraction(int(p))
+            if q.strip("0"):
+                return Fraction(int(p), int(q))
+        elif re.fullmatch("-?[0-9]+(?:/[0-9]+)?", value):  # the grammar, past the digit cap
+            raise InputError(f"not a rational: a part of more than {_DIGITS} digits")
+        raise InputError(f"not a rational: {value!r}")
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
@@ -89,7 +105,20 @@ def check_labels(kind: str, value: object, what: str, reserved: str = "|") -> tu
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    """``value`` as "p" or "p/q"; a ResourceLimitError when a part has more
+    digits than the interpreter converts to a string."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ResourceLimitError("a rational has too many digits to print") from None
+
+
+def _shown(value: Fraction) -> str:
+    """``value`` for a refusal message: as printed while no part passes
+    ``_DIGITS`` digits, else only that it is longer."""
+    if abs(value.numerator) < _BOUND and value.denominator < _BOUND:
+        return str(value)
+    return f"a rational of more than {_DIGITS} digits"
 
 
 @dataclass(frozen=True)
@@ -210,9 +239,9 @@ class Distribution:
         """Refuse a negative mass, then masses that do not sum to 1."""
         for s, v in zip(self.space.states, self.vector):
             if v < 0:
-                raise InputError(f"negative mass {v} at state '{s}'")
+                raise InputError(f"negative mass {_shown(v)} at state '{s}'")
         if not sums_to_one:
-            raise InputError(f"masses sum to {sum(self.vector)}, not 1")
+            raise InputError(f"masses sum to {_shown(sum(self.vector))}, not 1")
 
     @classmethod
     def _on_block(cls, space: StateSpace, block: Sequence[str], masses: list[int]) -> Distribution:
@@ -262,9 +291,9 @@ class Prior(Distribution):
         """The full-support rule: refuse a mass that is not positive, then a sum other than 1."""
         for s, v in zip(self.space.states, self.vector):
             if v <= 0:
-                raise InputError(f"prior must have full support; state '{s}' has mass {v}")
+                raise InputError(f"prior must have full support; state '{s}' has mass {_shown(v)}")
         if not sums_to_one:
-            raise InputError(f"prior masses sum to {sum(self.vector)}, not 1")
+            raise InputError(f"prior masses sum to {_shown(sum(self.vector))}, not 1")
 
     @classmethod
     def uniform(cls, space: StateSpace) -> "Prior":

@@ -417,36 +417,54 @@ def naive_pairs(states, prior, kernel, partitions):
     ]
 
 
-def naive_is_equilibrium(states, prior, kernel, partitions, actions, payoff, strategy):
-    """(holds, witness) for a strategy profile, from total expected payoffs.
+def naive_outcome_distribution(states, prior, kernel, partitions, strategy):
+    """{(state, action profile): probability} over every outcome of positive
+    probability: prior(w) * kernel[w][s] times each player's probability of
+    their action at (their block of w, s), summed over the signals s.
 
     ``strategy[i]`` maps each of player i's reachable (block, signal) pairs
-    to {action: probability} and ``payoff(w, profile)`` gives one utility
-    per player.  A player's total expected payoff sums over every state,
-    signal and action profile of positive probability, with no split into
-    pairs.  It is computed for the strategy and again for every copy with
-    one (block, signal) entry of that player replaced by a pure action; the
-    witness (player index, block, signal, action) is the first copy that
-    pays the player more, in player, pair and action order.
-    """
+    to {action: probability}.  Every weight is a ``Fraction`` product, built
+    factor by factor."""
     n = len(partitions)
 
     def block(i, w):
         return next(tuple(b) for b in partitions[i] if w in b)
 
+    out = {}
+    for w in states:
+        for s, p in kernel[w].items():
+            if prior[w] * p == 0:
+                continue
+            mixes = [
+                [(a, q) for a, q in strategy[i][(block(i, w), s)].items() if q > 0]
+                for i in range(n)
+            ]
+            for combo in product(*mixes):
+                weight = prior[w] * p
+                for _, q in combo:
+                    weight *= q
+                key = (w, tuple(a for a, _ in combo))
+                out[key] = out.get(key, Fraction(0)) + weight
+    return out
+
+
+def naive_is_equilibrium(states, prior, kernel, partitions, actions, payoff, strategy):
+    """(holds, witness) for a strategy profile, from total expected payoffs.
+
+    ``strategy[i]`` maps each of player i's reachable (block, signal) pairs
+    to {action: probability} and ``payoff(w, profile)`` gives one utility
+    per player.  A player's total expected payoff sums over every outcome of
+    ``naive_outcome_distribution``, with no split into pairs.  It is
+    computed for the strategy and again for every copy with one (block,
+    signal) entry of that player replaced by a pure action; the witness
+    (player index, block, signal, action) is the first copy that pays the
+    player more, in player, pair and action order.
+    """
+    n = len(partitions)
+
     def total(i, tables):
-        value = Fraction(0)
-        for w in states:
-            for s, p in kernel[w].items():
-                if prior[w] * p == 0:
-                    continue
-                mixes = [tables[j][(block(j, w), s)].items() for j in range(n)]
-                for combo in product(*mixes):
-                    weight = prior[w] * p
-                    for _, q in combo:
-                        weight *= q
-                    value += weight * payoff(w, tuple(a for a, _ in combo))[i]
-        return value
+        outcomes = naive_outcome_distribution(states, prior, kernel, partitions, tables)
+        return sum((m * payoff(w, profile)[i] for (w, profile), m in outcomes.items()), Fraction(0))
 
     pairs = naive_pairs(states, prior, kernel, partitions)
     for i in range(n):

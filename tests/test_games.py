@@ -28,6 +28,7 @@ from oraclegames import (
     ResourceLimitError,
     StateSpace,
     StochasticSignaling,
+    StrategyProfile,
     TwoStageGame,
     belief_aggregate,
     belief_best_response,
@@ -660,6 +661,9 @@ def test_log_score_compares_sums_over_coprime_denominators_quickly():
     assert total < total.half()  # a negative score doubled is smaller
     assert score(97) + score(89) == score(89) + score(97)
     assert time.perf_counter() - start < 1
+    # Its product has about 12,000 digits, too many to print: a refusal.
+    with pytest.raises(ResourceLimitError, match="too many digits to print"):
+        total.as_json()
 
 
 def test_log_score_validation():
@@ -1224,6 +1228,25 @@ def _unlike_denominator_cases(rng, count):
     return cases
 
 
+def _unlike_tables(rng, pairs, options, denominators=(3, 5, 7)):
+    """Per player, a mixture at each of their reachable pairs over
+    ``options(player, pair)``, each probability a multiple of one over a
+    denominator that cycles through ``denominators`` pair after pair, so
+    that a player's mixtures have unlike denominators.  A mixture cuts
+    [0, d] at random points, so some of its probabilities are often 0."""
+    position = itertools.count()
+    tables = []
+    for i, player_pairs in enumerate(pairs):
+        table = {}
+        for pair in player_pairs:
+            actions = options(i, pair)
+            d = denominators[next(position) % len(denominators)]
+            cuts = [0, *sorted(rng.randint(0, d) for _ in actions[1:]), d]
+            table[pair] = {a: Fraction(hi - lo, d) for a, lo, hi in zip(actions, cuts, cuts[1:])}
+        tables.append(table)
+    return tables
+
+
 def _naive_result(structure, verdict):
     holds, witness = verdict
     if holds:
@@ -1235,6 +1258,7 @@ def _naive_result(structure, verdict):
 def test_equilibrium_checks_match_the_total_payoff_brute_force():
     rng = random.Random(41)
     halves = (Fraction(0), Fraction(1, 2), Fraction(1))
+    unlike = random.Random(47)
     players = set()
     cases = _equilibrium_cases(rng, 20) + _unlike_denominator_cases(random.Random(67), 10)
     for game, tau, args in cases:
@@ -1248,6 +1272,7 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
             )
             result = is_equilibrium(game, tau, strategy)
             assert (result.holds, result.witness) == _naive_result(structure, naive)
+            return naive
 
         for _ in range(3):
             tables = []
@@ -1258,6 +1283,17 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
                     table[pair] = {"a0": p, "a1": 1 - p}
                 tables.append(table)
             check(make_strategy(game, tau, tables), tables)
+        for _ in range(2):
+            # Thirds, fifths and sevenths, unlike across pairs.  A witness of
+            # any player but the last is played and the check repeated, so
+            # the later players' deviations are valued too.
+            tables = _unlike_tables(unlike, pairs, lambda i, pair: game.actions[i])
+            for _ in range(6):
+                holds, witness = check(make_strategy(game, tau, tables), tables)
+                if holds or witness[0] == structure.n - 1:
+                    break
+                i, block, signal, action = witness
+                tables[i][(block, signal)] = {action: Fraction(1)}
 
         slots = [(i, pair) for i in range(structure.n) for pair in pairs[i]]
         if len(slots) > 8:
@@ -1275,6 +1311,88 @@ def test_equilibrium_checks_match_the_total_payoff_brute_force():
             check(strategy, list(strategy.per_player))
         players.add(structure.n)
     assert players == {2, 3}
+
+
+def test_outcome_walk_matches_the_fraction_oracle():
+    """``ned_distribution``, ``expected_payoffs`` with and without an event,
+    and the weights behind ``kld_expected_scores`` agree with
+    ``oracles.naive_outcome_distribution`` on 2- and 3-player games whose
+    mixtures have unlike denominators across pairs and some zero
+    probabilities."""
+    rng = random.Random(71)
+    players = set()
+    for game, tau, args in _unlike_denominator_cases(random.Random(73), 8):
+        structure, (states, _, kernel, _) = game.structure, args
+        pairs = oracles.naive_pairs(*args)
+        tables = _unlike_tables(rng, pairs, lambda i, pair: game.actions[i])
+        strategy = make_strategy(game, tau, tables)
+        naive = oracles.naive_outcome_distribution(*args, tables)
+        assert ned_distribution(game, tau, strategy).mass == naive
+
+        def expected(event):
+            mass = {key: m for key, m in naive.items() if key[0] in event}
+            return tuple(
+                sum(m * game.payoff(*key)[i] for key, m in mass.items()) / sum(mass.values())
+                for i in range(structure.n)
+            )
+
+        assert expected_payoffs(game, tau, strategy) == expected(states)
+        event = rng.sample(states, rng.randint(1, len(states)))
+        assert expected_payoffs(game, tau, strategy, given_event=event) == expected(event)
+
+        # Log scores: mixed declarations, each giving every state the pair
+        # reaches positive mass, so that no score is minus infinity.
+        kld = build_kld_game(structure, tau)
+
+        def safe(i, pair):
+            reached = [w for w in pair[0] if kernel[w][pair[1]] > 0]
+            return [
+                a for a, d in zip(kld.actions[i], kld.menus[i]) if all(d.of(w) for w in reached)
+            ]
+
+        tables = _unlike_tables(rng, pairs, safe)
+        naive = oracles.naive_outcome_distribution(*args, tables)
+        scores = kld_expected_scores(kld, tau, make_strategy(kld, tau, tables))
+        for i, score in enumerate(scores):
+            terms = [(m, kld.payoff(*key)[i]) for key, m in naive.items()]
+            assert score == LogScore.from_terms(terms)
+        players.add(structure.n)
+    assert players == {2, 3}
+
+
+def test_a_strategy_missing_a_reachable_pair_is_refused_by_every_evaluator():
+    fixture = Fixture(load_fixture("rock-concert"))
+    game, tau, strategy = fixture.strategy("guided")
+    kld = build_kld_game(game.structure, tau)
+    truthful = truthful_kld_strategy(kld, tau)
+    (block, signal), _ = next(iter(strategy.per_player[1].items()))
+    message = (
+        f"strategy for player 1 has no entry at block {{{','.join(block)}}} "
+        f"with signal '{signal}'"
+    )
+
+    def without_the_pair(profile):
+        tables = [dict(table) for table in profile.per_player]
+        del tables[1][(block, signal)]
+        return StrategyProfile(tuple(tables))
+
+    evaluations = (
+        lambda: expected_payoffs(game, tau, without_the_pair(strategy)),
+        lambda: expected_payoffs(game, tau, without_the_pair(strategy), given_event=block),
+        lambda: ned_distribution(game, tau, without_the_pair(strategy)),
+        lambda: is_equilibrium(game, tau, without_the_pair(strategy)),
+        lambda: kld_expected_scores(kld, tau, without_the_pair(truthful)),
+    )
+    for evaluate in evaluations:
+        with pytest.raises(DomainError) as raised:
+            evaluate()
+        assert str(raised.value) == message
+    # A mixture that does not sum to 1 is left to the outcome distribution's
+    # own constructor, which refuses it.
+    tables = [dict(table) for table in strategy.per_player]
+    tables[1][(block, signal)] = {action: p / 2 for action, p in tables[1][(block, signal)].items()}
+    with pytest.raises(InputError, match="^outcome masses sum to 7/8, expected 1$"):
+        ned_distribution(game, tau, StrategyProfile(tuple(tables)))
 
 
 def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():

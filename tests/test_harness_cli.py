@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from operator import delitem, setitem
 from pathlib import Path
 
@@ -651,6 +652,33 @@ def test_cli_garble_check_names_the_row_of_a_float_in_a_plain_matrix(tmp_path, c
     path.write_text(json.dumps(matrix))
     assert cli.main(["garble-check", str(path), str(path)]) == 2
     message = "matrix row for state 'w1': not a rational: 0.5 (floats are not accepted)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "probe, shown",
+    [
+        ("0.5", "'0.5'"),
+        ("1e-4000000", "'1e-4000000'"),
+        ("1/" + "3" * 5000, "a part of more than 1000 digits"),
+        ("١/٢", "'١/٢'"),
+        ("1_0", "'1_0'"),
+    ],
+    ids=["decimal", "huge-exponent", "5000-digit-denominator", "arabic-indic-digits", "underscore"],
+)
+def test_cli_garble_check_refuses_a_string_outside_the_rational_grammar(
+    tmp_path, capsys, probe, shown
+):
+    """Each probe is refused (exit 2, one error line naming the row) in
+    milliseconds; an exponent no longer costs superlinear time."""
+    matrix = {"states": ["w1", "w2"], "columns": ["x", "y"]}
+    matrix["entries"] = {"w1": [probe, "1/2"], "w2": ["0", "1"]}
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(matrix, ensure_ascii=False), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["garble-check", str(path), str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    message = f"matrix row for state 'w1': not a rational: {shown}"
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -32,13 +32,57 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational(3) == Fraction(3)
     assert parse_rational("2/7") == Fraction(2, 7)
     assert parse_rational("-5") == Fraction(-5)
+    assert parse_rational("-04/06") == Fraction(-2, 3)
     assert parse_rational(Fraction(1, 3)) == Fraction(1, 3)
+    longest = "9" * 1000
+    assert parse_rational(f"-{longest}/{longest}") == -1
+    assert parse_rational(10**1000 - 1) == 10**1000 - 1
 
 
-@pytest.mark.parametrize("bad", [0.5, True, None, "1/0", "abc", [1]])
+# Only -?[0-9]+(/[0-9]+)? is a rational string: no decimal point, exponent,
+# underscore, sign on the denominator, whitespace or non-ASCII digit.
+NOT_RATIONAL = [
+    "0/00", "", "2.5", "1e-3", "1E3", "1_0", "1_0/2_0", "+1", "1/-2", "--1",
+    " 1/2", "1/2 ", "1/2\n", "١/٢", "½", "inf", "nan", "1/2/3", "0x10",
+]
+
+
+@pytest.mark.parametrize("bad", [0.5, True, None, "1/0", "abc", [1], *NOT_RATIONAL])
 def test_parse_rational_rejects_non_rationals(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^not a rational: "):
         parse_rational(bad)
+
+
+def test_parse_rational_caps_the_digits_of_each_part():
+    """A part of more than 1,000 digits, or an int of as many, is refused
+    without echoing it."""
+    long = "1" * 1001
+    too_long = (long, f"-{long}", f"1/{long}", f"{long}/3", "1/" + "7" * 5000)
+    for bad in (*too_long, 10**1000, -(10**1000)):
+        with pytest.raises(InputError) as raised:
+            parse_rational(bad)
+        assert str(raised.value).startswith("not a rational: a")
+        assert len(str(raised.value)) < 60
+
+
+def test_format_rational_refuses_an_unprintable_value():
+    """Past the interpreter's digit limit for int-to-string conversion a
+    value cannot be printed; that is a ResourceLimitError, not a ValueError."""
+    assert format_rational(Fraction(10**4000 + 1, 3)) == str(Fraction(10**4000 + 1, 3))
+    for value in (Fraction(10**5000), Fraction(1, 7**6000)):
+        with pytest.raises(oraclegames.ResourceLimitError, match="too many digits to print"):
+            format_rational(value)
+
+
+def test_a_sum_refusal_does_not_print_an_unbounded_value():
+    """Masses of 1,000-digit denominators sum to a longer one; the refusal
+    says so instead of printing it."""
+    a, b, c = (Fraction(1, 10**999 + k) for k in (1, 3, 7))
+    message = "^masses sum to a rational of more than 1000 digits, not 1$"
+    with pytest.raises(InputError, match=message):
+        Distribution(StateSpace(("x", "y", "z")), (a, b, c))
+    with pytest.raises(InputError, match="^masses sum to 3/4, not 1$"):
+        Distribution(StateSpace(("x", "y")), ("1/2", "1/4"))
 
 
 # Each constructor reads its values through parse_rational, so a float or a
