@@ -736,8 +736,8 @@ def run_claim(fix: Fixture, claim: Mapping) -> dict:
         "provenance": claim["provenance"],
         "expected": expected,
     }
+    resolved = {name: params[name][0](fix, value, name) for name, value in args.items()}
     try:
-        resolved = {name: params[name][0](fix, value, name) for name, value in args.items()}
         actual = fn(fix, **resolved)
     except tuple(_ERROR_KINDS) as exc:
         if expect_error is None:

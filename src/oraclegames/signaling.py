@@ -295,13 +295,27 @@ def _branch_profiles(
     return out
 
 
+def _column_keys(rows: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each column of the integer table ``rows`` as (its sum, its entries over their gcd): under
+    a positive scale per row, two columns are proportional exactly when the latter are equal."""
+    return [(sum(column), tuple(_reduced(column))) for column in zip(*rows)]
+
+
 def posterior_atlas(
     structure: InformationStructure, tau: StochasticSignaling
 ) -> PosteriorAtlas:
-    """The joint posterior profiles of all branches with positive mass,
-    exact duplicates merged, each weighted by the total prior(state) *
-    tau(signal|state) of its branches, summed over the table's denominator."""
+    """The joint posterior profiles of all branches with positive mass, exact duplicates merged,
+    each weighted by the total prior(state) * tau(signal|state) of its branches, summed over the
+    table's denominator. Signals with proportional kernel columns induce the same posteriors, so
+    the masses of each are summed into the first such signal before the branch loop."""
     masses, total = _branch_masses(structure, tau)
+    keys = [k for _, k in _column_keys(row[1:] for row in tau._keys)]
+    if len(set(keys)) < len(keys):
+        into = {s: tau.signals[keys.index(key)] for s, key in zip(tau.signals, keys)}
+        merged: dict[tuple[str, str], int] = {}
+        for (state, signal), m in masses.items():
+            merged[state, into[signal]] = merged.get((state, into[signal]), 0) + m
+        masses = merged
     weights: dict[tuple[Distribution, ...], int] = {}
     for branch, profile in _branch_profiles(structure, masses).items():
         weights[profile] = weights.get(profile, 0) + masses[branch]
@@ -530,24 +544,25 @@ def separating_strategy(
 def proportional_decompose(
     tau1: StochasticSignaling, tau2: StochasticSignaling
 ) -> dict[str, Optional[tuple[str, Fraction]]]:
-    """For each signal t of tau1, find the first signal s of tau2 and constant
-    c > 0 with tau1(t|state) = c * tau2(s|state) for every state, or None for
-    that t when no column is proportional. tau2 must be fully supported."""
+    """For each signal t of tau1, find the first signal s of tau2 and constant c > 0 with
+    tau1(t|state) = c * tau2(s|state) for every state, or None for that t when no column is
+    proportional. tau2 must be fully supported. Both kernels' rows are read over one denominator
+    per state, a positive scale per row, so t and s are proportional exactly when their reduced
+    columns are equal, and c is their sums' ratio."""
     if tau1.space != tau2.space:
         raise DomainError("signaling functions use different state spaces")
     if not tau2.fully_supported():
         raise DomainError("the reference signaling must be fully supported")
-    out: dict[str, Optional[tuple[str, Fraction]]] = {}
-    columns2 = tuple(zip(tau2.signals, zip(*tau2.kernel)))
-    for t, col1 in zip(tau1.signals, zip(*tau1.kernel)):
-        found = None
-        for s, col2 in columns2:
-            c = col1[0] / col2[0]
-            if c > 0 and all(a == c * b for a, b in zip(col1, col2)):
-                found = (s, c)
-                break
-        out[t] = found
-    return out
+    scales = [lcm(a[0], b[0]) for a, b in zip(tau1._keys, tau2._keys)]
+    one, two = (
+        _column_keys([n * (d // key[0]) for n in key[1:]] for d, key in zip(scales, tau._keys))
+        for tau in (tau1, tau2)
+    )
+    found = {key: (s, total) for s, (total, key) in reversed([*zip(tau2.signals, two)])}
+    return {
+        t: (found[key][0], Fraction(total, found[key][1])) if key in found else None
+        for t, (total, key) in zip(tau1.signals, one)
+    }
 
 
 # ---------------------------------------------------------------------------

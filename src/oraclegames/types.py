@@ -260,7 +260,7 @@ class Distribution:
         return (
             other.__class__ is self.__class__
             and self._key == other._key
-            and self.space == other.space
+            and (self.space is other.space or self.space == other.space)
         )
 
     def __hash__(self) -> int:

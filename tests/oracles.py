@@ -164,6 +164,25 @@ def naive_atlas(prior, kernel, partitions, states):
     return atlas
 
 
+def naive_proportional_decompose(signals1, kernel1, signals2, kernel2):
+    """For each signal t of the first kernel, the first signal s of the second
+    and the constant c > 0 with kernel1[w][t] = c * kernel2[w][s] in every row
+    w, or None: each pair of columns is scanned in ``Fraction`` arithmetic,
+    with c read off the first row. Kernels are tuples of rows in one state
+    order; the second must have no zero entry."""
+    out = {}
+    columns2 = tuple(zip(signals2, zip(*kernel2)))
+    for t, col1 in zip(signals1, zip(*kernel1)):
+        found = None
+        for s, col2 in columns2:
+            c = col1[0] / col2[0]
+            if c > 0 and all(a == c * b for a, b in zip(col1, col2)):
+                found = (s, c)
+                break
+        out[t] = found
+    return out
+
+
 def separating_probabilities(m):
     """The first ``m`` values of 1/3, 1/5, 1/7, ... that keep every value in
     {p, 1 - p} distinct and every ratio of two distinct ones distinct,

@@ -50,6 +50,17 @@ def test_expect_error_claims():
     assert harness.report_passed(report), harness.report_lines(report)
 
 
+def test_a_claim_expecting_an_error_still_refuses_an_argument_it_cannot_read():
+    # A claim's arguments are read before it runs: a fault there is the
+    # fixture's, also where the claim expects a domain error.
+    data = harness.load_fixture("witness-belief")
+    data["profiles"]["declared-single"] = [["0.5", "0", "0", "0"]]
+    claim = next(c for c in data["claims"] if c["id"] == "needs-two-players")
+    assert claim["expect_error"] == "domain"
+    with pytest.raises(InputError, match="not a rational: '0.5'"):
+        harness.run_claim(harness.Fixture(data), claim)
+
+
 def test_a_claim_may_give_its_signaling_inline():
     # Every claim names its signalings; given inline instead, each passes alike.
     data = harness.load_fixture("witness-two-stage")

@@ -7,7 +7,10 @@ must run or raise an ``OracleGamesError``; each mutated command-line file
 must exit 0 or 2. An unknown key added to a fixture, its structure, a player
 or oracle entry, a claim, its arguments, an object nested in an argument, or
 a named signaling, game or strategy entry that a claim names must be refused,
-and so must one added to an experiment matrix or a plain matrix file.
+and so must one added to an experiment matrix or a plain matrix file. Every
+rational string of a fixture or command-line file, replaced in turn by a
+string outside the rational grammar, must be refused too, and the same string
+in a claim's expected value must make that claim fail.
 """
 
 import copy
@@ -17,12 +20,16 @@ import pytest
 
 from oraclegames import InputError, OracleGamesError, ResourceLimitError, cli, harness
 from oraclegames.signaling import experiment_matrix, matrix_from_json, signaling_from_json
-from oraclegames.types import structure_from_json
+from oraclegames.types import parse_rational, structure_from_json
 
 from test_readme import readme_json
 
 # Fresh replacement values for every mutation; None stands for deletion.
 REPLACEMENTS = (list, int, lambda: None, lambda: "x", dict, None)
+# Strings outside the rational grammar: a decimal, an exponent whose value has
+# millions of digits, a 5,000-digit denominator, non-ASCII digits and a digit
+# separator.
+RATIONAL_PROBES = ("0.5", "1e-4000000", "1/" + "3" * 5000, "\u0661/\u0662", "1_0")
 NAMED_SECTIONS = ("signalings", "games", "strategies", "profiles")
 
 
@@ -37,6 +44,24 @@ def _paths(value, path=()):
     for key, child in items:
         yield path + (key,)
         yield from _paths(child, path + (key,))
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _rational_paths(data):
+    """The path of every string value below ``data`` that ``parse_rational`` reads."""
+    for path in _paths(data):
+        value = _node(data, path)
+        if isinstance(value, str):
+            try:
+                parse_rational(value)
+            except InputError:
+                continue
+            yield path
 
 
 def _mutated(data, path, make):
@@ -127,10 +152,7 @@ def _claim_objects(data):
             continue
         yield ("claims", i, "args")
         for path in _paths(claim["args"]):
-            node = claim["args"]
-            for key in path:
-                node = node[key]
-            if isinstance(node, dict) and path[0] != "garble":
+            if isinstance(_node(claim["args"], path), dict) and path[0] != "garble":
                 yield ("claims", i, "args") + path
 
 
@@ -197,7 +219,10 @@ def _exit_codes(tmp_path, capsys, original, make_args):
         capsys.readouterr()
 
 
-def test_no_cli_file_mutation_exits_1(tmp_path, capsys):
+def _cli_files(tmp_path):
+    """The README's structure and signaling examples and an experiment
+    matrix, each written to ``tmp_path``, and the command lines that read
+    each kind of file from a path given in place of the written one."""
     files = {
         "structure": readme_json("Structure"),
         "signaling": readme_json("Signaling"),
@@ -219,6 +244,11 @@ def test_no_cli_file_mutation_exits_1(tmp_path, capsys):
         ],
         "matrix": [lambda p: ["garble-check", p, good["matrix"]]],
     }
+    return files, good, verbs
+
+
+def test_no_cli_file_mutation_exits_1(tmp_path, capsys):
+    files, good, verbs = _cli_files(tmp_path)
     codes = set()
     for kind, makers in verbs.items():
         for make_args in makers:
@@ -227,3 +257,56 @@ def test_no_cli_file_mutation_exits_1(tmp_path, capsys):
                 assert code in (0, 2), (kind, make_args(kind), node, code)
                 codes.add(code)
     assert codes == {0, 2}
+
+
+def _claim_row(base, claim):
+    """The result row of ``claim``, or a failing row when it is refused."""
+    try:
+        return harness.run_claim(base, claim)
+    except OracleGamesError:
+        return {"pass": False}
+
+
+def test_no_string_outside_the_rational_grammar_is_accepted(tmp_path, capsys):
+    # In process: every rational string of every fixture, each probe in turn.
+    refused, accepted, failed = [], [], 0
+    for name in harness.available_fixtures():
+        data = harness.load_fixture(name)
+        base = harness.Fixture(data)
+        for path in _rational_paths(data):
+            for probe in RATIONAL_PROBES:
+                mutated = _mutated(data, path, lambda: probe)
+                if path[0] == "claims" and path[2] == "expected":
+                    assert not _claim_row(base, mutated["claims"][path[1]])["pass"], (name, path)
+                    failed += 1
+                    continue
+                try:
+                    _evaluate(base, mutated, path)
+                except OracleGamesError:
+                    refused.append((name, path, probe, mutated))
+                else:
+                    accepted.append((name, path, probe))
+    assert not accepted, accepted
+    assert len(refused) > 1000 and failed > 400, (len(refused), failed)
+    # End to end: five refused mutations per probe, spread over the fixtures.
+    written = tmp_path / "mutated.json"
+    for probe in RATIONAL_PROBES:
+        of_probe = [entry for entry in refused if entry[2] == probe]
+        for name, path, _, mutated in of_probe[:: len(of_probe) // 4]:
+            written.write_text(json.dumps(mutated))
+            assert cli.main(["verify", str(written)]) == 2, (name, path)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, path, err)
+    # Every rational string of every command-line file, through every verb that reads it.
+    files, _, verbs = _cli_files(tmp_path)
+    runs = 0
+    for kind, makers in verbs.items():
+        for path in _rational_paths(files[kind]):
+            for probe in RATIONAL_PROBES:
+                written.write_text(json.dumps(_mutated(files[kind], path, lambda: probe)))
+                for make_args in makers:
+                    assert cli.main(make_args(str(written))) == 2, (kind, path, probe)
+                    err = capsys.readouterr().err
+                    assert err.startswith("error: ") and err.count("\n") == 1, (kind, path, err)
+                    runs += 1
+    assert runs > 100, runs

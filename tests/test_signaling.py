@@ -617,6 +617,110 @@ def test_posterior_atlas_equals_the_public_constructor_on_its_entries():
             assert public.as_json() == atlas.as_json()
 
 
+def _normalized(table):
+    """Integer rows with positive sums as probability rows: unlike denominators."""
+    return tuple(tuple(Fraction(v, sum(row)) for v in row) for row in table)
+
+
+def _near_miss_signalings(rng, count):
+    """Seeded (structure, tau, kernel, shape) cases on singleton oracles whose
+    kernel columns come close to proportional, next to a planted proportional
+    column. The shapes take turns:
+    - "near": a column twice a base column on every state but one;
+    - "support": a column three times a base column where both are positive,
+      with one more zero (the same ratio, another zero pattern);
+    - "flat": every row the same, so every column is proportional;
+    - "zero": a column of zeros, trimmed from tau.
+    ``kernel`` is state -> signal -> probability, zero columns included. The
+    first player holds the trivial partition, whose posteriors show every
+    entry of a column."""
+    shapes = ("near", "support", "flat", "zero")
+    cases = []
+    for k in range(count):
+        shape = shapes[k % len(shapes)]
+        n = rng.randint(3, 6)
+        space = StateSpace(tuple(f"w{i}" for i in range(n)))
+        base = [rng.choice((0, 1, 2, 3, 4)) for _ in range(n)]
+        for i in rng.sample(range(n), 2):
+            base[i] = rng.randint(1, 4)
+        other = [rng.choice((0, 1, 2, 5)) for _ in range(n)]
+        columns = [base, other, [5 * v for v in base]]
+        if shape == "near":
+            near = [2 * v for v in base]
+            near[rng.randrange(n)] += rng.randint(1, 3)
+            columns.append(near)
+        elif shape == "support":
+            support = [3 * v for v in base]
+            support[rng.choice([i for i in range(n) if base[i]])] = 0
+            columns.append(support)
+        elif shape == "flat":
+            weights = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(2, 4))]
+            weights[0] += 1
+            columns = [[w] * n for w in weights]
+        else:
+            columns.append([0] * n)
+        for i in range(n):
+            if not any(column[i] for column in columns):
+                columns[1][i] += 1
+        rng.shuffle(columns)
+        signals = tuple(f"s{j}" for j in range(len(columns)))
+        rows = _normalized(list(zip(*columns)))
+        tau = StochasticSignaling(Partition.singletons(space), signals, rows)
+        d = rng.choice((7, 11))
+        prior = Prior(space, tuple(Fraction(k, d) for k in _composition(rng, d, n, 1)))
+        players = (Partition.trivial(space),)
+        players += tuple(_random_partition(rng, space, 3) for _ in range(rng.randint(0, 2)))
+        names = tuple(f"P{i}" for i in range(len(players)))
+        structure = InformationStructure(space, prior, names, players)
+        kernel = {w: dict(zip(signals, row)) for w, row in zip(space.states, rows)}
+        cases.append((structure, tau, kernel, shape))
+    return cases
+
+
+def test_posterior_atlas_merges_only_proportional_columns():
+    # Near-miss columns must keep their own posteriors; proportional ones,
+    # planted or all of a flat kernel's, are merged with the same result.
+    trimmed = 0
+    for structure, tau, kernel, shape in _near_miss_signalings(random.Random(2029), 80):
+        states = structure.space.states
+        prior = dict(zip(states, structure.prior.vector))
+        partitions = [p.blocks for p in structure.players]
+        atlas = posterior_atlas(structure, tau)
+        naive = oracles.naive_atlas(prior, kernel, partitions, states)
+        order = sorted(naive)
+        assert [tuple(d.vector for d in p) for p in atlas.profiles()] == order, shape
+        assert [atlas.weight(p) for p in atlas.profiles()] == [naive[v] for v in order], shape
+        public = PosteriorAtlas(atlas.entries)
+        assert public == atlas and public._order == atlas._order
+        assert public.as_json() == atlas.as_json()
+        trimmed += len(tau.signals) < len(kernel[states[0]])
+    assert trimmed >= 20
+
+
+def test_a_lifted_atlas_builds_each_posterior_once(monkeypatch):
+    # Every lifted signal (s, t) has a column proportional to s's, so the
+    # lifted atlas builds exactly the posteriors the base atlas builds.
+    built = []
+    on_block = Distribution._on_block.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return on_block(cls, *args)
+
+    monkeypatch.setattr(Distribution, "_on_block", classmethod(counted))
+    grew = 0
+    for structure, tau, garbling in _unlike_denominator_signalings(random.Random(2030), 30):
+        lifted = lift_garbled(tau, garbling)
+        base = posterior_atlas(structure, tau)
+        once = len(built)
+        built.clear()
+        assert posterior_atlas(structure, lifted) == base
+        assert len(built) == once
+        built.clear()
+        grew += len(lifted.signals) > len(tau.signals)
+    assert grew >= 15
+
+
 def test_lift_garbled_refuses_signal_labels_that_collide():
     # ("a", "b,c") and ("a,b", "c") both lift to "(a,b,c)".
     tau = StochasticSignaling(ORACLE, ("a", "a,b"), ((Fraction(1, 2),) * 2,) * 4)
@@ -715,6 +819,70 @@ def test_proportional_decompose_requires_full_support():
         {"w1": {"s1": 1}, "w2": {"s2": 1}, "w3": {"s2": 1}, "w4": {"s2": 1}},
     )
     with pytest.raises(DomainError):
+        proportional_decompose(TAU, partial)
+
+
+def _reference_kernels(rng, count):
+    """Seeded (tau1, tau2) pairs on singleton oracles, rows over unlike
+    denominators. tau2 is fully supported, and some of its columns repeat an
+    earlier column or twice it. tau1 holds one or two planted columns c times
+    a column of tau2, sometimes one of them halved on one state, and splits
+    the rest of each row over remainder columns with zero entries (a zero
+    remainder column is trimmed)."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        oracle = Partition.singletons(StateSpace(tuple(f"w{i}" for i in range(n))))
+        columns = [[rng.randint(1, 6) for _ in range(n)] for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(1, 2)):
+            columns.append([rng.choice((1, 2)) * v for v in rng.choice(columns)])
+        kernel2 = _normalized(list(zip(*columns)))
+        tau2 = StochasticSignaling(oracle, tuple(f"s{j}" for j in range(len(columns))), kernel2)
+        planted = []
+        for c in rng.sample((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), rng.randint(1, 2)):
+            s = rng.randrange(len(columns))
+            planted.append([c * row[s] for row in kernel2])
+        if rng.random() < 0.5:
+            planted[0][rng.randrange(n)] /= 2
+        rest = [1 - sum(column[i] for column in planted) for i in range(n)]
+        share = [rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1)) for _ in range(n)]
+        first = [r * q for r, q in zip(rest, share)]
+        columns1 = planted + [first, [r - f for r, f in zip(rest, first)]]
+        rng.shuffle(columns1)
+        signals = tuple(f"t{j}" for j in range(len(columns1)))
+        cases.append((StochasticSignaling(oracle, signals, tuple(zip(*columns1))), tau2))
+    return cases
+
+
+def test_proportional_decompose_matches_the_fraction_scan():
+    # The same hits, constants and misses as the pairwise Fraction scan; of
+    # several proportional columns in tau2 the first one wins.
+    rng = random.Random(2031)
+    hits = later = 0
+    for tau1, tau2 in _reference_kernels(rng, 200):
+        garbling = {s: _random_row(rng, ("a", "b")) for s in tau2.signals}
+        for one in (tau1, tau2, lift_garbled(tau2, garbling)):
+            found = proportional_decompose(one, tau2)
+            naive = oracles.naive_proportional_decompose(
+                one.signals, one.kernel, tau2.signals, tau2.kernel
+            )
+            assert found == naive
+            assert all(type(hit[1]) is Fraction for hit in found.values() if hit)
+        for hit in filter(None, proportional_decompose(tau1, tau2).values()):
+            hits += 1
+            s = tau2.signal_index(hit[0])
+            column = [row[s] for row in tau2.kernel]
+            later += any(
+                len({a / b for a, b in zip(column, other)}) == 1
+                for other in list(zip(*tau2.kernel))[s + 1 :]
+            )
+    assert hits > 150 and later > 20, (hits, later)
+    # The space is checked before the reference's support.
+    partial = StochasticSignaling(ORACLE, ("s1", "s2"), ((1, 0), (0, 1), (0, 1), (0, 1)))
+    elsewhere = StochasticSignaling(Partition.singletons(StateSpace(("x",))), ("s",), ((1,),))
+    with pytest.raises(DomainError, match="different state spaces"):
+        proportional_decompose(elsewhere, partial)
+    with pytest.raises(DomainError, match="must be fully supported"):
         proportional_decompose(TAU, partial)
 
 
