@@ -464,7 +464,7 @@ def _cellwise_max(
             admitted += 1
             if admitted > cap:
                 raise ResourceLimitError(
-                    f"{admitted} admitted search slots exceed the cap of {cap}", cap=cap
+                    f"{admitted} admitted search slots exceed the cap of {cap}"
                 )
             return True
 
@@ -617,7 +617,7 @@ def enumerate_pure_equilibria(
     largest = max(math.prod(len(game.actions[i]) for i, _ in slots) for _, _, slots, _ in cells)
     if largest > cap:
         raise ResourceLimitError(
-            f"{largest} pure strategy profiles in one cell exceed the cap of {cap}", cap=cap
+            f"{largest} pure strategy profiles in one cell exceed the cap of {cap}"
         )
     payoffs = _integer_payoffs(game)
     pairs = reachable_pairs(structure, tau)
@@ -659,7 +659,7 @@ def enumerate_pure_equilibria(
             return []
     count = math.prod(map(len, parts))
     if count > cap:
-        raise ResourceLimitError(f"{count} pure equilibria exceed the cap of {cap}", cap=cap)
+        raise ResourceLimitError(f"{count} pure equilibria exceed the cap of {cap}")
     out = []
     # Lists of (global slot, option) in slot order sort as itertools.product visits them.
     for profile in sorted(sorted(itertools.chain(*combo)) for combo in itertools.product(*parts)):
@@ -707,9 +707,7 @@ def build_permutation_game(
     base = information_partition(structure, player, source)
     size = sum(math.factorial(len(block)) for block in base.blocks)
     if size > cap:
-        raise ResourceLimitError(
-            f"{size} permutation actions exceed the cap of {cap}", cap=cap
-        )
+        raise ResourceLimitError(f"{size} permutation actions exceed the cap of {cap}")
     prior = structure.prior
     penalty = Fraction(-(2 ** (10 * len(structure.space)))) / prior.min_mass()
     actions = []
@@ -835,10 +833,7 @@ def belief_best_response(game: BeliefGame, player: int, belief: Distribution) ->
     earliest state); the cross terms do not depend on the player's action."""
     if belief.space != game.space:
         raise InputError("belief uses a different state space")
-    actions = game.action_set(player)
-    if not actions:
-        raise DomainError("declared posterior has empty support")
-    return max(actions, key=lambda a: belief.of(a) / game.declared[player].of(a))
+    return max(game.action_set(player), key=lambda a: belief.of(a) / game.declared[player].of(a))
 
 
 def belief_is_equilibrium(
@@ -1086,10 +1081,11 @@ class TwoStageGame:
 
     Players first observe their block and the realized signal, then publicly
     declare a signal, a posterior from their menu, and an action inside the
-    declared posterior's support.  Declarations that disagree on the signal,
-    opt out, or name a jointly infeasible posterior profile cost everyone M,
-    a bound computed above every belief-game utility; feasible declarations
-    are settled by the matching belief game at the true state.  Truthful
+    declared posterior's support.  Declarations settle by one lookup in a
+    table that maps every branch's (signal, posterior) per player to its
+    posterior profile's belief game, which pays at the true state.  A miss
+    (an opt-out, a disagreement on the signal, an infeasible profile) costs
+    everyone M, a bound computed above every belief-game utility.  Truthful
     play earns each player exactly -1 in expectation.
 
     A player's actions are their declarations: the opt-out first, then
@@ -1104,14 +1100,10 @@ class TwoStageGame:
         self.structure = structure
         self.tau = tau
         branches = _branch_profiles(structure, _branch_masses(structure, tau)[0])
-        feasible: dict[str, set[tuple[Distribution, ...]]] = {}
-        for (_, signal), profile in branches.items():
-            feasible.setdefault(signal, set()).add(profile)
-        self.feasible = {s: frozenset(ps) for s, ps in feasible.items()}
-        self._belief_games = {
-            profile: BeliefGame(structure.space, profile)
-            for profiles in self.feasible.values()
-            for profile in profiles
+        belief_games = {p: BeliefGame(structure.space, p) for p in dict.fromkeys(branches.values())}
+        self._settled = {
+            tuple((signal, d) for d in profile): belief_games[profile]
+            for (_, signal), profile in branches.items()
         }
         self.menus = _posterior_menus(branches, structure.n)
         # Player i's true (signal, posterior) at each (i, block, signal) the
@@ -1143,7 +1135,7 @@ class TwoStageGame:
         gives 1/p = d/n_s, so each term is an integer over L, the lcm of the
         nonzero n_s, and each utility an integer over (n-1) L."""
         n = self.structure.n
-        keys = [[d._key for d in profile] for profile in self._belief_games]
+        keys = [[d._key for d in game.declared] for game in dict.fromkeys(self._settled.values())]
         unit = math.lcm(*(m for profile in keys for key in profile for m in key[1:] if m))
         worst = 0
         for profile in keys:
@@ -1177,24 +1169,13 @@ class TwoStageGame:
         self, state: str, declarations: Sequence[Declaration]
     ) -> tuple[Fraction, ...]:
         """Settle one realized state against the players' declarations."""
-        profile = self._settlement(declarations)
-        if profile is None:
+        game = self._settled.get(tuple(d[:2] for d in declarations))
+        if game is None:
             return tuple(-self.M for _ in range(self.structure.n))
-        game = self._belief_games[profile]
         actions = tuple(d[2] for d in declarations)
         return tuple(
             game.utility(i, state, actions) for i in range(self.structure.n)
         )
-
-    def _settlement(self, declarations: Sequence) -> Optional[tuple[Distribution, ...]]:
-        """The posterior profile a branch settles on: one agreed signal (no
-        opt-out) under which the declared posteriors are a feasible profile;
-        None otherwise."""
-        signals = {d[0] for d in declarations}
-        if len(signals) != 1 or None in signals:
-            return None
-        profile = tuple(d[1] for d in declarations)
-        return profile if profile in self.feasible.get(signals.pop(), ()) else None
 
     def max_aggregate(self, tau: StochasticSignaling, cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing
@@ -1221,6 +1202,7 @@ class TwoStageGame:
         admitted search slots are refused with ``ResourceLimitError``.
         """
         n = self.structure.n
+        space = self.structure.space
         menus = [
             tuple(dict.fromkeys(option[:2] for option in self.actions[i]))
             for i in range(n)
@@ -1229,24 +1211,23 @@ class TwoStageGame:
         # The walk counts in units of one over the denominator of the
         # penalty M n, so that every bound is an integer.
         unit, penalty = _over_lcm([self.M * n])
-        # Each feasible (signal, profile), with the option each player
-        # declares it by.
-        feasible = [
-            (tuple(index[i][(s, d)] for i, d in enumerate(p)), p)
-            for s, profiles in self.feasible.items()
-            for p in profiles
-        ]
+        # The settlement table keyed by the option each player declares.
+        settled = {
+            tuple(index[i][pair] for i, pair in enumerate(key)): game.declared
+            for key, game in self._settled.items()
+        }
 
         @cache
         def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> int:
             # The assigned declarations still allow a settlement exactly
-            # when they declare some feasible (signal, profile), which the
-            # unassigned slots then fill in; a leaf left unsettled pays -M
-            # per player, below any settled value because M exceeds every
-            # belief-game utility.
+            # when they match some key of the table, which the unassigned
+            # slots then fill in; a leaf left unsettled pays -M per player,
+            # below any settled value because M exceeds every belief-game
+            # utility.
+            s = space.index(state) + 1
             costs = (
-                unit * sum(2 if d.of(state) == 0 else 1 for d in p)
-                for options, p in feasible
+                unit * sum(2 if d._key[s] == 0 else 1 for d in profile)
+                for options, profile in settled.items()
                 if all(f is None or f == k for f, k in zip(fixed, options))
             )
             return -min(costs, default=penalty)
@@ -1257,52 +1238,43 @@ class TwoStageGame:
             )
             return None if None in leaf else leaf
 
+        def value(positioned, slots: Sequence[Slot], leaf: tuple[int, ...]) -> Union[int, Fraction]:
+            # The leaf's cell value with every action its owner's selfish
+            # best response, by the ``BeliefGame`` identity: a settled branch
+            # of mass w pays -2w per declared posterior missing its state, and
+            # a slot loses its largest (settled mass m at s)/p(s), which a
+            # posterior's key (d, n_1, ...) gives as m d/n_s, found in
+            # integers over the lcm of the slot's n_s.
+            total = 0
+            hit: list[dict[int, int]] = [{} for _ in slots]  # per slot, mass per key position
+            for state, w, positions in positioned:
+                profile = settled.get(tuple(leaf[k] for k in positions))
+                if profile is None:
+                    total -= w * self.M * n
+                    continue
+                s = space.index(state) + 1
+                for k, d in zip(positions, profile):
+                    if d._key[s] == 0:
+                        total -= 2 * w
+                    else:
+                        hit[k][s] = hit[k].get(s, 0) + w
+            for (i, _), o, mass in zip(slots, leaf, hit):
+                if mass:
+                    key = menus[i][o][1]._key
+                    lcm = math.lcm(*(key[s] for s in mass))
+                    ratio = max(m * (lcm // key[s]) for s, m in mass.items())
+                    total -= Fraction(key[0] * ratio, lcm)
+            return unit * total
+
         return _cellwise_max(
             self.structure,
             tau,
             [len(menu) for menu in menus],
             branch_bound,
-            lambda positioned, slots, leaf: unit * self._cell_value_with_best_responses(
-                positioned, slots, [menus[i][o] for (i, _), o in zip(slots, leaf)]
-            ),
+            value,
             cap,
             truthful_leaf,
         ) / unit
-
-    def _cell_value_with_best_responses(
-        self,
-        positioned: Sequence[tuple[str, int, tuple[int, ...]]],
-        slots: Sequence[Slot],
-        combo: Sequence[tuple],
-    ) -> Union[int, Fraction]:
-        """Value of one (signal, component) cell for fixed declarations,
-        with every slot's action set to the owner's selfish best response,
-        in the units of the cell's integer masses.
-
-        By the ``BeliefGame`` identity a settled branch of mass w pays -2w
-        per declared posterior missing its state, and each slot loses its
-        acted-on ratio, which its best response makes the largest (settled
-        mass at s)/p over the states s its posterior gives mass p.  With the
-        posterior's key (d, n_1, ...) that ratio is m d/n_s, so a slot's
-        largest one is found in integers over the lcm of its n_s."""
-        value = 0
-        hit: list[dict[int, int]] = [{} for _ in slots]  # per slot, mass per key position
-        for state, w, positions in positioned:
-            if self._settlement([combo[k] for k in positions]) is None:
-                value -= w * self.M * self.structure.n
-                continue
-            s = self.structure.space.index(state) + 1
-            for k in positions:
-                if combo[k][1]._key[s] == 0:
-                    value -= 2 * w
-                else:
-                    hit[k][s] = hit[k].get(s, 0) + w
-        for (_, posterior), mass in zip(combo, hit):
-            if mass:
-                key = posterior._key
-                unit = math.lcm(*(key[s] for s in mass))
-                value -= Fraction(key[0] * max(m * (unit // key[s]) for s, m in mass.items()), unit)
-        return value
 
 
 # ---------------------------------------------------------------------------

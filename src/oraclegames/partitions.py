@@ -61,8 +61,7 @@ def _require_within_cap(k: int, cap: int) -> None:
     blocks."""
     if k > cap:
         raise ResourceLimitError(
-            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks",
-            cap=cap,
+            f"partition has {k} blocks; coarsening enumeration is capped at {cap} blocks"
         )
 
 

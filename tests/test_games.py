@@ -872,11 +872,12 @@ def test_two_stage_ceiling_never_beats_truthful_under_garbling():
 
 def _enumerated_payoff_bound(game):
     """The two-stage penalty from every utility of every belief game a
-    feasible declaration profile settles on, each action profile valued."""
+    feasible declaration profile settles on, each action profile valued; the
+    feasible profiles are read from the signaling's atlas, not the game."""
     structure = game.structure
+    profiles = posterior_atlas(structure, game.tau).profiles()
     worst = max(
         abs(belief.utility(i, state, acts))
-        for profiles in game.feasible.values()
         for belief in (BeliefGame(structure.space, p) for p in profiles)
         for state in structure.space
         for acts in itertools.product(*map(belief.action_set, range(belief.n)))
@@ -1733,6 +1734,40 @@ def test_two_stage_ceiling_matches_the_unsplit_brute_force_for_three_players():
     assert checked >= 10 and below > 0 and truthful_below > 0
 
 
+def test_two_stage_leaf_value_alone_gives_the_unsplit_brute_force(monkeypatch):
+    # Every leaf of every cell is valued, with no cut and no first leaf, so a
+    # leaf value that settles an opt-out, a disagreement on the signal or an
+    # infeasible profile shows against the brute force; each leaf also stays
+    # within the sum of its branches' bounds.
+    from oraclegames import games
+
+    def every_leaf(structure, tau, sizes, branch_bound, value, cap, first=None):
+        total = Fraction(0)
+        for _, positioned, slots, scale in games._cells(structure, tau):
+            values = []
+            for leaf in itertools.product(*(range(sizes[i]) for i, _ in slots)):
+                values.append(value(positioned, slots, leaf))
+                fixed = [(s, w, tuple(leaf[k] for k in at)) for s, w, at in positioned]
+                assert values[-1] <= sum(w * branch_bound(s, f) for s, w, f in fixed)
+            total += Fraction(max(values), scale)
+        return total
+
+    monkeypatch.setattr(games, "_cellwise_max", every_leaf)
+    rng = random.Random(49)
+    cases = _small_two_stage_cases(rng, 30) + _small_two_stage_cases(rng, 20, n=3)
+    checked = below = 0
+    for structure, tau in cases:
+        game = TwoStageGame(structure, tau)
+        for evaluation in _ceiling_signalings(rng, structure, tau):
+            if _scan_size(structure, game, evaluation) > 1500:
+                continue
+            expected = _naive_ceiling(structure, game, evaluation)
+            assert game.max_aggregate(evaluation) == expected
+            checked += 1
+            below += expected < -structure.n
+    assert checked >= 20 and below > 0
+
+
 def test_cells_scale_the_fraction_masses_by_each_cells_lcm():
     # A reference from Fraction masses prior(w) * tau(s|w): each cell's
     # scale is the lcm of its masses' denominators, and each positioned
@@ -1749,19 +1784,33 @@ def test_cells_scale_the_fraction_masses_by_each_cells_lcm():
         assert branches == {(w, s) for w in states for s, p in kernel[w].items() if p}
 
 
-def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypatch):
+def _count_valued_leaves(monkeypatch, first_leaf=True):
+    """A list that collects every leaf ``games._cellwise_max`` values; with
+    ``first_leaf`` false the search gets no first leaf, so only its bound cuts."""
     from oraclegames import games
 
     valued = []
-    leaf = TwoStageGame._cell_value_with_best_responses
+    cellwise_max = games._cellwise_max
 
-    def counting(self, positioned, slots, combo):
-        valued.append(combo)
-        return leaf(self, positioned, slots, combo)
+    def counting(structure, tau, sizes, branch_bound, value, cap, first=None):
+        def counted(positioned, slots, leaf):
+            valued.append(leaf)
+            return value(positioned, slots, leaf)
 
-    monkeypatch.setattr(TwoStageGame, "_cell_value_with_best_responses", counting)
+        first = first if first_leaf else None
+        return cellwise_max(structure, tau, sizes, branch_bound, counted, cap, first)
+
+    monkeypatch.setattr(games, "_cellwise_max", counting)
+    return valued
+
+
+def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypatch):
+    from oraclegames import games
+
+    valued = _count_valued_leaves(monkeypatch, first_leaf=False)
     # Truthful declarations settle every branch, and any subtree that fixes
-    # an opt-out or a mismatch is worth at most -M, far below them.
+    # an opt-out or a mismatch is worth at most -M, far below them; the walk
+    # starts with no first leaf, so only that bound cuts.
     rng = random.Random(5)
     combos = 0
     for structure, tau in _small_two_stage_cases(rng, 12):
@@ -1778,14 +1827,7 @@ def test_two_stage_ceiling_cuts_every_subtree_with_an_unsettled_branch(monkeypat
 def test_two_stage_ceiling_values_one_leaf_per_cell_under_its_own_signaling(monkeypatch):
     from oraclegames import games
 
-    valued = []
-    leaf = TwoStageGame._cell_value_with_best_responses
-
-    def counting(self, positioned, slots, combo):
-        valued.append(combo)
-        return leaf(self, positioned, slots, combo)
-
-    monkeypatch.setattr(TwoStageGame, "_cell_value_with_best_responses", counting)
+    valued = _count_valued_leaves(monkeypatch)
     # The truthful first leaf pays -n per unit of mass, the bound of its
     # cell, so every other subtree is cut at once.
     rng = random.Random(71)

@@ -11,6 +11,7 @@ import ast
 import importlib
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -84,26 +85,55 @@ def test_every_name_the_benchmark_imports_exists(script, module, name):
     assert name is None or hasattr(target, name), f"perfbench/{script} imports {module}.{name}"
 
 
-def test_every_definition_is_named_elsewhere():
-    """Each undecorated top-level function and class of the library outside
-    ``__init__.py`` is named in the library, the tests, the benchmark or
-    the README somewhere besides its own definition."""
+def _corpus():
+    """The text of the library, the tests, the benchmark and the README."""
     paths = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
     paths += [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
-    corpus = {path: path.read_text(encoding="utf-8") for path in paths}
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
+def _orphans(corpus):
+    """Each undecorated top-level function and class of the library outside
+    ``__init__.py`` that ``corpus`` names only in its own definition.  A
+    whole-word match of an identifier is exactly one ``\\w+`` run, so the
+    corpus's words are counted once and each name's count is compared."""
+    words = Counter(w for text in corpus.values() for w in re.findall(r"\w+", text))
     orphans = []
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
+        lines = corpus[path].splitlines()
         for node in ast.parse(corpus[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.decorator_list:
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            own = "\n".join(corpus[path].splitlines()[node.lineno - 1 : node.end_lineno])
-            uses = sum(len(word.findall(text)) for text in corpus.values())
-            if uses == len(word.findall(own)):
+            own = re.findall(r"\w+", "\n".join(lines[node.lineno - 1 : node.end_lineno]))
+            if words[node.name] == own.count(node.name):
                 orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    return orphans
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each undecorated top-level function and class of the library outside
+    ``__init__.py`` is named in the library, the tests, the benchmark or
+    the README somewhere besides its own definition."""
+    orphans = _orphans(_corpus())
     assert not orphans, orphans
+
+
+def test_the_orphan_rule_finds_a_planted_orphan():
+    """A function named only inside its own body is found; naming it once
+    elsewhere, or only as part of a longer word, decides as a whole-word
+    match would."""
+    name = "_".join(("planted", "orphan"))  # never written whole in this file
+    corpus = _corpus()
+    games = ROOT / "src" / "oraclegames" / "games.py"
+    line = corpus[games].count("\n") + 3
+    corpus[games] += f"\n\ndef {name}():\n    return {name}\n"
+    readme = ROOT / "README.md"
+    corpus[readme] += f"\n{name}s and x{name} and {name}_2\n"
+    assert _orphans(corpus) == [f"games.py:{line} {name}"]
+    corpus[readme] += f"\n`{name}`\n"
+    assert _orphans(corpus) == []
 
 
 def test_only_the_one_unchecked_builder_skips_a_constructor():
