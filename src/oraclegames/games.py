@@ -412,14 +412,28 @@ def _slot_search(
             d -= 1
 
 
+def _prefix_bounds(full: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Each prefix of the assignments keyed in ``full`` to the largest of
+    their values; a shorter prefix never holds less, so the climb can stop."""
+    best: dict[tuple[int, ...], int] = {}
+    for assignment, v in full.items():
+        for j in range(len(assignment), -1, -1):
+            held = best.get(assignment[:j])
+            if held is not None and held >= v:
+                break
+            best[assignment[:j]] = v
+    return best
+
+
 def _cellwise_max(
     structure: InformationStructure,
     tau: StochasticSignaling,
     sizes: Sequence[int],
-    branch_bound: Callable[[str, tuple[Optional[int], ...]], Union[int, Fraction]],
+    bounds: Callable[[str], Mapping[tuple[int, ...], int]],
     value: Callable[[Sequence, Sequence[Slot], tuple[int, ...]], Union[int, Fraction]],
     cap: int,
     first: Optional[Callable[[str, Sequence[Slot]], Optional[tuple[int, ...]]]] = None,
+    floor: Optional[int] = None,
 ) -> Fraction:
     """Sum over the cells of the largest ``value(positioned, slots, leaf)``
     over the cell's assignments of ``sizes[player]`` options per slot.
@@ -428,38 +442,46 @@ def _cellwise_max(
     the cell's scale, and the cell's best is divided by that scale once.
     ``first(signal, slots)``, when given, names a starting leaf of the cell
     (or None); it is valued before the walk, and its value is the first
-    best.  A subtree is cut once the mass-weighted ``branch_bound(state,
-    option index per player, None while unassigned)`` of the cell's branches
-    cannot beat the best leaf so far, so a cell whose first leaf reaches its
-    root bound is not walked at all.  Setting slot d moves only the bounds
-    of the branches that read it, so ``bound[d]``, the cell's bound with the
-    slots below d set, is kept per depth.  The walk counts the slots it
-    admits over all cells and raises ``ResourceLimitError`` as soon as the
-    count passes ``cap``."""
+    best.  ``bounds(state)`` maps an option index per player to the most a
+    branch at the state is worth under it, ``floor`` where it has no entry.
+    Slots are numbered player by player, so a branch's set slots are a
+    prefix of its players, bounded from the state's ``_prefix_bounds``
+    table.  A subtree is cut once the mass-weighted bounds of the cell's
+    branches cannot beat the best leaf so far, so a cell whose first leaf
+    reaches its root bound is not walked and builds no table.  Setting slot
+    d extends the prefix of each branch that reads it, kept with its bound
+    per slot, and ``bound[d]``, the cell's bound with the slots below d set,
+    is kept per depth.  The walk counts the slots it admits over all cells
+    and raises ``ResourceLimitError`` as soon as the count passes ``cap``."""
+    full = cache(bounds)
+    root = cache(lambda state: max(full(state).values(), default=floor))
+    tables = cache(lambda state: _prefix_bounds(full(state)))  # at most once per state
     total = Fraction(0)
     admitted = 0
     for signal, positioned, slots, scale in _cells(structure, tau):
         leaf = None if first is None else first(signal, slots)
         best = None if leaf is None else value(positioned, slots, leaf)
-        unset = (None,) * structure.n
-        bound = [sum(w * branch_bound(s, unset) for s, w, _ in positioned)] * (len(slots) + 1)
+        cut = None if best is None else math.floor(best)  # what an integer bound must beat
+        bound = [sum(w * root(s) for s, w, _ in positioned)] * (len(slots) + 1)
         if best is not None and best >= bound[0]:
             total += Fraction(best, scale)  # the first leaf meets the bound: nothing to walk
             continue
         readers: list[list] = [[] for _ in slots]
-        for branch in positioned:
-            for k in branch[2]:
-                readers[k].append(branch)
+        for state, w, at in positioned:  # the prefix and bound with players below j set
+            prefixes, held = [()] * (len(at) + 1), [root(state)] * (len(at) + 1)
+            for j, k in enumerate(at):
+                readers[k].append((tables(state), w, j, prefixes, held))
 
         def admit(d: int, assigned: list[int]) -> bool:
             nonlocal admitted
             upper = bound[d]
-            for state, w, at in readers[d]:
-                after = tuple(assigned[k] if k <= d else None for k in at)
-                before = tuple(assigned[k] if k < d else None for k in at)
-                upper += w * (branch_bound(state, after) - branch_bound(state, before))
+            option = (assigned[d],)
+            for table, w, j, prefixes, held in readers[d]:
+                prefixes[j + 1] = prefix = prefixes[j] + option
+                held[j + 1] = after = table.get(prefix, floor)
+                upper += w * (after - held[j])
             bound[d + 1] = upper
-            if best is not None and upper <= best:
+            if cut is not None and upper <= cut:
                 return False
             admitted += 1
             if admitted > cap:
@@ -471,7 +493,7 @@ def _cellwise_max(
         for leaf in _slot_search([sizes[i] for i, _ in slots], admit):
             v = value(positioned, slots, leaf)
             if best is None or v > best:
-                best = v
+                best, cut = v, math.floor(v)
         total += Fraction(best, scale)
     return total
 
@@ -606,8 +628,9 @@ def enumerate_pure_equilibria(
     component) cell, so the equilibria are the product of the cells'
     equilibria.  Each cell checks a slot for a profitable deviation as soon
     as every slot its deviation values read is assigned; the values are sums
-    over the slot's branches of integer mass times integer payoff.  Before
-    any payoff is read, a cell of more than ``cap`` pure profiles is
+    over the slot's branches of integer mass times integer payoff, found
+    once per assignment of the other slots read.  Before any payoff is
+    read, a cell of more than ``cap`` pure profiles is
     refused; then a cell without equilibria gives ``[]``; else more than
     ``cap`` equilibria are refused."""
     if isinstance(game, LogScoreGame):
@@ -634,12 +657,14 @@ def enumerate_pure_equilibria(
         due: list[list[int]] = [[] for _ in local]  # the slots checked at each depth
         for k, read in enumerate(reads):
             due[max(read)].append(k)
-        verdicts: dict[tuple, bool] = {}
+        others = [sorted(read - {k}) for k, read in enumerate(reads)]
+        replies: list[dict[tuple, int]] = [{} for _ in local]  # per slot, best responses as bits
 
         def admit(d: int, assigned: list[int]) -> bool:
             for k in due[d]:
-                key = (k, tuple(assigned[r] for r in reads[k]))
-                if key not in verdicts:
+                key = tuple(assigned[r] for r in others[k])
+                mask = replies[k].get(key)
+                if mask is None:
                     j = local[k][0]
                     table = payoffs[j][0]
                     values = [0] * len(game.actions[j])
@@ -648,8 +673,9 @@ def enumerate_pure_equilibria(
                         for a in range(len(values)):
                             profile[j] = a
                             values[a] += w * table[(state, tuple(profile))]
-                    verdicts[key] = max(values) == values[assigned[k]]
-                if not verdicts[key]:
+                    top = max(values)
+                    mask = replies[k][key] = sum(1 << a for a, v in enumerate(values) if v == top)
+                if not mask >> assigned[k] & 1:
                     return False
             return True
 
@@ -905,11 +931,18 @@ class LogScore:
             if value == 0:
                 return cls.minus_infinity()
             kept.append((weight, value))
-        if not kept:
-            return cls.zero()
-        denom, *exponents = _over_lcm([weight for weight, _ in kept])
+        denom, *weights = _over_lcm([weight for weight, _ in kept])
+        return cls._from_weights(denom, [(w, value) for w, (_, value) in zip(weights, kept)])
+
+    @classmethod
+    def _from_weights(cls, total: int, terms: Sequence[tuple[int, Fraction]]) -> "LogScore":
+        """Score sum(w/total * log(v)) from unchecked (integer w > 0, v >= 0)
+        terms: its denom is ``total`` over the gcd of it and every w."""
+        if any(value == 0 for _, value in terms):
+            return cls.minus_infinity()
+        denom, *exponents = _reduced((total, *(w for w, _ in terms)))
         product = Fraction(1)
-        for exponent, (_, value) in zip(exponents, kept):
+        for exponent, (_, value) in zip(exponents, terms):
             product *= value**exponent
         return cls(False, product, denom)
 
@@ -1055,9 +1088,9 @@ def kld_expected_scores(
         raise DomainError("kld_expected_scores applies to log-score games only")
     masses, total = _branch_masses(game.structure, tau)
     scale, outcomes = _outcomes(game, masses.items(), total, strategy)
-    weighted = [(Fraction(w, scale), game.payoff(state, profile)) for state, profile, w in outcomes]
+    weighted = [(w, game.payoff(state, profile)) for state, profile, w in outcomes]
     return tuple(
-        LogScore.from_terms((w, values[i]) for w, values in weighted)
+        LogScore._from_weights(scale, [(w, values[i]) for w, values in weighted])
         for i in range(game.structure.n)
     )
 
@@ -1217,20 +1250,12 @@ class TwoStageGame:
             for key, game in self._settled.items()
         }
 
-        @cache
-        def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> int:
-            # The assigned declarations still allow a settlement exactly
-            # when they match some key of the table, which the unassigned
-            # slots then fill in; a leaf left unsettled pays -M per player,
-            # below any settled value because M exceeds every belief-game
-            # utility.
+        def bounds(state: str) -> dict[tuple[int, ...], int]:
+            # A settled branch costs 2 per posterior missing its state, else
+            # 1; an unsettled one pays -M per player (the floor), below any
+            # settled value as M exceeds every belief-game utility.
             s = space.index(state) + 1
-            costs = (
-                unit * sum(2 if d._key[s] == 0 else 1 for d in profile)
-                for options, profile in settled.items()
-                if all(f is None or f == k for f, k in zip(fixed, options))
-            )
-            return -min(costs, default=penalty)
+            return {o: -unit * sum(1 + (d._key[s] == 0) for d in p) for o, p in settled.items()}
 
         def truthful_leaf(signal: str, slots: Sequence[Slot]) -> Optional[tuple[int, ...]]:
             leaf = tuple(
@@ -1270,10 +1295,11 @@ class TwoStageGame:
             self.structure,
             tau,
             [len(menu) for menu in menus],
-            branch_bound,
+            bounds,
             value,
             cap,
             truthful_leaf,
+            -penalty,
         ) / unit
 
 
@@ -1361,20 +1387,14 @@ def best_common_payoff(
             )
 
     table, scale = _integer_payoffs(game)[0]
-    every = [range(len(actions)) for actions in game.actions]
-
-    @cache
-    def branch_bound(state: str, fixed: tuple[Optional[int], ...]) -> int:
-        options = [every[i] if f is None else (f,) for i, f in enumerate(fixed)]
-        return max(table[(state, profile)] for profile in itertools.product(*options))
-
+    profiles = list(itertools.product(*(range(len(actions)) for actions in game.actions)))
     return _cellwise_max(
         game.structure,
         tau,
         [len(actions) for actions in game.actions],
-        branch_bound,
+        lambda state: {at: table[(state, at)] for at in profiles},
         lambda positioned, slots, leaf: sum(
-            w * branch_bound(state, tuple(leaf[k] for k in at)) for state, w, at in positioned
+            w * table[(state, tuple(leaf[k] for k in at))] for state, w, at in positioned
         ),
         cap,
     ) / scale

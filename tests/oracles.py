@@ -651,3 +651,17 @@ def naive_max_aggregate(states, prior, game_kernel, eval_kernel, partitions, M):
         if best is None or value > best:
             best = value
     return best
+
+
+def naive_prefix_bounds(sizes, full_value, pick, empty):
+    """For every prefix of an assignment of ``range(sizes[j])`` options to
+    players j = 0, 1, ...: ``pick`` (``max`` or ``min``) of ``full_value``
+    over every full assignment that extends it, skipping those it maps to
+    None, and ``empty`` when it maps all of them to None."""
+    out = {}
+    for length in range(len(sizes) + 1):
+        for prefix in product(*(range(s) for s in sizes[:length])):
+            rests = product(*(range(s) for s in sizes[length:]))
+            values = [v for v in (full_value(prefix + rest) for rest in rests) if v is not None]
+            out[prefix] = pick(values) if values else empty
+    return out

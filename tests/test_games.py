@@ -783,6 +783,48 @@ def test_truthful_kld_scores_match_direct_computation():
             assert scores[i] == LogScore.from_terms(terms)
 
 
+def _same_score(a, b):
+    return (a.neg_inf, a.product, a.denom) == (b.neg_inf, b.product, b.denom)
+
+
+def test_log_scores_from_integer_weights_are_from_terms_scores():
+    from oraclegames import games
+
+    # Integer weights over a total against the same weights as Fractions.
+    rng = random.Random(83)
+    for _ in range(200):
+        total = rng.choice((1, 6, 12, 30, 36))
+        terms = [
+            (rng.randint(1, 2 * total), Fraction(rng.randint(0, 3), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        expected = LogScore.from_terms([(Fraction(w, total), v) for w, v in terms])
+        assert _same_score(LogScore._from_weights(total, terms), expected)
+    # Every kld score on seeded mixed declarations, with its outcome weights.
+    scored = set()
+    # The eight listeners declare pure actions: their mixtures' exponents
+    # take seconds to raise.
+    cases = (((STRUCTURE, _example_signaling()), 2), (_eight_listeners(), 1))
+    for (structure, tau), mixed in cases:
+        game = build_kld_game(structure, tau)
+        masses, total = games._branch_masses(structure, tau)
+        for _ in range(6):
+            tables = []
+            for actions, pairs in zip(game.actions, reachable_pairs(structure, tau)):
+                tables.append({})
+                for pair in pairs:
+                    picks = rng.sample(actions, rng.randint(1, mixed))
+                    nums = [rng.randint(1, 3) for _ in picks]
+                    tables[-1][pair] = {a: Fraction(k, sum(nums)) for a, k in zip(picks, nums)}
+            strategy = make_strategy(game, tau, tables)
+            scale, outcomes = games._outcomes(game, masses.items(), total, strategy)
+            for i, score in enumerate(kld_expected_scores(game, tau, strategy)):
+                terms = [(Fraction(w, scale), game.payoff(s, p)[i]) for s, p, w in outcomes]
+                assert _same_score(score, LogScore.from_terms(terms))
+                scored.add(score.neg_inf)
+    assert scored == {True, False}
+
+
 def test_truthful_kld_strategy_requires_menu_membership():
     tau = _example_signaling()
     game = build_kld_game(STRUCTURE, tau)
@@ -1613,6 +1655,13 @@ def test_enumerate_pure_equilibria_walks_a_long_chain_of_blocks():
     assert time.perf_counter() - start < 1
 
 
+def _common_payoff_game(game):
+    """The game with every player paid player 0's payoffs."""
+    n = game.structure.n
+    payoffs = {key: (values[0],) * n for key, values in game.payoffs.items()}
+    return BayesianGame(game.structure, game.actions, payoffs)
+
+
 def test_best_common_payoff_matches_the_brute_force_for_three_players():
     rng = random.Random(61)
     cases = [(game, tau) for game, tau in _search_cases(rng, 4) if game.structure.n == 3]
@@ -1622,11 +1671,7 @@ def test_best_common_payoff_matches_the_brute_force_for_three_players():
     assert len(cases) >= 4
     for game, tau in cases:
         structure = game.structure
-        common = BayesianGame(
-            structure,
-            game.actions,
-            {key: (values[0],) * 3 for key, values in game.payoffs.items()},
-        )
+        common = _common_payoff_game(game)
         states = structure.space.states
         expected = oracles.naive_best_common_payoff(
             states,
@@ -1741,14 +1786,14 @@ def test_two_stage_leaf_value_alone_gives_the_unsplit_brute_force(monkeypatch):
     # within the sum of its branches' bounds.
     from oraclegames import games
 
-    def every_leaf(structure, tau, sizes, branch_bound, value, cap, first=None):
+    def every_leaf(structure, tau, sizes, bounds, value, cap, first=None, floor=None):
         total = Fraction(0)
         for _, positioned, slots, scale in games._cells(structure, tau):
             values = []
             for leaf in itertools.product(*(range(sizes[i]) for i, _ in slots)):
                 values.append(value(positioned, slots, leaf))
                 fixed = [(s, w, tuple(leaf[k] for k in at)) for s, w, at in positioned]
-                assert values[-1] <= sum(w * branch_bound(s, f) for s, w, f in fixed)
+                assert values[-1] <= sum(w * bounds(s).get(f, floor) for s, w, f in fixed)
             total += Fraction(max(values), scale)
         return total
 
@@ -1792,13 +1837,13 @@ def _count_valued_leaves(monkeypatch, first_leaf=True):
     valued = []
     cellwise_max = games._cellwise_max
 
-    def counting(structure, tau, sizes, branch_bound, value, cap, first=None):
+    def counting(structure, tau, sizes, bounds, value, cap, first=None, floor=None):
         def counted(positioned, slots, leaf):
             valued.append(leaf)
             return value(positioned, slots, leaf)
 
         first = first if first_leaf else None
-        return cellwise_max(structure, tau, sizes, branch_bound, counted, cap, first)
+        return cellwise_max(structure, tau, sizes, bounds, counted, cap, first, floor)
 
     monkeypatch.setattr(games, "_cellwise_max", counting)
     return valued
@@ -1882,3 +1927,120 @@ def test_best_common_payoff_refuses_a_large_cycle_at_the_cap():
     assert f"{cap + 1} admitted search slots exceed the cap of {cap}" in str(info.value)
     with pytest.raises(ResourceLimitError, match="exceed the cap of 100$"):
         best_common_payoff(game, tau, cap=100)
+
+
+def _captured_bounds(monkeypatch):
+    """A list that collects the (sizes, bounds, floor) of every
+    ``games._cellwise_max`` call, which still runs as before."""
+    from oraclegames import games
+
+    calls = []
+    cellwise_max = games._cellwise_max
+
+    def capturing(structure, tau, sizes, bounds, value, cap, first=None, floor=None):
+        calls.append((sizes, bounds, floor))
+        return cellwise_max(structure, tau, sizes, bounds, value, cap, first, floor)
+
+    monkeypatch.setattr(games, "_cellwise_max", capturing)
+    return calls
+
+
+def _check_prefix_table(bounds, floor, state, expected):
+    """The state's ``_prefix_bounds`` table, read as the walk reads it, and
+    its root bound equal ``expected`` at every prefix."""
+    from oraclegames import games
+
+    full = bounds(state)
+    table = games._prefix_bounds(full)
+    assert set(table) <= set(expected)
+    assert {p: table.get(p, floor) for p in expected} == expected
+    assert max(full.values(), default=floor) == expected[()]
+
+
+def test_prefix_bounds_are_the_best_of_their_full_extensions(monkeypatch):
+    calls = _captured_bounds(monkeypatch)
+    players = set()
+    for game, tau in _search_cases(random.Random(89), 6):
+        common = _common_payoff_game(game)
+        scale = math.lcm(*(v[0].denominator for v in common.payoffs.values()))
+        calls.clear()
+        best_common_payoff(common, tau)
+        [(sizes, bounds, floor)] = calls
+        assert list(sizes) == [len(actions) for actions in common.actions]
+        for state in common.structure.space.states:
+
+            def payoff(at):
+                labels = tuple(common.actions[i][o] for i, o in enumerate(at))
+                return common.payoffs[(state, labels)][0] * scale
+
+            expected = oracles.naive_prefix_bounds(sizes, payoff, max, None)
+            _check_prefix_table(bounds, floor, state, expected)
+        players.add(common.structure.n)
+    assert players == {2, 3}
+
+    rng = random.Random(91)
+    unmatched = 0
+    for structure, tau in _small_two_stage_cases(rng, 6) + _small_two_stage_cases(rng, 3, n=3):
+        game = TwoStageGame(structure, tau)
+        n = structure.n
+        options = [list(dict.fromkeys(o[:2] for o in actions)) for actions in game.actions]
+        calls.clear()
+        game.max_aggregate(_ceiling_signalings(rng, structure, tau)[1])
+        [(sizes, bounds, floor)] = calls
+        assert list(sizes) == list(map(len, options))
+        unit = (game.M * n).denominator  # the walk's integer unit
+        assert floor == -game.M * n * unit
+        for state in structure.space.states:
+
+            def cost(at):
+                # 2 per declared posterior that misses the state, else 1.
+                settled = game._settled.get(tuple(options[i][o] for i, o in enumerate(at)))
+                if settled is not None:
+                    return sum(2 if d.of(state) == 0 else 1 for d in settled.declared)
+
+            least = oracles.naive_prefix_bounds(sizes, cost, min, None)
+            expected = {p: floor if c is None else -c * unit for p, c in least.items()}
+            unmatched += None in least.values()
+            _check_prefix_table(bounds, floor, state, expected)
+    assert unmatched > 0
+
+
+# The least cap each seeded pruned search accepts, which is the number of
+# slots it admits: the common-payoff games of ``_search_cases(Random(89), 8)``,
+# then per two-stage case of ``Random(93)`` the ceiling under each of
+# ``_ceiling_signalings``.  The game's own signaling admits none, as its
+# truthful first leaf meets every cell's bound.
+ADMITTED_COMMON = [30, 34, 12, 27, 19, 26, 34, 14]
+ADMITTED_STAGE = [
+    [0, 18, 22, 10],
+    [0, 184, 167, 11],
+    [0, 14, 20, 8],
+    [0, 38, 84, 30],
+    [0, 11, 30, 21],
+    [0, 56, 74, 0],
+    [0, 90, 24, 36],
+    [0, 49, 37, 131],
+    [0, 28, 47, 14],
+]
+
+
+def _accepts_exactly(evaluate, count):
+    assert evaluate(count) is not None
+    if count:
+        with pytest.raises(ResourceLimitError) as info:
+            evaluate(count - 1)
+        assert str(info.value) == f"{count} admitted search slots exceed the cap of {count - 1}"
+
+
+def test_pruned_searches_admit_the_pinned_slot_counts():
+    cases = _search_cases(random.Random(89), 8)
+    for (game, tau), count in zip(cases, ADMITTED_COMMON, strict=True):
+        common = _common_payoff_game(game)
+        _accepts_exactly(lambda cap: best_common_payoff(common, tau, cap=cap), count)
+    rng = random.Random(93)
+    cases = _small_two_stage_cases(rng, 6) + _small_two_stage_cases(rng, 3, n=3)
+    for (structure, tau), counts in zip(cases, ADMITTED_STAGE, strict=True):
+        game = TwoStageGame(structure, tau)
+        signalings = _ceiling_signalings(rng, structure, tau)
+        for evaluation, count in zip(signalings, counts, strict=True):
+            _accepts_exactly(lambda cap: game.max_aggregate(evaluation, cap=cap), count)
