@@ -4,7 +4,7 @@ components, refinement, coarsening enumeration, and connectivity witnesses.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -93,13 +93,11 @@ def _merged_masks(masks: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
 def coarsenings(p: Partition, cap: int = DEFAULT_COARSENING_CAP) -> tuple[Partition, ...]:
     """Every partition obtainable by merging blocks of p, in the order of
     ``_merged_masks(p.masks, cap)`` (everything merged first, all blocks
-    apart last). There are Bell(#blocks) of them, so more than `cap` blocks
-    are refused before anything is built. The dominance checks walk the
-    same order lazily, as masks."""
-    states_of = lru_cache(maxsize=None)(p.space.states_of)
-    return tuple(
-        Partition(p.space, tuple(map(states_of, merged))) for merged in _merged_masks(p.masks, cap)
-    )
+    apart last), each checked and built from its merged masks by
+    ``Partition.from_masks``. There are Bell(#blocks) of them, so more than
+    `cap` blocks are refused before anything is built. The dominance checks
+    walk the same order lazily."""
+    return tuple(map(partial(Partition.from_masks, p.space), _merged_masks(p.masks, cap)))
 
 
 def connect_path(

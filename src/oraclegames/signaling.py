@@ -161,9 +161,9 @@ class StochasticSignaling:
         """The signal preimages; only a deterministic (0/1) kernel has them."""
         if any(key[0] != 1 for key in self._keys):  # integers summing to 1 are 0s and a 1
             raise DomainError("deterministic information is required here")
-        states = self.space.states
-        preimages = (tuple(w for w, p in zip(states, column) if p) for column in zip(*self.kernel))
-        return Partition(self.space, tuple(preimages))
+        columns = zip(*(key[1:] for key in self._keys))  # a 0 or 1 per state
+        masks = [sum(n << i for i, n in enumerate(column)) for column in columns]
+        return Partition.from_masks(self.space, masks)
 
 
 class PosteriorAtlas:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -131,21 +131,19 @@ class StateSpace:
 
     states: tuple[str, ...]
     _position: dict[str, int] = field(init=False, compare=False, repr=False)
+    _blocks: dict[int, tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.states, tuple):
-            object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise InputError("state space must contain at least one state")
-        seen = set()
-        for s in self.states:
-            # "|" separates a block from a signal in strategy keys and ","
-            # separates the states of a block.
+        position = {}
+        for i, s in enumerate(self.states):
+            # In a strategy key "|" ends a block and "," separates its states.
             check_label("state", s, "|,")
-            if s in seen:
+            if position.setdefault(s, i) != i:
                 raise InputError(f"duplicate state label '{s}'")
-            seen.add(s)
-        object.__setattr__(self, "_position", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_position", position)
 
     def index(self, state: str) -> int:
         try:
@@ -154,8 +152,10 @@ class StateSpace:
             raise InputError(f"unknown state '{state}'") from None
 
     def states_of(self, mask: int) -> tuple[str, ...]:
-        """The states whose bits are set in ``mask``, in state order."""
-        return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
+        """The states whose bits are set in ``mask``, in state order; one shared tuple per mask."""
+        if mask not in self._blocks:
+            self._blocks[mask] = tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
+        return self._blocks[mask]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -183,12 +183,11 @@ def _vector_from(space: StateSpace, mass: object, what: str = "masses") -> tuple
 
 
 def _unchecked(cls: type, **fields: object):
-    """An instance of ``cls`` holding ``fields``, built without its
-    constructor or checks: the one builder of objects computed exactly from
-    checked ones, which the caller vouches for. ``cls`` keeps its fields in
-    its instance ``__dict__``."""
+    """An instance of ``cls`` holding ``fields``, built without its constructor or checks:
+    the one builder of objects computed exactly from checked ones, which the caller vouches for."""
     self = object.__new__(cls)
-    vars(self).update(fields)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
     return self
 
 
@@ -274,7 +273,7 @@ class Distribution:
         return self.vector[self.space.index(state)]
 
     def support(self) -> tuple[str, ...]:
-        return tuple(s for s, v in zip(self.space.states, self.vector) if v > 0)
+        return tuple(s for s, n in zip(self.space.states, self._key[1:]) if n)
 
     def as_strings(self) -> list[str]:
         return [format_rational(v) for v in self.vector]
@@ -307,16 +306,26 @@ class Prior(Distribution):
         return min(self.vector)
 
 
+def _block_masks(space: StateSpace, blocks: Iterable[Iterable[str]]) -> Iterator[int]:
+    """Each block as a mask, drawn as ``Partition._build`` checks them. A block with a repeat
+    yields its states' bits in state order, and ``_build`` refuses the repeat first."""
+    for block in blocks:
+        try:
+            mask = sum(map((1).__lshift__, map(space._position.__getitem__, block)))
+        except (KeyError, TypeError):
+            mask = sum(1 << space.index(s) for s in block)  # names the unknown state
+        if mask.bit_count() != len(block):  # a sum of distinct bits has one bit each
+            yield from sorted(1 << space._position[s] for s in block)
+        if mask not in space._blocks:  # the tuple states_of would build, from the block
+            space._blocks[mask] = tuple(sorted(block, key=space._position.__getitem__))
+        yield mask
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
-    """Disjoint cover of the state space.
-
-    Canonical form everywhere: states inside a block follow state order, and
-    blocks are sorted by their least member's index. The constructor
-    normalizes, so equality of partitions is equality of canonical forms.
-    It also caches each block as an int mask (bit i = state i) and the
-    block number of every state.
-    """
+    """Disjoint cover of the state space, checked and built from its block masks (bit i =
+    state i) sorted by least state: ``blocks`` (in state order, one shared tuple per mask)
+    and ``_block_at`` (each state's block) derive from them. Strings only turn into masks."""
 
     space: StateSpace
     blocks: tuple[tuple[str, ...], ...]
@@ -324,53 +333,49 @@ class Partition:
     _block_at: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        space = self.space
-        given = []
-        owner = [-1] * len(space)  # input block of each state
-        for b, block in enumerate(self.blocks):
-            given.append(block)
-            try:
-                slots = sorted(map(space._position.__getitem__, block))
-            except (KeyError, TypeError):
-                slots = sorted(map(space.index, block))  # names the unknown state
-            if not slots:
+        self._build(_block_masks(self.space, self.blocks))
+
+    def _build(self, masks: Iterable[int]) -> "Partition":
+        """Refuse, mask by mask, a zero mask, a bit outside the space or the lowest state of an
+        earlier mask, then an uncovered state; set the fields from the masks by least state."""
+        states, position, of = self.space.states, self.space._position, self.space.states_of
+        full, seen, taken, ordered = (1 << len(states)) - 1, 0, [], True
+        for mask in masks:
+            if not mask:
                 raise InputError("partition contains an empty block")
-            for i in slots:
-                if owner[i] >= 0:
-                    raise InputError(f"state '{space.states[i]}' appears in more than one block")
-                owner[i] = b
-        if -1 in owner:
-            missing = space.states[owner.index(-1)]
-            raise InputError(f"partition blocks do not cover state '{missing}'")
-        rank = [-1] * len(given)  # canonical number of each input block
-        source, blocks, masks, block_at = [], [], [], []
-        for i, b in enumerate(owner):
-            c = rank[b]
-            if c < 0:
-                c = rank[b] = len(blocks)
-                source.append(given[b])
-                blocks.append([])
-                masks.append(0)
-            blocks[c].append(space.states[i])
-            masks[c] |= 1 << i
-            block_at.append(c)
-        # An input block already in canonical form is kept, not copied.
-        canonical = tuple(g if g == t else t for g, t in zip(source, map(tuple, blocks)))
-        object.__setattr__(self, "blocks", canonical)
-        object.__setattr__(self, "masks", tuple(masks))
+            if mask < 0 or mask > full:
+                raise InputError(f"a partition mask sets a bit outside the {len(states)} states")
+            if mask & seen:
+                raise InputError(f"state '{of(mask & seen)[0]}' appears in more than one block")
+            ordered = ordered and mask & (seen + 1)  # the mask holds the least uncovered state
+            seen |= mask
+            taken.append(mask)
+        if seen != full:
+            raise InputError(f"partition blocks do not cover state '{of(full & ~seen)[0]}'")
+        if not ordered:
+            taken.sort(key=lambda mask: mask & -mask)
+        blocks = tuple(map(of, taken))
+        block_at = [0] * len(states)
+        for b, block in enumerate(blocks):
+            for state in block:
+                block_at[position[state]] = b
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "masks", tuple(taken))
         object.__setattr__(self, "_block_at", tuple(block_at))
-
-    @classmethod
-    def trivial(cls, space: StateSpace) -> "Partition":
-        return cls(space, (tuple(space.states),))
-
-    @classmethod
-    def singletons(cls, space: StateSpace) -> "Partition":
-        return cls(space, tuple((s,) for s in space.states))
+        return self
 
     @classmethod
     def from_masks(cls, space: StateSpace, masks: Iterable[int]) -> "Partition":
-        return cls(space, tuple(space.states_of(m) for m in masks))
+        """The partition whose blocks are ``masks``, in any order, checked by ``_build``."""
+        return _unchecked(cls, space=space)._build(masks)
+
+    @classmethod
+    def trivial(cls, space: StateSpace) -> "Partition":
+        return cls.from_masks(space, ((1 << len(space)) - 1,))
+
+    @classmethod
+    def singletons(cls, space: StateSpace) -> "Partition":
+        return cls.from_masks(space, (1 << i for i in range(len(space))))
 
     def block_of(self, state: str) -> tuple[str, ...]:
         return self.blocks[self._block_at[self.space.index(state)]]
@@ -380,13 +385,8 @@ class Partition:
 
     def restrict(self, new_space: StateSpace) -> "Partition":
         """Intersect every block with a sub-space, dropping empties."""
-        keep = set(new_space.states)
-        blocks = []
-        for block in self.blocks:
-            inter = tuple(s for s in block if s in keep)
-            if inter:
-                blocks.append(inter)
-        return Partition(new_space, tuple(blocks))
+        blocks = (tuple(s for s in block if s in new_space) for block in self.blocks)
+        return Partition(new_space, tuple(b for b in blocks if b))
 
     def as_json(self) -> list[list[str]]:
         return [list(b) for b in self.blocks]

@@ -12,6 +12,7 @@ from oraclegames import (
     Partition,
     ResourceLimitError,
     StateSpace,
+    StochasticSignaling,
     ckc_decompose,
     coarsenings,
     connect_path,
@@ -77,23 +78,71 @@ def _random_partition(rng, space, most):
     return Partition(space, oracles.random_blocks(rng, space.states, most))
 
 
+def _assert_equal_partitions(a, b):
+    """``a`` and ``b`` agree in equality, hash, blocks, masks and the block of every state."""
+    assert a == b and hash(a) == hash(b)
+    assert a.blocks == b.blocks and a.masks == b.masks
+    for state in a.space.states:
+        assert a.block_of(state) == b.block_of(state)
+        assert a.block_index(state) == b.block_index(state)
+
+
+def _canonical(space, blocks):
+    """``blocks`` sorted into canonical form: states in state order, blocks by least state."""
+    inner = [sorted(block, key=space.index) for block in blocks]
+    return tuple(tuple(block) for block in sorted(inner, key=lambda block: space.index(block[0])))
+
+
+def _assert_rebuilds(rng, p, given):
+    """``p``, built from the blocks ``given``, is the partition that the string
+    constructor builds from those blocks shuffled (states and blocks) and that
+    ``from_masks`` builds from its masks shuffled; its blocks are the sorted
+    canonical form and its masks their bits."""
+    space = p.space
+    assert oracles.canon(p.blocks) == oracles.canon(given)
+    assert p.blocks == _canonical(space, given)
+    assert p.masks == tuple(sum(1 << space.index(s) for s in block) for block in p.blocks)
+    shuffled = [tuple(rng.sample(block, len(block))) for block in given]
+    rng.shuffle(shuffled)
+    _assert_equal_partitions(p, Partition(space, tuple(shuffled)))
+    _assert_equal_partitions(p, Partition.from_masks(space, rng.sample(p.masks, len(p.masks))))
+    for state in space.states:
+        assert state in p.block_of(state)
+        assert p.blocks[p.block_index(state)] == p.block_of(state)
+
+
 def test_mask_operations_agree_with_oracle_on_seeded_partitions():
+    """Join, meet and refinement agree with the brute force, and every partition
+    (given, joined, met, or induced by a seeded 0/1 kernel) is the same whether
+    built from strings, from masks, or read through ``oracles.canon``."""
     rng = random.Random(2024)
+    induced_with_unsent = 0
     for _ in range(60):
         space = StateSpace(tuple(f"w{i}" for i in range(rng.randint(6, 8))))
         parts = [_random_partition(rng, space, rng.randint(1, 6)) for _ in range(3)]
         p, q = parts[:2]
-        assert oracles.canon(join(p, q).blocks) == oracles.canon(
-            oracles.naive_join(p.blocks, q.blocks)
-        )
+        naive_join = oracles.naive_join(p.blocks, q.blocks)
+        assert oracles.canon(join(p, q).blocks) == oracles.canon(naive_join)
         expected = oracles.naive_meet(tuple(r.blocks for r in parts), space.states)
         meet = ckc_decompose(parts)
         assert oracles.canon(meet.blocks) == oracles.canon(expected)
         for a, b in ((p, q), (join(p, q), q), (q, meet), (meet, q)):
             assert refines(a, b) == oracles.naive_refines(a.blocks, b.blocks)
-        for state in space.states:
-            assert state in p.block_of(state)
-            assert p.blocks[p.block_index(state)] == p.block_of(state)
+        for part, given in [*((r, r.blocks) for r in parts), (join(p, q), naive_join)]:
+            _assert_rebuilds(rng, part, given)
+        _assert_rebuilds(rng, meet, expected)
+
+        sent = [rng.randrange(4) for _ in p.blocks]
+        kernel = tuple(tuple(int(j == sent[p.block_index(s)]) for j in range(4)) for s in space)
+        tau = StochasticSignaling(p, ("x0", "x1", "x2", "x3"), kernel)
+        induced_with_unsent += len(tau.signals) < 4
+        preimages = [
+            tuple(s for s, row in zip(space.states, tau.kernel) if row[j])
+            for j in range(len(tau.signals))
+        ]
+        _assert_equal_partitions(tau.induced_partition(), Partition(space, tuple(preimages)))
+        _assert_rebuilds(rng, tau.induced_partition(), preimages)
+    assert induced_with_unsent > 10
 
 
 def test_coarsenings_follow_the_set_partitions_order():

@@ -1,6 +1,7 @@
-"""Refusal branches that no other test reaches: each public check raises its
-error class with its exact message, and a missing file given to the command
-line exits 2 with one ``error:`` line."""
+"""Refusal branches that no other test reaches, and every partition refusal
+of the string and mask constructors in its order of precedence: each public
+check raises its error class with its exact message, and a missing file
+given to the command line exits 2 with one ``error:`` line."""
 
 import pytest
 
@@ -31,6 +32,7 @@ from oraclegames import (
 
 SPACE = StateSpace(("s0", "s1"))
 OTHER = StateSpace(("x0", "x1"))
+FOUR = StateSpace(("a", "b", "c", "d"))
 STRUCTURE = InformationStructure(
     SPACE,
     Prior.uniform(SPACE),
@@ -158,6 +160,46 @@ REFUSALS = [
         "prior uses a different state space",
         id="separating-strategy-prior",
     ),
+]
+
+# The string constructor checks block by block in input order: an unknown
+# state, an empty block, then the lowest state that the block repeats or
+# shares with an earlier block; a state no block covers is checked last.
+PARTITION_BLOCKS = [
+    ((("a", "b"), ("d", "d", "zz"), ("c",)), "unknown state 'zz'", "unknown-beside-a-repeat"),
+    ((("a", "b"), ("zz", "a"), ("c", "d")), "unknown state 'zz'", "unknown-before-a-shared"),
+    ((("a", "b"), ("b",), ("zz",)), "state 'b' appears in more than one block", "shared-first"),
+    ((("a", "b"), (), ("c", "d")), "partition contains an empty block", "empty"),
+    ((("a",), (), ("zz",)), "partition contains an empty block", "empty-first"),
+    ((("a", "b"), ("c", "c"), ("d",)), "state 'c' appears in more than one block", "repeat"),
+    ((("a", "b"), ("d", "d", "b"), ("c",)), "state 'b' appears in more than one block", "shared"),
+    ((("a", "d"), ("b", "b", "d"), ("c",)), "state 'b' appears in more than one block", "low-repeat"),
+    ((("a", "c"), ("d", "c", "b")), "state 'c' appears in more than one block", "unsorted-block"),
+    ((("a", "b", "c"), ("d", "c", "b")), "state 'b' appears in more than one block", "two-shared"),
+    ((("a", "b"), ("d",)), "partition blocks do not cover state 'c'", "uncovered"),
+    ((("c",), ("a", "zz")), "unknown state 'zz'", "unknown-before-uncovered"),
+]
+REFUSALS += [
+    pytest.param(lambda b=blocks: Partition(FOUR, b), InputError, message, id=f"partition-{name}")
+    for blocks, message, name in PARTITION_BLOCKS
+]
+
+OUTSIDE = "a partition mask sets a bit outside the 4 states"
+PARTITION_MASKS = [
+    ([0b0011, 0, 0b1100], "partition contains an empty block", "zero"),
+    ([0b0011, 0b0110, 0b1000], "state 'b' appears in more than one block", "shared"),
+    ([0b0111, 0b1110], "state 'b' appears in more than one block", "two-shared"),
+    ([-1], OUTSIDE, "negative"),
+    ([0b0001, -0b1000], OUTSIDE, "negative-after-a-mask"),
+    ([0b10000011, 0b1100], OUTSIDE, "outside"),
+    ([0b0011, 0b1000], "partition blocks do not cover state 'c'", "uncovered"),
+    ([], "partition blocks do not cover state 'a'", "nothing"),
+]
+REFUSALS += [
+    pytest.param(
+        lambda m=masks: Partition.from_masks(FOUR, m), InputError, message, id=f"masks-{name}"
+    )
+    for masks, message, name in PARTITION_MASKS
 ]
 
 

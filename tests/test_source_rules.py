@@ -4,8 +4,8 @@ benchmark's span tracer wraps must exist under its recorded name, and so
 must every name the benchmark imports from the library.  No top-level
 definition is an orphan: each undecorated function and class is named
 somewhere besides its own definition.  Only ``types._unchecked`` builds an
-object without its constructor, and only ``types`` reads a rational's
-integer form."""
+object without its constructor, only ``types`` reads a rational's integer
+form, and only ``types`` turns a partition mask into states."""
 
 import ast
 import importlib
@@ -168,4 +168,19 @@ def test_only_types_reads_the_integer_form_of_a_rational(path):
             continue
         if name in ("numerator", "denominator", "gcd"):
             found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "types.py"], ids=lambda p: p.name
+)
+def test_only_types_turns_a_mask_into_states(path):
+    """No module but ``types`` names ``states_of``: a partition is built from
+    its masks by ``Partition.from_masks``, so ``types`` owns the mask format."""
+    text = path.read_text(encoding="utf-8")
+    found = [
+        f"{path.name}:{number}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if re.search(r"\bstates_of\b", line)
+    ]
     assert not found, found

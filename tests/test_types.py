@@ -191,8 +191,8 @@ def test_distribution_equality_matches_vector_equality():
 
 
 def test_block_constructor_matches_the_public_constructor():
-    """The posterior constructor's key, vector, hash and equality are those
-    of the public constructor on the same exact vector."""
+    """The posterior constructor's key, vector, hash, equality and support
+    are those of the public constructor on the same exact vector."""
     rng = random.Random(1618)
     space = StateSpace(tuple(f"s{i}" for i in range(6)))
     zero_mass = common_factor = 0
@@ -210,6 +210,8 @@ def test_block_constructor_matches_the_public_constructor():
         assert fast._key == public._key and fast.vector == public.vector
         assert all(type(v) is Fraction for v in fast.vector)
         assert hash(fast) == hash(public) and fast == public and public == fast
+        support = tuple(s for s in space.states if at.get(s, 0))
+        assert fast.support() == public.support() == support
         assert len({fast, public}) == 1
     assert zero_mass > 200 and common_factor > 200
 
