@@ -19,6 +19,9 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
+    _fractions,
+    _Lazy,
+    _over_common,
     _over_lcm,
     _parsed,
     _reduced,
@@ -64,12 +67,11 @@ def _stochastic_rows(
     return rows, keys
 
 
-def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple], keys: Sequence[tuple]) -> dict:
-    """The signals with a positive entry somewhere, and the kernel and its keys on them."""
+def _trimmed(signals: tuple[str, ...], keys: Sequence[tuple]) -> dict:
+    """The signals with a positive entry somewhere, and the kernel's keys on them."""
     keep = [j for j in range(len(signals)) if any(key[j + 1] for key in keys)]
     return {
         "signals": tuple(signals[j] for j in keep),
-        "kernel": tuple(tuple(row[j] for j in keep) for row in kernel),
         "_keys": tuple((key[0], *(key[j + 1] for j in keep)) for key in keys),
     }
 
@@ -78,14 +80,14 @@ def _trimmed(signals: tuple[str, ...], kernel: Sequence[tuple], keys: Sequence[t
 class StochasticSignaling:
     """Row-stochastic kernel tau(s|state), constant on oracle blocks.
 
-    Signals with zero probability everywhere are trimmed at construction so
-    the signal set is canonical (the support of the kernel). ``_keys`` holds
-    each row as integers ``(d, n_1, ...)`` over its lcm denominator d.
+    Signals of zero probability everywhere are trimmed, so the signal set is the kernel's
+    support. ``_keys`` holds each row as integers ``(d, n_1, ...)`` over its lcm d, and
+    ``kernel`` (rows by state, columns by signal) is made from them when read.
     """
 
     oracle_partition: Partition
     signals: tuple[str, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]  # rows in state order, cols in signal order
+    kernel: tuple[tuple[Fraction, ...], ...] = _Lazy(lambda tau: tuple(map(_fractions, tau._keys)))
     _keys: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,7 +102,8 @@ class StochasticSignaling:
                         f"kernel is not measurable: states '{block[0]}' and '{s}' share an "
                         "oracle block but have different rows"
                     )
-        vars(self).update(_trimmed(signals, kernel, keys))
+        vars(self).update(_trimmed(signals, keys))
+        del vars(self)["kernel"]  # made from the trimmed keys on its first read
 
     @property
     def space(self) -> StateSpace:
@@ -170,11 +173,14 @@ class PosteriorAtlas:
     """The distribution over joint posterior profiles induced by a signaling
     function: profile -> positive weight, weights summing to 1. A profile is
     a tuple of one posterior per player, in player order. The key set is the
-    reachable-profile set of the signaling."""
+    reachable-profile set; ``entries`` is ``_weights`` over ``_total``, made when read."""
+
+    entries = _Lazy(lambda self: {p: Fraction(w, self._total) for p, w in self._weights.items()})
 
     def __init__(self, entries: Mapping[tuple[Distribution, ...], Fraction]):
-        self.entries: dict[tuple[Distribution, ...], Fraction] = dict(entries)
-        self._order = _checked_order(self.entries, 1)
+        self._weights = {p: _parsed(w, "atlas weight") for p, w in entries.items()}
+        self._total = 1
+        self._order = _checked_order(self._weights, 1)
 
     def profiles(self) -> tuple[tuple[Distribution, ...], ...]:
         return self._order
@@ -186,10 +192,10 @@ class PosteriorAtlas:
             raise DomainError("profile is not in the atlas") from None
 
     def __contains__(self, profile: tuple[Distribution, ...]) -> bool:
-        return profile in self.entries
+        return profile in self._weights
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._weights)
 
     def __eq__(self, other: object) -> bool:
         """Full weighted-map equality (profiles and weights)."""
@@ -217,8 +223,10 @@ def _checked_order(weights: Mapping[tuple[Distribution, ...], object], total: in
 
 
 def posterior_menu(posteriors: Iterable[Distribution]) -> tuple[Distribution, ...]:
-    """The distinct posteriors, sorted by vector: a player's declaration menu."""
-    return tuple(sorted(set(posteriors), key=lambda d: d.vector))
+    """The distinct posteriors, sorted by vector (their keys over one denominator): a menu."""
+    menu = tuple(set(posteriors))
+    scaled = _over_common([d._key for d in menu])
+    return tuple(menu[i] for i in sorted(range(len(menu)), key=scaled.__getitem__))
 
 
 def det_posterior(
@@ -320,13 +328,12 @@ def posterior_atlas(
     for branch, profile in _branch_profiles(structure, masses).items():
         weights[profile] = weights.get(profile, 0) + masses[branch]
     order = _checked_order(weights, total)
-    entries = {profile: Fraction(w, total) for profile, w in weights.items()}
-    return _unchecked(PosteriorAtlas, entries=entries, _order=order)
+    return _unchecked(PosteriorAtlas, _weights=weights, _total=total, _order=order)
 
 
 def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
     """Key-set inclusion: every profile reachable under a is reachable under b."""
-    return set(a.entries) <= set(b.entries)
+    return a._weights.keys() <= b._weights.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +469,7 @@ def _garbling_rows(
 def _garbled(tau: StochasticSignaling, signals: tuple, masses: list) -> StochasticSignaling:
     """``tau``'s oracle sending ``signals`` with integer ``masses`` m over each row's total T,
     zero signals trimmed; each row's key is ``_reduced((T, m, ...))``, as in ``_on_block``."""
-    keys = tuple((sum(row), *row) for row in map(_reduced, masses))
-    kernel = tuple(tuple(Fraction(m, total) for m in row) for total, *row in keys)
-    fields = _trimmed(signals, kernel, keys)
+    fields = _trimmed(signals, tuple((sum(row), *row) for row in map(_reduced, masses)))
     return _unchecked(StochasticSignaling, oracle_partition=tau.oracle_partition, **fields)
 
 
@@ -553,11 +558,8 @@ def proportional_decompose(
         raise DomainError("signaling functions use different state spaces")
     if not tau2.fully_supported():
         raise DomainError("the reference signaling must be fully supported")
-    scales = [lcm(a[0], b[0]) for a, b in zip(tau1._keys, tau2._keys)]
-    one, two = (
-        _column_keys([n * (d // key[0]) for n in key[1:]] for d, key in zip(scales, tau._keys))
-        for tau in (tau1, tau2)
-    )
+    rows = [_over_common(pair) for pair in zip(tau1._keys, tau2._keys)]
+    one, two = (_column_keys(row[k] for row in rows) for k in (0, 1))
     found = {key: (s, total) for s, (total, key) in reversed([*zip(tau2.signals, two)])}
     return {
         t: (found[key][0], Fraction(total, found[key][1])) if key in found else None

@@ -1,12 +1,12 @@
 """Exact-arithmetic domain objects: state spaces, distributions, priors,
 partitions, and multi-player information structures, plus their JSON forms.
 
-Every probability is a fractions.Fraction. Floats are rejected at parse time
-so that all downstream identities and strict inequalities stay exact. A prior
-is a distribution with full support; every distribution is checked on one
-integer key, its masses over their common denominator. The library's own
-posteriors build that key directly from integer masses, unchecked. Only this
-module scales by a denominator or divides by a gcd: ``_over_lcm``, ``_reduced``.
+Every probability is exact, a Fraction or integers over a common denominator;
+floats are rejected at parse time. A prior is a distribution with full support;
+every distribution is checked on one integer key, its masses over their common
+denominator. The library's own posteriors build only that key, unchecked, and
+their Fraction vector on its first read. Only this module scales by a
+denominator or divides by a gcd: ``_over_lcm``, ``_over_common``, ``_reduced``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError, ResourceLimitError
@@ -191,10 +192,33 @@ def _unchecked(cls: type, **fields: object):
     return self
 
 
+class _Lazy(cached_property):
+    """A lock-free ``cached_property`` that a dataclass takes as a field with no default."""
+
+    def __get__(self, instance: object, owner: type = None):
+        if instance is None:
+            raise AttributeError(self.attrname)  # a dataclass then sees no default
+        return vars(instance).setdefault(self.attrname, self.func(instance))
+
+
+_ZERO = Fraction(0)  # every zero ``_fractions`` makes; tuples compare it by identity
+
+
 def _over_lcm(vector: Sequence[Fraction]) -> tuple[int, ...]:
     """``(d, n_1 * d / d_1, ...)``: ``vector`` as integers over d, the lcm of its denominators."""
     d = lcm(*(v.denominator for v in vector))
     return (d, *(v.numerator * (d // v.denominator) for v in vector))
+
+
+def _over_common(keys: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each key ``(T, m_1, ...)`` as ``(m_1 * L / T, ...)``, L the lcm of the keys' totals T."""
+    scale = lcm(*[key[0] for key in keys])
+    return [tuple([n * f for n in key[1:]]) for key in keys for f in [scale // key[0]]]
+
+
+def _fractions(key: Sequence[int]) -> tuple[Fraction, ...]:
+    """The masses of the key ``(T, m_1, ...)`` as Fractions ``m_i / T``."""
+    return tuple([Fraction(n, key[0]) if n else _ZERO for n in key[1:]])
 
 
 def _reduced(values: Sequence[int]) -> Sequence[int]:
@@ -205,20 +229,17 @@ def _reduced(values: Sequence[int]) -> Sequence[int]:
     return values if g < 2 else [v // g for v in values]
 
 
-_ZERO = Fraction(0)  # every zero _on_block writes off the block; tuples compare it by identity
-
-
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability distribution over a state space; masses sum to exactly 1.
     The constructor computes an integer key once, ``(d, n_1 * d / d_1,
     ...)`` with ``d`` the lcm of the denominators ``d_i``: the vector sums to
     1 exactly when the other entries sum to ``d``, and equality and hashing
-    read the key. ``_on_block`` builds the same key from integer masses
-    without the checks. A ``Prior`` is a distribution with full support."""
+    read the key. ``_on_block`` builds only the key, unchecked, and ``vector``
+    is made from it on its first read. A ``Prior`` has full support."""
 
     space: StateSpace
-    vector: tuple[Fraction, ...]
+    vector: tuple[Fraction, ...] = _Lazy(lambda self: _fractions(self._key))
     _key: tuple[int, ...] = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
@@ -247,13 +268,11 @@ class Distribution:
         """Integer ``masses`` m >= 0 on ``block`` over their total T > 0, 0 elsewhere, unchecked;
         the key is ``_reduced((T, m, ...))``, the masses reduced alone, as their gcd divides T."""
         reduced = _reduced(masses)
-        total = sum(reduced)
-        vector, key = [_ZERO] * len(space), [total] + [0] * len(space)
+        key = [sum(reduced)] + [0] * len(space)
         for state, m in zip(block, reduced):
-            i = space._position[state]
-            vector[i], key[i + 1] = Fraction(m, total), m
+            key[space._position[state] + 1] = m
         key = tuple(key)
-        return _unchecked(cls, space=space, vector=tuple(vector), _key=key, _hash=hash(key))
+        return _unchecked(cls, space=space, _key=key, _hash=hash(key))
 
     def __eq__(self, other: object) -> bool:
         return (

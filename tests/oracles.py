@@ -104,6 +104,17 @@ def naive_coarsenings(p):
     return out
 
 
+def restricted_growth_strings(k):
+    """Every restricted growth string of length ``k`` (a[0] = 0 and each a[i]
+    at most 1 + max(a[:i])), in lexicographic order: the candidates with
+    a[i] <= i, scanned in ``product`` order, filtered by the rule."""
+    out = []
+    for a in product(*(range(i + 1) for i in range(k))):
+        if all(a[i] <= 1 + max(a[:i]) for i in range(1, k)):
+            out.append(a)
+    return out
+
+
 def random_blocks(rng, states, most):
     """A seeded partition of ``states`` into at most ``most`` blocks."""
     groups = {}

@@ -19,6 +19,7 @@ from oraclegames import (
     join,
     refines,
 )
+from oraclegames.partitions import _merged_masks
 
 STATES4 = ("a", "b", "c", "d")
 SPACE4 = StateSpace(STATES4)
@@ -65,6 +66,24 @@ def test_coarsenings_order_and_extremes():
     cs = coarsenings(p)
     assert cs[0] == Partition.trivial(SPACE4)  # everything merged comes first
     assert cs[-1] == p  # the identity coarsening comes last
+
+
+def test_merged_masks_walk_the_restricted_growth_strings_in_order():
+    # Group g of the i-th merged tuple is every mask whose entry in the i-th
+    # restricted growth string is g; the masks are disjoint, shuffled bits.
+    rng = random.Random(2032)
+    for k in range(8):
+        for _ in range(3):
+            bits = rng.sample(range(12), k)
+            masks = [(1 << b) | (rng.randrange(2) << (b + 12)) for b in bits]
+            expected = [
+                tuple(sum(m for m, a in zip(masks, rgs) if a == g) for g in range(len(set(rgs))))
+                for rgs in oracles.restricted_growth_strings(k)
+            ]
+            assert list(_merged_masks(masks, 7)) == expected
+            assert len(expected) == oracles.bell(k)
+    with pytest.raises(ResourceLimitError, match="8 blocks"):
+        _merged_masks([1 << b for b in range(8)], 7)  # refused before the first is drawn
 
 
 def test_coarsenings_cap():

@@ -465,13 +465,15 @@ def test_experiment_matrix_space_mismatch():
 def _recording(monkeypatch, made):
     """Wrap ``signaling._unchecked``, the one unchecked builder, so each
     object it builds is kept with its fields and, for a signaling, with the
-    untrimmed signals and kernel that were trimmed into those fields."""
+    untrimmed signals and kernel that were trimmed into those fields. The
+    untrimmed kernel is read from the untrimmed integer rows ``(T, m, ...)``
+    as the Fractions m / T."""
     given = []
     trimmed, unchecked = signaling._trimmed, signaling._unchecked
 
-    def trim(signals, kernel, keys):
-        given.append((signals, kernel))
-        return trimmed(signals, kernel, keys)
+    def trim(signals, keys):
+        given.append((signals, tuple(tuple(Fraction(m, key[0]) for m in key[1:]) for key in keys)))
+        return trimmed(signals, keys)
 
     def record(cls, **fields):
         untrimmed = given[-1] if cls is StochasticSignaling else None
@@ -615,6 +617,45 @@ def test_posterior_atlas_equals_the_public_constructor_on_its_entries():
             public = PosteriorAtlas(atlas.entries)
             assert public == atlas and public._order == atlas._order
             assert public.as_json() == atlas.as_json()
+
+
+def test_integer_forms_make_their_fractions_only_when_read():
+    # Posteriors, atlas weights and garbled kernels are built as integer keys:
+    # building an atlas reads no Fraction form, and each form, once read,
+    # equals the one computed here in plain Fractions.
+    unread = 0
+    for structure, tau, garbling in _unlike_denominator_signalings(random.Random(2033), 30):
+        states = structure.space.states
+        prior = dict(zip(states, structure.prior.vector))
+        partitions = [p.blocks for p in structure.players]
+        labels = (
+            {s: s for s in tau.signals},
+            {(s, t): f"({s},{t})" for s in tau.signals for t in garbling[s]},
+            {t: t for s in tau.signals for t in garbling[s]},
+        )
+        derived = (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling))
+        for sig, kernel, label in zip(derived, _naive_kernels(tau, garbling, states), labels):
+            atlas = posterior_atlas(structure, sig)
+            assert len(atlas) == len(set(atlas.profiles())) and atlas.profiles()[0] in atlas
+            assert post_included(atlas, atlas) and "entries" not in vars(atlas)
+            posteriors = {d for profile in atlas.profiles() for d in profile}
+            assert not any("vector" in vars(d) for d in posteriors)
+            unread += len(posteriors)
+            if sig is not tau:
+                assert "kernel" not in vars(sig)
+            rows = tuple(tuple(kernel[w][x] for x in label) for w in states)
+            public = StochasticSignaling(tau.oracle_partition, tuple(label.values()), rows)
+            assert sig.kernel == public.kernel and sig.signals == public.signals
+            assert sig._keys == public._keys and sig == public
+            naive = oracles.naive_atlas(prior, kernel, partitions, states)
+            order = sorted(naive)
+            assert [tuple(d.vector for d in p) for p in atlas.profiles()] == order
+            assert all("vector" in vars(d) for d in posteriors)
+            assert [atlas.weight(p) for p in atlas.profiles()] == [naive[v] for v in order]
+            rebuilt = PosteriorAtlas(atlas.entries)
+            assert rebuilt == atlas and rebuilt._order == atlas._order
+            assert rebuilt.as_json() == atlas.as_json()
+    assert unread > 200
 
 
 def _normalized(table):
@@ -1046,6 +1087,7 @@ def test_atlas_refusals():
         ({}, "an atlas cannot be empty"),
         ({point: Fraction(1), other: Fraction(0)}, "atlas weight 0 is not positive"),
         ({point: HALF, other: Fraction(1, 3)}, "atlas weights do not sum to 1"),
+        ({point: 1.0}, r"^atlas weight: not a rational: 1\.0 \(floats are not accepted\)$"),
     ):
         with pytest.raises(InputError, match=message):
             PosteriorAtlas(entries)

@@ -190,6 +190,20 @@ def test_distribution_equality_matches_vector_equality():
     assert equal_pairs > len(pool)  # more than each with itself
 
 
+def test_a_lazy_vector_is_still_a_required_field_and_is_kept_once_made():
+    """``vector`` is made from the key on its first read and then kept; the
+    public constructor still requires it and keeps the vector it checked."""
+    with pytest.raises(TypeError, match="vector"):
+        Distribution(SPACE)
+    posterior = Distribution._on_block(SPACE, ("b", "d"), [2, 6])
+    assert "vector" not in vars(posterior)
+    made = posterior.vector
+    assert made == (0, Fraction(1, 4), 0, Fraction(3, 4)) and posterior.vector is made
+    public = Distribution(SPACE, ("0", "1/4", 0, Fraction(3, 4)))
+    assert vars(public)["vector"] == made and public == posterior
+    assert repr(public) == repr(posterior)
+
+
 def test_block_constructor_matches_the_public_constructor():
     """The posterior constructor's key, vector, hash, equality and support
     are those of the public constructor on the same exact vector."""
