@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional, Union
 
 from .errors import DomainError, InputError, ResourceLimitError
@@ -113,6 +113,12 @@ class BayesianGame:
                 f"no payoff entry for state '{state}' and profile {profile!r}"
             ) from None
 
+    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
+        """Per player, ``(d, u_1 d, ...)``: their utility at each (state,
+        action profile) as an integer over d, the lcm of its denominators."""
+        rows = [self.payoff(*key) for key in keys]
+        return [_over_lcm([v[i] for v in rows]) for i in range(self.structure.n)]
+
 
 def _integer_payoffs(
     game: BayesianGame,
@@ -123,12 +129,8 @@ def _integer_payoffs(
     as a game's payoffs may change after it is made."""
     indices = itertools.product(*(range(len(acts)) for acts in game.actions))
     profiles = list(zip(indices, itertools.product(*game.actions)))
-    rows = {
-        (state, at): game.payoff(state, profile)
-        for state in game.structure.space
-        for at, profile in profiles
-    }
-    columns = (_over_lcm([v[i] for v in rows.values()]) for i in range(game.structure.n))
+    rows = {(s, at): (s, profile) for s in game.structure.space for at, profile in profiles}
+    columns = game._payoff_columns(list(rows.values()))
     return [(dict(zip(rows, ints)), scale) for scale, *ints in columns]
 
 
@@ -506,8 +508,6 @@ def expected_payoffs(
 ) -> tuple[Fraction, ...]:
     """Exact expected utility per player, optionally conditional on an event
     (a set of states: a state listed twice counts once)."""
-    if isinstance(game, LogScoreGame):
-        raise DomainError("log-domain game: evaluate with kld_expected_scores")
     structure = game.structure
     event = None
     if given_event is not None:
@@ -524,12 +524,10 @@ def expected_payoffs(
         branches = [(branch, m) for branch, m in branches if branch[0] in event]
         total = sum(m for _, m in branches)
     scale, outcomes = _outcome_masses(game, branches, total, strategy)
-    values = [game.payoff(state, profile) for state, profile in outcomes]
-    out = []
-    for i in range(structure.n):  # each player's utilities as integers over their lcm
-        d, *utilities = _over_lcm([v[i] for v in values])
-        out.append(Fraction(sum(map(operator.mul, outcomes.values(), utilities)), scale * d))
-    return tuple(out)
+    return tuple(
+        Fraction(sum(map(operator.mul, outcomes.values(), utilities)), scale * d)
+        for d, *utilities in game._payoff_columns(list(outcomes))
+    )
 
 
 @dataclass(eq=False)
@@ -591,29 +589,26 @@ def is_equilibrium(
     block, signal, action) that beats the player's own mixture at the pair.
     Payoffs are additive across a player's pairs (the events are disjoint),
     so the sweep is exhaustive."""
-    if isinstance(game, LogScoreGame):
-        raise DomainError("log-domain game: evaluate with kld_expected_scores")
     masses, total = _branch_masses(game.structure, tau)
     pairs = _reachable(game.structure, tau.signals, masses)
     for i, name in enumerate(game.structure.player_names):
+        actions = game.actions[i]
         for block, signal in pairs[i]:
             # The others' outcomes at the pair, split around player i's
             # action and shared by every action valued.
             at = [((s, signal), masses[(s, signal)]) for s in block if (s, signal) in masses]
-            _, outcomes = _outcomes(game, at, total, strategy, i)  # values in units of one weight
-            outcomes = [(s, p[:i], p[i + 1 :], w) for s, p, w in outcomes]
-
-            def value(action: object) -> Fraction:
-                return sum(w * game.payoff(s, (*h, action, *t))[i] for s, h, t, w in outcomes)
-
-            mix = [(a, p) for a, p in strategy.mixture(i, block, signal).items() if p > 0]
-            values = {a: value(a) for a, _ in mix}
-            current = sum((p * values[a] for a, p in mix), Fraction(0))
-            for action in game.actions[i]:
-                v = values.get(action)
-                if v is None:
-                    v = value(action)
-                if v > current:
+            _, outcomes = _outcomes(game, at, total, strategy, i)
+            weights = [w for *_, w in outcomes]
+            mix = strategy.mixture(i, block, signal)
+            # Every action's value in units of one weight times the game's integer
+            # unit, read at once to share it (``map`` stops at the end of ``weights``).
+            keys = [(s, (*p[:i], a, *p[i + 1 :])) for a in actions for s, p, _ in outcomes]
+            column = iter(game._payoff_columns(keys)[i][1:])
+            values = {a: sum(map(operator.mul, weights, column)) for a in actions}
+            scale, *shares = _over_lcm(list(mix.values()))  # the mixture over its lcm
+            current = sum(map(operator.mul, shares, map(values.__getitem__, mix)))
+            for action in actions:
+                if values[action] * scale > current:
                     return EquilibriumResult(False, (name, block, signal, action))
     return EquilibriumResult(True)
 
@@ -1054,6 +1049,10 @@ class LogScoreGame:
             return tuple(menu[a].of(state) for a, menu in zip(profile, self._declared))
         raise DomainError(f"no payoff entry for state '{state}' and profile {profile!r}")
 
+    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
+        """Likelihoods are not payoffs: the rational-payoff evaluators refuse the game."""
+        raise DomainError("log-domain game: evaluate with kld_expected_scores")
+
 
 def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) -> LogScoreGame:
     """The log-score game whose menus are the posteriors the signaling
@@ -1116,10 +1115,11 @@ class TwoStageGame:
     declare a signal, a posterior from their menu, and an action inside the
     declared posterior's support.  Declarations settle by one lookup in a
     table that maps every branch's (signal, posterior) per player to its
-    posterior profile's belief game, which pays at the true state.  A miss
-    (an opt-out, a disagreement on the signal, an infeasible profile) costs
-    everyone M, a bound computed above every belief-game utility.  Truthful
-    play earns each player exactly -1 in expectation.
+    posterior profile, which pays at the true state by the ``BeliefGame``
+    rules, in integers over one unit U (see ``_settle``).  A miss (an
+    opt-out, a disagreement on the signal, an infeasible profile) costs
+    everyone M, a bound computed above every settled utility.  Truthful play
+    earns each player exactly -1 in expectation.
 
     A player's actions are their declarations: the opt-out first, then
     (signal, posterior, action) in signal, menu and support order.  Its
@@ -1133,11 +1133,7 @@ class TwoStageGame:
         self.structure = structure
         self.tau = tau
         branches = _branch_profiles(structure, _branch_masses(structure, tau)[0])
-        belief_games = {p: BeliefGame(structure.space, p) for p in dict.fromkeys(branches.values())}
-        self._settled = {
-            tuple((signal, d) for d in profile): belief_games[profile]
-            for (_, signal), profile in branches.items()
-        }
+        self._settled = {tuple((t, d) for d in p): p for (_, t), p in branches.items()}
         self.menus = _posterior_menus(branches, structure.n)
         # Player i's true (signal, posterior) at each (i, block, signal) the
         # signaling reaches.
@@ -1155,20 +1151,20 @@ class TwoStageGame:
                     options.extend((signal, d, a) for a in support)
             actions.append(tuple(options))
         self.actions = tuple(actions)
-        self.M = self._payoff_bound()
+        self._term_unit, self._unit, bound = self._payoff_bound()
+        self.M, self._miss = Fraction(bound, self._unit), (-bound,) * structure.n
 
-    def _payoff_bound(self) -> Fraction:
-        """2 + n |S| (1 + the largest |utility| of any settled belief game).
+    def _payoff_bound(self) -> tuple[int, int, int]:
+        """(L, U, M U), M being 2 + n |S| (1 + the largest |settled utility|).
 
         A utility is the player's own term less 2/(n-1) of the others' hits,
         and each term is set by one player's action alone: -2 off the
         declared support, else 1/p on the state and 0 elsewhere (impossible
         for a point mass).  So its extremes are sums of per-term extremes,
-        and no action profile is enumerated.  A posterior's key (d, n_1, ...)
-        gives 1/p = d/n_s, so each term is an integer over L, the lcm of the
-        nonzero n_s, and each utility an integer over (n-1) L."""
+        and no action profile is enumerated.  Terms are integers over L, and
+        utilities over U, as ``_settle`` finds them."""
         n = self.structure.n
-        keys = [[d._key for d in game.declared] for game in dict.fromkeys(self._settled.values())]
+        keys = [[d._key for d in profile] for profile in dict.fromkeys(self._settled.values())]
         unit = math.lcm(*(m for profile in keys for key in profile for m in key[1:] if m))
         worst = 0
         for profile in keys:
@@ -1187,8 +1183,8 @@ class TwoStageGame:
                         abs((n - 1) * hi - 2 * (low - hit_lo)),
                         abs((n - 1) * lo - 2 * (high - hit_hi)),
                     )
-        unit *= n - 1  # the utilities' unit
-        return Fraction(2 * unit + n * len(self.structure.space) * (unit + worst), unit)
+        u = (n - 1) * unit
+        return unit, u, 2 * u + n * len(self.structure.space) * (u + worst)
 
     def truthful_strategy(self) -> StrategyProfile:
         """Declare the observed signal, the true posterior, and its first
@@ -1198,17 +1194,36 @@ class TwoStageGame:
             tables[i][(block, signal)] = (signal, posterior, posterior.support()[0])
         return make_strategy(self, self.tau, tables)
 
-    def payoff(
-        self, state: str, declarations: Sequence[Declaration]
-    ) -> tuple[Fraction, ...]:
-        """Settle one realized state against the players' declarations."""
-        game = self._settled.get(tuple(d[:2] for d in declarations))
-        if game is None:
-            return tuple(-self.M for _ in range(self.structure.n))
-        actions = tuple(d[2] for d in declarations)
-        return tuple(
-            game.utility(i, state, actions) for i in range(self.structure.n)
-        )
+    def payoff(self, state: str, declarations: Sequence[Declaration]) -> tuple[Fraction, ...]:
+        """Settle a state of the space against one action per player."""
+        if state in self.structure.space and len(declarations) == self.structure.n and all(
+            d in options for d, options in zip(declarations, self._options)
+        ):
+            return tuple(Fraction(v, self._unit) for v in self._settle(state, declarations))
+        raise DomainError(f"no payoff entry for state '{state}' and profile {declarations!r}")
+
+    # Each player's actions as one set, built by the first ``payoff`` call.
+    _options = cached_property(lambda self: tuple(map(frozenset, self.actions)))
+
+    def _settle(self, state: str, declarations: Sequence[Declaration]) -> tuple[int, ...]:
+        """``payoff`` over U = (n-1) L, unchecked; L is the lcm of the nonzero n_s
+        of the posteriors' keys (d, n_1, ...).  A player's term is -2 L off their
+        declared support, L d/n_s on a hit and 0 otherwise, and their utility is
+        (n-1) times their term less twice the other players' terms on their supports."""
+        if tuple([d[:2] for d in declarations]) not in self._settled:
+            return self._miss
+        s, unit = self.structure.space._position[state] + 1, self._term_unit
+        terms = [
+            -2 * unit if d._key[s] == 0 else unit // d._key[s] * d._key[0] if a == state else 0
+            for _, d, a in declarations
+        ]
+        hits = [max(r, 0) for r in terms]  # a term is negative exactly off the support
+        total = sum(hits)
+        return tuple([(len(terms) - 1) * r - 2 * (total - h) for r, h in zip(terms, hits)])
+
+    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
+        """Per player, ``(U, ...)``: their settled payoff at each key over U."""
+        return [(self._unit, *column) for column in zip(*(self._settle(*key) for key in keys))]
 
     def max_aggregate(self, tau: StochasticSignaling, cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing
@@ -1246,8 +1261,8 @@ class TwoStageGame:
         unit, penalty = _over_lcm([self.M * n])
         # The settlement table keyed by the option each player declares.
         settled = {
-            tuple(index[i][pair] for i, pair in enumerate(key)): game.declared
-            for key, game in self._settled.items()
+            tuple(index[i][pair] for i, pair in enumerate(key)): profile
+            for key, profile in self._settled.items()
         }
 
         def bounds(state: str) -> dict[tuple[int, ...], int]:

@@ -563,6 +563,61 @@ def naive_belief_expected_payoffs(states, declared, beliefs, choices):
     )
 
 
+def naive_two_stage_payoff(states, prior, kernel, partitions, profiles, M):
+    """The two-stage declaration game's payoff, as a function of (state w,
+    declarations), in plain Fractions.
+
+    ``profiles`` lists the signaling's posterior profiles (one vector per
+    player), as its atlas gives them; they must be exactly the naive
+    posterior profiles of the branches (w', s) of positive mass prior[w'] *
+    kernel[w'][s], and a profile settles under the signals of the branches
+    that induce it.  A declaration is None (the opt-out) or (signal,
+    posterior vector, action).  Declarations settle when no player opts out,
+    all declare one signal, and their posteriors make a profile that settles
+    under it; otherwise every player pays -M.  A settled profile pays player
+    i r_i - 2/(n-1) times the sum of r_j over the other players j whose
+    posterior gives w mass, where r_j is -2 when posterior_j[w] = 0,
+    1/posterior_j[w] when player j acts on w, and 0 otherwise."""
+    n = len(partitions)
+
+    def block(i, w):
+        return next(b for b in partitions[i] if w in b)
+
+    settled = set()
+    for w in states:
+        for s, p in kernel[w].items():
+            if prior[w] * p > 0:
+                profile = tuple(
+                    naive_posterior(prior, kernel, block(i, w), states, s) for i in range(n)
+                )
+                settled.add((s, profile))
+    assert {profile for _, profile in settled} == set(profiles)
+
+    def payoff(w, declarations):
+        if (
+            None in declarations
+            or len({d[0] for d in declarations}) != 1
+            or (declarations[0][0], tuple(d[1] for d in declarations)) not in settled
+        ):
+            return (-M,) * n
+        k = states.index(w)
+
+        def r(j):
+            _, posterior, action = declarations[j]
+            if posterior[k] == 0:
+                return Fraction(-2)
+            return 1 / posterior[k] if action == w else Fraction(0)
+
+        return tuple(
+            r(i)
+            - Fraction(2, n - 1)
+            * sum((r(j) for j in range(n) if j != i and declarations[j][1][k] > 0), Fraction(0))
+            for i in range(n)
+        )
+
+    return payoff
+
+
 def pure_profile_scan(slots, actions, holds):
     """Every pure profile over ``slots`` ((player, pair) pairs, in order)
     that ``holds`` accepts, in ``itertools.product`` order of the slots'

@@ -56,7 +56,7 @@ from oraclegames import (
     truthful_choices,
     truthful_kld_strategy,
 )
-from oraclegames.games import kld_action_label
+from oraclegames.games import BOTTOM, kld_action_label
 from oraclegames.harness import Fixture, load_fixture
 
 SPACE2 = StateSpace(("x", "y"))
@@ -728,6 +728,25 @@ def test_kld_game_is_log_domain_and_guards_evaluators():
     for state, profile in (("w9", first), ("w1", first[:1]), ("w1", ("(1,0,0,0)",) * 2)):
         with pytest.raises(DomainError, match="no payoff entry for state"):
             game.payoff(state, profile)
+    # The two-stage game refuses the same inputs: an unknown state (under an
+    # unsettled and a settled profile), a short profile and an action that is
+    # not among the declaring player's actions.
+    stage = TwoStageGame(STRUCTURE, tau)
+    truthful = stage.truthful_strategy()
+    settled = tuple(
+        next(iter(truthful.mixture(i, p.block_of("w2"), "s2")))
+        for i, p in enumerate(STRUCTURE.players)
+    )
+    assert stage.payoff("w2", settled) != (-stage.M,) * 2
+    off_menu = tuple((signal, d, "zzz") for signal, d, _ in settled)
+    for state, profile in (
+        ("w9", (BOTTOM, BOTTOM)),
+        ("w9", settled),
+        ("w1", settled[:1]),
+        ("w1", off_menu),
+    ):
+        with pytest.raises(DomainError, match="no payoff entry for state"):
+            stage.payoff(state, profile)
     strategy = truthful_kld_strategy(game, tau)
     with pytest.raises(DomainError):
         expected_payoffs(game, tau, strategy)
@@ -1452,13 +1471,122 @@ def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
             strategies.append(make_strategy(stage, tau, tables))
         for strategy in strategies:
             naive = oracles.naive_is_equilibrium(
-                *args, stage.actions, stage.payoff, strategy.per_player
+                *args, stage.actions, _two_stage_oracle(stage), strategy.per_player
             )
             result = is_equilibrium(stage, tau, strategy)
             assert (result.holds, result.witness) == _naive_result(
                 game.structure, naive
             )
         assert is_equilibrium(stage, tau, truthful).holds
+
+
+def _oracle_args(structure, tau):
+    """The plain arguments of the brute forces in ``oracles``: states, prior,
+    kernel rows and each player's blocks."""
+    states = structure.space.states
+    return (
+        states,
+        dict(zip(states, structure.prior.vector)),
+        {w: dict(zip(tau.signals, tau.row(w))) for w in states},
+        [list(p.blocks) for p in structure.players],
+    )
+
+
+def _two_stage_oracle(game):
+    """``oracles.naive_two_stage_payoff`` of a two-stage game, its settled
+    profiles read from the signaling's atlas, on the game's declarations."""
+    structure, tau = game.structure, game.tau
+    profiles = [tuple(d.vector for d in p) for p in posterior_atlas(structure, tau).profiles()]
+    naive = oracles.naive_two_stage_payoff(*_oracle_args(structure, tau), profiles, game.M)
+
+    def payoff(state, declarations):
+        plain = tuple(None if d == BOTTOM else (d[0], d[1].vector, d[2]) for d in declarations)
+        return naive(state, plain)
+
+    return payoff
+
+
+def test_two_stage_payoffs_match_the_fraction_oracle():
+    """``TwoStageGame.payoff`` equals ``oracles.naive_two_stage_payoff`` at
+    every state and action profile of every one-signal profile of menu
+    posteriors, settled or not, and under an opt-out or a split signal; and
+    ``expected_payoffs`` of seeded mixed strategies, with and without an
+    event, equals the oracle summed over
+    ``oracles.naive_outcome_distribution``.  2- and 3-player games."""
+    rng = random.Random(97)
+    players, settled, missed = set(), 0, 0
+    for structure, tau in _small_two_stage_cases(rng, 4) + _small_two_stage_cases(rng, 3, n=3):
+        game = TwoStageGame(structure, tau)
+        naive = _two_stage_oracle(game)
+        n, states = structure.n, structure.space.states
+        miss = (-game.M,) * n
+        for signal, *posteriors in itertools.product(tau.signals, *game.menus):
+            for state in states:
+                for acts in itertools.product(*(d.support() for d in posteriors)):
+                    declarations = tuple((signal, d, a) for d, a in zip(posteriors, acts))
+                    value = game.payoff(state, declarations)
+                    assert value == naive(state, declarations)
+                    settled += value != miss
+                    missed += value == miss
+                    others = [(t, *declarations[0][1:]) for t in tau.signals if t != signal]
+                    for first in (BOTTOM, *others):  # an opt-out, or a signal apart
+                        split = (first, *declarations[1:])
+                        assert game.payoff(state, split) == miss == naive(state, split)
+        args = _oracle_args(structure, tau)
+        pairs = oracles.naive_pairs(*args)
+        truthful = game.truthful_strategy()
+
+        def options(i, pair):
+            true = next(iter(truthful.mixture(i, *pair)))
+            return [true, *rng.sample([a for a in game.actions[i] if a != true], 2)]
+
+        for _ in range(3):
+            tables = _unlike_tables(rng, pairs, options)
+            strategy = make_strategy(game, tau, tables)
+            mass = oracles.naive_outcome_distribution(*args, tables)
+            event = rng.sample(states, rng.randint(1, len(states)))
+            for given in (states, event):
+                kept = {key: m for key, m in mass.items() if key[0] in given}
+                expected = tuple(
+                    sum(m * naive(*key)[i] for key, m in kept.items()) / sum(kept.values())
+                    for i in range(n)
+                )
+                assert expected_payoffs(game, tau, strategy, given_event=given) == expected
+        players.add(n)
+    assert players == {2, 3} and settled > 0 and missed > 0
+
+
+def test_two_stage_evaluators_never_read_a_fraction_payoff(monkeypatch):
+    """``is_equilibrium``, ``expected_payoffs`` (with and without an event)
+    and ``CombinedGame.truthful_payoffs`` value a two-stage game through its
+    integer settlement: each gives the same answer with
+    ``TwoStageGame.payoff`` raising."""
+    tau = _example_signaling()
+    game = TwoStageGame(STRUCTURE, tau)
+    truthful = game.truthful_strategy()
+    tables = [dict(t) for t in truthful.per_player]
+    pair = next(iter(tables[1]))
+    tables[1][pair] = BOTTOM
+    strategies = (truthful, make_strategy(game, tau, tables))
+    combined = CombinedGame(game)
+
+    def evaluate():
+        return (
+            [is_equilibrium(game, tau, s) for s in strategies],
+            [expected_payoffs(game, tau, s) for s in strategies],
+            [expected_payoffs(game, tau, s, given_event=pair[0]) for s in strategies],
+            combined.truthful_payoffs(),
+        )
+
+    before = evaluate()
+    assert before[0][0].holds and not before[0][1].holds
+    assert before[1][0] == (-1, -1)
+
+    def unread(*args):
+        raise AssertionError("TwoStageGame.payoff was read")
+
+    monkeypatch.setattr(TwoStageGame, "payoff", unread)
+    assert evaluate() == before
 
 
 # ---------------------------------------------------------------------------
@@ -1996,7 +2124,7 @@ def test_prefix_bounds_are_the_best_of_their_full_extensions(monkeypatch):
                 # 2 per declared posterior that misses the state, else 1.
                 settled = game._settled.get(tuple(options[i][o] for i, o in enumerate(at)))
                 if settled is not None:
-                    return sum(2 if d.of(state) == 0 else 1 for d in settled.declared)
+                    return sum(2 if d.of(state) == 0 else 1 for d in settled)
 
             least = oracles.naive_prefix_bounds(sizes, cost, min, None)
             expected = {p: floor if c is None else -c * unit for p, c in least.items()}
