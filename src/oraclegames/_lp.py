@@ -1,12 +1,18 @@
 """Phase-1 simplex over exact rationals: decide ``{ x >= 0 : A x = b }`` and
 produce a point when feasible.
 
-The tableau is fraction-free: each row is the rational row ``[A_i | e_i |
-b_i]`` (negated when ``b_i < 0``) times a positive integer, the lcm of its
-denominators at first; a pivot sets ``row <- p * row - f * pivot_row`` and
-divides by the row's gcd. A positive factor changes no sign and no ratio
-``b_i / a_ij``, so Bland's rule picks the pivots the rational tableau would
-and the same vertex comes back, each basic variable read as ``rhs / diagonal``.
+The system comes in integers: row i of ``A`` and ``b[i]`` are ``scales[i] > 0``
+times the rational row. The tableau is fraction-free and sparse: each row is a
+dict of its nonzero integer entries (column -> value, the right-hand side in
+the last column), a positive multiple of the rational row ``[A_i | e_i | b_i]``,
+negated when ``b_i < 0``, and starts with its scale in its artificial column.
+A pivot sets ``row <- p * row - f * pivot_row`` on the rows with a nonzero f
+in the entering column only, over their nonzero entries, and divides each by
+its gcd. The cost row stays dense: it weighs row i by ``L / scales[i]``, L the
+lcm of the scales, so it is L times the rational cost row. A positive factor
+changes no sign and no ratio ``b_i / a_ij``, so Bland's rule picks the pivots
+the rational tableau would and the same vertex comes back, each basic variable
+read as ``rhs / diagonal``.
 """
 
 from __future__ import annotations
@@ -15,29 +21,50 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .types import _over_lcm, _reduced
+from .types import _reduced
+
+
+def _pivoted(row: dict[int, int], f: int, prow: dict[int, int], pivot: int) -> dict[int, int]:
+    """``pivot * row - f * prow`` on their nonzero entries, divided by its gcd."""
+    out = {j: pivot * v for j, v in row.items()}
+    for j, w in prow.items():
+        v = out.get(j, 0) - f * w
+        if v:
+            out[j] = v
+        else:  # f * w != 0, so j was in ``out``
+            del out[j]
+    values = list(out.values())
+    reduced = _reduced(values)
+    return out if reduced is values else dict(zip(out, reduced))
 
 
 def feasible_nonneg(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    A: Sequence[Sequence[int]], b: Sequence[int], scales: Sequence[int]
 ) -> Optional[list[Fraction]]:
-    """Return some x >= 0 with A x = b, or None when the system is infeasible."""
+    """Return some x >= 0 with A x = b, or None when the system is infeasible.
+    Row i of the integer ``A`` and ``b`` is ``scales[i] > 0`` times the rational row."""
     m = len(A)
     n = len(A[0]) if A else 0
-    for row in A:
+    if len(b) != m:
+        raise ValueError(f"{len(b)} right-hand sides for {m} constraint rows")
+    if len(scales) != m:
+        raise ValueError(f"{len(scales)} row scales for {m} constraint rows")
+    for row, scale in zip(A, scales):
         if len(row) != n:
             raise ValueError("ragged constraint matrix")
+        if scale <= 0:
+            raise ValueError(f"row scale {scale} is not positive")
 
     # Rows with nonnegative right-hand sides, one artificial variable each.
     width = n + m
-    tab: list[list[int]] = []
-    scales: list[int] = []
+    tab: list[dict[int, int]] = []
     for i in range(m):
-        scale, *row = _over_lcm((*A[i], b[i]))
-        if row[-1] < 0:
-            row = [-v for v in row]
-        tab.append(row[:n] + [scale if j == i else 0 for j in range(m)] + row[n:])
-        scales.append(scale)
+        sign = -1 if b[i] < 0 else 1
+        row = {j: sign * v for j, v in enumerate(A[i]) if v}
+        row[n + i] = scales[i]
+        if b[i]:
+            row[width] = sign * b[i]
+        tab.append(row)
     basis = [n + i for i in range(m)]
 
     # Reduced costs for minimizing the artificial total, times the lcm L of
@@ -47,40 +74,44 @@ def feasible_nonneg(
     cost = [0] * (width + 1)
     for row, scale in zip(tab, scales):
         k = total // scale
-        cost = [c - k * v for c, v in zip(cost, row)]
+        for j, v in row.items():
+            cost[j] -= k * v
     cost[n:width] = [0] * m
 
     while True:
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             break
+        hits = [i for i in range(m) if enter in tab[i]]
         r = None
-        for i in range(m):
+        for i in hits:
             coef = tab[i][enter]
             # Smallest rhs / coef, cross-multiplied (every coef here is
             # positive), ties to the smallest basis index.
             if coef > 0 and (
                 r is None
-                or (tab[i][width] * tab[r][enter], basis[i])
-                < (tab[r][width] * coef, basis[r])
+                or (tab[i].get(width, 0) * tab[r][enter], basis[i])
+                < (tab[r].get(width, 0) * coef, basis[r])
             ):
                 r = i
         if r is None:  # pragma: no cover - phase-1 objective is bounded
             raise ArithmeticError("unbounded phase-1 pivot")
         prow = tab[r]
         pivot = prow[enter]
-        for i in range(m):
-            f = tab[i][enter]
-            if i != r and f != 0:
-                tab[i] = _reduced([pivot * v - f * w for v, w in zip(tab[i], prow)])
+        for i in hits:
+            if i != r:
+                tab[i] = _pivoted(tab[i], tab[i][enter], prow, pivot)
         f = cost[enter]
-        cost = _reduced([pivot * v - f * w for v, w in zip(cost, prow)])
+        cost = [pivot * v for v in cost]
+        for j, w in prow.items():
+            cost[j] -= f * w
+        cost = _reduced(cost)
         basis[r] = enter
 
-    if any(basis[i] >= n and tab[i][width] != 0 for i in range(m)):
+    if any(basis[i] >= n and width in tab[i] for i in range(m)):
         return None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][width], tab[i][basis[i]])
+            x[basis[i]] = Fraction(tab[i].get(width, 0), tab[i][basis[i]])
     return x

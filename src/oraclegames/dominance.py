@@ -29,6 +29,7 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
+    _over_lcm,
     format_rational,
     parse_rational,
 )
@@ -284,7 +285,13 @@ def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> Garbli
     positive multiple of that group's own cost row. So Bland's rule enters
     the same variables in each group, ratio-test ties stay inside it, and
     the local indices keep structural columns in order before artificial
-    ones: each group returns its part of the whole system's vertex."""
+    ones: each group returns its part of the whole system's vertex.
+
+    The rows are integers. With each state's rows of ``first`` and
+    ``second`` over their lcm denominators, ``(t1, a...)`` and ``(t2,
+    c...)``, row (w, v) is ``a[u] * t2`` at G[u, v] with right-hand side
+    ``c[v] * t1``, ``t1 * t2`` times the rational row; a row-sum row is 1s
+    with right-hand side 1, scale 1."""
     if first.space != second.space:
         raise DomainError("matrices are defined over different state spaces")
     nu, nv = len(first.column_labels), len(second.column_labels)
@@ -301,13 +308,22 @@ def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> Garbli
     garbling: list[tuple[Fraction, ...]] = [()] * nu
     for states, cols in groups.values():
         width = len(cols) * nv
-        rows = [
-            [first.entries[w][cols[j // nv]] if j % nv == v else 0 for j in range(width)]
-            for w in states
-            for v in range(nv)
-        ] + [[int(j // nv == i) for j in range(width)] for i in range(len(cols))]
-        rhs = [p for w in states for p in second.entries[w]] + [1] * len(cols)
-        x = feasible_nonneg(rows, rhs)
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        scales: list[int] = []
+        for w in states:
+            (t1, *a), (t2, *c) = _over_lcm(first.entries[w]), _over_lcm(second.entries[w])
+            scaled = [a[u] * t2 for u in cols]
+            for v in range(nv):
+                row = [0] * width
+                row[v::nv] = scaled
+                rows.append(row)
+            rhs += [p * t1 for p in c]
+            scales += [t1 * t2] * nv
+        rows += [[int(j // nv == i) for j in range(width)] for i in range(len(cols))]
+        rhs += [1] * len(cols)
+        scales += [1] * len(cols)
+        x = feasible_nonneg(rows, rhs, scales)
         if x is None:
             return GarblingResult(False, first.column_labels, second.column_labels)
         for i, u in enumerate(cols):

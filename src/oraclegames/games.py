@@ -1071,11 +1071,15 @@ def truthful_kld_strategy(
     pairs = _reachable(structure, tau.signals, masses)
     tables: list[dict[Pair, str]] = [{} for _ in range(structure.n)]
     for i, name in enumerate(structure.player_names):
+        labels = dict(zip(game.menus[i], game.actions[i]))
         for block, signal in pairs[i]:
-            label = kld_action_label(_posterior(structure, masses, block, signal))
-            if label not in game.actions[i]:
-                raise DomainError(f"posterior {label} is not in player '{name}'s declaration menu")
-            tables[i][(block, signal)] = label
+            posterior = _posterior(structure, masses, block, signal)
+            if posterior not in labels:
+                raise DomainError(
+                    f"posterior {kld_action_label(posterior)} is not in player '{name}'s "
+                    "declaration menu"
+                )
+            tables[i][(block, signal)] = labels[posterior]
     return make_strategy(game, tau, tables)
 
 

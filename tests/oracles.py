@@ -287,10 +287,11 @@ def feasible_nonneg_oracle(A, b):
     return None
 
 
-def fraction_simplex(A, b):
+def fraction_simplex(A, b, entered=None):
     """Phase-1 simplex on a Fraction tableau: Bland's rule, ratio ties broken
     by basis index. The package's integer tableau must take the same pivots,
-    so it must return this same vertex (or None)."""
+    so it must return this same vertex (or None). When ``entered`` is a list,
+    each entering column is appended to it (n + i is row i's artificial)."""
     m = len(A)
     n = len(A[0]) if m else 0
     for row in A:
@@ -338,6 +339,8 @@ def fraction_simplex(A, b):
         if best is None:  # pragma: no cover - phase-1 objective is bounded
             raise ArithmeticError("unbounded phase-1 pivot")
         r = best[1]
+        if entered is not None:
+            entered.append(enter)
         pivot = tab[r][enter]
         tab[r] = [v / pivot for v in tab[r]]
         prow = tab[r]

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import oracles
+import pytest
 from oraclegames import (
     Partition,
     StateSpace,
@@ -22,6 +23,17 @@ from oraclegames import (
 )
 from oraclegames import _lp
 from oraclegames._lp import feasible_nonneg
+from oraclegames.types import _over_lcm
+
+
+def _solve(A, b):
+    """``feasible_nonneg`` on a rational system: each row and its right-hand
+    side as integers over the lcm of their denominators, which is the row's
+    scale."""
+    keys = [_over_lcm([*map(Fraction, row), Fraction(rhs)]) for row, rhs in zip(A, b)]
+    return feasible_nonneg(
+        [key[1:-1] for key in keys], [key[-1] for key in keys], [key[0] for key in keys]
+    )
 
 
 def _check_solution(A, b, x):
@@ -31,15 +43,45 @@ def _check_solution(A, b, x):
 
 
 def test_trivial_systems():
-    assert feasible_nonneg([], []) == []
-    assert feasible_nonneg([[]], [Fraction(0)]) == []
-    assert feasible_nonneg([[]], [Fraction(1)]) is None
+    assert _solve([], []) == []
+    assert _solve([[]], [Fraction(0)]) == []
+    assert _solve([[]], [Fraction(1)]) is None
+
+
+@pytest.mark.parametrize(
+    "A, b, scales",
+    [
+        pytest.param([[1]], [1, 5], [1], id="extra_rhs"),
+        pytest.param([], [1], [], id="rhs_without_rows"),
+        pytest.param([[1], [1]], [1], [1, 1], id="short_rhs"),
+        pytest.param([[1]], [1], [1, 1], id="extra_scale"),
+        pytest.param([[1], [1]], [1, 1], [1], id="short_scales"),
+        pytest.param([[1]], [1], [0], id="zero_scale"),
+        pytest.param([[1], [2]], [1, 2], [1, -2], id="negative_scale"),
+        pytest.param([[1, 2], [1]], [1, 1], [1, 1], id="ragged_row"),
+    ],
+)
+def test_refuses_a_system_whose_lengths_or_scales_do_not_fit(A, b, scales):
+    with pytest.raises(ValueError):
+        feasible_nonneg(A, b, scales)
+
+
+def test_cost_row_weighs_each_row_by_the_lcm_over_its_scale():
+    # The rational rows (0, 1, 1 | 1) and (-1/2, -1/2, 1/2 | 0), the second
+    # handed over as twice itself. Phase 1 enters column 1, whose reduced
+    # cost is -1/2; a cost row summing the integer rows unweighted would see
+    # 0 there, enter column 2 and stop at (1, 0, 1).
+    A, b, scales = [[0, 1, 1], [-1, -1, 1]], [1, 0], [1, 2]
+    rational = [[Fraction(v, s) for v in row] for row, s in zip(A, scales)]
+    vertex = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    assert oracles.fraction_simplex(rational, [Fraction(1), Fraction(0)]) == vertex
+    assert feasible_nonneg(A, b, scales) == vertex
 
 
 def test_simple_feasible_system():
     A = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     b = [Fraction(2), Fraction(0)]
-    x = feasible_nonneg(A, b)
+    x = _solve(A, b)
     assert x == [Fraction(1), Fraction(1)]
 
 
@@ -47,14 +89,14 @@ def test_simple_infeasible_system():
     # x1 + x2 = -1 has no nonnegative solution.
     A = [[Fraction(1), Fraction(1)]]
     b = [Fraction(-1)]
-    assert feasible_nonneg(A, b) is None
+    assert _solve(A, b) is None
 
 
 def test_negative_rhs_is_normalized():
     # -x1 = -3 forces x1 = 3.
     A = [[Fraction(-1), Fraction(0)]]
     b = [Fraction(-3)]
-    x = feasible_nonneg(A, b)
+    x = _solve(A, b)
     _check_solution(A, b, x)
 
 
@@ -64,7 +106,7 @@ def test_redundant_rows_are_fine():
         [Fraction(2), Fraction(4), Fraction(6)],
     ]
     b = [Fraction(6), Fraction(12)]
-    x = feasible_nonneg(A, b)
+    x = _solve(A, b)
     _check_solution(A, b, x)
 
 
@@ -74,7 +116,7 @@ def test_inconsistent_duplicate_rows():
         [Fraction(1), Fraction(2)],
     ]
     b = [Fraction(1), Fraction(2)]
-    assert feasible_nonneg(A, b) is None
+    assert _solve(A, b) is None
 
 
 def _image(A, x0):
@@ -104,7 +146,7 @@ def test_agrees_with_basic_solution_oracle_on_random_systems():
     feasible_seen = infeasible_seen = 0
     for A, b in _random_systems():
         expected = oracles.feasible_nonneg_oracle(A, b)
-        actual = feasible_nonneg(A, b)
+        actual = _solve(A, b)
         assert (actual is None) == (expected is None)
         if actual is None:
             infeasible_seen += 1
@@ -121,7 +163,7 @@ def test_agrees_with_basic_solution_oracle_on_random_systems():
 
 def test_same_vertex_as_fraction_simplex_on_random_systems():
     for A, b in _random_systems():
-        assert feasible_nonneg(A, b) == oracles.fraction_simplex(A, b)
+        assert _solve(A, b) == oracles.fraction_simplex(A, b)
 
 
 def test_same_vertex_as_fraction_simplex_on_degenerate_systems():
@@ -155,7 +197,7 @@ def test_same_vertex_as_fraction_simplex_on_degenerate_systems():
         seen["zero_col"] += any(not any(row[j] for row in A) for j in range(n))
         seen["negative"] += any(v < 0 for v in b)
         seen["zero_b"] += not any(b)
-        x = feasible_nonneg(A, b)
+        x = _solve(A, b)
         assert x == oracles.fraction_simplex(A, b)
         if x is None:
             infeasible_seen += 1
@@ -175,7 +217,7 @@ def test_same_vertex_as_fraction_simplex_when_ratio_ties_are_common():
         n = rng.randint(3, 9)
         A = [[Fraction(rng.choice((0, 1, 1, 2, 3))) for _ in range(n)] for _ in range(m)]
         b = _image(A, [Fraction(rng.choice((0, 0, 1, 2))) for _ in range(n)])
-        assert feasible_nonneg(A, b) == oracles.fraction_simplex(A, b)
+        assert _solve(A, b) == oracles.fraction_simplex(A, b)
 
 
 # Block-diagonal systems with zero rows and columns shuffled in: the shape of
@@ -225,7 +267,7 @@ def test_same_vertex_as_fraction_simplex_on_block_diagonal_systems():
         ]
         zero_rows = [Fraction(rng.choice((0, 0, 0, 1))) for _ in range(rng.randint(0, 2))]
         A, b = _block_diagonal(rng, blocks, zero_rows, rng.randint(0, 2))
-        x = feasible_nonneg(A, b)
+        x = _solve(A, b)
         assert x == oracles.fraction_simplex(A, b)
         if x is None:
             infeasible_seen += 1
@@ -233,6 +275,54 @@ def test_same_vertex_as_fraction_simplex_on_block_diagonal_systems():
             feasible_seen += 1
             _check_solution(A, b, x)
     assert feasible_seen >= 60 and infeasible_seen >= 60
+
+
+def test_same_vertex_as_fraction_simplex_on_sparse_integer_systems():
+    # Integer rows, most entries zero, each row scales[i] times its rational
+    # row (so rows come unreduced and rational rows with denominators), with
+    # zero rows, duplicate rows and negative right-hand sides mixed in. The
+    # oracle lists its entering columns: some systems enter an artificial one.
+    rng = random.Random(1977)
+    seen = dict.fromkeys(("zero_row", "duplicate", "negative", "artificial_entered"), 0)
+    zeros = cells = feasible_seen = infeasible_seen = 0
+    for _ in range(400):
+        m, n = rng.randint(2, 8), rng.randint(2, 10)
+        A = [
+            [rng.choice((-3, -1, 1, 2, 4)) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            x0 = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+            b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+        else:
+            b = [rng.randint(-4, 4) for _ in range(m)]
+        if rng.random() < 0.4:
+            i, j = rng.sample(range(m), 2)
+            A[j] = list(A[i])
+            b[j] = b[i] if rng.random() < 0.7 else b[i] + 1
+        if rng.random() < 0.3:
+            i = rng.randrange(m)
+            A[i], b[i] = [0] * n, rng.choice((0, 0, 1))
+        scales = [rng.randint(1, 6) for _ in range(m)]
+        seen["zero_row"] += any(not any(row) for row in A)
+        seen["duplicate"] += any(A[i] == A[j] for j in range(m) for i in range(j))
+        seen["negative"] += any(v < 0 for v in b)
+        zeros += sum(v == 0 for row in A for v in row)
+        cells += m * n
+        rational = [[Fraction(v, k) for v in row] for row, k in zip(A, scales)]
+        rhs = [Fraction(v, k) for v, k in zip(b, scales)]
+        entered = []
+        x = feasible_nonneg(A, b, scales)
+        assert x == oracles.fraction_simplex(rational, rhs, entered)
+        seen["artificial_entered"] += any(j >= n for j in entered)
+        if x is None:
+            infeasible_seen += 1
+        else:
+            feasible_seen += 1
+            _check_solution(rational, rhs, x)
+    assert zeros >= 0.6 * cells
+    assert min(seen.values()) >= 10, seen
+    assert feasible_seen >= 100 and infeasible_seen >= 100, (feasible_seen, infeasible_seen)
 
 
 # garbling_exists solves one system per linked group of the first matrix's
@@ -327,9 +417,9 @@ def _counting_solves(monkeypatch):
     ``feasible_nonneg``."""
     calls = []
 
-    def record(A, b):
+    def record(A, b, scales):
         calls.append((len(A), len(A[0])))
-        return feasible_nonneg(A, b)
+        return feasible_nonneg(A, b, scales)
 
     monkeypatch.setattr(dominance, "feasible_nonneg", record)
     return calls
@@ -363,6 +453,39 @@ def _grouped_pair(rng, k, empty, one_column=None):
     groups.sort(key=lambda group: group[0][0])
     groups += [([], [u]) for u in sorted(order[cuts[-1] :])]
     return first, _garbled(rng, space, first, rng.randint(2, 3)), groups
+
+
+def _group_system(first, second, states, cols):
+    """A linked group's rational rows, each with its right-hand side last:
+    its states x second's columns, state-major, then its row sums."""
+    nv = len(second.column_labels)
+    rows = [
+        [first.entries[w][u] if j == v else Fraction(0) for u in cols for j in range(nv)]
+        + [second.entries[w][v]]
+        for w in states
+        for v in range(nv)
+    ]
+    return rows + [[Fraction(int(u == c)) for u in cols for _ in range(nv)] + [1] for c in cols]
+
+
+def test_garbling_exists_hands_the_solver_integer_rows_over_their_scales(monkeypatch):
+    # Every value handed over is an int, and each row and its right-hand
+    # side over the row's scale is the group's rational row.
+    systems = []
+
+    def record(A, b, scales):
+        values = [v for row in A for v in row] + list(b) + list(scales)
+        assert {type(v) for v in values} == {int}
+        systems.append([[Fraction(v, s) for v in (*row, c)] for row, c, s in zip(A, b, scales)])
+        return feasible_nonneg(A, b, scales)
+
+    monkeypatch.setattr(dominance, "feasible_nonneg", record)
+    rng = random.Random(1951)
+    for _ in range(60):
+        first, second, groups = _grouped_pair(rng, rng.randint(1, 4), rng.randint(0, 2))
+        systems.clear()
+        assert garbling_exists(first, second).exists
+        assert systems == [_group_system(first, second, w, u) for w, u in groups]
 
 
 def test_one_tableau_per_linked_column_group(monkeypatch):
@@ -456,7 +579,7 @@ def test_same_vertex_on_a_benchmark_sized_garbling(monkeypatch):
 def test_a_garbling_with_ten_player_blocks_is_solved_block_by_block():
     # 40 states and a 10-block player: 830 x 600 forward, 1,220 x 600 back.
     # One tableau over each system took about 2.9 s for both; ten 1/10-size
-    # tableaux take about 0.4 s.
+    # tableaux take about 0.1 s (0.08-0.14 s of CPU time).
     first, second = _merged_experiments(random.Random(40), 40, range(4, 41, 4))
     start = time.process_time()
     forward, backward = garbling_exists(first, second), garbling_exists(second, first)
