@@ -29,7 +29,6 @@ from .types import (
     Partition,
     Prior,
     StateSpace,
-    _over_lcm,
     format_rational,
     parse_rational,
 )
@@ -287,15 +286,15 @@ def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> Garbli
     the local indices keep structural columns in order before artificial
     ones: each group returns its part of the whole system's vertex.
 
-    The rows are integers. With each state's rows of ``first`` and
-    ``second`` over their lcm denominators, ``(t1, a...)`` and ``(t2,
-    c...)``, row (w, v) is ``a[u] * t2`` at G[u, v] with right-hand side
+    The rows are integers. With each state's row keys of ``first`` and
+    ``second`` (their ``_keys``, over their lcm denominators), ``(t1, a...)``
+    and ``(t2, c...)``, row (w, v) is ``a[u] * t2`` at G[u, v] with right-hand side
     ``c[v] * t1``, ``t1 * t2`` times the rational row; a row-sum row is 1s
     with right-hand side 1, scale 1."""
     if first.space != second.space:
         raise DomainError("matrices are defined over different state spaces")
     nu, nv = len(first.column_labels), len(second.column_labels)
-    supports = [[u for u, p in enumerate(row) if p] for row in first.entries]
+    supports = [[u for u, n in enumerate(key[1:]) if n] for key in first._keys]
     group = list(range(nu))  # each column's group, named by its least column
     for cols in supports:
         linked = {group[u] for u in cols}
@@ -312,7 +311,7 @@ def garbling_exists(first: StochasticMatrix, second: StochasticMatrix) -> Garbli
         rhs: list[int] = []
         scales: list[int] = []
         for w in states:
-            (t1, *a), (t2, *c) = _over_lcm(first.entries[w]), _over_lcm(second.entries[w])
+            (t1, *a), (t2, *c) = first._keys[w], second._keys[w]
             scaled = [a[u] * t2 for u in cols]
             for v in range(nv):
                 row = [0] * width

@@ -25,9 +25,7 @@ from .partitions import ckc_decompose, join
 from .signaling import (
     StochasticSignaling,
     _branch_masses,
-    _branch_profiles,
-    _posterior,
-    posterior_menu,
+    _PosteriorTable,
 )
 from .types import (
     Distribution,
@@ -54,6 +52,7 @@ DEFAULT_SEARCH_CAP = 20000
 ActionProfile = tuple[str, ...]
 Pair = tuple[tuple[str, ...], str]
 Branch = tuple[str, str]
+Outcome = tuple[str, ActionProfile]
 Slot = tuple[int, tuple[str, ...]]
 Game = Union["BayesianGame", "TwoStageGame", "LogScoreGame"]
 
@@ -113,11 +112,11 @@ class BayesianGame:
                 f"no payoff entry for state '{state}' and profile {profile!r}"
             ) from None
 
-    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
-        """Per player, ``(d, u_1 d, ...)``: their utility at each (state,
-        action profile) as an integer over d, the lcm of its denominators."""
+    def _payoff_columns(self, keys: Sequence[Outcome], players: Iterable[int]) -> list[tuple]:
+        """Per player of ``players``, ``(d, u_1 d, ...)``: their utility at each
+        (state, action profile) as an integer over d, the lcm of its denominators."""
         rows = [self.payoff(*key) for key in keys]
-        return [_over_lcm([v[i] for v in rows]) for i in range(self.structure.n)]
+        return [_over_lcm([v[i] for v in rows]) for i in players]
 
 
 def _integer_payoffs(
@@ -130,7 +129,7 @@ def _integer_payoffs(
     indices = itertools.product(*(range(len(acts)) for acts in game.actions))
     profiles = list(zip(indices, itertools.product(*game.actions)))
     rows = {(s, at): (s, profile) for s in game.structure.space for at, profile in profiles}
-    columns = game._payoff_columns(list(rows.values()))
+    columns = game._payoff_columns(list(rows.values()), range(game.structure.n))
     return [(dict(zip(rows, ints)), scale) for scale, *ints in columns]
 
 
@@ -526,7 +525,7 @@ def expected_payoffs(
     scale, outcomes = _outcome_masses(game, branches, total, strategy)
     return tuple(
         Fraction(sum(map(operator.mul, outcomes.values(), utilities)), scale * d)
-        for d, *utilities in game._payoff_columns(list(outcomes))
+        for d, *utilities in game._payoff_columns(list(outcomes), range(structure.n))
     )
 
 
@@ -603,7 +602,7 @@ def is_equilibrium(
             # Every action's value in units of one weight times the game's integer
             # unit, read at once to share it (``map`` stops at the end of ``weights``).
             keys = [(s, (*p[:i], a, *p[i + 1 :])) for a in actions for s, p, _ in outcomes]
-            column = iter(game._payoff_columns(keys)[i][1:])
+            column = iter(game._payoff_columns(keys, (i,))[0][1:])
             values = {a: sum(map(operator.mul, weights, column)) for a in actions}
             scale, *shares = _over_lcm(list(mix.values()))  # the mixture over its lcm
             current = sum(map(operator.mul, shares, map(values.__getitem__, mix)))
@@ -1019,14 +1018,6 @@ def kld_action_label(dist: Distribution) -> str:
     return "(" + ",".join(format_rational(v) for v in dist.vector) + ")"
 
 
-def _posterior_menus(
-    profiles: Mapping[Branch, tuple], n: int
-) -> tuple[tuple[Distribution, ...], ...]:
-    """Per player, the distinct posteriors of the branches, sorted by
-    vector: the player's declaration menu."""
-    return tuple(posterior_menu(p[i] for p in profiles.values()) for i in range(n))
-
-
 class LogScoreGame:
     """Each player declares a posterior from their menu (actions are the
     ``kld_action_label``s) and is paid the log of the mass it gives the
@@ -1049,7 +1040,7 @@ class LogScoreGame:
             return tuple(menu[a].of(state) for a, menu in zip(profile, self._declared))
         raise DomainError(f"no payoff entry for state '{state}' and profile {profile!r}")
 
-    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
+    def _payoff_columns(self, keys: Sequence[Outcome], players: Iterable[int]) -> list[tuple]:
         """Likelihoods are not payoffs: the rational-payoff evaluators refuse the game."""
         raise DomainError("log-domain game: evaluate with kld_expected_scores")
 
@@ -1057,8 +1048,7 @@ class LogScoreGame:
 def build_kld_game(structure: InformationStructure, tau: StochasticSignaling) -> LogScoreGame:
     """The log-score game whose menus are the posteriors the signaling
     induces."""
-    profiles = _branch_profiles(structure, _branch_masses(structure, tau)[0])
-    return LogScoreGame(structure, _posterior_menus(profiles, structure.n))
+    return LogScoreGame(structure, _PosteriorTable(structure, tau).menus())
 
 
 def truthful_kld_strategy(
@@ -1067,13 +1057,11 @@ def truthful_kld_strategy(
     """Declare the true posterior at every reachable pair; fails when some
     true posterior is missing from the declaration menu."""
     structure = game.structure
-    masses, _ = _branch_masses(structure, tau)
-    pairs = _reachable(structure, tau.signals, masses)
+    table = _PosteriorTable(structure, tau)
     tables: list[dict[Pair, str]] = [{} for _ in range(structure.n)]
     for i, name in enumerate(structure.player_names):
         labels = dict(zip(game.menus[i], game.actions[i]))
-        for block, signal in pairs[i]:
-            posterior = _posterior(structure, masses, block, signal)
+        for block, signal, posterior in table.pairs(i):
             if posterior not in labels:
                 raise DomainError(
                     f"posterior {kld_action_label(posterior)} is not in player '{name}'s "
@@ -1136,15 +1124,15 @@ class TwoStageGame:
             raise DomainError("the two-stage game needs at least two players")
         self.structure = structure
         self.tau = tau
-        branches = _branch_profiles(structure, _branch_masses(structure, tau)[0])
-        self._settled = {tuple((t, d) for d in p): p for (_, t), p in branches.items()}
-        self.menus = _posterior_menus(branches, structure.n)
+        table = _PosteriorTable(structure, tau)
+        self._settled = {tuple((t, d) for d in p): p for t, p in table.profiles()}
+        self.menus = table.menus()
         # Player i's true (signal, posterior) at each (i, block, signal) the
         # signaling reaches.
         self._truthful = {
-            (i, partition.block_of(state), signal): (signal, profile[i])
-            for (state, signal), profile in branches.items()
-            for i, partition in enumerate(structure.players)
+            (i, block, signal): (signal, d)
+            for i in range(structure.n)
+            for block, signal, d in table.pairs(i)
         }
         actions = []
         for menu in self.menus:
@@ -1225,9 +1213,10 @@ class TwoStageGame:
         total = sum(hits)
         return tuple([(len(terms) - 1) * r - 2 * (total - h) for r, h in zip(terms, hits)])
 
-    def _payoff_columns(self, keys: Sequence[tuple[str, ActionProfile]]) -> list[tuple[int, ...]]:
-        """Per player, ``(U, ...)``: their settled payoff at each key over U."""
-        return [(self._unit, *column) for column in zip(*(self._settle(*key) for key in keys))]
+    def _payoff_columns(self, keys: Sequence[Outcome], players: Iterable[int]) -> list[tuple]:
+        """Per player of ``players``, ``(U, ...)``: their settled payoff at each key over U."""
+        columns = list(zip(*(self._settle(*key) for key in keys)))
+        return [(self._unit, *columns[i]) for i in players]
 
     def max_aggregate(self, tau: StochasticSignaling, cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
         """Exact ceiling on the total expected payoff of any self-enforcing

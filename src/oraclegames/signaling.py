@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, getitem
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -170,12 +171,13 @@ class StochasticSignaling:
 
 
 class PosteriorAtlas:
-    """The distribution over joint posterior profiles induced by a signaling
-    function: profile -> positive weight, weights summing to 1. A profile is
-    a tuple of one posterior per player, in player order. The key set is the
-    reachable-profile set; ``entries`` is ``_weights`` over ``_total``, made when read."""
+    """The distribution over joint posterior profiles induced by a signaling function: profile
+    -> positive weight, weights summing to 1. A profile is a tuple of one posterior per player,
+    in player order. The key set is the reachable-profile set; ``entries`` (``_weights`` over
+    ``_total``) and ``_order`` (the sorted profiles) are made when read."""
 
     entries = _Lazy(lambda self: {p: Fraction(w, self._total) for p, w in self._weights.items()})
+    _order = _Lazy(lambda self: _checked_order(self._weights, self._total))
 
     def __init__(self, entries: Mapping[tuple[Distribution, ...], Fraction]):
         self._weights = {p: _parsed(w, "atlas weight") for p, w in entries.items()}
@@ -250,57 +252,77 @@ def stoch_posterior(
     prior * kernel on the player's block, zero elsewhere."""
     if i not in range(structure.n):
         raise InputError(f"player index {i!r} is out of range for {structure.n} players")
-    masses, _ = _branch_masses(structure, tau)
+    factors, _ = _state_factors(structure, tau)
     if tau.prob(omega, signal) == 0:
         raise DomainError(f"signal '{signal}' impossible at state '{omega}'")
-    return _posterior(structure, masses, structure.players[i].block_of(omega), signal)
+    at = [structure.space.index(s) for s in structure.players[i].block_of(omega)]
+    j = tau.signal_index(signal) + 1
+    return Distribution._on_block(structure.space, at, [factors[k] * tau._keys[k][j] for k in at])
 
 
-def _branch_masses(
-    structure: InformationStructure, tau: StochasticSignaling
-) -> tuple[dict[tuple[str, str], int], int]:
-    """(masses, D): prior(state) * tau(signal|state) for every (state, signal)
-    branch of positive mass, in state order and then signal order, as integers
-    over D, the prior's and the kernel rows' denominators' lcms multiplied:
-    the one table that every walk over branches reads. The masses sum to D."""
+def _state_factors(structure: InformationStructure, tau: StochasticSignaling) -> tuple[list, int]:
+    """(f, D): prior(state) * tau(signal|state) is f[state] * n over D, n the signal's entry of
+    the state's kernel key and D the prior's and the kernel rows' lcm denominators multiplied."""
     if tau.space != structure.space:
         raise DomainError("signaling and structure use different state spaces")
-    prior = structure.prior._key
-    scale = lcm(*(key[0] for key in tau._keys))
-    masses: dict[tuple[str, str], int] = {}
-    for state, base, key in zip(structure.space.states, prior[1:], tau._keys):
-        base *= scale // key[0]
-        for signal, n in zip(tau.signals, key[1:]):
-            if n:
-                masses[(state, signal)] = base * n
-    return masses, prior[0] * scale
+    prior, scale = structure.prior._key, lcm(*[key[0] for key in tau._keys])
+    return [p * (scale // key[0]) for p, key in zip(prior[1:], tau._keys)], prior[0] * scale
 
 
-def _posterior(
-    structure: InformationStructure, masses: Mapping, block: Sequence[str], signal: str
-) -> Distribution:
-    """The posterior on ``block`` after ``signal``: its table masses over their total."""
-    weights = [masses.get((s, signal), 0) for s in block]
-    return Distribution._on_block(structure.space, block, weights)
+def _branch_masses(structure: InformationStructure, tau: StochasticSignaling) -> tuple[dict, int]:
+    """(masses, D): the integer mass of every (state, signal) branch of positive mass, in state
+    order and then signal order, over D: the table that every walk over branches reads."""
+    factors, total = _state_factors(structure, tau)
+    at = zip(structure.space.states, factors, tau._keys)
+    return {(w, s): f * n for w, f, key in at for s, n in zip(tau.signals, key[1:]) if n}, total
 
 
-def _branch_profiles(
-    structure: InformationStructure, masses: Mapping
-) -> dict[tuple[str, str], tuple[Distribution, ...]]:
-    """The joint posterior profile of every branch in the mass table.  A
-    player's posterior depends only on (their block, signal), so each is
-    computed once."""
-    cache: dict[tuple[int, int, str], Distribution] = {}
-    out = {}
-    for state, signal in masses:
-        posts = []
-        for i, partition in enumerate(structure.players):
-            key = (i, partition.block_index(state), signal)
-            if key not in cache:
-                cache[key] = _posterior(structure, masses, partition.block_of(state), signal)
-            posts.append(cache[key])
-        out[(state, signal)] = tuple(posts)
-    return out
+class _PosteriorTable:
+    """The posteriors a signaling induces, from its masses by state position k. Signals with
+    proportional mass columns (equal once divided by their gcds) induce the same posteriors and
+    share a class, ``classes[signal]``; ``columns[c][k]`` sums class c's masses at state k,
+    ``cells[k]`` is state k's join cell (its player block indices), and ``posteriors[c][i][b]``,
+    built by ``Distribution._on_block``, is player i's posterior on block b, or None where it
+    has no mass."""
+
+    def __init__(self, structure: InformationStructure, tau: StochasticSignaling):
+        factors, self.total = _state_factors(structure, tau)
+        rows = [[f * n for n in key[1:]] for f, key in zip(factors, tau._keys)]
+        self.players = structure.players
+        self.cells = list(zip(*(p._block_at for p in self.players)))
+        first: dict[tuple[int, ...], int] = {}
+        classes = [first.setdefault(key, len(first)) for _, key in _column_keys(rows)]
+        self.classes = dict(zip(tau.signals, classes))
+        self.columns = [[0] * len(rows) for _ in first]
+        for c, column in zip(classes, zip(*rows)):
+            self.columns[c] = list(map(add, self.columns[c], column))
+        space = structure.space
+        blocks = [[[space._position[s] for s in b] for b in p.blocks] for p in self.players]
+        self.posteriors = [[[None] * len(p) for p in blocks] for _ in self.columns]
+        for column, posts in zip(self.columns, self.posteriors):
+            for player, out in zip(blocks, posts):
+                for b, at in enumerate(player):
+                    weights = [column[k] for k in at]
+                    if any(weights):
+                        out[b] = Distribution._on_block(space, at, weights)
+
+    def menus(self) -> tuple[tuple[Distribution, ...], ...]:
+        """Per player, a ``posterior_menu`` of their posteriors: the player's declaration menu."""
+        return tuple(posterior_menu(d for *_, d in self.pairs(i)) for i in range(len(self.players)))
+
+    def pairs(self, i: int) -> Iterator[tuple[tuple[str, ...], str, Distribution]]:
+        """Player i's (block, signal, posterior) at every pair with mass, by block, then signal."""
+        for b, block in enumerate(self.players[i].blocks):
+            for signal, c in self.classes.items():
+                if self.posteriors[c][i][b] is not None:
+                    yield block, signal, self.posteriors[c][i][b]
+
+    def profiles(self) -> Iterator[tuple[str, tuple[Distribution, ...]]]:
+        """(signal, joint posterior profile) of every branch with mass, by state, then signal."""
+        for k, cell in enumerate(self.cells):
+            for signal, c in self.classes.items():
+                if self.columns[c][k]:  # a class's signals share their zeros
+                    yield signal, tuple(map(getitem, self.posteriors[c], cell))
 
 
 def _column_keys(rows: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
@@ -313,22 +335,21 @@ def posterior_atlas(
     structure: InformationStructure, tau: StochasticSignaling
 ) -> PosteriorAtlas:
     """The joint posterior profiles of all branches with positive mass, exact duplicates merged,
-    each weighted by the total prior(state) * tau(signal|state) of its branches, summed over the
-    table's denominator. Signals with proportional kernel columns induce the same posteriors, so
-    the masses of each are summed into the first such signal before the branch loop."""
-    masses, total = _branch_masses(structure, tau)
-    keys = [k for _, k in _column_keys(row[1:] for row in tau._keys)]
-    if len(set(keys)) < len(keys):
-        into = {s: tau.signals[keys.index(key)] for s, key in zip(tau.signals, keys)}
-        merged: dict[tuple[str, str], int] = {}
-        for (state, signal), m in masses.items():
-            merged[state, into[signal]] = merged.get((state, into[signal]), 0) + m
-        masses = merged
+    each weighted by the total prior(state) * tau(signal|state) of its branches, over the
+    table's denominator. The branches of one join cell and signal class share one profile, so
+    each class's column is summed over each cell. The order is sorted on its first read."""
+    table = _PosteriorTable(structure, tau)
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for k, cell in enumerate(table.cells):
+        cells.setdefault(cell, []).append(k)
     weights: dict[tuple[Distribution, ...], int] = {}
-    for branch, profile in _branch_profiles(structure, masses).items():
-        weights[profile] = weights.get(profile, 0) + masses[branch]
-    order = _checked_order(weights, total)
-    return _unchecked(PosteriorAtlas, _weights=weights, _total=total, _order=order)
+    for column, posteriors in zip(table.columns, table.posteriors):
+        for cell, positions in cells.items():
+            m = sum([column[k] for k in positions])
+            if m:
+                profile = tuple(map(getitem, posteriors, cell))
+                weights[profile] = weights.get(profile, 0) + m
+    return _unchecked(PosteriorAtlas, _weights=weights, _total=table.total)
 
 
 def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
@@ -342,17 +363,18 @@ def post_included(a: PosteriorAtlas, b: PosteriorAtlas) -> bool:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Row-stochastic matrix with rows indexed by states."""
+    """Row-stochastic matrix with rows indexed by states. ``_keys`` holds each row's
+    ``_over_lcm`` key, and a derived matrix makes ``entries`` from them when read."""
 
     space: StateSpace
     column_labels: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...] = _Lazy(lambda m: tuple(map(_fractions, m._keys)))
+    _keys: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(check_label("column", c, "") for c in self.column_labels)
-        entries, _ = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "column_labels", labels)
+        entries, keys = _stochastic_rows(self.space, labels, self.entries, "matrix", "column")
+        vars(self).update(entries=entries, column_labels=labels, _keys=keys)
 
     def row(self, state: str) -> tuple[Fraction, ...]:
         return self.entries[self.space.index(state)]
@@ -426,18 +448,16 @@ def experiment_matrix(
         raise DomainError("partition and signaling use different state spaces")
     if prior is not None and prior.space != tau.space:
         raise DomainError("prior uses a different state space")
-    labels = [f"b{i}" for i in range(len(partition.blocks))]
+    blocks = range(len(partition.blocks))
+    labels = [f"b{i}" for i in blocks]
     columns = tuple((sig, lab) for sig in tau.signals for lab in labels)
-    rows = []
-    zero = Fraction(0)
-    for state, kernel_row in zip(tau.space.states, tau.kernel):
-        bidx = partition.block_index(state)
-        rows.append(tuple(p if b == bidx else zero for p in kernel_row for b in range(len(labels))))
+    at = zip(partition._block_at, tau._keys)  # each row's key spread over the blocks
+    keys = tuple((d, *(n * (b == j) for n in key for b in blocks)) for j, (d, *key) in at)
     return _unchecked(
         ExperimentMatrix,
         space=tau.space,
         column_labels=tuple(f"{sig}@{lab}" for sig, lab in columns),
-        entries=tuple(rows),
+        _keys=keys,
         columns=columns,
         blocks=tuple((lab, block) for lab, block in zip(labels, partition.blocks)),
     )

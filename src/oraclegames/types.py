@@ -264,13 +264,14 @@ class Distribution:
             raise InputError(f"masses sum to {_shown(sum(self.vector))}, not 1")
 
     @classmethod
-    def _on_block(cls, space: StateSpace, block: Sequence[str], masses: list[int]) -> Distribution:
-        """Integer ``masses`` m >= 0 on ``block`` over their total T > 0, 0 elsewhere, unchecked;
-        the key is ``_reduced((T, m, ...))``, the masses reduced alone, as their gcd divides T."""
+    def _on_block(cls, space: StateSpace, at: Sequence[int], masses: list[int]) -> Distribution:
+        """Integer ``masses`` m >= 0 at the state positions ``at`` over their total T > 0, 0
+        elsewhere, unchecked: the one builder of the library's posteriors. The key is
+        ``_reduced((T, m, ...))``, the masses reduced alone, as their gcd divides T."""
         reduced = _reduced(masses)
         key = [sum(reduced)] + [0] * len(space)
-        for state, m in zip(block, reduced):
-            key[space._position[state] + 1] = m
+        for k, m in zip(at, reduced):
+            key[k + 1] = m
         key = tuple(key)
         return _unchecked(cls, space=space, _key=key, _hash=hash(key))
 

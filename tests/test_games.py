@@ -1457,6 +1457,35 @@ def test_a_strategy_missing_a_reachable_pair_is_refused_by_every_evaluator():
         ned_distribution(game, tau, StrategyProfile(tuple(tables)))
 
 
+def test_is_equilibrium_reads_only_the_deviating_players_payoff_column(monkeypatch):
+    # A pair values one player's deviations, so it asks the game for that
+    # player's payoff column alone, in player order; verdicts and witnesses
+    # still match the brute force.
+    asked = []
+    for cls in (BayesianGame, TwoStageGame):
+
+        def record(self, keys, players, columns=cls._payoff_columns):
+            asked.append(tuple(players))
+            return columns(self, keys, asked[-1])
+
+        monkeypatch.setattr(cls, "_payoff_columns", record)
+    rng = random.Random(53)
+    for game, tau, args in _equilibrium_cases(rng, 12):
+        stage = TwoStageGame(game.structure, tau)
+        for g in (game, stage):
+            pairs = reachable_pairs(game.structure, tau)
+            tables = [
+                {pair: {a: Fraction(1, 2) for a in g.actions[i][:2]} for pair in pairs[i]}
+                for i in range(2)
+            ]
+            payoff = g.payoff if g is game else _two_stage_oracle(stage)
+            naive = oracles.naive_is_equilibrium(*args, g.actions, payoff, tables)
+            asked.clear()
+            result = is_equilibrium(g, tau, make_strategy(g, tau, tables))
+            assert (result.holds, result.witness) == _naive_result(game.structure, naive)
+            assert asked and all(len(p) == 1 for p in asked) and asked == sorted(asked)
+
+
 def test_two_stage_equilibrium_matches_the_total_payoff_brute_force():
     rng = random.Random(43)
     for game, tau, args in _equilibrium_cases(rng, 20)[::2]:

@@ -20,6 +20,7 @@ from oraclegames import (
     StateSpace,
     StochasticMatrix,
     StochasticSignaling,
+    TwoStageGame,
     build_kld_game,
     build_permutation_game,
     det_posterior,
@@ -280,13 +281,13 @@ def test_posterior_pass_skips_the_public_distribution_checks(monkeypatch):
 
 
 def test_posterior_claims_build_no_profile_table(monkeypatch):
-    """One posterior reads its own block of the mass table; the profile of
-    every branch is never built for it."""
+    """One posterior reads its own block of the masses; the posterior table,
+    with every block's posterior, is never built for it."""
 
     def refuse(*args):
-        raise AssertionError("a lone posterior built the profile table")
+        raise AssertionError("a lone posterior built the posterior table")
 
-    monkeypatch.setattr(signaling, "_branch_profiles", refuse)
+    monkeypatch.setattr(signaling, "_PosteriorTable", refuse)
     ran = 0
     for name in ("stochastic-imi-fail", "unique-ckc-3-player"):
         data = harness.load_fixture(name)
@@ -503,7 +504,7 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
     # with the one unchecked builder; the public constructors on the same
     # data must build the same objects, zero signals trimmed alike, and the
     # same integer rows: a derived signaling computes its rows from integers.
-    made = []
+    made, spread = [], []
     _recording(monkeypatch, made)
     rng = random.Random(2026)
     for _ in range(60):
@@ -522,6 +523,10 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
         player = _random_partition(rng, space, 3)
         for derived in (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling)):
             experiment_matrix(derived, player)
+            # Each kernel row spread over the player's blocks: the matrix's entries.
+            at = [(derived.row(w), player.block_index(w)) for w in space.states]
+            width = range(len(player.blocks))
+            spread.append(tuple(tuple(p * (b == j) for p in row for b in width) for row, j in at))
     signalings = [entry for entry in made if entry[2] is not None]
     matrices = [entry[:2] for entry in made if entry[2] is None]
     assert len(signalings) == 120 and len(matrices) == 180
@@ -533,8 +538,12 @@ def test_derived_objects_equal_the_public_constructions(monkeypatch):
         assert built == public
         trimmed += len(built.signals) < len(signals)
     assert trimmed >= 30
-    for built, fields in matrices:
-        public = signaling.ExperimentMatrix(**fields)
+    for (built, fields), entries in zip(matrices, spread):
+        # The matrix is built as integer row keys: its entries are made when read.
+        keys = fields.pop("_keys")
+        assert "entries" not in vars(built)
+        public = signaling.ExperimentMatrix(entries=entries, **fields)
+        assert keys == built._keys == public._keys
         assert (built.entries, built.column_labels) == (public.entries, public.column_labels)
         assert (built.columns, built.blocks) == (public.columns, public.blocks)
         assert built.as_json() == public.as_json()
@@ -760,6 +769,95 @@ def test_a_lifted_atlas_builds_each_posterior_once(monkeypatch):
         built.clear()
         grew += len(lifted.signals) > len(tau.signals)
     assert grew >= 15
+
+
+def _derived_cases(rng, count):
+    """Seeded (structure, signaling, kernel) cases of at least 2 players: the
+    base, lifted and merged signalings of ``_unlike_denominator_signalings``,
+    each with its kernel as state -> signal label -> mass."""
+    for structure, tau, garbling in _unlike_denominator_signalings(rng, count):
+        if structure.n < 2:
+            continue
+        states = structure.space.states
+        labels = (
+            {s: s for s in tau.signals},
+            {(s, t): f"({s},{t})" for s in tau.signals for t in garbling[s]},
+            {t: t for s in tau.signals for t in garbling[s]},
+        )
+        derived = (tau, lift_garbled(tau, garbling), merge_garbled(tau, garbling))
+        for sig, kernel, label in zip(derived, _naive_kernels(tau, garbling, states), labels):
+            kernel = {w: {label[x]: p for x, p in row.items()} for w, row in kernel.items()}
+            yield structure, sig, kernel
+
+
+def test_declaration_menus_and_settlements_match_the_naive_posteriors():
+    # The two-stage game's menus and settlement table, and the log-score
+    # game's menus, read the posterior table; each equals the one built here
+    # from naive posteriors, branch by branch in state and then signal order.
+    checked = 0
+    for structure, tau, kernel in _derived_cases(random.Random(2034), 40):
+        states = structure.space.states
+        prior = dict(zip(states, structure.prior.vector))
+        blocks = [p.block_of for p in structure.players]
+        settled = {}
+        for w in states:
+            for s in tau.signals:
+                if kernel[w][s]:
+                    profile = tuple(
+                        oracles.naive_posterior(prior, kernel, block(w), states, s)
+                        for block in blocks
+                    )
+                    settled.setdefault(tuple((s, v) for v in profile), profile)
+        menus = [sorted({p[i] for p in settled.values()}) for i in range(structure.n)]
+        stage = TwoStageGame(structure, tau)
+        assert [[d.vector for d in menu] for menu in stage.menus] == menus
+        got = [
+            (tuple((t, d.vector) for t, d in key), tuple(d.vector for d in p))
+            for key, p in stage._settled.items()
+        ]
+        assert got == list(settled.items())
+        kld = build_kld_game(structure, tau)
+        assert [[d.vector for d in menu] for menu in kld.menus] == menus
+        checked += len(settled)
+    assert checked > 300
+
+
+def test_an_atlas_sorts_its_profiles_only_when_they_are_read():
+    # Building an atlas, and asking its size, inclusion and membership, read
+    # no order; the first profiles() sorts the profiles and keeps them.
+    for structure, tau, _ in _derived_cases(random.Random(2035), 20):
+        atlas = posterior_atlas(structure, tau)
+        other = posterior_atlas(structure, tau)
+        assert post_included(atlas, other) and post_included(other, atlas)
+        assert len(atlas) == len(other) and next(iter(other._weights)) in atlas
+        assert "_order" not in vars(atlas) and "_order" not in vars(other)
+        order = atlas.profiles()
+        assert vars(atlas)["_order"] is order and atlas.profiles() is order
+        assert PosteriorAtlas(atlas.entries)._order == order
+
+
+def test_an_atlas_with_an_unreached_block_matches_the_naive_atlas():
+    # A player block with no mass under a signal has no posterior there, and
+    # the join cells inside it add nothing; the rest still match.
+    unreached = 0
+    for structure, tau, kernel in _derived_cases(random.Random(2036), 60):
+        states = structure.space.states
+        prior = dict(zip(states, structure.prior.vector))
+        partitions = [p.blocks for p in structure.players]
+        if not any(
+            not any(kernel[w][s] for w in block)
+            for blocks in partitions
+            for block in blocks
+            for s in tau.signals
+        ):
+            continue
+        unreached += 1
+        atlas = posterior_atlas(structure, tau)
+        naive = oracles.naive_atlas(prior, kernel, partitions, states)
+        order = sorted(naive)
+        assert [tuple(d.vector for d in p) for p in atlas.profiles()] == order
+        assert [atlas.weight(p) for p in atlas.profiles()] == [naive[v] for v in order]
+    assert unreached > 40
 
 
 def test_lift_garbled_refuses_signal_labels_that_collide():

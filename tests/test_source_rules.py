@@ -4,8 +4,9 @@ benchmark's span tracer wraps must exist under its recorded name, and so
 must every name the benchmark imports from the library.  No top-level
 definition is an orphan: each undecorated function and class is named
 somewhere besides its own definition.  Only ``types._unchecked`` builds an
-object without its constructor, only ``types`` reads a rational's integer
-form, and only ``types`` turns a partition mask into states."""
+object without its constructor, only ``types`` builds a distribution that
+way, only ``types`` reads a rational's integer form, and only ``types``
+turns a partition mask into states."""
 
 import ast
 import importlib
@@ -147,6 +148,23 @@ def test_only_the_one_unchecked_builder_skips_a_constructor():
             if any(named):
                 found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
     assert found == ["types.py:_unchecked"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "types.py"], ids=lambda p: p.name
+)
+def test_only_types_builds_a_distribution_unchecked(path):
+    """No module but ``types`` passes ``Distribution`` or ``Prior`` to
+    ``_unchecked``: every posterior is built by ``Distribution._on_block``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("_unchecked")
+        and node.args
+        and ast.unparse(node.args[0]) in ("Distribution", "Prior")
+    ]
+    assert not found, found
 
 
 @pytest.mark.parametrize(
